@@ -16,8 +16,8 @@
 
 use std::time::Instant;
 
-use criterion::{results_json, BenchResult};
 use distvliw_arch::MachineConfig;
+use distvliw_bench::{results_json, BenchResult};
 use distvliw_coherence::{find_chains, transform, SchedConstraints};
 use distvliw_core::experiments::{
     sweep, sweep_default_suites, sweep_machine, sweep_naive, SweepSpec,
@@ -74,8 +74,8 @@ fn main() {
     }
     let mut results: Vec<BenchResult> = Vec::new();
 
-    // Scheduler hot path: the same configurations as the Criterion
-    // `scheduler` bench group.
+    // Scheduler hot path: Free/MDC/DDGT on the first kernel of each
+    // suite.
     for bench in ["gsmdec", "epicdec"] {
         let suite = distvliw_mediabench::suite(bench).expect("bundled benchmark");
         let m = MachineConfig::paper_baseline().with_interleave(suite.interleave_bytes);

@@ -40,7 +40,7 @@
 
 use std::process::ExitCode;
 
-use criterion::{results_from_json, BenchResult};
+use distvliw_bench::{results_from_json, BenchResult};
 
 /// Default failure threshold: current/baseline median ratio above this
 /// fails the gate.

@@ -1,11 +1,10 @@
-//! Shared helpers for the reproduction binaries and Criterion benches.
+//! Shared helpers for the `repro`, `bench` and `perfcheck` binaries.
 //!
-//! Every experiment driver under `src/bin/` used to carry its own copy
-//! of the compute-render-print-or-exit scaffolding; it now lives here
-//! once. [`report`] renders any named experiment to a string,
-//! [`run_experiment_main`] is the whole body of the thin per-experiment
-//! bins, and [`EXPERIMENTS`] enumerates the catalog the `all` bin
-//! iterates.
+//! [`report`] renders any named experiment to a string and
+//! [`EXPERIMENTS`] enumerates the catalog the `repro` bin dispatches
+//! over. [`BenchResult`] with [`results_json`] / [`results_from_json`]
+//! is the `BENCH_sched*.json` format the `bench` bin writes and
+//! `perfcheck` gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,11 +13,10 @@ use std::fmt::Write as _;
 
 use distvliw_arch::MachineConfig;
 use distvliw_core::experiments::{
-    epicdec_ab_case_study, fig6, fig7, fig9, gsmdec_case_study, nobal, sweep, sweep_default_suites,
-    table3, table4, table5, SweepSpec,
+    epicdec_ab_case_study, fig6, fig7, fig9, gsmdec_case_study, nobal, nobal_machines, sweep,
+    sweep_default_suites, table3, table4, table5, SweepSpec,
 };
-use distvliw_core::{report as render, Heuristic, Pipeline, PipelineOptions, Solution};
-use distvliw_sim::SimOptions;
+use distvliw_core::{report as render, Heuristic, Pipeline, Solution};
 
 /// The paper's Table 2 machine.
 #[must_use]
@@ -26,23 +24,109 @@ pub fn paper_machine() -> MachineConfig {
     MachineConfig::paper_baseline()
 }
 
-/// Pipeline options with a reduced iteration cap, for quick benches.
-#[must_use]
-pub fn quick_options() -> PipelineOptions {
-    PipelineOptions {
-        sim: SimOptions {
-            max_iterations: 128,
-            detect_violations: false,
-        },
-        ..PipelineOptions::default()
-    }
+/// One measured benchmark row of a `BENCH_sched*.json` file.
+#[derive(Debug, Clone)]
+pub struct BenchResult {
+    /// `group/function` identifier.
+    pub id: String,
+    /// Median nanoseconds per iteration (a raw count for `ejections/*`
+    /// ids).
+    pub median_ns: f64,
+    /// Iterations per sample after calibration.
+    pub iters_per_sample: u64,
+    /// Number of timed samples.
+    pub samples: usize,
 }
 
-/// Every experiment name [`report`] understands, in the paper's order.
-/// Each is also the name of a thin bin under `src/bin/`; the figure and
-/// table entries and `sweep` additionally have a matching serving-layer
-/// route (`hybrid`, `loops` and `imbalance` are bin-only). Every report
-/// begins with its own descriptive title line.
+/// Renders results as a JSON array, one object per line (hand-rolled; no
+/// serde in the offline build).
+#[must_use]
+pub fn results_json(results: &[BenchResult]) -> String {
+    let mut out = String::from("[\n");
+    for (i, r) in results.iter().enumerate() {
+        let comma = if i + 1 == results.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "  {{\"id\": \"{}\", \"median_ns\": {:.1}, \"iters_per_sample\": {}, \"samples\": {}}}{comma}",
+            r.id.replace('"', "\\\""),
+            r.median_ns,
+            r.iters_per_sample,
+            r.samples
+        );
+    }
+    out.push_str("]\n");
+    out
+}
+
+/// Parses a JSON array written by [`results_json`] back into results.
+/// The parser accepts exactly the writer's shape (one object per line,
+/// the four known fields); anything else is an error.
+///
+/// # Errors
+///
+/// Returns a description of the first malformed entry.
+pub fn results_from_json(text: &str) -> Result<Vec<BenchResult>, String> {
+    fn field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
+        let pat = format!("\"{key}\": ");
+        let start = obj
+            .find(&pat)
+            .ok_or_else(|| format!("missing field `{key}` in `{obj}`"))?
+            + pat.len();
+        let rest = &obj[start..];
+        let end = rest
+            .find([',', '}'])
+            .ok_or_else(|| format!("unterminated field `{key}` in `{obj}`"))?;
+        Ok(rest[..end].trim())
+    }
+
+    let mut results = Vec::new();
+    for line in text.lines() {
+        let line = line.trim().trim_end_matches(',');
+        if !line.starts_with('{') {
+            continue; // array brackets / blank lines
+        }
+        // The id is parsed by scanning to its closing quote (not to the
+        // next ','/'}' like the numeric fields), so ids containing
+        // commas, braces or escaped quotes roundtrip.
+        let id_pat = "\"id\": \"";
+        let id_start = line
+            .find(id_pat)
+            .ok_or_else(|| format!("missing field `id` in `{line}`"))?
+            + id_pat.len();
+        let mut id = String::new();
+        let mut chars = line[id_start..].chars();
+        loop {
+            match chars.next() {
+                Some('\\') => match chars.next() {
+                    Some(c) => id.push(c),
+                    None => return Err(format!("unterminated id escape in `{line}`")),
+                },
+                Some('"') => break,
+                Some(c) => id.push(c),
+                None => return Err(format!("unterminated id in `{line}`")),
+            }
+        }
+        let parse_num = |key: &str| -> Result<f64, String> {
+            field(line, key)?
+                .parse::<f64>()
+                .map_err(|e| format!("bad `{key}` in `{line}`: {e}"))
+        };
+        results.push(BenchResult {
+            id,
+            median_ns: parse_num("median_ns")?,
+            iters_per_sample: parse_num("iters_per_sample")? as u64,
+            samples: parse_num("samples")? as usize,
+        });
+    }
+    Ok(results)
+}
+
+/// Every experiment name [`report`] understands, in the paper's order —
+/// the catalog of `repro <experiment>` (`repro all` runs them in this
+/// order). The figure and table entries and `sweep` additionally have a
+/// matching serving-layer route (`hybrid`, `loops` and `imbalance` are
+/// `repro`-only). Every report begins with its own descriptive title
+/// line.
 pub const EXPERIMENTS: &[&str] = &[
     "table3",
     "fig6",
@@ -92,36 +176,15 @@ pub fn report(name: &str, machine: &MachineConfig) -> Result<String, String> {
     }
 }
 
-/// The whole body of a thin experiment bin: renders `name` on the paper
-/// machine, prints the report, and turns a failure into exit code 1.
-#[must_use]
-pub fn run_experiment_main(name: &str) -> std::process::ExitCode {
-    match report(name, &paper_machine()) {
-        Ok(text) => {
-            print!("{text}");
-            std::process::ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
 /// Both NOBAL machine variants, concatenated.
 fn nobal_report() -> Result<String, distvliw_core::PipelineError> {
     let mut out = String::new();
-    for (machine, title) in [
-        (
-            MachineConfig::nobal_mem(),
-            "NOBAL+MEM: more memory buses than register buses",
-        ),
-        (
-            MachineConfig::nobal_reg(),
-            "NOBAL+REG: more register buses than memory buses",
-        ),
-    ] {
-        let rows = nobal(&machine)?;
+    let titles = [
+        "NOBAL+MEM: more memory buses than register buses",
+        "NOBAL+REG: more register buses than memory buses",
+    ];
+    for ((_, machine), title) in nobal_machines().iter().zip(titles) {
+        let rows = nobal(machine)?;
         let _ = writeln!(out, "{}", render::render_nobal(&rows, title));
     }
     Ok(out)
@@ -244,5 +307,48 @@ mod tests {
                 assert!(report(name, &paper_machine()).is_ok());
             }
         }
+    }
+
+    #[test]
+    fn bench_json_roundtrips() {
+        let r = vec![
+            BenchResult {
+                id: "sched/a".into(),
+                median_ns: 12.5,
+                iters_per_sample: 4,
+                samples: 3,
+            },
+            BenchResult {
+                id: "sim/\"q\"".into(),
+                median_ns: 7.0,
+                iters_per_sample: 1,
+                samples: 10,
+            },
+            BenchResult {
+                id: "pipeline/{gsmdec,epicdec}".into(),
+                median_ns: 3.0,
+                iters_per_sample: 1,
+                samples: 2,
+            },
+        ];
+        let text = results_json(&r);
+        assert!(text.starts_with("[\n") && text.ends_with("]\n"));
+        assert!(text.contains("  {\"id\": \"sched/a\", \"median_ns\": 12.5, \"iters_per_sample\": 4, \"samples\": 3},\n"));
+        let parsed = results_from_json(&text).unwrap();
+        assert_eq!(parsed.len(), 3);
+        assert_eq!(parsed[0].id, "sched/a");
+        assert!((parsed[0].median_ns - 12.5).abs() < 1e-9);
+        assert_eq!(parsed[0].iters_per_sample, 4);
+        assert_eq!(parsed[1].id, "sim/\"q\"");
+        assert_eq!(parsed[1].samples, 10);
+        assert_eq!(parsed[2].id, "pipeline/{gsmdec,epicdec}");
+        assert_eq!(parsed[2].samples, 2);
+    }
+
+    #[test]
+    fn malformed_bench_json_is_an_error() {
+        assert!(results_from_json("[\n  {\"median_ns\": 1.0}\n]\n").is_err());
+        assert!(results_from_json("[\n  {\"id\": \"a\", \"median_ns\": x}\n]\n").is_err());
+        assert_eq!(results_from_json("[]\n").unwrap().len(), 0);
     }
 }

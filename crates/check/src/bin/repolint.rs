@@ -153,13 +153,12 @@ fn check_metric_catalog(root: &Path, sources: &[PathBuf], findings: &mut Vec<Str
     let mut in_code: BTreeSet<String> = BTreeSet::new();
     for path in sources {
         let rel = path.strip_prefix(root).unwrap_or(path);
-        // Registration calls in test files and benches register
-        // throwaway families; only shipped crate code feeds the catalog.
+        // Registration calls in test files register throwaway
+        // families; only shipped crate code feeds the catalog.
         let rel_str = rel.to_string_lossy();
         if rel == Path::new(SELF)
             || !rel_str.starts_with("crates/")
             || rel_str.contains("/tests/")
-            || rel_str.contains("/benches/")
             || rel_str.contains("/examples/")
         {
             continue;

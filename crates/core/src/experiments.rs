@@ -1,6 +1,12 @@
 //! Drivers that regenerate every table and figure of the paper's
 //! evaluation (Sections 4–6). Each driver returns typed rows; the
 //! [`crate::report`] module renders them as text tables.
+//!
+//! Every grid experiment is defined once, here: an ordered list of
+//! [`Cell`]s ([`per_suite_cells`] over a `*_CELLS` list, or
+//! [`sweep_cells`]) and a row fold over the cell results in that order
+//! (`*_rows`). The direct functions run the cells on a [`Pipeline`]; the
+//! serving layer runs them through its result cache, with the same fold.
 
 use std::collections::{HashMap, HashSet};
 
@@ -13,6 +19,74 @@ use distvliw_sim::ClusterUsage;
 
 use crate::par;
 use crate::pipeline::{Pipeline, PipelineError, Solution, SuiteArtifact, SuiteStats};
+
+/// One cell of an experiment grid: one suite run under one solution and
+/// heuristic on one machine.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell<'a> {
+    /// The benchmark suite to run.
+    pub suite: &'a Suite,
+    /// The machine to run it on (the pipeline applies the suite's
+    /// interleave on top).
+    pub machine: &'a MachineConfig,
+    /// Coherence solution.
+    pub solution: Solution,
+    /// Cluster-assignment heuristic.
+    pub heuristic: Heuristic,
+}
+
+/// The cells of a per-suite experiment: `combos` ([`PREFCLUS_CELLS`],
+/// [`EXEC_CELLS`] or [`NOBAL_CELLS`]) for every suite, suite-major — the
+/// layout its fold reads one chunk of `combos.len()` results from.
+#[must_use]
+pub fn per_suite_cells<'a>(
+    machine: &'a MachineConfig,
+    suites: &[&'a Suite],
+    combos: &[(Solution, Heuristic)],
+) -> Vec<Cell<'a>> {
+    suites
+        .iter()
+        .flat_map(|&suite| {
+            combos.iter().map(move |&(solution, heuristic)| Cell {
+                suite,
+                machine,
+                solution,
+                heuristic,
+            })
+        })
+        .collect()
+}
+
+/// Folds [`per_suite_cells`] results into one row per suite.
+fn per_suite_rows<R>(
+    cells: &[Cell<'_>],
+    stats: &[&SuiteStats],
+    width: usize,
+    row: impl Fn(String, &[&SuiteStats]) -> R,
+) -> Vec<R> {
+    cells
+        .chunks(width)
+        .zip(stats.chunks(width))
+        .map(|(cells, stats)| row(cells[0].suite.name.clone(), stats))
+        .collect()
+}
+
+/// Runs a per-suite experiment's cells in order on one [`Pipeline`] and
+/// folds the results, propagating the first pipeline failure.
+fn run_direct<R>(
+    machine: &MachineConfig,
+    suites: &[Suite],
+    combos: &[(Solution, Heuristic)],
+    fold: impl FnOnce(&[Cell<'_>], &[&SuiteStats]) -> R,
+) -> Result<R, PipelineError> {
+    let cells = per_suite_cells(machine, &suites.iter().collect::<Vec<_>>(), combos);
+    let pipeline = Pipeline::new(machine.clone());
+    let stats = cells
+        .iter()
+        .map(|cell| pipeline.run_suite(cell.suite, cell.solution, cell.heuristic))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(fold(&cells, &stats.iter().collect::<Vec<_>>()))
+}
 
 /// Fraction of memory accesses per class (Figure 6 bar segments).
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,27 +124,32 @@ pub struct Fig6Row {
     pub ddgt: AccessBreakdown,
 }
 
+/// Per-suite cells of Figure 6 and Table 4: Free, MDC and DDGT under
+/// PrefClus.
+pub const PREFCLUS_CELLS: [(Solution, Heuristic); 3] = [
+    (Solution::Free, Heuristic::PrefClus),
+    (Solution::Mdc, Heuristic::PrefClus),
+    (Solution::Ddgt, Heuristic::PrefClus),
+];
+
+/// Folds [`PREFCLUS_CELLS`] results into Figure 6 rows.
+#[must_use]
+pub fn fig6_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<Fig6Row> {
+    per_suite_rows(cells, stats, PREFCLUS_CELLS.len(), |benchmark, s| Fig6Row {
+        benchmark,
+        free: AccessBreakdown::of(s[0]),
+        mdc: AccessBreakdown::of(s[1]),
+        ddgt: AccessBreakdown::of(s[2]),
+    })
+}
+
 /// Figure 6: classification of memory accesses under PrefClus.
 ///
 /// # Errors
 ///
 /// Propagates the first pipeline failure.
 pub fn fig6(machine: &MachineConfig) -> Result<Vec<Fig6Row>, PipelineError> {
-    let pipeline = Pipeline::new(machine.clone());
-    let mut rows = Vec::new();
-    for suite in figure_suites() {
-        let h = Heuristic::PrefClus;
-        let free = pipeline.run_suite(&suite, Solution::Free, h)?;
-        let mdc = pipeline.run_suite(&suite, Solution::Mdc, h)?;
-        let ddgt = pipeline.run_suite(&suite, Solution::Ddgt, h)?;
-        rows.push(Fig6Row {
-            benchmark: suite.name.clone(),
-            free: AccessBreakdown::of(&free),
-            mdc: AccessBreakdown::of(&mdc),
-            ddgt: AccessBreakdown::of(&ddgt),
-        });
-    }
-    Ok(rows)
+    run_direct(machine, &figure_suites(), &PREFCLUS_CELLS, fig6_rows)
 }
 
 /// Arithmetic-mean row over Figure 6 rows.
@@ -134,21 +213,29 @@ pub struct ExecRow {
     pub ddgt_min: NormalizedBar,
 }
 
-fn exec_row(pipeline: &Pipeline, suite: &Suite) -> Result<ExecRow, PipelineError> {
-    let baseline = pipeline.run_suite(suite, Solution::Free, Heuristic::MinComs)?;
-    let base = baseline.total_cycles();
-    let run = |solution, heuristic| -> Result<NormalizedBar, PipelineError> {
-        Ok(NormalizedBar::of(
-            &pipeline.run_suite(suite, solution, heuristic)?,
-            base,
-        ))
-    };
-    Ok(ExecRow {
-        benchmark: suite.name.clone(),
-        mdc_pref: run(Solution::Mdc, Heuristic::PrefClus)?,
-        mdc_min: run(Solution::Mdc, Heuristic::MinComs)?,
-        ddgt_pref: run(Solution::Ddgt, Heuristic::PrefClus)?,
-        ddgt_min: run(Solution::Ddgt, Heuristic::MinComs)?,
+/// Per-suite cells of Figures 7 and 9: the Free(MinComs) baseline, then
+/// MDC and DDGT under both heuristics.
+pub const EXEC_CELLS: [(Solution, Heuristic); 5] = [
+    (Solution::Free, Heuristic::MinComs),
+    (Solution::Mdc, Heuristic::PrefClus),
+    (Solution::Mdc, Heuristic::MinComs),
+    (Solution::Ddgt, Heuristic::PrefClus),
+    (Solution::Ddgt, Heuristic::MinComs),
+];
+
+/// Folds [`EXEC_CELLS`] results into execution-time rows, each bar
+/// normalized to its suite's Free(MinComs) baseline.
+#[must_use]
+pub fn exec_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<ExecRow> {
+    per_suite_rows(cells, stats, EXEC_CELLS.len(), |benchmark, s| {
+        let base = s[0].total_cycles();
+        ExecRow {
+            benchmark,
+            mdc_pref: NormalizedBar::of(s[1], base),
+            mdc_min: NormalizedBar::of(s[2], base),
+            ddgt_pref: NormalizedBar::of(s[3], base),
+            ddgt_min: NormalizedBar::of(s[4], base),
+        }
     })
 }
 
@@ -159,24 +246,24 @@ fn exec_row(pipeline: &Pipeline, suite: &Suite) -> Result<ExecRow, PipelineError
 ///
 /// Propagates the first pipeline failure.
 pub fn fig7(machine: &MachineConfig) -> Result<Vec<ExecRow>, PipelineError> {
-    let pipeline = Pipeline::new(machine.clone());
-    figure_suites()
-        .iter()
-        .map(|s| exec_row(&pipeline, s))
-        .collect()
+    run_direct(machine, &figure_suites(), &EXEC_CELLS, exec_rows)
 }
 
-/// Figure 9: the same bars with 16-entry 2-way Attraction Buffers
-/// (baseline Free(MinComs) also has the buffers).
+/// The Figure 9 machine: `base` with 16-entry 2-way Attraction Buffers
+/// (the Free(MinComs) baseline also has the buffers).
+#[must_use]
+pub fn fig9_machine(base: &MachineConfig) -> MachineConfig {
+    base.clone()
+        .with_attraction_buffers(AttractionBufferConfig::paper())
+}
+
+/// Figure 9: the Figure 7 bars on the [`fig9_machine`].
 ///
 /// # Errors
 ///
 /// Propagates the first pipeline failure.
 pub fn fig9(machine: &MachineConfig) -> Result<Vec<ExecRow>, PipelineError> {
-    let with_ab = machine
-        .clone()
-        .with_attraction_buffers(AttractionBufferConfig::paper());
-    fig7(&with_ab)
+    fig7(&fig9_machine(machine))
 }
 
 /// Arithmetic-mean row over execution-time rows.
@@ -245,17 +332,11 @@ pub struct Table4Row {
     pub selected_speedup: Option<f64>,
 }
 
-impl Table4Row {
-    /// Computes one Table 4 row from the three PrefClus suite runs.
-    /// Shared by [`table4`] and the serving layer's `/table4` endpoint
-    /// so the selection criterion cannot drift between them.
-    #[must_use]
-    pub fn from_stats(
-        benchmark: impl Into<String>,
-        free: &SuiteStats,
-        mdc: &SuiteStats,
-        ddgt: &SuiteStats,
-    ) -> Table4Row {
+/// Folds [`PREFCLUS_CELLS`] results into Table 4 rows.
+#[must_use]
+pub fn table4_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<Table4Row> {
+    per_suite_rows(cells, stats, PREFCLUS_CELLS.len(), |benchmark, s| {
+        let (free, mdc, ddgt) = (s[0], s[1], s[2]);
         let comm_ratio = ddgt.total.comm_ops as f64 / (mdc.total.comm_ops.max(1)) as f64;
 
         // Selected loops: ≥10% MDC slowdown vs the Free baseline.
@@ -270,11 +351,11 @@ impl Table4Row {
         let selected_speedup =
             (mdc_cycles > 0).then(|| mdc_cycles as f64 / ddgt_cycles.max(1) as f64 - 1.0);
         Table4Row {
-            benchmark: benchmark.into(),
+            benchmark,
             comm_ratio,
             selected_speedup,
         }
-    }
+    })
 }
 
 /// Table 4: Δ communication operations and selected-loop speedups
@@ -284,21 +365,7 @@ impl Table4Row {
 ///
 /// Propagates the first pipeline failure.
 pub fn table4(machine: &MachineConfig) -> Result<Vec<Table4Row>, PipelineError> {
-    let pipeline = Pipeline::new(machine.clone());
-    let mut rows = Vec::new();
-    for suite in figure_suites() {
-        let h = Heuristic::PrefClus;
-        let free = pipeline.run_suite(&suite, Solution::Free, h)?;
-        let mdc = pipeline.run_suite(&suite, Solution::Mdc, h)?;
-        let ddgt = pipeline.run_suite(&suite, Solution::Ddgt, h)?;
-        rows.push(Table4Row::from_stats(
-            suite.name.clone(),
-            &free,
-            &mdc,
-            &ddgt,
-        ));
-    }
-    Ok(rows)
+    run_direct(machine, &figure_suites(), &PREFCLUS_CELLS, table4_rows)
 }
 
 /// One benchmark row of Table 5.
@@ -355,6 +422,37 @@ pub struct NobalRow {
     pub ddgt_speedup: f64,
 }
 
+/// Per-suite cells of the NOBAL study on one machine variant.
+pub const NOBAL_CELLS: [(Solution, Heuristic); 3] = [
+    (Solution::Mdc, Heuristic::PrefClus),
+    (Solution::Mdc, Heuristic::MinComs),
+    (Solution::Ddgt, Heuristic::PrefClus),
+];
+
+/// The two NOBAL machine variants, by study name, in report order.
+#[must_use]
+pub fn nobal_machines() -> [(&'static str, MachineConfig); 2] {
+    [
+        ("nobal_mem", MachineConfig::nobal_mem()),
+        ("nobal_reg", MachineConfig::nobal_reg()),
+    ]
+}
+
+/// Folds [`NOBAL_CELLS`] results into NOBAL rows.
+#[must_use]
+pub fn nobal_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<NobalRow> {
+    per_suite_rows(cells, stats, NOBAL_CELLS.len(), |benchmark, s| {
+        let best_mdc = s[0].total_cycles().min(s[1].total_cycles());
+        let ddgt_pref = s[2].total_cycles();
+        NobalRow {
+            benchmark,
+            best_mdc,
+            ddgt_pref,
+            ddgt_speedup: best_mdc as f64 / ddgt_pref.max(1) as f64 - 1.0,
+        }
+    })
+}
+
 /// Runs the NOBAL study on one machine variant
 /// ([`MachineConfig::nobal_mem`] or [`MachineConfig::nobal_reg`]).
 ///
@@ -362,22 +460,7 @@ pub struct NobalRow {
 ///
 /// Propagates the first pipeline failure.
 pub fn nobal(machine: &MachineConfig) -> Result<Vec<NobalRow>, PipelineError> {
-    let pipeline = Pipeline::new(machine.clone());
-    let mut rows = Vec::new();
-    for suite in figure_suites() {
-        let mdc_pref = pipeline.run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)?;
-        let mdc_min = pipeline.run_suite(&suite, Solution::Mdc, Heuristic::MinComs)?;
-        let ddgt = pipeline.run_suite(&suite, Solution::Ddgt, Heuristic::PrefClus)?;
-        let best_mdc = mdc_pref.total_cycles().min(mdc_min.total_cycles());
-        let ddgt_pref = ddgt.total_cycles();
-        rows.push(NobalRow {
-            benchmark: suite.name.clone(),
-            best_mdc,
-            ddgt_pref,
-            ddgt_speedup: best_mdc as f64 / ddgt_pref.max(1) as f64 - 1.0,
-        });
-    }
-    Ok(rows)
+    run_direct(machine, &figure_suites(), &NOBAL_CELLS, nobal_rows)
 }
 
 /// The gsmdec loop case study of Section 4.2 and the epicdec Attraction
@@ -430,10 +513,7 @@ pub fn gsmdec_case_study(machine: &MachineConfig) -> Result<CaseStudy, PipelineE
 ///
 /// Propagates pipeline failures.
 pub fn epicdec_ab_case_study(machine: &MachineConfig) -> Result<CaseStudy, PipelineError> {
-    let with_ab = machine
-        .clone()
-        .with_attraction_buffers(AttractionBufferConfig::paper());
-    case_study(&with_ab, "epicdec")
+    case_study(&fig9_machine(machine), "epicdec")
 }
 
 /// Description of a sensitivity sweep: the cluster-count × memory-bus
@@ -518,7 +598,7 @@ pub fn sweep_machine(
 /// [`sweep_default_suites`] by a unit test.
 pub const SWEEP_DEFAULT_SUITE_NAMES: [&str; 3] = ["gsmdec", "fir8", "ptrchase"];
 
-/// The suites the default sweep (the `sweep` bin and `GET /sweep`) runs
+/// The suites the default sweep (`repro sweep` and `GET /sweep`) runs
 /// ([`SWEEP_DEFAULT_SUITE_NAMES`]): small enough that the full
 /// 2→16-cluster grid stays cheap, broad enough to cover both workload
 /// classes.
@@ -593,9 +673,7 @@ impl SweepRow {
     }
 }
 
-/// Folds per-suite statistics into one [`SweepRow`]. Shared by
-/// [`sweep`] and the serving layer's `GET /sweep` so both aggregate
-/// identically.
+/// Folds per-suite statistics into one [`SweepRow`].
 #[must_use]
 pub fn sweep_row(
     n_clusters: usize,
@@ -667,38 +745,90 @@ pub struct SweepRun {
 /// MDC and DDGT runs per loop ([`crate::derive_hybrid`]).
 const SWEEP_CONCRETE: [Solution; 3] = [Solution::Free, Solution::Mdc, Solution::Ddgt];
 
+/// The machines of a sweep grid, one per `(cluster count, bus point)`
+/// of `spec`, in that nesting order ([`sweep_machine`]).
+#[must_use]
+pub fn sweep_points(base: &MachineConfig, spec: &SweepSpec) -> Vec<MachineConfig> {
+    spec.cluster_counts
+        .iter()
+        .flat_map(|&n| {
+            spec.mem_buses
+                .iter()
+                .map(move |&bus| sweep_machine(base, n, bus))
+        })
+        .collect()
+}
+
+/// The concrete cells of a sweep: per grid point (`points`, from
+/// [`sweep_points`]), per concrete solution (Free, MDC, DDGT), per suite.
+#[must_use]
+pub fn sweep_cells<'a>(
+    points: &'a [MachineConfig],
+    suites: &[&'a Suite],
+    heuristic: Heuristic,
+) -> Vec<Cell<'a>> {
+    points
+        .iter()
+        .flat_map(|machine| {
+            SWEEP_CONCRETE.iter().flat_map(move |&solution| {
+                per_suite_cells(machine, suites, &[(solution, heuristic)])
+            })
+        })
+        .collect()
+}
+
+/// Folds [`sweep_cells`] results into sweep rows in `(cluster count,
+/// bus point, solution)` order: per grid point, one row per concrete
+/// solution, then the Hybrid row derived per loop from the MDC and DDGT
+/// cells ([`crate::derive_hybrid`]) without any extra compile or
+/// simulation.
+#[must_use]
+pub fn sweep_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<SweepRow> {
+    let mut rows = Vec::new();
+    let mut at = 0;
+    for point in cells.chunk_by(|a, b| std::ptr::eq(a.machine, b.machine)) {
+        let (n_clusters, mem_buses) = (point[0].machine.n_clusters, point[0].machine.mem_buses);
+        let n_suites = point.len() / SWEEP_CONCRETE.len();
+        let of = |i: usize| &stats[at + i * n_suites..at + (i + 1) * n_suites];
+        for (i, &solution) in SWEEP_CONCRETE.iter().enumerate() {
+            rows.push(sweep_row(n_clusters, mem_buses, solution, of(i)));
+        }
+        let hybrid: Vec<SuiteStats> = of(1)
+            .iter()
+            .zip(of(2))
+            .map(|(mdc, ddgt)| crate::derive_hybrid(mdc, ddgt))
+            .collect();
+        let refs: Vec<&SuiteStats> = hybrid.iter().collect();
+        rows.push(sweep_row(n_clusters, mem_buses, Solution::Hybrid, &refs));
+        at += point.len();
+    }
+    rows
+}
+
 /// Wraps a cell failure with its grid coordinates.
-fn cell_error(
-    n_clusters: usize,
-    mem_buses: BusConfig,
-    solution: Solution,
-    suite: &str,
-    source: PipelineError,
-) -> PipelineError {
+fn cell_error(cell: &Cell<'_>, source: PipelineError) -> PipelineError {
     PipelineError::Cell {
-        n_clusters,
-        mem_buses,
-        solution,
-        suite: suite.to_string(),
+        n_clusters: cell.machine.n_clusters,
+        mem_buses: cell.machine.mem_buses,
+        solution: cell.solution,
+        suite: cell.suite.name.clone(),
         source: Box::new(source),
     }
 }
 
 /// Runs the sensitivity sweep, factored into a schedule-once/sim-many
-/// pipeline: for every cluster count × bus point of `spec` and every
-/// solution of [`SWEEP_SOLUTIONS`], the grid cell's suite statistics
-/// come from a schedule artifact ([`Pipeline::compile_suite`]) keyed by
-/// the machine's scheduler projection
+/// pipeline: every cell of [`sweep_cells`] takes its suite statistics
+/// from a schedule artifact ([`Pipeline::compile_suite`]) keyed by the
+/// machine's scheduler projection
 /// ([`distvliw_arch::MachineConfig::sched_canonical_bytes`]), the
 /// solution and the suite — so cells that differ only in sim-only axes
 /// (memory-bus *count*) replay one schedule under
-/// [`Pipeline::simulate_artifact`] instead of recompiling, and the
-/// hybrid rows are derived per loop from the MDC and DDGT cells
-/// ([`crate::derive_hybrid`]) without any extra compile or simulation.
+/// [`Pipeline::simulate_artifact`] instead of recompiling — and the
+/// results fold through [`sweep_rows`], which derives the hybrid rows.
 /// Compiles and simulations fan out over [`crate::par`], compiles
 /// coarsest-first (the largest cluster counts are the most expensive
 /// searches, so they start first); results merge deterministically back
-/// into `(cluster count, bus point, solution)` row order.
+/// into cell order.
 ///
 /// Every cell schedules from a cold pipeline (fresh II-seed store, as
 /// [`Pipeline::run_matrix`] does), so the surfaced search-effort
@@ -717,150 +847,87 @@ pub fn sweep(
     spec: &SweepSpec,
 ) -> Result<SweepRun, PipelineError> {
     let sweep_start = std::time::Instant::now();
-    struct Unit {
-        machine: MachineConfig,
-        solution: Solution,
-        suite_idx: usize,
-    }
-
-    let points: Vec<(usize, BusConfig, MachineConfig)> = spec
-        .cluster_counts
-        .iter()
-        .flat_map(|&n| {
-            spec.mem_buses
-                .iter()
-                .map(move |&bus| (n, bus, sweep_machine(base, n, bus)))
-        })
-        .collect();
+    let points = sweep_points(base, spec);
+    let cells = sweep_cells(&points, &suites.iter().collect::<Vec<_>>(), spec.heuristic);
 
     // Deduplicate compile work: one unit per (scheduler projection,
-    // solution, suite). Bus count never reaches the scheduler, so a
-    // later bus point usually maps onto an existing unit; bus *latency*
-    // is scheduler-visible, so its cells recompile — counted as the
-    // sched-axis fallback rather than silently absorbed.
-    let mut units: Vec<Unit> = Vec::new();
-    let mut unit_of: HashMap<(Vec<u8>, usize), usize> = HashMap::new();
-    let mut seen_triples: HashSet<(usize, usize, usize)> = HashSet::new();
+    // solution, suite), represented by the first cell that needs it.
+    // Bus count never reaches the scheduler, so a later bus point
+    // usually maps onto an existing unit; bus *latency* is
+    // scheduler-visible, so its cells recompile — counted as the
+    // sched-axis fallback rather than silently absorbed. Suites are the
+    // innermost axis of `sweep_cells`, so `i % suites.len()` names a
+    // cell's suite.
+    let mut units: Vec<usize> = Vec::new();
+    let mut unit_of: HashMap<(Vec<u8>, Solution, usize), usize> = HashMap::new();
+    let mut seen_triples: HashSet<(usize, Solution, usize)> = HashSet::new();
     let mut reuse = SweepReuse::default();
-    // Cell → unit, in (point, solution, suite) enumeration order.
-    let mut cell_units: Vec<usize> = Vec::new();
-    for (n_clusters, _, machine) in &points {
-        for (sol_idx, &solution) in SWEEP_CONCRETE.iter().enumerate() {
-            for (suite_idx, suite) in suites.iter().enumerate() {
-                let proj = machine
-                    .clone()
-                    .with_interleave(suite.interleave_bytes)
-                    .sched_canonical_bytes();
-                let key = (proj, sol_idx * suites.len() + suite_idx);
-                let unit_idx = match unit_of.get(&key) {
-                    Some(&idx) => {
-                        reuse.schedules_reused += 1;
-                        idx
-                    }
-                    None => {
-                        let triple = (*n_clusters, sol_idx, suite_idx);
-                        if !seen_triples.insert(triple) {
-                            reuse.sched_axis_recompiles += 1;
-                        }
-                        reuse.schedules_compiled += 1;
-                        let idx = units.len();
-                        units.push(Unit {
-                            machine: machine.clone(),
-                            solution,
-                            suite_idx,
-                        });
-                        unit_of.insert(key, idx);
-                        idx
-                    }
-                };
-                cell_units.push(unit_idx);
+    let mut cell_units: Vec<usize> = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.iter().enumerate() {
+        let suite_idx = i % suites.len();
+        let proj = cell
+            .machine
+            .clone()
+            .with_interleave(cell.suite.interleave_bytes)
+            .sched_canonical_bytes();
+        let unit = *unit_of
+            .entry((proj, cell.solution, suite_idx))
+            .or_insert(units.len());
+        if unit < units.len() {
+            reuse.schedules_reused += 1;
+        } else {
+            if !seen_triples.insert((cell.machine.n_clusters, cell.solution, suite_idx)) {
+                reuse.sched_axis_recompiles += 1;
             }
+            reuse.schedules_compiled += 1;
+            units.push(i);
         }
+        cell_units.push(unit);
     }
 
     // Compile phase: cold pipelines, coarsest-first for load balance
     // (schedule search cost grows with cluster count), results mapped
     // back to unit order.
     let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(units[i].machine.n_clusters));
-    let compiled = par::par_map(&order, |&i| {
-        let unit = &units[i];
+    order.sort_by_key(|&u| std::cmp::Reverse(cells[units[u]].machine.n_clusters));
+    let mut compiled = par::par_map(&order, |&u| {
+        let cell = &cells[units[u]];
         let mut span = distvliw_obs::Span::enter("sweep.compile_unit");
-        span.field_str("suite", suites[unit.suite_idx].name.clone());
-        span.field_u64("n_clusters", unit.machine.n_clusters as u64);
-        let pipeline = Pipeline::new(unit.machine.clone());
+        span.field_str("suite", cell.suite.name.clone());
+        span.field_u64("n_clusters", cell.machine.n_clusters as u64);
+        let pipeline = Pipeline::new(cell.machine.clone());
         (
-            i,
-            pipeline.compile_suite(&suites[unit.suite_idx], unit.solution, spec.heuristic),
+            u,
+            pipeline.compile_suite(cell.suite, cell.solution, cell.heuristic),
         )
     });
-    let mut artifacts: Vec<Option<Result<SuiteArtifact, PipelineError>>> =
-        (0..units.len()).map(|_| None).collect();
-    for (i, result) in compiled {
-        artifacts[i] = Some(result);
-    }
+    compiled.sort_by_key(|&(u, _)| u);
     // Surface the first failing cell in row order, with coordinates.
-    for (cell_idx, &unit_idx) in cell_units.iter().enumerate() {
-        let suite_idx = cell_idx % suites.len();
-        let sol_idx = (cell_idx / suites.len()) % SWEEP_CONCRETE.len();
-        let point_idx = cell_idx / (suites.len() * SWEEP_CONCRETE.len());
-        if let Some(Err(e)) = artifacts[unit_idx].as_ref() {
-            let (n_clusters, mem_buses, _) = points[point_idx];
-            return Err(cell_error(
-                n_clusters,
-                mem_buses,
-                SWEEP_CONCRETE[sol_idx],
-                &suites[suite_idx].name,
-                e.clone(),
-            ));
+    for (cell, &unit) in cells.iter().zip(&cell_units) {
+        if let Err(e) = &compiled[unit].1 {
+            return Err(cell_error(cell, e.clone()));
         }
     }
-    let artifacts: Vec<SuiteArtifact> = artifacts
+    let artifacts: Vec<SuiteArtifact> = compiled
         .into_iter()
-        .map(|a| {
-            a.expect("every unit compiled")
-                .expect("errors surfaced above")
-        })
+        .map(|(_, a)| a.expect("errors surfaced above"))
         .collect();
 
     // Sim phase: every concrete cell replays its artifact on the grid
     // point's machine. Simulation cannot fail, so the fan-out is a plain
     // deterministic map.
-    let pipelines: Vec<Pipeline> = points
-        .iter()
-        .map(|(_, _, machine)| Pipeline::new(machine.clone()))
-        .collect();
-    let cells: Vec<(usize, usize)> = cell_units
-        .iter()
-        .enumerate()
-        .map(|(cell_idx, &unit_idx)| (cell_idx / (suites.len() * SWEEP_CONCRETE.len()), unit_idx))
-        .collect();
-    let sims: Vec<SuiteStats> = par::par_map(&cells, |&(point_idx, unit_idx)| {
-        let mut span = distvliw_obs::Span::enter("sweep.sim_cell");
-        span.field_u64("point", point_idx as u64);
-        span.field_u64("unit", unit_idx as u64);
-        pipelines[point_idx].simulate_artifact(&artifacts[unit_idx])
-    });
-
-    // Merge back into (cluster count, bus point, solution) row order,
-    // deriving the hybrid rows from the MDC and DDGT cells.
+    let pipelines: Vec<Pipeline> = points.iter().cloned().map(Pipeline::new).collect();
     let per_point = SWEEP_CONCRETE.len() * suites.len();
-    let mut rows = Vec::with_capacity(points.len() * SWEEP_SOLUTIONS.len());
-    for (point_idx, (n_clusters, mem_buses, _)) in points.iter().enumerate() {
-        let point_sims = &sims[point_idx * per_point..(point_idx + 1) * per_point];
-        let of = |sol_idx: usize| &point_sims[sol_idx * suites.len()..(sol_idx + 1) * suites.len()];
-        for (sol_idx, &solution) in SWEEP_CONCRETE.iter().enumerate() {
-            let refs: Vec<&SuiteStats> = of(sol_idx).iter().collect();
-            rows.push(sweep_row(*n_clusters, *mem_buses, solution, &refs));
-        }
-        let hybrid: Vec<SuiteStats> = of(1)
-            .iter()
-            .zip(of(2))
-            .map(|(mdc, ddgt)| crate::derive_hybrid(mdc, ddgt))
-            .collect();
-        let refs: Vec<&SuiteStats> = hybrid.iter().collect();
-        rows.push(sweep_row(*n_clusters, *mem_buses, Solution::Hybrid, &refs));
-    }
+    let cell_ids: Vec<usize> = (0..cells.len()).collect();
+    let sims: Vec<SuiteStats> = par::par_map(&cell_ids, |&i| {
+        let (point, unit) = (i / per_point, cell_units[i]);
+        let mut span = distvliw_obs::Span::enter("sweep.sim_cell");
+        span.field_u64("point", point as u64);
+        span.field_u64("unit", unit as u64);
+        pipelines[point].simulate_artifact(&artifacts[unit])
+    });
+    let rows = sweep_rows(&cells, &sims.iter().collect::<Vec<_>>());
+
     let reg = distvliw_obs::global();
     reg.counter(
         "sweep_cells_simulated_total",
@@ -892,27 +959,32 @@ pub fn sweep_naive(
     spec: &SweepSpec,
 ) -> Result<Vec<SweepRow>, PipelineError> {
     let mut rows = Vec::new();
-    for &n_clusters in &spec.cluster_counts {
-        for &mem_buses in &spec.mem_buses {
-            let machine = sweep_machine(base, n_clusters, mem_buses);
-            for solution in SWEEP_SOLUTIONS {
-                let mut per_suite = Vec::with_capacity(suites.len());
-                for suite in suites {
-                    // A cold pipeline per cell keeps the search-effort
-                    // telemetry reproducible (the `run_matrix`
-                    // rationale): no cell's II seeds warm another's.
-                    let pipeline = Pipeline::new(machine.clone());
-                    per_suite.push(
-                        pipeline
-                            .run_suite(suite, solution, spec.heuristic)
-                            .map_err(|e| {
-                                cell_error(n_clusters, mem_buses, solution, &suite.name, e)
-                            })?,
-                    );
-                }
-                let refs: Vec<&SuiteStats> = per_suite.iter().collect();
-                rows.push(sweep_row(n_clusters, mem_buses, solution, &refs));
+    for machine in &sweep_points(base, spec) {
+        for solution in SWEEP_SOLUTIONS {
+            let mut per_suite = Vec::with_capacity(suites.len());
+            for suite in suites {
+                // A cold pipeline per cell keeps the search-effort
+                // telemetry reproducible (the `run_matrix` rationale): no
+                // cell's II seeds warm another's.
+                let cell = Cell {
+                    suite,
+                    machine,
+                    solution,
+                    heuristic: spec.heuristic,
+                };
+                per_suite.push(
+                    Pipeline::new(machine.clone())
+                        .run_suite(suite, solution, spec.heuristic)
+                        .map_err(|e| cell_error(&cell, e))?,
+                );
             }
+            let refs: Vec<&SuiteStats> = per_suite.iter().collect();
+            rows.push(sweep_row(
+                machine.n_clusters,
+                machine.mem_buses,
+                solution,
+                &refs,
+            ));
         }
     }
     Ok(rows)
@@ -1046,16 +1118,15 @@ mod tests {
     fn fig6_single_benchmark_shapes() {
         // Run one benchmark end to end (full fig6 is exercised by the
         // reproduction binaries; this keeps unit tests fast).
-        let machine = MachineConfig::paper_baseline();
-        let pipeline = Pipeline::new(machine);
-        let s = suite("pgpdec").unwrap();
-        let h = Heuristic::PrefClus;
-        let free = pipeline.run_suite(&s, Solution::Free, h).unwrap();
-        let mdc = pipeline.run_suite(&s, Solution::Mdc, h).unwrap();
-        let ddgt = pipeline.run_suite(&s, Solution::Ddgt, h).unwrap();
-        let f = AccessBreakdown::of(&free);
-        let m = AccessBreakdown::of(&mdc);
-        let d = AccessBreakdown::of(&ddgt);
+        let pgpdec = [suite("pgpdec").unwrap()];
+        let rows = run_direct(
+            &MachineConfig::paper_baseline(),
+            &pgpdec,
+            &PREFCLUS_CELLS,
+            fig6_rows,
+        )
+        .unwrap();
+        let (f, m, d) = (rows[0].free, rows[0].mdc, rows[0].ddgt);
         // The paper's ordering: DDGT maximizes local accesses; MDC
         // colocation reduces them below the unrestricted baseline.
         assert!(

@@ -29,12 +29,27 @@
 //! Prometheus exposition, failing if any `--require`d family is absent;
 //! `trace` prints the most recent spans from the global rings.
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use distvliw_obs::Histogram;
 use distvliw_serve::client::{self, Client};
 use distvliw_serve::json;
+
+/// `println!` through a locked stdout. A closed reader (`servecli … |
+/// head`) ends the process with a clean exit instead of a panic.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        if let Err(e) = writeln!(std::io::stdout().lock(), $($arg)*) {
+            if e.kind() != ErrorKind::BrokenPipe {
+                eprintln!("servecli: writing stdout: {e}");
+                std::process::exit(1);
+            }
+            std::process::exit(0);
+        }
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -132,7 +147,7 @@ fn fail(msg: &str) -> ExitCode {
 fn cmd_get(base: &str, path: &str) -> ExitCode {
     match client::get(base, path) {
         Ok(resp) => {
-            println!("{}", String::from_utf8_lossy(&resp.body));
+            say!("{}", String::from_utf8_lossy(&resp.body));
             if resp.status == 200 {
                 ExitCode::SUCCESS
             } else {
@@ -203,11 +218,11 @@ fn cmd_state(base: &str) -> ExitCode {
         Err(e) => return fail(&format!("bad /stats json: {e}")),
     };
     let Some(p) = v.get("persist").filter(|p| !matches!(p, json::Json::Null)) else {
-        println!("state: no state dir (persistence disabled)");
+        say!("state: no state dir (persistence disabled)");
         return ExitCode::SUCCESS;
     };
     let field = |name: &str| p.get(name).and_then(json::Json::as_u64).unwrap_or(0);
-    println!(
+    say!(
         "state: loaded {} cells, {} seeds; discarded {} records / {} bytes ({} stale stores)",
         field("loaded_cells"),
         field("loaded_seeds"),
@@ -215,7 +230,7 @@ fn cmd_state(base: &str) -> ExitCode {
         field("discarded_bytes"),
         field("stale_stores"),
     );
-    println!(
+    say!(
         "state: since boot {} appends, {} compactions, {} flushes, {} write errors",
         field("appended_records"),
         field("compactions"),
@@ -230,7 +245,7 @@ fn cmd_smoke(base: &str, shutdown: bool, expect_warm: bool) -> ExitCode {
     let outcome = smoke(base, expect_warm);
     let code = match outcome {
         Ok(()) => {
-            println!("smoke: ok");
+            say!("smoke: ok");
             ExitCode::SUCCESS
         }
         Err(e) => fail(&e),
@@ -247,7 +262,7 @@ fn cmd_smoke(base: &str, shutdown: bool, expect_warm: bool) -> ExitCode {
 
 fn smoke(base: &str, expect_warm: bool) -> Result<(), String> {
     wait_healthy(base)?;
-    println!("smoke: /healthz ok");
+    say!("smoke: /healthz ok");
 
     // Build/uptime metadata: every deployment question starts with
     // "which build is this and how long has it been up?".
@@ -263,7 +278,7 @@ fn smoke(base: &str, expect_warm: bool) -> Result<(), String> {
             .and_then(|b| b.get("version"))
             .and_then(json::Json::as_str)
             .ok_or("/stats missing build.version")?;
-        println!("smoke: /stats build version {version} ok");
+        say!("smoke: /stats build version {version} ok");
     }
 
     let before = read_stats(base)?;
@@ -282,7 +297,7 @@ fn smoke(base: &str, expect_warm: bool) -> Result<(), String> {
             mid.computed - before.computed
         ));
     }
-    println!(
+    say!(
         "smoke: /fig6 {} ok ({} bytes, {} cells computed)",
         if expect_warm { "warm-boot" } else { "cold" },
         cold.body.len(),
@@ -309,7 +324,7 @@ fn smoke(base: &str, expect_warm: bool) -> Result<(), String> {
             mid.computed, after.computed
         ));
     }
-    println!(
+    say!(
         "smoke: /fig6 warm ok (byte-identical, +{} cache hits, 0 recomputes)",
         after.hits - mid.hits
     );
@@ -324,7 +339,7 @@ fn smoke(base: &str, expect_warm: bool) -> Result<(), String> {
     if warm.body != cold.body {
         return Err("warm /matrix response differs from cold response".to_string());
     }
-    println!("smoke: /matrix ok (byte-identical on repeat)");
+    say!("smoke: /matrix ok (byte-identical on repeat)");
     Ok(())
 }
 
@@ -490,9 +505,9 @@ fn cmd_load(base: &str, path: &str, n: usize, c: usize, json_out: bool) -> ExitC
             ("cache_hits_delta", json::Json::U64(hits_delta)),
             ("computed_cells_delta", json::Json::U64(computed_delta)),
         ]);
-        println!("{}", obj.render());
+        say!("{}", obj.render());
     } else {
-        println!(
+        say!(
             "load {path}: n={} c={workers}  cold={cold_ms:.1}ms  p50={:.2}ms p90={:.2}ms p99={:.2}ms max={:.2}ms",
             latencies.count(),
             ms(pct_us(0.50)),
@@ -500,18 +515,18 @@ fn cmd_load(base: &str, path: &str, n: usize, c: usize, json_out: bool) -> ExitC
             ms(pct_us(0.99)),
             ms(pct_us(1.0)),
         );
-        println!(
+        say!(
             "overload: {rejected_503} deliberate 503s (retried), {reconnects} reconnects; \
              server threads {}",
             after.threads
         );
-        println!("stats delta: +{hits_delta} cache hits, +{computed_delta} computed cells");
+        say!("stats delta: +{hits_delta} cache hits, +{computed_delta} computed cells");
     }
     if after.computed != before.computed {
         return fail("warm-cache load recomputed cells; expected pure cache hits");
     }
     if !json_out {
-        println!("all responses 200 and byte-identical to the warm reference");
+        say!("all responses 200 and byte-identical to the warm reference");
     }
     ExitCode::SUCCESS
 }
@@ -566,7 +581,7 @@ fn cmd_metrics(base: &str, required: &[String]) -> ExitCode {
             missing.join(", ")
         ));
     }
-    println!(
+    say!(
         "metrics: {} families, {samples} samples{}",
         families.len(),
         if required.is_empty() {
@@ -605,7 +620,7 @@ fn cmd_trace(base: &str, n: usize) -> ExitCode {
                 .to_string()
         };
         let u = |k: &str| span.get(k).and_then(json::Json::as_u64).unwrap_or(0);
-        println!(
+        say!(
             "{:>12}us +{:>9}us  {} (id={} parent={} trace={})",
             u("start_us"),
             u("dur_us"),
@@ -615,6 +630,6 @@ fn cmd_trace(base: &str, n: usize) -> ExitCode {
             u("trace"),
         );
     }
-    println!("trace: {} spans", spans.len());
+    say!("trace: {} spans", spans.len());
     ExitCode::SUCCESS
 }

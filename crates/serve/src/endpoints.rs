@@ -1,24 +1,29 @@
-//! Route dispatch: assembles every experiment endpoint from cached
-//! cells and renders JSON.
+//! Route dispatch and JSON encoding.
 //!
-//! The figure/table assembly mirrors `distvliw_core::experiments` —
-//! same cells, same arithmetic — but goes through
-//! [`ServeEngine::run_cells`] so repeated and overlapping requests are
-//! served from the result cache.
+//! Every figure route runs the cell list its experiment defines in
+//! `distvliw_core::experiments` through [`ServeEngine::run_cells`] (so
+//! repeated and overlapping requests are served from the result cache),
+//! folds the results with that experiment's row fold, and renders the
+//! rows with the one JSON encoder of their row type. No route lists
+//! cells or does figure arithmetic of its own, so a served body is the
+//! encoding of the direct experiment's rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use distvliw_arch::{AccessClass, AttractionBufferConfig, MachineConfig};
+use distvliw_arch::{AccessClass, MachineConfig};
 use distvliw_core::experiments::{
-    sweep_machine, sweep_row, table3, table5, SweepSpec, SWEEP_DEFAULT_SUITE_NAMES, SWEEP_SOLUTIONS,
+    exec_rows, fig6_rows, fig9_machine, nobal_machines, nobal_rows, per_suite_cells, sweep_cells,
+    sweep_points, sweep_rows, table3, table4_rows, table5, AccessBreakdown, Cell, ExecRow, Fig6Row,
+    NobalRow, NormalizedBar, SweepRow, SweepSpec, Table3Row, Table4Row, Table5Row, EXEC_CELLS,
+    NOBAL_CELLS, PREFCLUS_CELLS, SWEEP_DEFAULT_SUITE_NAMES,
 };
-use distvliw_core::{derive_hybrid, Heuristic, PipelineError, Solution, SuiteStats};
+use distvliw_core::{Heuristic, PipelineError, Solution, SuiteStats};
 use distvliw_ir::Suite;
 use distvliw_obs::logger;
 use distvliw_obs::trace::{self, SpanRecord, TraceCtx, TraceSink};
 
-use crate::engine::{machine_with_overrides, CellSpec, ServeEngine};
+use crate::engine::{machine_with_overrides, ServeEngine};
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
 
@@ -251,20 +256,46 @@ pub fn handle(engine: &ServeEngine, request: &Request) -> Response {
         ("GET", "/healthz") => Ok(healthz()),
         ("GET", "/stats") => Ok(stats(engine)),
         ("GET", "/debug/trace") => Ok(debug_trace(request)),
-        ("GET", "/fig6") => fig6(engine),
-        ("GET", "/fig7") => exec_rows(engine, engine.machine(), "fig7"),
-        ("GET", "/fig9") => {
-            let machine = engine
-                .machine()
-                .clone()
-                .with_attraction_buffers(AttractionBufferConfig::paper());
-            exec_rows(engine, &machine, "fig9")
+        ("GET", "/fig6") => figure(engine, engine.machine(), &PREFCLUS_CELLS, fig6_rows)
+            .map(|rows| fig6_json(&rows)),
+        ("GET", "/fig7") => figure(engine, engine.machine(), &EXEC_CELLS, exec_rows)
+            .map(|rows| exec_json("fig7", &rows)),
+        ("GET", "/fig9") => figure(
+            engine,
+            &fig9_machine(engine.machine()),
+            &EXEC_CELLS,
+            exec_rows,
+        )
+        .map(|rows| exec_json("fig9", &rows)),
+        ("GET", "/table3") => Ok(table3_json(&table3())),
+        ("GET", "/table4") => figure(engine, engine.machine(), &PREFCLUS_CELLS, table4_rows)
+            .map(|rows| table4_json(&rows)),
+        ("GET", "/table5") => Ok(table5_json(&table5())),
+        ("GET", "/nobal") => nobal_machines()
+            .into_iter()
+            .map(|(study, machine)| {
+                Ok((study, figure(engine, &machine, &NOBAL_CELLS, nobal_rows)?))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map(|studies| nobal_json(&studies)),
+        ("GET", "/sweep") => {
+            let spec = SweepSpec::default();
+            let suites: Vec<&Suite> = SWEEP_DEFAULT_SUITE_NAMES
+                .iter()
+                .map(|name| {
+                    engine
+                        .suite(name)
+                        .expect("default sweep suites are bundled")
+                })
+                .collect();
+            let points = sweep_points(engine.machine(), &spec);
+            run(
+                engine,
+                &sweep_cells(&points, &suites, spec.heuristic),
+                sweep_rows,
+            )
+            .map(|rows| sweep_json(spec.heuristic, &SWEEP_DEFAULT_SUITE_NAMES, &rows))
         }
-        ("GET", "/table3") => Ok(table3_json()),
-        ("GET", "/table4") => table4_json(engine),
-        ("GET", "/table5") => Ok(table5_json()),
-        ("GET", "/nobal") => nobal_json(engine),
-        ("GET", "/sweep") => sweep_json(engine),
         ("POST", "/matrix") => matrix(engine, &request.body),
         (
             _,
@@ -561,16 +592,36 @@ fn stats(engine: &ServeEngine) -> Json {
     ])
 }
 
-/// Unwraps a batch of cell results, surfacing the first failure.
-fn all_ok(results: &[crate::engine::CellResult]) -> Result<Vec<&SuiteStats>, ApiError> {
-    results
+/// Runs an experiment's cells through the engine's cache and folds the
+/// results with the experiment's row fold, surfacing the first failed
+/// cell.
+fn run<R>(
+    engine: &ServeEngine,
+    cells: &[Cell<'_>],
+    fold: impl FnOnce(&[Cell<'_>], &[&SuiteStats]) -> R,
+) -> Result<R, ApiError> {
+    let results = engine.run_cells(cells);
+    let stats: Vec<&SuiteStats> = results
         .iter()
         .map(|r| r.as_ref().as_ref().map_err(pipeline_err))
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok(fold(cells, &stats))
 }
 
-fn breakdown(stats: &SuiteStats) -> Json {
-    let field = |class: AccessClass| Json::F64(stats.total.accesses.fraction(class));
+/// [`run`] for a per-suite experiment over the figure suites on
+/// `machine`.
+fn figure<R>(
+    engine: &ServeEngine,
+    machine: &MachineConfig,
+    combos: &[(Solution, Heuristic)],
+    fold: impl FnOnce(&[Cell<'_>], &[&SuiteStats]) -> R,
+) -> Result<R, ApiError> {
+    let suites: Vec<&Suite> = engine.figure_suites().collect();
+    run(engine, &per_suite_cells(machine, &suites, combos), fold)
+}
+
+fn breakdown_json(b: &AccessBreakdown) -> Json {
+    let field = |class: AccessClass| Json::F64(b.fractions[class.index()]);
     Json::obj(vec![
         ("local_hit", field(AccessClass::LocalHit)),
         ("remote_hit", field(AccessClass::RemoteHit)),
@@ -580,351 +631,180 @@ fn breakdown(stats: &SuiteStats) -> Json {
     ])
 }
 
-/// The Free/MDC/DDGT × PrefClus grid over the figure suites — the cell
-/// set `/fig6` and `/table4` are both assembled from (shared through
-/// the cache).
-fn prefclus_grid<'a>(engine: &'a ServeEngine, suites: &[&'a Suite]) -> Vec<CellSpec<'a>> {
-    let mut specs = Vec::with_capacity(suites.len() * 3);
-    for suite in suites {
-        for solution in [Solution::Free, Solution::Mdc, Solution::Ddgt] {
-            specs.push(CellSpec {
-                suite,
-                machine: engine.machine(),
-                solution,
-                heuristic: Heuristic::PrefClus,
-            });
-        }
-    }
-    specs
-}
-
-/// Figure 6: per-suite access classification for Free/MDC/DDGT under
-/// PrefClus.
-fn fig6(engine: &ServeEngine) -> Result<Json, ApiError> {
-    let suites: Vec<&Suite> = engine.figure_suites().collect();
-    let results = engine.run_cells(&prefclus_grid(engine, &suites));
-    let cells = all_ok(&results)?;
-    let rows: Vec<Json> = suites
-        .iter()
-        .zip(cells.chunks(3))
-        .map(|(suite, chunk)| {
-            Json::obj(vec![
-                ("benchmark", Json::str(suite.name.clone())),
-                ("free", breakdown(chunk[0])),
-                ("mdc", breakdown(chunk[1])),
-                ("ddgt", breakdown(chunk[2])),
-            ])
-        })
-        .collect();
-    Ok(Json::obj(vec![
+/// The `/fig6` body: per-suite access classification for Free/MDC/DDGT
+/// under PrefClus.
+#[must_use]
+pub fn fig6_json(rows: &[Fig6Row]) -> Json {
+    let rows = rows.iter().map(|row| {
+        Json::obj(vec![
+            ("benchmark", Json::str(row.benchmark.clone())),
+            ("free", breakdown_json(&row.free)),
+            ("mdc", breakdown_json(&row.mdc)),
+            ("ddgt", breakdown_json(&row.ddgt)),
+        ])
+    });
+    Json::obj(vec![
         ("figure", Json::str("fig6")),
         ("heuristic", Json::str("PrefClus")),
-        ("rows", Json::Arr(rows)),
-    ]))
-}
-
-fn bar(stats: &SuiteStats, baseline_total: u64) -> Json {
-    let b = baseline_total.max(1) as f64;
-    let compute = stats.total.compute_cycles as f64 / b;
-    let stall = stats.total.stall_cycles as f64 / b;
-    Json::obj(vec![
-        ("compute", Json::F64(compute)),
-        ("stall", Json::F64(stall)),
-        ("total", Json::F64(compute + stall)),
+        ("rows", Json::Arr(rows.collect())),
     ])
 }
 
-/// Figure 7 / Figure 9: normalized execution time on `machine`.
-fn exec_rows(
-    engine: &ServeEngine,
-    machine: &MachineConfig,
-    figure: &str,
-) -> Result<Json, ApiError> {
-    const COMBOS: [(Solution, Heuristic); 4] = [
-        (Solution::Mdc, Heuristic::PrefClus),
-        (Solution::Mdc, Heuristic::MinComs),
-        (Solution::Ddgt, Heuristic::PrefClus),
-        (Solution::Ddgt, Heuristic::MinComs),
-    ];
-    let suites: Vec<&Suite> = engine.figure_suites().collect();
-    let mut specs = Vec::with_capacity(suites.len() * 5);
-    for suite in &suites {
-        specs.push(CellSpec {
-            suite,
-            machine,
-            solution: Solution::Free,
-            heuristic: Heuristic::MinComs,
-        });
-        for (solution, heuristic) in COMBOS {
-            specs.push(CellSpec {
-                suite,
-                machine,
-                solution,
-                heuristic,
-            });
-        }
-    }
-    let results = engine.run_cells(&specs);
-    let cells = all_ok(&results)?;
-    let rows: Vec<Json> = suites
-        .iter()
-        .zip(cells.chunks(5))
-        .map(|(suite, chunk)| {
-            let base = chunk[0].total_cycles();
-            Json::obj(vec![
-                ("benchmark", Json::str(suite.name.clone())),
-                ("mdc_prefclus", bar(chunk[1], base)),
-                ("mdc_mincoms", bar(chunk[2], base)),
-                ("ddgt_prefclus", bar(chunk[3], base)),
-                ("ddgt_mincoms", bar(chunk[4], base)),
-            ])
-        })
-        .collect();
-    Ok(Json::obj(vec![
+fn bar_json(bar: &NormalizedBar) -> Json {
+    Json::obj(vec![
+        ("compute", Json::F64(bar.compute)),
+        ("stall", Json::F64(bar.stall)),
+        ("total", Json::F64(bar.total())),
+    ])
+}
+
+/// The `/fig7` and `/fig9` body (`figure` names which): normalized
+/// execution time against the Free/MinComs baseline.
+#[must_use]
+pub fn exec_json(figure: &str, rows: &[ExecRow]) -> Json {
+    let rows = rows.iter().map(|row| {
+        Json::obj(vec![
+            ("benchmark", Json::str(row.benchmark.clone())),
+            ("mdc_prefclus", bar_json(&row.mdc_pref)),
+            ("mdc_mincoms", bar_json(&row.mdc_min)),
+            ("ddgt_prefclus", bar_json(&row.ddgt_pref)),
+            ("ddgt_mincoms", bar_json(&row.ddgt_min)),
+        ])
+    });
+    Json::obj(vec![
         ("figure", Json::str(figure)),
         ("baseline", Json::str("Free/MinComs")),
-        ("rows", Json::Arr(rows)),
-    ]))
+        ("rows", Json::Arr(rows.collect())),
+    ])
 }
 
-fn table3_json() -> Json {
-    let rows: Vec<Json> = table3()
-        .into_iter()
-        .map(|row| {
-            let (pc, pa) = match row.paper {
-                Some((c, a)) => (Json::F64(c), Json::F64(a)),
-                None => (Json::Null, Json::Null),
-            };
-            Json::obj(vec![
-                ("benchmark", Json::str(row.benchmark)),
-                ("cmr", Json::F64(row.stats.cmr)),
-                ("car", Json::F64(row.stats.car)),
-                ("paper_cmr", pc),
-                ("paper_car", pa),
-            ])
-        })
-        .collect();
+/// The `/table3` body.
+#[must_use]
+pub fn table3_json(rows: &[Table3Row]) -> Json {
+    let rows = rows.iter().map(|row| {
+        let (pc, pa) = match row.paper {
+            Some((c, a)) => (Json::F64(c), Json::F64(a)),
+            None => (Json::Null, Json::Null),
+        };
+        Json::obj(vec![
+            ("benchmark", Json::str(row.benchmark.clone())),
+            ("cmr", Json::F64(row.stats.cmr)),
+            ("car", Json::F64(row.stats.car)),
+            ("paper_cmr", pc),
+            ("paper_car", pa),
+        ])
+    });
     Json::obj(vec![
         ("table", Json::str("table3")),
-        ("rows", Json::Arr(rows)),
+        ("rows", Json::Arr(rows.collect())),
     ])
 }
 
-/// Table 4: DDGT/MDC communication ratio and selected-loop speedups.
-fn table4_json(engine: &ServeEngine) -> Result<Json, ApiError> {
-    let suites: Vec<&Suite> = engine.figure_suites().collect();
-    let results = engine.run_cells(&prefclus_grid(engine, &suites));
-    let cells = all_ok(&results)?;
-    let rows: Vec<Json> = suites
-        .iter()
-        .zip(cells.chunks(3))
-        .map(|(suite, chunk)| {
-            // The row arithmetic (including the ≥10%-slowdown loop
-            // selection) is shared with the `table4` bin.
-            let row = distvliw_core::experiments::Table4Row::from_stats(
-                suite.name.clone(),
-                chunk[0],
-                chunk[1],
-                chunk[2],
-            );
-            Json::obj(vec![
-                ("benchmark", Json::str(row.benchmark)),
-                ("comm_ratio", Json::F64(row.comm_ratio)),
-                (
-                    "selected_speedup",
-                    row.selected_speedup.map_or(Json::Null, Json::F64),
-                ),
-            ])
-        })
-        .collect();
-    Ok(Json::obj(vec![
+/// The `/table4` body: DDGT/MDC communication ratio and selected-loop
+/// speedups.
+#[must_use]
+pub fn table4_json(rows: &[Table4Row]) -> Json {
+    let rows = rows.iter().map(|row| {
+        Json::obj(vec![
+            ("benchmark", Json::str(row.benchmark.clone())),
+            ("comm_ratio", Json::F64(row.comm_ratio)),
+            (
+                "selected_speedup",
+                row.selected_speedup.map_or(Json::Null, Json::F64),
+            ),
+        ])
+    });
+    Json::obj(vec![
         ("table", Json::str("table4")),
-        ("rows", Json::Arr(rows)),
-    ]))
+        ("rows", Json::Arr(rows.collect())),
+    ])
 }
 
-fn table5_json() -> Json {
-    let rows: Vec<Json> = table5()
-        .into_iter()
-        .map(|row| {
-            let (poc, poa, pnc, pna) = row.paper;
-            Json::obj(vec![
-                ("benchmark", Json::str(row.benchmark)),
-                ("old_cmr", Json::F64(row.old.cmr)),
-                ("old_car", Json::F64(row.old.car)),
-                ("new_cmr", Json::F64(row.new.cmr)),
-                ("new_car", Json::F64(row.new.car)),
-                (
-                    "paper",
-                    Json::Arr(vec![
-                        Json::F64(poc),
-                        Json::F64(poa),
-                        Json::F64(pnc),
-                        Json::F64(pna),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
+/// The `/table5` body.
+#[must_use]
+pub fn table5_json(rows: &[Table5Row]) -> Json {
+    let rows = rows.iter().map(|row| {
+        let (poc, poa, pnc, pna) = row.paper;
+        Json::obj(vec![
+            ("benchmark", Json::str(row.benchmark.clone())),
+            ("old_cmr", Json::F64(row.old.cmr)),
+            ("old_car", Json::F64(row.old.car)),
+            ("new_cmr", Json::F64(row.new.cmr)),
+            ("new_car", Json::F64(row.new.car)),
+            (
+                "paper",
+                Json::Arr(vec![
+                    Json::F64(poc),
+                    Json::F64(poa),
+                    Json::F64(pnc),
+                    Json::F64(pna),
+                ]),
+            ),
+        ])
+    });
     Json::obj(vec![
         ("table", Json::str("table5")),
-        ("rows", Json::Arr(rows)),
+        ("rows", Json::Arr(rows.collect())),
     ])
 }
 
-/// The NOBAL bus-configuration study on both machine variants.
-fn nobal_json(engine: &ServeEngine) -> Result<Json, ApiError> {
-    let mut out = Vec::new();
-    let suites: Vec<&Suite> = engine.figure_suites().collect();
-    for (machine, title) in [
-        (MachineConfig::nobal_mem(), "nobal_mem"),
-        (MachineConfig::nobal_reg(), "nobal_reg"),
-    ] {
-        let mut specs = Vec::with_capacity(suites.len() * 3);
-        for suite in &suites {
-            for (solution, heuristic) in [
-                (Solution::Mdc, Heuristic::PrefClus),
-                (Solution::Mdc, Heuristic::MinComs),
-                (Solution::Ddgt, Heuristic::PrefClus),
-            ] {
-                specs.push(CellSpec {
-                    suite,
-                    machine: &machine,
-                    solution,
-                    heuristic,
-                });
-            }
-        }
-        let results = engine.run_cells(&specs);
-        let cells = all_ok(&results)?;
-        let rows: Vec<Json> = suites
-            .iter()
-            .zip(cells.chunks(3))
-            .map(|(suite, chunk)| {
-                let best_mdc = chunk[0].total_cycles().min(chunk[1].total_cycles());
-                let ddgt_pref = chunk[2].total_cycles();
-                Json::obj(vec![
-                    ("benchmark", Json::str(suite.name.clone())),
-                    ("best_mdc", Json::U64(best_mdc)),
-                    ("ddgt_prefclus", Json::U64(ddgt_pref)),
-                    (
-                        "ddgt_speedup",
-                        Json::F64(best_mdc as f64 / ddgt_pref.max(1) as f64 - 1.0),
-                    ),
-                ])
-            })
-            .collect();
-        out.push((title, Json::Arr(rows)));
-    }
-    Ok(Json::obj(
+/// The `/nobal` body: one row array per `(study name, rows)` machine
+/// variant, in order.
+#[must_use]
+pub fn nobal_json(studies: &[(&str, Vec<NobalRow>)]) -> Json {
+    let studies = studies.iter().map(|(study, rows)| {
+        let rows = rows.iter().map(|row| {
+            Json::obj(vec![
+                ("benchmark", Json::str(row.benchmark.clone())),
+                ("best_mdc", Json::U64(row.best_mdc)),
+                ("ddgt_prefclus", Json::U64(row.ddgt_pref)),
+                ("ddgt_speedup", Json::F64(row.ddgt_speedup)),
+            ])
+        });
+        (*study, Json::Arr(rows.collect()))
+    });
+    Json::obj(
         std::iter::once(("study", Json::str("nobal")))
-            .chain(out)
+            .chain(studies)
             .collect::<Vec<_>>(),
-    ))
+    )
 }
 
-/// `GET /sweep`: the default cluster-count × memory-bus sensitivity
-/// sweep over [`distvliw_core::experiments::sweep_default_suites`],
-/// assembled from cached cells. The aggregation goes through the same
-/// [`sweep_row`] fold as `distvliw_core::experiments::sweep`, so the
-/// served numbers are identical to a direct pipeline sweep — the only
-/// difference is that every `(suite, machine, solution)` cell is
-/// memoized, deduplicated and sharded like any other request. Like the
-/// factored sweep runner, only the three concrete solutions are
-/// computed; the Hybrid rows are derived per loop from the MDC and
-/// DDGT cells ([`derive_hybrid`]), which drops a quarter of the grid's
-/// compile+simulate work without changing a byte of the response.
-fn sweep_json(engine: &ServeEngine) -> Result<Json, ApiError> {
-    const CONCRETE: [Solution; 3] = [Solution::Free, Solution::Mdc, Solution::Ddgt];
-    let spec = SweepSpec::default();
-    let suites: Vec<&Suite> = SWEEP_DEFAULT_SUITE_NAMES
-        .iter()
-        .map(|name| {
-            engine
-                .suite(name)
-                .expect("default sweep suites are bundled")
-        })
-        .collect();
-
-    // Grid machines first (specs borrow them), in sweep nesting order.
-    let mut machines = Vec::with_capacity(spec.cluster_counts.len() * spec.mem_buses.len());
-    for &n_clusters in &spec.cluster_counts {
-        for &mem_buses in &spec.mem_buses {
-            machines.push((
-                n_clusters,
-                mem_buses,
-                sweep_machine(engine.machine(), n_clusters, mem_buses),
-            ));
-        }
-    }
-    let mut specs = Vec::with_capacity(machines.len() * CONCRETE.len() * suites.len());
-    for (_, _, machine) in &machines {
-        for solution in CONCRETE {
-            for suite in &suites {
-                specs.push(CellSpec {
-                    suite,
-                    machine,
-                    solution,
-                    heuristic: spec.heuristic,
-                });
-            }
-        }
-    }
-    let results = engine.run_cells(&specs);
-    let cells = all_ok(&results)?;
-
-    let mut rows = Vec::new();
-    for ((n_clusters, mem_buses, _), point) in machines
-        .iter()
-        .zip(cells.chunks(CONCRETE.len() * suites.len()))
-    {
-        // The derived hybrid suites must outlive the row loop below.
-        let hybrid: Vec<SuiteStats> = point[suites.len()..2 * suites.len()]
-            .iter()
-            .zip(&point[2 * suites.len()..])
-            .map(|(mdc, ddgt)| derive_hybrid(mdc, ddgt))
+/// The `/sweep` body: the default sweep's rows over the named suites.
+#[must_use]
+pub fn sweep_json(heuristic: Heuristic, suites: &[&str], rows: &[SweepRow]) -> Json {
+    let rows = rows.iter().map(|row| {
+        let shares: Vec<Json> = (0..row.n_clusters)
+            .map(|c| Json::U64(row.cluster.accesses_of(c)))
             .collect();
-        let mut point_rows: Vec<(Solution, Vec<&SuiteStats>)> = CONCRETE
-            .iter()
-            .zip(point.chunks(suites.len()))
-            .map(|(&solution, chunk)| (solution, chunk.to_vec()))
-            .collect();
-        point_rows.push((Solution::Hybrid, hybrid.iter().collect()));
-        debug_assert_eq!(point_rows.len(), SWEEP_SOLUTIONS.len());
-        for (solution, per_suite) in &point_rows {
-            let row = sweep_row(*n_clusters, *mem_buses, *solution, per_suite);
-            let shares: Vec<Json> = (0..row.n_clusters)
-                .map(|c| Json::U64(row.cluster.accesses_of(c)))
-                .collect();
-            rows.push(Json::obj(vec![
-                ("n_clusters", Json::U64(row.n_clusters as u64)),
-                ("mem_bus_count", Json::U64(row.mem_buses.count as u64)),
-                (
-                    "mem_bus_latency",
-                    Json::U64(u64::from(row.mem_buses.latency)),
-                ),
-                ("solution", Json::str(row.solution.to_string())),
-                ("total_cycles", Json::U64(row.total_cycles)),
-                ("stall_cycles", Json::U64(row.stall_cycles)),
-                ("bus_busy_cycles", Json::U64(row.bus_busy_cycles)),
-                ("bus_drain_cycles", Json::U64(row.bus_drain_cycles)),
-                ("bus_occupancy", Json::F64(row.bus_occupancy())),
-                ("violations", Json::U64(row.violations)),
-                ("accesses", Json::U64(row.accesses)),
-                ("imbalance", Json::F64(row.imbalance())),
-                ("accesses_by_cluster", Json::Arr(shares)),
-            ]));
-        }
-    }
-    Ok(Json::obj(vec![
+        Json::obj(vec![
+            ("n_clusters", Json::U64(row.n_clusters as u64)),
+            ("mem_bus_count", Json::U64(row.mem_buses.count as u64)),
+            (
+                "mem_bus_latency",
+                Json::U64(u64::from(row.mem_buses.latency)),
+            ),
+            ("solution", Json::str(row.solution.to_string())),
+            ("total_cycles", Json::U64(row.total_cycles)),
+            ("stall_cycles", Json::U64(row.stall_cycles)),
+            ("bus_busy_cycles", Json::U64(row.bus_busy_cycles)),
+            ("bus_drain_cycles", Json::U64(row.bus_drain_cycles)),
+            ("bus_occupancy", Json::F64(row.bus_occupancy())),
+            ("violations", Json::U64(row.violations)),
+            ("accesses", Json::U64(row.accesses)),
+            ("imbalance", Json::F64(row.imbalance())),
+            ("accesses_by_cluster", Json::Arr(shares)),
+        ])
+    });
+    Json::obj(vec![
         ("sweep", Json::str("default")),
-        ("heuristic", Json::str(spec.heuristic.to_string())),
+        ("heuristic", Json::str(heuristic.to_string())),
         (
             "suites",
-            Json::Arr(suites.iter().map(|s| Json::str(s.name.clone())).collect()),
+            Json::Arr(suites.iter().map(|s| Json::str(*s)).collect()),
         ),
-        ("rows", Json::Arr(rows)),
-    ]))
+        ("rows", Json::Arr(rows.collect())),
+    ])
 }
 
 /// One cell of a `/matrix` response.
@@ -1080,7 +960,7 @@ fn matrix(engine: &ServeEngine, body: &[u8]) -> Result<Json, ApiError> {
     for suite in &suites {
         for &solution in &solutions {
             for &heuristic in &heuristics {
-                specs.push(CellSpec {
+                specs.push(Cell {
                     suite,
                     machine: &machine,
                     solution,

@@ -1,14 +1,15 @@
 //! The resident experiment engine: cached, deduplicated, sharded cell
 //! execution.
 //!
-//! One *cell* is a `(suite, machine, solution, heuristic)` combination —
-//! the same unit `Pipeline::run_matrix` fans out. The engine memoizes
-//! cells in a content-addressed [`ResultCache`], collapses concurrent
-//! identical requests through [`SingleFlight`], and shards the cells of
-//! one request across worker threads via [`distvliw_core::par`]. Every
-//! endpoint is assembled from cells, so results are shared *between*
-//! endpoints too (Figure 6 and Figure 7 reuse each other's
-//! MDC/DDGT-PrefClus runs).
+//! One *cell* is a [`Cell`]: a `(suite, machine, solution, heuristic)`
+//! combination — the same unit `Pipeline::run_matrix` fans out. The
+//! engine memoizes cells in a content-addressed [`ResultCache`],
+//! collapses concurrent identical requests through [`SingleFlight`], and
+//! shards the cells of one request across worker threads via
+//! [`distvliw_core::par`]. Every figure endpoint runs the cell list its
+//! experiment defines in `distvliw_core::experiments`, so results are
+//! shared *between* endpoints too (Figure 6 and Figure 7 reuse each
+//! other's MDC/DDGT-PrefClus runs).
 
 use std::io;
 use std::path::Path;
@@ -20,9 +21,8 @@ use distvliw_arch::MachineConfig;
 use distvliw_core::cachekey::{
     cell_key_from_fingerprint, digest_fingerprint, suite_digest, CacheKey,
 };
-use distvliw_core::{
-    par, Heuristic, IiSeedStore, Pipeline, PipelineError, PipelineOptions, Solution,
-};
+use distvliw_core::experiments::Cell;
+use distvliw_core::{par, IiSeedStore, Pipeline, PipelineError, PipelineOptions};
 use distvliw_ir::Suite;
 use distvliw_sim::ClusterUsage;
 
@@ -31,20 +31,6 @@ use crate::persist::{self, LogWriter};
 
 /// A computed cell, shared between the cache and concurrent requesters.
 pub type CellResult = Arc<Result<distvliw_core::SuiteStats, PipelineError>>;
-
-/// One cell of an experiment grid.
-#[derive(Clone, Copy)]
-pub struct CellSpec<'a> {
-    /// The benchmark suite to run.
-    pub suite: &'a Suite,
-    /// The machine to run it on (the pipeline applies the suite's
-    /// interleave on top).
-    pub machine: &'a MachineConfig,
-    /// Coherence solution.
-    pub solution: Solution,
-    /// Cluster-assignment heuristic.
-    pub heuristic: Heuristic,
-}
 
 /// Persistence counters, as served by `/stats` and `servecli state`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -290,24 +276,24 @@ impl ServeEngine {
     }
 
     /// Runs one cell through cache → single-flight → pipeline.
-    pub fn run_cell(&self, spec: CellSpec<'_>) -> CellResult {
-        // Specs normally borrow a bundled suite, whose fingerprint was
+    pub fn run_cell(&self, cell: Cell<'_>) -> CellResult {
+        // Cells normally borrow a bundled suite, whose fingerprint was
         // precomputed; a foreign suite (e.g. re-interleaved for a
         // /matrix override) digests on the spot.
         let fingerprint = self
             .suites
             .iter()
-            .position(|s| std::ptr::eq(s, spec.suite))
+            .position(|s| std::ptr::eq(s, cell.suite))
             .map_or_else(
-                || digest_fingerprint(&suite_digest(spec.suite)),
+                || digest_fingerprint(&suite_digest(cell.suite)),
                 |i| self.fingerprints[i],
             );
         let key = cell_key_from_fingerprint(
             &fingerprint,
-            spec.machine,
+            cell.machine,
             &self.options,
-            spec.solution,
-            spec.heuristic,
+            cell.solution,
+            cell.heuristic,
         );
         let cached = {
             let mut span = distvliw_obs::Span::enter("cache_lookup");
@@ -328,11 +314,11 @@ impl ServeEngine {
             if let Some(value) = self.cache.lock().expect("cache lock").get_uncounted(&key) {
                 return value;
             }
-            let pipeline = Pipeline::new(spec.machine.clone())
+            let pipeline = Pipeline::new(cell.machine.clone())
                 .with_options(self.options)
                 .with_seed_store(self.seeds.clone());
             let result: CellResult =
-                Arc::new(pipeline.run_suite(spec.suite, spec.solution, spec.heuristic));
+                Arc::new(pipeline.run_suite(cell.suite, cell.solution, cell.heuristic));
             if let Ok(stats) = result.as_ref() {
                 *self.usage.lock().expect("usage lock") += &stats.cluster;
                 self.seeded
@@ -372,8 +358,8 @@ impl ServeEngine {
     /// identical cells — within this batch or across concurrent
     /// requests — are computed once.
     #[must_use]
-    pub fn run_cells(&self, specs: &[CellSpec<'_>]) -> Vec<CellResult> {
-        par::par_map(specs, |spec| self.run_cell(*spec))
+    pub fn run_cells(&self, cells: &[Cell<'_>]) -> Vec<CellResult> {
+        par::par_map(cells, |cell| self.run_cell(*cell))
     }
 
     /// Mirrors one cache insertion into the logs: newly dirtied II
@@ -588,6 +574,7 @@ pub fn machine_with_overrides(
 mod tests {
     use super::*;
     use crate::json;
+    use distvliw_core::{Heuristic, Solution};
 
     fn engine() -> ServeEngine {
         ServeEngine::new(MachineConfig::paper_baseline(), 64)
@@ -597,7 +584,7 @@ mod tests {
     fn identical_cells_hit_the_cache() {
         let engine = engine();
         let suite = engine.suite("gsmdec").unwrap();
-        let spec = CellSpec {
+        let spec = Cell {
             suite,
             machine: engine.machine(),
             solution: Solution::Mdc,
@@ -622,7 +609,7 @@ mod tests {
     fn any_perturbation_misses() {
         let engine = engine();
         let suite = engine.suite("gsmdec").unwrap();
-        let base = CellSpec {
+        let base = Cell {
             suite,
             machine: engine.machine(),
             solution: Solution::Mdc,
@@ -634,19 +621,19 @@ mod tests {
         let m2 = engine.machine().clone().with_interleave(2);
         let other_suite = engine.suite("jpegenc").unwrap();
         let variants = [
-            CellSpec {
+            Cell {
                 heuristic: Heuristic::MinComs,
                 ..base
             },
-            CellSpec {
+            Cell {
                 solution: Solution::Ddgt,
                 ..base
             },
-            CellSpec {
+            Cell {
                 machine: &m2,
                 ..base
             },
-            CellSpec {
+            Cell {
                 suite: other_suite,
                 ..base
             },
@@ -669,7 +656,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..6 {
                 scope.spawn(|| {
-                    let spec = CellSpec {
+                    let spec = Cell {
                         suite,
                         machine: engine.machine(),
                         solution: Solution::Ddgt,
@@ -693,7 +680,7 @@ mod tests {
     fn cached_cells_match_a_direct_pipeline_run() {
         let engine = engine();
         let suite = engine.suite("g721dec").unwrap();
-        let spec = CellSpec {
+        let spec = Cell {
             suite,
             machine: engine.machine(),
             solution: Solution::Ddgt,

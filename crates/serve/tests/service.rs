@@ -4,8 +4,9 @@
 //! The acceptance property of the serving layer is pinned here: warm
 //! (cached) responses are **byte-identical** to cold ones, repeated
 //! requests are served without recomputing any cell (verified through
-//! `/stats`), and `/matrix` cells agree exactly with a direct
-//! `Pipeline::run_matrix` on the same configurations.
+//! `/stats`), every figure route is byte-identical to its direct
+//! `experiments::*` function, and `/matrix` cells agree exactly with a
+//! direct `Pipeline::run_matrix` on the same configurations.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -239,9 +240,7 @@ fn matrix_interleave_override_changes_the_run() {
 }
 
 #[test]
-fn sweep_is_cached_and_matches_a_direct_pipeline_sweep() {
-    use distvliw_core::experiments::{sweep, sweep_default_suites, SweepSpec, SWEEP_SOLUTIONS};
-
+fn warm_sweep_is_a_pure_cache_hit() {
     let (base, handle) = spawn_server();
 
     let cold = client::get(&base, "/sweep").unwrap();
@@ -264,67 +263,51 @@ fn sweep_is_cached_and_matches_a_direct_pipeline_sweep() {
         hits_before + computed,
         "every cell of the warm sweep is a cache hit"
     );
+    shutdown(&base, handle);
+}
 
-    // The served rows equal a direct (uncached) pipeline sweep.
+#[test]
+fn every_figure_route_equals_its_direct_experiment() {
+    use distvliw_core::experiments::{
+        fig6, fig7, fig9, nobal, nobal_machines, sweep, sweep_default_suites, table3, table4,
+        table5, SweepSpec, SWEEP_DEFAULT_SUITE_NAMES,
+    };
+    use distvliw_serve::endpoints::{
+        exec_json, fig6_json, nobal_json, sweep_json, table3_json, table4_json, table5_json,
+    };
+
+    // The direct experiments run the same cell lists on a plain pipeline;
+    // each served body must be the shared encoder applied to their rows.
+    let paper = MachineConfig::paper_baseline();
     let spec = SweepSpec::default();
-    let direct = sweep(
-        &MachineConfig::paper_baseline(),
-        &sweep_default_suites(),
-        &spec,
-    )
-    .unwrap()
-    .rows;
-    let served = json::parse(std::str::from_utf8(&warm.body).unwrap()).unwrap();
-    let rows = served.get("rows").unwrap().as_array().unwrap();
-    assert_eq!(
-        rows.len(),
-        spec.cluster_counts.len() * spec.mem_buses.len() * SWEEP_SOLUTIONS.len()
-    );
-    assert_eq!(rows.len(), direct.len());
-    for (row, want) in rows.iter().zip(&direct) {
-        let ctx = format!(
-            "{} clusters, {}@{} buses, {}",
-            want.n_clusters, want.mem_buses.count, want.mem_buses.latency, want.solution
+    let studies: Vec<_> = nobal_machines()
+        .into_iter()
+        .map(|(study, machine)| (study, nobal(&machine).unwrap()))
+        .collect();
+    let sweep_rows = sweep(&paper, &sweep_default_suites(), &spec).unwrap().rows;
+    let direct = [
+        ("/fig6", fig6_json(&fig6(&paper).unwrap())),
+        ("/fig7", exec_json("fig7", &fig7(&paper).unwrap())),
+        ("/fig9", exec_json("fig9", &fig9(&paper).unwrap())),
+        ("/table3", table3_json(&table3())),
+        ("/table4", table4_json(&table4(&paper).unwrap())),
+        ("/table5", table5_json(&table5())),
+        ("/nobal", nobal_json(&studies)),
+        (
+            "/sweep",
+            sweep_json(spec.heuristic, &SWEEP_DEFAULT_SUITE_NAMES, &sweep_rows),
+        ),
+    ];
+
+    let (base, handle) = spawn_server();
+    let mut client = Client::connect(&base).unwrap();
+    for (route, want) in direct {
+        let resp = client.get(route).unwrap();
+        assert_eq!(resp.status, 200, "{route}");
+        assert!(
+            resp.body == want.render().into_bytes(),
+            "{route}: served body differs from the direct experiment's rows"
         );
-        assert_eq!(
-            row.get("n_clusters").unwrap().as_u64().unwrap(),
-            want.n_clusters as u64,
-            "{ctx}"
-        );
-        assert_eq!(
-            row.get("solution").unwrap().as_str().unwrap(),
-            want.solution.to_string(),
-            "{ctx}"
-        );
-        assert_eq!(
-            row.get("total_cycles").unwrap().as_u64().unwrap(),
-            want.total_cycles,
-            "{ctx}"
-        );
-        assert_eq!(
-            row.get("bus_busy_cycles").unwrap().as_u64().unwrap(),
-            want.bus_busy_cycles,
-            "{ctx}"
-        );
-        assert_eq!(
-            row.get("violations").unwrap().as_u64().unwrap(),
-            want.violations,
-            "{ctx}"
-        );
-        assert_eq!(
-            row.get("imbalance").unwrap().as_f64().unwrap(),
-            want.imbalance(),
-            "{ctx}"
-        );
-        let shares = row.get("accesses_by_cluster").unwrap().as_array().unwrap();
-        assert_eq!(shares.len(), want.n_clusters, "{ctx}");
-        for (c, share) in shares.iter().enumerate() {
-            assert_eq!(
-                share.as_u64().unwrap(),
-                want.cluster.accesses_of(c),
-                "{ctx} cluster {c}"
-            );
-        }
     }
     shutdown(&base, handle);
 }
@@ -857,37 +840,19 @@ fn http_1_0_and_chunked_requests_are_answered_correctly_end_to_end() {
 }
 
 #[test]
-fn fig6_fractions_match_experiments_module() {
-    // The serve-side figure assembly must agree with the reference
-    // implementation in distvliw_core::experiments. Comparing one
-    // benchmark keeps the test fast.
+fn servecli_exits_cleanly_when_stdout_closes_early() {
     let (base, handle) = spawn_server();
-    let body =
-        r#"{"suites":["pgpdec"],"solutions":["free","mdc","ddgt"],"heuristics":["prefclus"]}"#;
-    let resp = client::post(&base, "/matrix", body).unwrap();
-    assert_eq!(resp.status, 200);
-    let v = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-    let cells = v.get("cells").unwrap().as_array().unwrap();
-
-    let pipeline = Pipeline::new(MachineConfig::paper_baseline());
-    let suite = distvliw_mediabench::suite("pgpdec").unwrap();
-    for (cell, solution) in cells
-        .iter()
-        .zip([Solution::Free, Solution::Mdc, Solution::Ddgt])
-    {
-        let direct = pipeline
-            .run_suite(&suite, solution, Heuristic::PrefClus)
-            .unwrap();
-        assert_eq!(
-            cell.get("local_hit_ratio").unwrap().as_f64().unwrap(),
-            direct.local_hit_ratio(),
-            "{solution}"
-        );
-        assert_eq!(
-            cell.get("imbalance").unwrap().as_f64().unwrap(),
-            direct.cluster.imbalance(),
-            "{solution}"
-        );
-    }
+    // `servecli … | head -c1` with the reader already gone: every write
+    // to stdout fails with EPIPE.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_servecli"))
+        .args([base.as_str(), "get", "/table3"])
+        .stdout(writer)
+        .output()
+        .expect("run servecli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
     shutdown(&base, handle);
 }
