@@ -3,13 +3,14 @@
 //!
 //! ```text
 //! repro fig7      # one experiment of the catalog
-//! repro all       # every experiment, in catalog order
+//! repro all       # the paper's evaluation, in catalog order
 //! ```
 //!
 //! The names are [`distvliw_bench::EXPERIMENTS`]: Tables 3–5, Figures 6,
 //! 7 and 9, the NOBAL study, the loop case studies, the hybrid solution,
-//! the cluster-imbalance breakdown and the sensitivity sweep. An unknown
-//! name, or a failing experiment, exits nonzero.
+//! the cluster-imbalance breakdown, the sensitivity sweep and the
+//! ablation studies (which `all` leaves out). An unknown name, or a
+//! failing experiment, exits nonzero.
 
 use std::process::ExitCode;
 
@@ -18,7 +19,11 @@ use distvliw_bench::{paper_machine, report, EXPERIMENTS};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<&str> = match args.as_slice() {
-        [name] if name == "all" => EXPERIMENTS.to_vec(),
+        [name] if name == "all" => EXPERIMENTS
+            .iter()
+            .copied()
+            .filter(|&n| n != "ablations")
+            .collect(),
         [name] if EXPERIMENTS.contains(&name.as_str()) => vec![name.as_str()],
         _ => {
             if let [name] = args.as_slice() {

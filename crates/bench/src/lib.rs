@@ -1,22 +1,24 @@
-//! Shared helpers for the `repro`, `bench` and `perfcheck` binaries.
+//! The paper-reproduction driver behind the `repro` binary.
 //!
 //! [`report`] renders any named experiment to a string and
 //! [`EXPERIMENTS`] enumerates the catalog the `repro` bin dispatches
-//! over. [`BenchResult`] with [`results_json`] / [`results_from_json`]
-//! is the `BENCH_sched*.json` format the `bench` bin writes and
-//! `perfcheck` gates.
+//! over. The crate's other binary, `check`, runs the independent static
+//! checker over the golden grid. Timing lives in the separate
+//! `perfbench` workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
 
-use distvliw_arch::MachineConfig;
+use distvliw_arch::{AttractionBufferConfig, BusConfig, MachineConfig};
 use distvliw_core::experiments::{
     epicdec_ab_case_study, fig6, fig7, fig9, gsmdec_case_study, nobal, nobal_machines, sweep,
     sweep_default_suites, table3, table4, table5, SweepSpec,
 };
-use distvliw_core::{report as render, Heuristic, Pipeline, Solution};
+use distvliw_core::{
+    report as render, Heuristic, Pipeline, PipelineError, PipelineOptions, Solution,
+};
 
 /// The paper's Table 2 machine.
 #[must_use]
@@ -24,109 +26,14 @@ pub fn paper_machine() -> MachineConfig {
     MachineConfig::paper_baseline()
 }
 
-/// One measured benchmark row of a `BENCH_sched*.json` file.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// `group/function` identifier.
-    pub id: String,
-    /// Median nanoseconds per iteration (a raw count for `ejections/*`
-    /// ids).
-    pub median_ns: f64,
-    /// Iterations per sample after calibration.
-    pub iters_per_sample: u64,
-    /// Number of timed samples.
-    pub samples: usize,
-}
-
-/// Renders results as a JSON array, one object per line (hand-rolled; no
-/// serde in the offline build).
-#[must_use]
-pub fn results_json(results: &[BenchResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "  {{\"id\": \"{}\", \"median_ns\": {:.1}, \"iters_per_sample\": {}, \"samples\": {}}}{comma}",
-            r.id.replace('"', "\\\""),
-            r.median_ns,
-            r.iters_per_sample,
-            r.samples
-        );
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Parses a JSON array written by [`results_json`] back into results.
-/// The parser accepts exactly the writer's shape (one object per line,
-/// the four known fields); anything else is an error.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed entry.
-pub fn results_from_json(text: &str) -> Result<Vec<BenchResult>, String> {
-    fn field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = obj
-            .find(&pat)
-            .ok_or_else(|| format!("missing field `{key}` in `{obj}`"))?
-            + pat.len();
-        let rest = &obj[start..];
-        let end = rest
-            .find([',', '}'])
-            .ok_or_else(|| format!("unterminated field `{key}` in `{obj}`"))?;
-        Ok(rest[..end].trim())
-    }
-
-    let mut results = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') {
-            continue; // array brackets / blank lines
-        }
-        // The id is parsed by scanning to its closing quote (not to the
-        // next ','/'}' like the numeric fields), so ids containing
-        // commas, braces or escaped quotes roundtrip.
-        let id_pat = "\"id\": \"";
-        let id_start = line
-            .find(id_pat)
-            .ok_or_else(|| format!("missing field `id` in `{line}`"))?
-            + id_pat.len();
-        let mut id = String::new();
-        let mut chars = line[id_start..].chars();
-        loop {
-            match chars.next() {
-                Some('\\') => match chars.next() {
-                    Some(c) => id.push(c),
-                    None => return Err(format!("unterminated id escape in `{line}`")),
-                },
-                Some('"') => break,
-                Some(c) => id.push(c),
-                None => return Err(format!("unterminated id in `{line}`")),
-            }
-        }
-        let parse_num = |key: &str| -> Result<f64, String> {
-            field(line, key)?
-                .parse::<f64>()
-                .map_err(|e| format!("bad `{key}` in `{line}`: {e}"))
-        };
-        results.push(BenchResult {
-            id,
-            median_ns: parse_num("median_ns")?,
-            iters_per_sample: parse_num("iters_per_sample")? as u64,
-            samples: parse_num("samples")? as usize,
-        });
-    }
-    Ok(results)
-}
-
 /// Every experiment name [`report`] understands, in the paper's order —
-/// the catalog of `repro <experiment>` (`repro all` runs them in this
-/// order). The figure and table entries and `sweep` additionally have a
-/// matching serving-layer route (`hybrid`, `loops` and `imbalance` are
-/// `repro`-only). Every report begins with its own descriptive title
-/// line.
+/// the catalog of `repro <experiment>`. `repro all` runs them in this
+/// order, except the trailing `ablations`, which varies the machine and
+/// the scheduler options instead of reproducing the paper's evaluation.
+/// The figure and table entries and `sweep` additionally have a
+/// matching serving-layer route (`loops`, `hybrid`, `imbalance` and
+/// `ablations` are `repro`-only). Every report begins with its own
+/// descriptive title line.
 pub const EXPERIMENTS: &[&str] = &[
     "table3",
     "fig6",
@@ -139,6 +46,7 @@ pub const EXPERIMENTS: &[&str] = &[
     "hybrid",
     "imbalance",
     "sweep",
+    "ablations",
 ];
 
 /// Renders the named experiment against `machine`.
@@ -148,7 +56,7 @@ pub const EXPERIMENTS: &[&str] = &[
 /// Returns a human-readable message for unknown names or pipeline
 /// failures.
 pub fn report(name: &str, machine: &MachineConfig) -> Result<String, String> {
-    let fail = |e: distvliw_core::PipelineError| format!("{name} failed: {e}");
+    let fail = |e: PipelineError| format!("{name} failed: {e}");
     match name {
         "table3" => Ok(render::render_table3(&table3())),
         "fig6" => fig6(machine).map(|r| render::render_fig6(&r)).map_err(fail),
@@ -172,12 +80,13 @@ pub fn report(name: &str, machine: &MachineConfig) -> Result<String, String> {
         "hybrid" => hybrid_report(machine).map_err(fail),
         "imbalance" => imbalance_report(machine).map_err(fail),
         "sweep" => sweep_report(machine).map_err(fail),
+        "ablations" => ablations_report(machine).map_err(fail),
         other => Err(format!("unknown experiment `{other}`")),
     }
 }
 
 /// Both NOBAL machine variants, concatenated.
-fn nobal_report() -> Result<String, distvliw_core::PipelineError> {
+fn nobal_report() -> Result<String, PipelineError> {
     let mut out = String::new();
     let titles = [
         "NOBAL+MEM: more memory buses than register buses",
@@ -191,7 +100,7 @@ fn nobal_report() -> Result<String, distvliw_core::PipelineError> {
 }
 
 /// The gsmdec and epicdec loop case studies, concatenated.
-fn loops_report(machine: &MachineConfig) -> Result<String, distvliw_core::PipelineError> {
+fn loops_report(machine: &MachineConfig) -> Result<String, PipelineError> {
     let mut out = String::new();
     let _ = writeln!(out, "Loop case studies (paper Sections 4.2 and 5.4)");
     let _ = writeln!(
@@ -208,7 +117,7 @@ fn loops_report(machine: &MachineConfig) -> Result<String, distvliw_core::Pipeli
 }
 
 /// The per-loop hybrid of paper Section 6 against pure MDC and DDGT.
-fn hybrid_report(machine: &MachineConfig) -> Result<String, distvliw_core::PipelineError> {
+fn hybrid_report(machine: &MachineConfig) -> Result<String, PipelineError> {
     let pipeline = Pipeline::new(machine.clone());
     let mut out = String::new();
     let _ = writeln!(out, "Hybrid solution (per-loop best of MDC/DDGT, PrefClus)");
@@ -244,7 +153,7 @@ fn hybrid_report(machine: &MachineConfig) -> Result<String, distvliw_core::Pipel
 /// Per-cluster access shares, violations and grant pressure under
 /// MDC/DDGT (PrefClus) — the imbalance surface the ROADMAP's
 /// workload-breadth item asks for.
-fn imbalance_report(machine: &MachineConfig) -> Result<String, distvliw_core::PipelineError> {
+fn imbalance_report(machine: &MachineConfig) -> Result<String, PipelineError> {
     let pipeline = Pipeline::new(machine.clone());
     let mut entries = Vec::new();
     for suite in distvliw_mediabench::figure_suites() {
@@ -267,13 +176,119 @@ fn imbalance_report(machine: &MachineConfig) -> Result<String, distvliw_core::Pi
 /// traces), all four solutions per grid point. Runs the factored
 /// schedule-once/sim-many path and appends its reuse counters, so a
 /// sched-axis fallback to recompilation is visible in the report.
-fn sweep_report(machine: &MachineConfig) -> Result<String, distvliw_core::PipelineError> {
+fn sweep_report(machine: &MachineConfig) -> Result<String, PipelineError> {
     let run = sweep(machine, &sweep_default_suites(), &SweepSpec::default())?;
     let mut out = render::render_sweep(
         &run.rows,
         "Sensitivity sweep: cluster count × memory buses (PrefClus; gsmdec + recorded traces)",
     );
     out.push_str(&render::render_sweep_reuse(&run.reuse));
+    Ok(out)
+}
+
+/// Three ablation studies the paper calls out, concatenated:
+///
+/// 1. **32 register buses** (paper Section 4.2: "the benchmarks were
+///    simulated using an upper bound of 32 register-to-register buses and
+///    compute time was not reduced much") — at 4 buses the DDGT
+///    bottleneck is the extra stores and edges, not communications.
+/// 2. **Attraction Buffer capacity** on the epicdec chain loop (Section
+///    5.4's mechanism: MDC overflows one buffer, DDGT uses all four).
+/// 3. **Cache-sensitive latency assignment on/off** — the scheduler's
+///    compute/stall trade-off (paper Section 2.2, reference 21).
+fn ablations_report(machine: &MachineConfig) -> Result<String, PipelineError> {
+    let mut out = String::new();
+
+    let _ = writeln!(
+        out,
+        "== Ablation 1: register-bus upper bound (DDGT, PrefClus) =="
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} | {:>14} {:>14} | {:>9}",
+        "benchmark", "compute @4bus", "compute @32bus", "reduction"
+    );
+    let four = Pipeline::new(machine.clone());
+    let many = Pipeline::new(machine.clone().with_reg_buses(BusConfig {
+        count: 32,
+        latency: 2,
+    }));
+    for name in ["epicdec", "pgpdec", "pgpenc", "rasta"] {
+        let suite = distvliw_mediabench::suite(name).expect("bundled benchmark");
+        let a = four.run_suite(&suite, Solution::Ddgt, Heuristic::PrefClus)?;
+        let b = many.run_suite(&suite, Solution::Ddgt, Heuristic::PrefClus)?;
+        let reduction = 1.0 - b.total.compute_cycles as f64 / a.total.compute_cycles.max(1) as f64;
+        let _ = writeln!(
+            out,
+            "{:<10} | {:>14} {:>14} | {:>8.1}%",
+            name,
+            a.total.compute_cycles,
+            b.total.compute_cycles,
+            reduction * 100.0
+        );
+    }
+
+    let _ = writeln!(
+        out,
+        "\n== Ablation 2: Attraction Buffer capacity (epicdec chain loop) =="
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} | {:>14} {:>14}",
+        "entries", "MDC local-hit", "DDGT local-hit"
+    );
+    let suite = distvliw_mediabench::suite("epicdec").expect("bundled benchmark");
+    let chained = &suite.kernels[0];
+    for entries in [0usize, 4, 8, 16, 32, 64] {
+        let mut ab_machine = machine.clone().with_interleave(suite.interleave_bytes);
+        if entries > 0 {
+            ab_machine =
+                ab_machine.with_attraction_buffers(AttractionBufferConfig { entries, assoc: 2 });
+        }
+        let p = Pipeline::new(ab_machine);
+        let mdc = p.run_kernel(chained, Solution::Mdc, Heuristic::PrefClus)?;
+        let ddgt = p.run_kernel(chained, Solution::Ddgt, Heuristic::PrefClus)?;
+        let _ = writeln!(
+            out,
+            "{:<10} | {:>13.1}% {:>13.1}%",
+            entries,
+            mdc.stats.local_hit_ratio() * 100.0,
+            ddgt.stats.local_hit_ratio() * 100.0
+        );
+    }
+
+    let _ = writeln!(
+        out,
+        "\n== Ablation 3: cache-sensitive latency assignment (MDC, PrefClus) =="
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} | {:>10} {:>10} | {:>10} {:>10}",
+        "benchmark", "compute+", "stall+", "compute-", "stall-"
+    );
+    let on = Pipeline::new(machine.clone());
+    let off = Pipeline::new(machine.clone()).with_options(PipelineOptions {
+        relax_latencies: false,
+        ..PipelineOptions::default()
+    });
+    for name in ["gsmdec", "pgpdec", "rasta"] {
+        let suite = distvliw_mediabench::suite(name).expect("bundled benchmark");
+        let a = on.run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)?;
+        let b = off.run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)?;
+        let _ = writeln!(
+            out,
+            "{:<10} | {:>10} {:>10} | {:>10} {:>10}",
+            name,
+            a.total.compute_cycles,
+            a.total.stall_cycles,
+            b.total.compute_cycles,
+            b.total.stall_cycles
+        );
+    }
+    let _ = writeln!(
+        out,
+        "(+ = relaxation on: larger assumed latencies trade stall for compute)"
+    );
     Ok(out)
 }
 
@@ -307,48 +322,5 @@ mod tests {
                 assert!(report(name, &paper_machine()).is_ok());
             }
         }
-    }
-
-    #[test]
-    fn bench_json_roundtrips() {
-        let r = vec![
-            BenchResult {
-                id: "sched/a".into(),
-                median_ns: 12.5,
-                iters_per_sample: 4,
-                samples: 3,
-            },
-            BenchResult {
-                id: "sim/\"q\"".into(),
-                median_ns: 7.0,
-                iters_per_sample: 1,
-                samples: 10,
-            },
-            BenchResult {
-                id: "pipeline/{gsmdec,epicdec}".into(),
-                median_ns: 3.0,
-                iters_per_sample: 1,
-                samples: 2,
-            },
-        ];
-        let text = results_json(&r);
-        assert!(text.starts_with("[\n") && text.ends_with("]\n"));
-        assert!(text.contains("  {\"id\": \"sched/a\", \"median_ns\": 12.5, \"iters_per_sample\": 4, \"samples\": 3},\n"));
-        let parsed = results_from_json(&text).unwrap();
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[0].id, "sched/a");
-        assert!((parsed[0].median_ns - 12.5).abs() < 1e-9);
-        assert_eq!(parsed[0].iters_per_sample, 4);
-        assert_eq!(parsed[1].id, "sim/\"q\"");
-        assert_eq!(parsed[1].samples, 10);
-        assert_eq!(parsed[2].id, "pipeline/{gsmdec,epicdec}");
-        assert_eq!(parsed[2].samples, 2);
-    }
-
-    #[test]
-    fn malformed_bench_json_is_an_error() {
-        assert!(results_from_json("[\n  {\"median_ns\": 1.0}\n]\n").is_err());
-        assert!(results_from_json("[\n  {\"id\": \"a\", \"median_ns\": x}\n]\n").is_err());
-        assert_eq!(results_from_json("[]\n").unwrap().len(), 0);
     }
 }

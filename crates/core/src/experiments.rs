@@ -734,7 +734,8 @@ pub struct SweepReuse {
 /// count, bus point, solution)` nesting order plus the reuse telemetry.
 #[derive(Debug, Clone)]
 pub struct SweepRun {
-    /// Grid rows, ordered exactly like the naive [`sweep_naive`] rows.
+    /// Grid rows, one per [`sweep_points`] machine × [`SWEEP_SOLUTIONS`]
+    /// entry, in that nesting order.
     pub rows: Vec<SweepRow>,
     /// Schedule-artifact reuse counters.
     pub reuse: SweepReuse,
@@ -832,9 +833,10 @@ fn cell_error(cell: &Cell<'_>, source: PipelineError) -> PipelineError {
 ///
 /// Every cell schedules from a cold pipeline (fresh II-seed store, as
 /// [`Pipeline::run_matrix`] does), so the surfaced search-effort
-/// counters are reproducible and byte-identical to the per-cell
-/// reference [`sweep_naive`] — the equivalence the
-/// `tests/sweep_equivalence.rs` suite pins.
+/// counters are reproducible and byte-identical to running every cell
+/// of [`sweep_points`] × [`SWEEP_SOLUTIONS`] through a cold
+/// [`Pipeline::run_suite`] and folding it with [`sweep_row`] — the
+/// equivalence the `tests/sweep_equivalence.rs` suite pins.
 ///
 /// # Errors
 ///
@@ -940,54 +942,6 @@ pub fn sweep(
     )
     .record_micros(sweep_start.elapsed());
     Ok(SweepRun { rows, reuse })
-}
-
-/// The naive per-cell reference sweep: every `(cluster count, bus
-/// point, solution, suite)` cell runs the full
-/// [`Pipeline::run_suite`] compile+simulate path from a cold pipeline —
-/// no artifact reuse, no derived hybrid. This is the semantic
-/// definition the factored [`sweep`] is tested byte-identical against,
-/// and the baseline leg of the `sweep/*` bench ids.
-///
-/// # Errors
-///
-/// Reports the first failing cell in row order, wrapped with its
-/// coordinates ([`PipelineError::Cell`]).
-pub fn sweep_naive(
-    base: &MachineConfig,
-    suites: &[Suite],
-    spec: &SweepSpec,
-) -> Result<Vec<SweepRow>, PipelineError> {
-    let mut rows = Vec::new();
-    for machine in &sweep_points(base, spec) {
-        for solution in SWEEP_SOLUTIONS {
-            let mut per_suite = Vec::with_capacity(suites.len());
-            for suite in suites {
-                // A cold pipeline per cell keeps the search-effort
-                // telemetry reproducible (the `run_matrix` rationale): no
-                // cell's II seeds warm another's.
-                let cell = Cell {
-                    suite,
-                    machine,
-                    solution,
-                    heuristic: spec.heuristic,
-                };
-                per_suite.push(
-                    Pipeline::new(machine.clone())
-                        .run_suite(suite, solution, spec.heuristic)
-                        .map_err(|e| cell_error(&cell, e))?,
-                );
-            }
-            let refs: Vec<&SuiteStats> = per_suite.iter().collect();
-            rows.push(sweep_row(
-                machine.n_clusters,
-                machine.mem_buses,
-                solution,
-                &refs,
-            ));
-        }
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]

@@ -192,15 +192,15 @@ pub struct KernelRun {
 }
 
 /// Scheduler search effort aggregated over a suite (or any set of
-/// kernel runs): the ejection/attempt trajectory the sweep report and
-/// the bench harness surface.
+/// kernel runs): the ejection/attempt trajectory the sweep report
+/// surfaces.
 ///
 /// These are *effort* numbers, not pure functions of the inputs: a
 /// pipeline whose II-seed store is warm (an earlier run of the same
 /// configuration on the same `Pipeline` instance) legitimately reports
 /// fewer attempts and a nonzero `seeded_kernels` while producing the
 /// byte-identical schedule. Compare effort across runs only from a
-/// fresh `Pipeline` (as `run_matrix` and the bench harness do).
+/// fresh `Pipeline` (as `run_matrix` and the sweep do).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedTotals {
     /// Placement attempts across all kernels.

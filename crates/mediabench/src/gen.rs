@@ -460,8 +460,7 @@ pub fn stream_loop(spec: &StreamSpec, alloc: &mut AddressAllocator, n_clusters: 
 /// memory-unit slot the chain is short of, so the restart-only search
 /// must give the whole II away; the ejection scheduler instead cascades
 /// the chain down one slot, evicts the intruder to another cluster and
-/// keeps the II. Used by the `sched/eject` benchmarks and the ejection
-/// regression tests.
+/// keeps the II. Used by the ejection regression tests.
 #[must_use]
 pub fn eject_stress_kernel(n_clusters: usize, chain_len: usize) -> (LoopKernel, PrefMap) {
     let mut b = DdgBuilder::new();

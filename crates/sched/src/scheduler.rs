@@ -1390,11 +1390,13 @@ fn priority_order(ddg: &Ddg, dense: &DenseDeps, load_lat: &NodeMap<u32>) -> Vec<
 /// The MinComs post-pass: choose the virtual→physical cluster permutation
 /// that maximizes profiled local accesses (paper Section 2.2).
 ///
-/// Up to 8 clusters this enumerates all permutations in Heap's-algorithm
-/// order — the original behaviour, pinned byte-identical by the golden
-/// snapshots. Beyond 8 the factorial blows up (16! ≈ 2×10¹³), so larger
-/// sweep machines solve the same problem exactly with the O(n³)
-/// Hungarian assignment instead.
+/// Up to 8 clusters this enumerates every permutation in `permute`'s
+/// order, which visits the identity first. The search starts from the
+/// identity at score 0 and only a strictly better score replaces the
+/// best, so ties go to the permutation visited first — the original
+/// behaviour, pinned byte-identical by the golden snapshots. Beyond 8
+/// the factorial blows up (16! ≈ 2×10¹³), so larger sweep machines solve
+/// the same problem exactly with the O(n³) Hungarian assignment instead.
 fn best_physical_mapping(
     ddg: &Ddg,
     schedule: &Schedule,
@@ -1500,7 +1502,10 @@ fn max_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
     perm
 }
 
-/// Heap's algorithm over `slice[k..]`.
+/// Visits every permutation of `slice[k..]` by recursive swapping: each
+/// element of `slice[k..]` in turn is swapped into position `k`, the
+/// suffix after `k` is permuted recursively, and the swap is undone. The
+/// first permutation visited is the slice as given.
 fn permute(slice: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
     if k == slice.len() {
         visit(slice);

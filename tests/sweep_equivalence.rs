@@ -3,9 +3,48 @@
 //! classification must match the sequential `load`/`store` path exactly.
 
 use distvliw::arch::{AttractionBufferConfig, MachineConfig};
-use distvliw::core::experiments::{sweep, sweep_default_suites, sweep_naive, SweepSpec};
+use distvliw::core::experiments::{
+    sweep, sweep_default_suites, sweep_points, sweep_row, SweepRow, SweepSpec, SWEEP_SOLUTIONS,
+};
+use distvliw::core::Pipeline;
+use distvliw::ir::Suite;
 use distvliw::sim::{BatchAccess, MemorySystem};
 use proptest::prelude::*;
+
+/// The naive reference sweep, the semantic definition the factored
+/// `sweep` must reproduce: every `(cluster count, bus point, solution,
+/// suite)` cell runs the full compile+simulate `Pipeline::run_suite`
+/// path — no artifact reuse, no derived hybrid. A cold pipeline per cell
+/// keeps the search-effort counters reproducible (the `run_matrix`
+/// rationale): no cell's II seeds warm another's.
+fn sweep_naive(base: &MachineConfig, suites: &[Suite], spec: &SweepSpec) -> Vec<SweepRow> {
+    let mut rows = Vec::new();
+    for machine in &sweep_points(base, spec) {
+        for solution in SWEEP_SOLUTIONS {
+            let per_suite: Vec<_> = suites
+                .iter()
+                .map(|suite| {
+                    Pipeline::new(machine.clone())
+                        .run_suite(suite, solution, spec.heuristic)
+                        .unwrap_or_else(|e| {
+                            panic!(
+                                "{} clusters, {:?}, {solution}, {}: {e}",
+                                machine.n_clusters, machine.mem_buses, suite.name
+                            )
+                        })
+                })
+                .collect();
+            let refs: Vec<_> = per_suite.iter().collect();
+            rows.push(sweep_row(
+                machine.n_clusters,
+                machine.mem_buses,
+                solution,
+                &refs,
+            ));
+        }
+    }
+    rows
+}
 
 /// The tentpole equivalence: every field of every row of the factored
 /// default-grid sweep — including scheduler effort counters and the
@@ -18,7 +57,7 @@ fn factored_sweep_is_byte_identical_to_naive() {
     let suites = sweep_default_suites();
     let spec = SweepSpec::default();
 
-    let naive = sweep_naive(&machine, &suites, &spec).expect("naive sweep runs");
+    let naive = sweep_naive(&machine, &suites, &spec);
     let run = sweep(&machine, &suites, &spec).expect("factored sweep runs");
 
     assert_eq!(run.rows.len(), naive.len());
