@@ -2,9 +2,7 @@
 //!
 //! [`report`] renders any named experiment to a string and
 //! [`EXPERIMENTS`] enumerates the catalog the `repro` bin dispatches
-//! over. The crate's other binary, `check`, runs the independent static
-//! checker over the golden grid. Timing lives in the separate
-//! `perfbench` workspace.
+//! over. Timing lives in the separate `perfbench` workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -115,7 +115,8 @@ impl ViolationKind {
         ViolationKind::SpanMismatch,
     ];
 
-    /// Stable kebab-case name (used in summaries and the `check` bin).
+    /// Stable kebab-case name (used by [`CheckReport::summary`] and
+    /// every violation line, so a failing golden test names the kind).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

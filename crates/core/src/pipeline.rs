@@ -157,7 +157,7 @@ pub struct PipelineOptions {
     /// compiled schedule and fail the compile on any violation. Debug
     /// builds verify unconditionally (every test run exercises the
     /// checker); this flag extends the guarantee to release builds — the
-    /// `check` bin and `serve --check` turn it on.
+    /// golden tests and `serve --check` turn it on.
     pub check: bool,
 }
 
@@ -728,11 +728,7 @@ impl Pipeline {
         if solution == Solution::Hybrid {
             let mdc = self.run_kernel_on(machine, kernel, Solution::Mdc, heuristic)?;
             let ddgt = self.run_kernel_on(machine, kernel, Solution::Ddgt, heuristic)?;
-            return Ok(if mdc.stats.total_cycles() <= ddgt.stats.total_cycles() {
-                mdc
-            } else {
-                ddgt
-            });
+            return Ok(if mdc_wins(&mdc, &ddgt) { mdc } else { ddgt });
         }
 
         let artifact = self.compile_kernel_on(machine, kernel, solution, heuristic)?;
@@ -955,15 +951,15 @@ pub fn derive_hybrid(mdc: &SuiteStats, ddgt: &SuiteStats) -> SuiteStats {
         .kernels
         .iter()
         .zip(&ddgt.kernels)
-        .map(|(m, d)| {
-            Ok(if m.stats.total_cycles() <= d.stats.total_cycles() {
-                m.clone()
-            } else {
-                d.clone()
-            })
-        })
+        .map(|(m, d)| Ok(if mdc_wins(m, d) { m } else { d }.clone()))
         .collect();
     Pipeline::merge_runs(&mdc.name, winners).expect("winners cannot fail")
+}
+
+/// The per-loop hybrid's choice between one kernel's MDC and DDGT runs:
+/// fewer total cycles wins, ties go to MDC.
+fn mdc_wins(mdc: &KernelRun, ddgt: &KernelRun) -> bool {
+    mdc.stats.total_cycles() <= ddgt.stats.total_cycles()
 }
 
 #[cfg(test)]

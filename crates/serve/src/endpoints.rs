@@ -956,19 +956,15 @@ fn matrix(engine: &ServeEngine, body: &[u8]) -> Result<Json, ApiError> {
 
     // The same (suite, solution, heuristic) nesting order as
     // `Pipeline::run_matrix`, sharded the same way.
-    let mut specs = Vec::new();
-    for suite in &suites {
-        for &solution in &solutions {
-            for &heuristic in &heuristics {
-                specs.push(Cell {
-                    suite,
-                    machine: &machine,
-                    solution,
-                    heuristic,
-                });
-            }
-        }
-    }
+    let combos: Vec<(Solution, Heuristic)> = solutions
+        .iter()
+        .flat_map(|&solution| {
+            heuristics
+                .iter()
+                .map(move |&heuristic| (solution, heuristic))
+        })
+        .collect();
+    let specs = per_suite_cells(&machine, &suites, &combos);
     let results = engine.run_cells(&specs);
     let cells: Vec<Json> = specs
         .iter()

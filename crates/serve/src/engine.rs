@@ -67,6 +67,33 @@ struct PersistState {
     stats: PersistStats,
 }
 
+impl PersistState {
+    /// Appends the II seeds recorded since the last drain to the seed
+    /// log.
+    fn append_dirty_seeds(&mut self, seeds: &IiSeedStore) {
+        for (key, ii) in seeds.drain_dirty() {
+            if self.seeds.append(&key, &ii.to_le_bytes()).is_err() {
+                self.stats.write_errors += 1;
+            } else {
+                self.stats.appended_records += 1;
+            }
+        }
+    }
+
+    /// Rewrites the cell log to the cache's LRU-ordered live set.
+    fn compact_cells(&mut self, cache: &ResultCache<CellResult>) {
+        if self
+            .cells
+            .rewrite(encode_live(&cache.entries_by_recency()))
+            .is_err()
+        {
+            self.stats.write_errors += 1;
+        } else {
+            self.stats.compactions += 1;
+        }
+    }
+}
+
 /// Aggregate engine counters, as served by `/stats`.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
@@ -184,16 +211,19 @@ impl ServeEngine {
     pub fn with_state_dir(mut self, dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let era = persist::era_bytes();
-        let (mut cells, cell_records, cell_report) =
+        let (cells, cell_records, cell_report) =
             LogWriter::open(dir.join("cells.log"), persist::KIND_CELLS, &era)?;
-        let (mut seeds_log, seed_records, seed_report) =
+        let (seeds, seed_records, seed_report) =
             LogWriter::open(dir.join("seeds.log"), persist::KIND_SEEDS, &era)?;
-
-        let mut stats = PersistStats {
-            discarded_records: cell_report.discarded_records + seed_report.discarded_records,
-            discarded_bytes: cell_report.discarded_bytes + seed_report.discarded_bytes,
-            stale_stores: u64::from(cell_report.stale) + u64::from(seed_report.stale),
-            ..PersistStats::default()
+        let mut state = PersistState {
+            cells,
+            seeds,
+            stats: PersistStats {
+                discarded_records: cell_report.discarded_records + seed_report.discarded_records,
+                discarded_bytes: cell_report.discarded_bytes + seed_report.discarded_bytes,
+                stale_stores: u64::from(cell_report.stale) + u64::from(seed_report.stale),
+                ..PersistStats::default()
+            },
         };
 
         // Replay cells in file order (LRU-first snapshot, then appends):
@@ -212,14 +242,9 @@ impl ServeEngine {
                     None => undecodable += 1,
                 }
             }
-            stats.loaded_cells = cache.len() as u64;
+            state.stats.loaded_cells = cache.len() as u64;
             if undecodable > 0 {
-                let entries = cache.entries_by_recency();
-                if cells.rewrite(encode_live(&entries)).is_err() {
-                    stats.write_errors += 1;
-                } else {
-                    stats.compactions += 1;
-                }
+                state.compact_cells(&cache);
             }
         }
 
@@ -235,26 +260,22 @@ impl ServeEngine {
             }
         }
         self.seeds.absorb(&seeds);
-        stats.loaded_seeds = self.seeds.len() as u64;
+        state.stats.loaded_seeds = self.seeds.len() as u64;
         if undecodable_seeds > 0 {
             let live = self.seeds.snapshot();
-            let rewrite = seeds_log.rewrite(
+            let rewrite = state.seeds.rewrite(
                 live.iter()
                     .map(|(k, ii)| (k.as_slice(), ii.to_le_bytes().to_vec())),
             );
             if rewrite.is_err() {
-                stats.write_errors += 1;
+                state.stats.write_errors += 1;
             } else {
-                stats.compactions += 1;
+                state.stats.compactions += 1;
             }
         }
-        stats.discarded_records += undecodable + undecodable_seeds;
+        state.stats.discarded_records += undecodable + undecodable_seeds;
 
-        self.persist = Some(Mutex::new(PersistState {
-            cells,
-            seeds: seeds_log,
-            stats,
-        }));
+        self.persist = Some(Mutex::new(state));
         Ok(self)
     }
 
@@ -377,20 +398,9 @@ impl ServeEngine {
     ) {
         let Some(persist) = &self.persist else { return };
         let mut p = persist.lock().expect("persist lock");
-        for (seed_key, ii) in self.seeds.drain_dirty() {
-            if p.seeds.append(&seed_key, &ii.to_le_bytes()).is_err() {
-                p.stats.write_errors += 1;
-            } else {
-                p.stats.appended_records += 1;
-            }
-        }
+        p.append_dirty_seeds(&self.seeds);
         if evicted {
-            let entries = cache.entries_by_recency();
-            if p.cells.rewrite(encode_live(&entries)).is_err() {
-                p.stats.write_errors += 1;
-            } else {
-                p.stats.compactions += 1;
-            }
+            p.compact_cells(cache);
         } else if let Ok(stats) = value.as_ref() {
             // Only Ok cells persist; a failed cell is recomputed (and
             // may succeed) after a restart.
@@ -415,20 +425,9 @@ impl ServeEngine {
         let Some(persist) = &self.persist else { return };
         let cache = self.cache.lock().expect("cache lock");
         let mut p = persist.lock().expect("persist lock");
-        for (seed_key, ii) in self.seeds.drain_dirty() {
-            if p.seeds.append(&seed_key, &ii.to_le_bytes()).is_err() {
-                p.stats.write_errors += 1;
-            } else {
-                p.stats.appended_records += 1;
-            }
-        }
+        p.append_dirty_seeds(&self.seeds);
         if compact {
-            let entries = cache.entries_by_recency();
-            if p.cells.rewrite(encode_live(&entries)).is_err() {
-                p.stats.write_errors += 1;
-            } else {
-                p.stats.compactions += 1;
-            }
+            p.compact_cells(&cache);
         } else if p.cells.sync().is_err() {
             p.stats.write_errors += 1;
         }

@@ -1,16 +1,98 @@
 //! Helpers shared by the golden test binaries (`golden_parity`,
-//! `golden_sim_stats`, `golden_scale`): the schedule fingerprint and
-//! the statistics line format. One definition keeps every snapshot
-//! pinning the same surface — a counter added to [`SimStats`] or a
-//! change to the fingerprint scheme is either reflected in all golden
-//! files at once or in none.
+//! `golden_sim_stats`, `golden_scale`): the grids they pin, compiled
+//! through the real [`Pipeline`] with the independent checker on, the
+//! schedule fingerprint, the statistics line format and the snapshot
+//! comparison. One definition keeps every snapshot pinning the same
+//! surface — a counter added to [`SimStats`] or a change to the
+//! fingerprint scheme is either reflected in all golden files at once
+//! or in none.
 #![allow(dead_code)] // each test binary uses a subset
 
 use std::fmt::Write as _;
 
-use distvliw::arch::AccessClass;
-use distvliw::sched::Schedule;
+use distvliw::arch::{AccessClass, MachineConfig};
+use distvliw::core::{Pipeline, PipelineOptions, Solution};
+use distvliw::ir::Suite;
+use distvliw::sched::{Heuristic, Schedule};
 use distvliw::sim::SimStats;
+
+/// The coherence solutions a golden grid compiles, each with the label
+/// the golden files spell it with.
+const SOLUTIONS: [(Solution, &str); 3] = [
+    (Solution::Free, "free"),
+    (Solution::Mdc, "mdc"),
+    (Solution::Ddgt, "ddgt"),
+];
+
+/// One pinned configuration of a golden grid.
+pub struct Config {
+    /// Kernel name.
+    pub kernel: String,
+    /// Lowercase solution label (`free`, `mdc`, `ddgt`).
+    pub solution: &'static str,
+    /// Cluster-assignment heuristic.
+    pub heuristic: Heuristic,
+    /// Whether cache-sensitive latency relaxation was on.
+    pub relax: bool,
+    /// The schedule the pipeline emitted.
+    pub schedule: Schedule,
+    /// The simulated statistics of the schedule.
+    pub stats: SimStats,
+}
+
+/// Compiles every kernel of `suite` on `machine` through a [`Pipeline`]
+/// with `check: true` — so the independent checker verifies every
+/// schedule and fails the compile on any violation, whatever the build
+/// profile — under both heuristics, every solution and each latency
+/// mode in `relaxes`, and replays each compiled suite. Returns one
+/// [`Config`] per (kernel, heuristic, solution, relax), in that order:
+/// the line order of every golden file.
+pub fn compile_grid(machine: &MachineConfig, suite: &Suite, relaxes: &[bool]) -> Vec<Config> {
+    let mut cells = Vec::new();
+    for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
+        for (solution, label) in SOLUTIONS {
+            for &relax in relaxes {
+                let pipeline = Pipeline::new(machine.clone()).with_options(PipelineOptions {
+                    relax_latencies: relax,
+                    check: true,
+                    ..PipelineOptions::default()
+                });
+                let artifact = pipeline
+                    .compile_suite(suite, solution, heuristic)
+                    .unwrap_or_else(|e| panic!("{}: {e}", suite.name));
+                let stats = pipeline.simulate_artifact(&artifact);
+                cells.push((label, heuristic, relax, artifact, stats));
+            }
+        }
+    }
+    let mut grid = Vec::new();
+    for i in 0..suite.kernels.len() {
+        for (solution, heuristic, relax, artifact, stats) in &cells {
+            let compiled = &artifact.kernels[i];
+            grid.push(Config {
+                kernel: compiled.kernel.name.clone(),
+                solution,
+                heuristic: *heuristic,
+                relax: *relax,
+                schedule: compiled.schedule.clone(),
+                stats: stats.kernels[i].stats,
+            });
+        }
+    }
+    grid
+}
+
+/// The 312-configuration 4-cluster grid `golden_parity` and
+/// `golden_sim_stats` pin: every bundled Mediabench kernel on the
+/// paper machine × both heuristics × {free, mdc, ddgt} × {relaxed,
+/// strict} latencies.
+pub fn paper_grid() -> Vec<Config> {
+    let machine = MachineConfig::paper_baseline();
+    distvliw::mediabench::suites()
+        .iter()
+        .flat_map(|suite| compile_grid(&machine, suite, &[true, false]))
+        .collect()
+}
 
 /// FNV-1a over the full placement description (clusters, cycles,
 /// assumed latency classes, copies), so a golden file stays compact
@@ -57,4 +139,45 @@ pub fn render_stats(stats: &SimStats) -> String {
         stats.bus_busy_cycles,
         stats.iterations,
     )
+}
+
+/// Asserts that `lines` equal the snapshot at `path` line by line, or
+/// rewrites the snapshot when `GOLDEN_UPDATE` is set. `test` names the
+/// test binary for the regeneration hint, `what` the behaviour a
+/// mismatch means changed, and `detail(i)` appends diagnostics for a
+/// mismatch at line `i`.
+pub fn assert_golden(
+    test: &str,
+    path: &str,
+    what: &str,
+    lines: &[String],
+    detail: impl Fn(usize) -> String,
+) {
+    if std::env::var("GOLDEN_UPDATE").is_ok() {
+        let rendered: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::create_dir_all("tests/golden").expect("create golden dir");
+        std::fs::write(path, rendered).expect("write golden file");
+        eprintln!("updated {path} with {} entries", lines.len());
+        return;
+    }
+
+    let golden = std::fs::read_to_string(path).unwrap_or_else(|_| {
+        panic!("golden snapshot missing; run GOLDEN_UPDATE=1 cargo test --test {test}")
+    });
+    let golden_lines: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        golden_lines.len(),
+        lines.len(),
+        "configuration count changed: golden {} vs current {}",
+        golden_lines.len(),
+        lines.len()
+    );
+    for (i, (line, want)) in lines.iter().zip(&golden_lines).enumerate() {
+        assert_eq!(
+            line.as_str(),
+            *want,
+            "{what} diverged from golden snapshot.\n current: {line}\n  golden: {want}\n{}",
+            detail(i)
+        );
+    }
 }

@@ -3,9 +3,12 @@
 //! The dense-map / transactional-MRT rewrite of the scheduling hot path
 //! must be a pure performance change: for every bundled Mediabench
 //! kernel, every coherence solution and both cluster-assignment
-//! heuristics, the produced schedule (II, span, per-op cluster/cycle,
-//! assumed latency classes and copy operations) has to stay **byte
-//! identical** to the snapshot in `tests/golden/schedules.txt`.
+//! heuristics, the schedule the pipeline emits (II, span, per-op
+//! cluster/cycle, assumed latency classes and copy operations) has to
+//! stay **byte identical** to the snapshot in
+//! `tests/golden/schedules.txt`. Every schedule is compiled through
+//! `Pipeline` with the independent checker on, so each pinned
+//! configuration is also verified legal.
 //!
 //! Regenerate the snapshot (only when a change is *meant* to alter
 //! schedules) with:
@@ -16,20 +19,19 @@
 
 use std::fmt::Write as _;
 
-use distvliw::arch::MachineConfig;
-use distvliw::coherence::{find_chains, transform, SchedConstraints};
-use distvliw::ir::profile::preferred_clusters;
-use distvliw::ir::LoopKernel;
-use distvliw::sched::{Heuristic, ModuloScheduler, Schedule};
+use distvliw::sched::Schedule;
 
 mod common;
-use common::schedule_fingerprint;
-
-const GOLDEN_PATH: &str = "tests/golden/schedules.txt";
+use common::{assert_golden, paper_grid, schedule_fingerprint};
 
 /// Renders the placement of one schedule, for diagnostics on mismatch.
 fn describe(s: &Schedule) -> String {
-    let mut text = format!("II={} span={} copies={}\n", s.ii, s.span, s.copies.len());
+    let mut text = format!(
+        "full placement:\nII={} span={} copies={}\n",
+        s.ii,
+        s.span,
+        s.copies.len()
+    );
     for (n, op) in &s.ops {
         let _ = writeln!(
             text,
@@ -47,87 +49,30 @@ fn describe(s: &Schedule) -> String {
     text
 }
 
-/// Schedules `kernel` the same way the pipeline does for each solution,
-/// and appends one snapshot line per configuration.
-fn snapshot_kernel(
-    machine: &MachineConfig,
-    kernel: &LoopKernel,
-    out: &mut Vec<(String, Schedule)>,
-) {
-    let prefs = preferred_clusters(kernel, machine.n_clusters, |a| machine.home_cluster(a));
-    for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
-        for solution in ["free", "mdc", "ddgt"] {
-            let mut kernel = kernel.clone();
-            let constraints = match solution {
-                "free" => SchedConstraints::none(),
-                "mdc" => {
-                    let chains = find_chains(&kernel.ddg);
-                    let pref_arg = (heuristic == Heuristic::PrefClus).then_some(&prefs);
-                    SchedConstraints::for_mdc(&chains, &kernel.ddg, pref_arg, machine.n_clusters)
-                }
-                _ => {
-                    let report = transform(&mut kernel.ddg, machine.n_clusters);
-                    SchedConstraints::for_ddgt(&report)
-                }
-            };
-            for relax in [true, false] {
-                let schedule = ModuloScheduler::new(machine)
-                    .with_latency_relaxation(relax)
-                    .schedule(&kernel.ddg, &constraints, &prefs, heuristic)
-                    .expect("bundled kernels schedule");
-                let key = format!(
-                    "{} {solution} {heuristic} relax={relax} II={} span={} copies={} fp={:016x}",
-                    kernel.name,
-                    schedule.ii,
-                    schedule.span,
-                    schedule.copies.len(),
-                    schedule_fingerprint(&schedule)
-                );
-                out.push((key, schedule));
-            }
-        }
-    }
-}
-
-fn current_snapshot() -> Vec<(String, Schedule)> {
-    let mut lines = Vec::new();
-    for suite in distvliw::mediabench::suites() {
-        let machine = MachineConfig::paper_baseline().with_interleave(suite.interleave_bytes);
-        for kernel in &suite.kernels {
-            snapshot_kernel(&machine, kernel, &mut lines);
-        }
-    }
-    lines
-}
-
 #[test]
 fn schedules_match_golden_snapshot() {
-    let snapshot = current_snapshot();
-    let rendered: String = snapshot.iter().map(|(k, _)| format!("{k}\n")).collect();
-
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        std::fs::create_dir_all("tests/golden").expect("create golden dir");
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
-        eprintln!("updated {GOLDEN_PATH} with {} entries", snapshot.len());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden snapshot missing; run GOLDEN_UPDATE=1 cargo test --test golden_parity");
-    let golden_lines: Vec<&str> = golden.lines().collect();
-    assert_eq!(
-        golden_lines.len(),
-        snapshot.len(),
-        "configuration count changed: golden {} vs current {}",
-        golden_lines.len(),
-        snapshot.len()
+    let grid = paper_grid();
+    let lines: Vec<String> = grid
+        .iter()
+        .map(|c| {
+            format!(
+                "{} {} {} relax={} II={} span={} copies={} fp={:016x}",
+                c.kernel,
+                c.solution,
+                c.heuristic,
+                c.relax,
+                c.schedule.ii,
+                c.schedule.span,
+                c.schedule.copies.len(),
+                schedule_fingerprint(&c.schedule)
+            )
+        })
+        .collect();
+    assert_golden(
+        "golden_parity",
+        "tests/golden/schedules.txt",
+        "schedule",
+        &lines,
+        |i| describe(&grid[i].schedule),
     );
-    for ((key, schedule), want) in snapshot.iter().zip(&golden_lines) {
-        assert_eq!(
-            key.as_str(),
-            *want,
-            "schedule diverged from golden snapshot.\n current: {key}\n  golden: {want}\nfull placement:\n{}",
-            describe(schedule)
-        );
-    }
 }

@@ -8,7 +8,8 @@
 //! bundled recorded traces — so future refactors cannot silently change
 //! large-machine scheduling or simulated behaviour. Each snapshot line
 //! pins the schedule (II, span, copy count, a fingerprint of every
-//! placement) *and* the simulated statistics.
+//! placement) *and* the simulated statistics, and every schedule is
+//! verified by the independent checker on its way through `Pipeline`.
 //!
 //! Regenerate (only when a change is *meant* to alter behaviour) with:
 //!
@@ -17,17 +18,11 @@
 //! ```
 
 use distvliw::arch::MachineConfig;
-use distvliw::coherence::{find_chains, transform, SchedConstraints};
 use distvliw::core::experiments::sweep_machine;
-use distvliw::ir::profile::preferred_clusters;
-use distvliw::ir::{LoopKernel, Suite};
-use distvliw::sched::{Heuristic, ModuloScheduler};
-use distvliw::sim::{simulate_kernel, SimOptions};
+use distvliw::ir::Suite;
 
 mod common;
-use common::{render_stats, schedule_fingerprint};
-
-const GOLDEN_PATH: &str = "tests/golden/scale_stats.txt";
+use common::{assert_golden, compile_grid, render_stats, schedule_fingerprint};
 
 /// The swept cluster counts not already covered by the 4-cluster golden
 /// files.
@@ -44,90 +39,34 @@ fn pinned_suites() -> Vec<Suite> {
     suites
 }
 
-/// Compiles and simulates `kernel` the same way the pipeline does,
-/// appending one line per (solution, heuristic) configuration.
-fn snapshot_kernel(
-    n_clusters: usize,
-    machine: &MachineConfig,
-    suite: &str,
-    kernel: &LoopKernel,
-    out: &mut Vec<String>,
-) {
-    let prefs = preferred_clusters(kernel, machine.n_clusters, |a| machine.home_cluster(a));
-    for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
-        for solution in ["free", "mdc", "ddgt"] {
-            let mut kernel = kernel.clone();
-            let constraints = match solution {
-                "free" => SchedConstraints::none(),
-                "mdc" => {
-                    let chains = find_chains(&kernel.ddg);
-                    let pref_arg = (heuristic == Heuristic::PrefClus).then_some(&prefs);
-                    SchedConstraints::for_mdc(&chains, &kernel.ddg, pref_arg, machine.n_clusters)
-                }
-                _ => {
-                    let report = transform(&mut kernel.ddg, machine.n_clusters);
-                    SchedConstraints::for_ddgt(&report)
-                }
-            };
-            let schedule = ModuloScheduler::new(machine)
-                .schedule(&kernel.ddg, &constraints, &prefs, heuristic)
-                .expect("pinned kernels schedule at every scale");
-            let stats = simulate_kernel(machine, &kernel, &schedule, SimOptions::default());
-            out.push(format!(
-                "n={n_clusters} {suite}/{} {solution} {heuristic} II={} span={} copies={} fp={:016x} {}",
-                kernel.name,
-                schedule.ii,
-                schedule.span,
-                schedule.copies.len(),
-                schedule_fingerprint(&schedule),
-                render_stats(&stats)
-            ));
-        }
-    }
-}
-
-fn current_snapshot() -> Vec<String> {
+#[test]
+fn large_machine_behaviour_matches_golden_snapshot() {
     let base = MachineConfig::paper_baseline();
     let mut lines = Vec::new();
     for n_clusters in CLUSTER_COUNTS {
+        let machine = sweep_machine(&base, n_clusters, base.mem_buses);
         for suite in pinned_suites() {
-            let machine = sweep_machine(&base, n_clusters, base.mem_buses)
-                .with_interleave(suite.interleave_bytes);
-            for kernel in &suite.kernels {
-                snapshot_kernel(n_clusters, &machine, &suite.name, kernel, &mut lines);
+            for c in compile_grid(&machine, &suite, &[true]) {
+                lines.push(format!(
+                    "n={n_clusters} {}/{} {} {} II={} span={} copies={} fp={:016x} {}",
+                    suite.name,
+                    c.kernel,
+                    c.solution,
+                    c.heuristic,
+                    c.schedule.ii,
+                    c.schedule.span,
+                    c.schedule.copies.len(),
+                    schedule_fingerprint(&c.schedule),
+                    render_stats(&c.stats)
+                ));
             }
         }
     }
-    lines
-}
-
-#[test]
-fn large_machine_behaviour_matches_golden_snapshot() {
-    let snapshot = current_snapshot();
-    let rendered: String = snapshot.iter().map(|l| format!("{l}\n")).collect();
-
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        std::fs::create_dir_all("tests/golden").expect("create golden dir");
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
-        eprintln!("updated {GOLDEN_PATH} with {} entries", snapshot.len());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden snapshot missing; run GOLDEN_UPDATE=1 cargo test --test golden_scale");
-    let golden_lines: Vec<&str> = golden.lines().collect();
-    assert_eq!(
-        golden_lines.len(),
-        snapshot.len(),
-        "configuration count changed: golden {} vs current {}",
-        golden_lines.len(),
-        snapshot.len()
+    assert_golden(
+        "golden_scale",
+        "tests/golden/scale_stats.txt",
+        "large-machine behaviour",
+        &lines,
+        |_| String::new(),
     );
-    for (line, want) in snapshot.iter().zip(&golden_lines) {
-        assert_eq!(
-            line.as_str(),
-            *want,
-            "large-machine behaviour diverged from golden snapshot.\n current: {line}\n  golden: {want}"
-        );
-    }
 }

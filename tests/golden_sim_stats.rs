@@ -19,92 +19,31 @@
 //! GOLDEN_UPDATE=1 cargo test --test golden_sim_stats
 //! ```
 
-use distvliw::arch::MachineConfig;
-use distvliw::coherence::{find_chains, transform, SchedConstraints};
-use distvliw::ir::profile::preferred_clusters;
-use distvliw::ir::LoopKernel;
-use distvliw::sched::{Heuristic, ModuloScheduler};
-use distvliw::sim::{simulate_kernel, SimOptions};
-
 mod common;
-use common::render_stats;
-
-const GOLDEN_PATH: &str = "tests/golden/sim_stats.txt";
-
-/// Compiles and simulates `kernel` the same way the pipeline does for
-/// each solution, appending one snapshot line per configuration (the
-/// same 312-configuration grid as `tests/golden_parity.rs`).
-fn snapshot_kernel(machine: &MachineConfig, kernel: &LoopKernel, out: &mut Vec<String>) {
-    let prefs = preferred_clusters(kernel, machine.n_clusters, |a| machine.home_cluster(a));
-    for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
-        for solution in ["free", "mdc", "ddgt"] {
-            let mut kernel = kernel.clone();
-            let constraints = match solution {
-                "free" => SchedConstraints::none(),
-                "mdc" => {
-                    let chains = find_chains(&kernel.ddg);
-                    let pref_arg = (heuristic == Heuristic::PrefClus).then_some(&prefs);
-                    SchedConstraints::for_mdc(&chains, &kernel.ddg, pref_arg, machine.n_clusters)
-                }
-                _ => {
-                    let report = transform(&mut kernel.ddg, machine.n_clusters);
-                    SchedConstraints::for_ddgt(&report)
-                }
-            };
-            for relax in [true, false] {
-                let schedule = ModuloScheduler::new(machine)
-                    .with_latency_relaxation(relax)
-                    .schedule(&kernel.ddg, &constraints, &prefs, heuristic)
-                    .expect("bundled kernels schedule");
-                let stats = simulate_kernel(machine, &kernel, &schedule, SimOptions::default());
-                out.push(format!(
-                    "{} {solution} {heuristic} relax={relax} {}",
-                    kernel.name,
-                    render_stats(&stats)
-                ));
-            }
-        }
-    }
-}
-
-fn current_snapshot() -> Vec<String> {
-    let mut lines = Vec::new();
-    for suite in distvliw::mediabench::suites() {
-        let machine = MachineConfig::paper_baseline().with_interleave(suite.interleave_bytes);
-        for kernel in &suite.kernels {
-            snapshot_kernel(&machine, kernel, &mut lines);
-        }
-    }
-    lines
-}
+use common::{assert_golden, paper_grid, render_stats};
 
 #[test]
 fn sim_stats_match_golden_snapshot() {
-    let snapshot = current_snapshot();
-    let rendered: String = snapshot.iter().map(|l| format!("{l}\n")).collect();
-
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        std::fs::create_dir_all("tests/golden").expect("create golden dir");
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
-        eprintln!("updated {GOLDEN_PATH} with {} entries", snapshot.len());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden snapshot missing; run GOLDEN_UPDATE=1 cargo test --test golden_sim_stats");
-    let golden_lines: Vec<&str> = golden.lines().collect();
-    assert_eq!(
-        golden_lines.len(),
-        snapshot.len(),
-        "configuration count changed: golden {} vs current {}",
-        golden_lines.len(),
-        snapshot.len()
+    // The same checked 312-configuration grid as `golden_parity`,
+    // replayed through `Pipeline::simulate_artifact`.
+    let lines: Vec<String> = paper_grid()
+        .iter()
+        .map(|c| {
+            format!(
+                "{} {} {} relax={} {}",
+                c.kernel,
+                c.solution,
+                c.heuristic,
+                c.relax,
+                render_stats(&c.stats)
+            )
+        })
+        .collect();
+    assert_golden(
+        "golden_sim_stats",
+        "tests/golden/sim_stats.txt",
+        "simulated statistics",
+        &lines,
+        |_| String::new(),
     );
-    for (line, want) in snapshot.iter().zip(&golden_lines) {
-        assert_eq!(
-            line.as_str(),
-            *want,
-            "simulated statistics diverged from golden snapshot.\n current: {line}\n  golden: {want}"
-        );
-    }
 }

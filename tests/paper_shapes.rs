@@ -6,7 +6,7 @@
 use distvliw::arch::{AttractionBufferConfig, MachineConfig};
 use distvliw::coherence::{chain_stats, specialize_kernel};
 use distvliw::core::experiments::{sweep_default_suites, sweep_machine};
-use distvliw::core::{Heuristic, Pipeline, Solution};
+use distvliw::core::{Heuristic, Pipeline, PipelineOptions, Solution};
 
 /// Benchmarks with large chains, where the solutions differ most.
 const CHAINED: [&str; 3] = ["epicdec", "pgpdec", "rasta"];
@@ -96,7 +96,8 @@ fn ejection_scheduler_never_regresses_an_ii() {
     // clusters, no (suite, solution, heuristic) cell may schedule at a
     // higher II than the seed scheduler did, at least one MDC/DDGT cell
     // must be *strictly* better, and ejection counts must surface in
-    // the per-kernel scheduler stats.
+    // the per-kernel scheduler stats. The checker verifies every
+    // schedule, in release builds too.
     let base = MachineConfig::paper_baseline();
     let mut seed: std::collections::BTreeMap<String, Vec<u32>> = std::collections::BTreeMap::new();
     for line in SEED_IIS {
@@ -123,7 +124,10 @@ fn ejection_scheduler_never_regresses_an_ii() {
     for suite in sweep_default_suites() {
         for n_clusters in [2usize, 4, 8, 16] {
             let machine = sweep_machine(&base, n_clusters, base.mem_buses);
-            let pipeline = Pipeline::new(machine);
+            let pipeline = Pipeline::new(machine).with_options(PipelineOptions {
+                check: true,
+                ..PipelineOptions::default()
+            });
             for solution in [Solution::Free, Solution::Mdc, Solution::Ddgt] {
                 for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
                     let stats = pipeline.run_suite(&suite, solution, heuristic).unwrap();
