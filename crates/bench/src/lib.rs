@@ -11,12 +11,13 @@ use std::fmt::Write as _;
 
 use distvliw_arch::{AttractionBufferConfig, BusConfig, MachineConfig};
 use distvliw_core::experiments::{
-    epicdec_ab_case_study, fig6, fig7, fig9, gsmdec_case_study, nobal, nobal_machines, sweep,
-    sweep_default_suites, table3, table4, table5, SweepSpec,
+    epicdec_ab_case_study, fig6, fig7, fig9, gsmdec_case_study, nobal, nobal_machines,
+    per_suite_rows, run_direct, sweep, sweep_default_suites, table3, table4, table5, SweepSpec,
 };
 use distvliw_core::{
-    report as render, Heuristic, Pipeline, PipelineError, PipelineOptions, Solution,
+    derive_hybrid, report as render, Heuristic, Pipeline, PipelineError, PipelineOptions, Solution,
 };
+use distvliw_mediabench::figure_suites;
 
 /// The paper's Table 2 machine.
 #[must_use]
@@ -114,9 +115,27 @@ fn loops_report(machine: &MachineConfig) -> Result<String, PipelineError> {
     Ok(out)
 }
 
-/// The per-loop hybrid of paper Section 6 against pure MDC and DDGT.
+/// Per-suite cells of `repro hybrid` and `repro imbalance`: MDC and DDGT
+/// under PrefClus.
+const MDC_DDGT_CELLS: [(Solution, Heuristic); 2] = [
+    (Solution::Mdc, Heuristic::PrefClus),
+    (Solution::Ddgt, Heuristic::PrefClus),
+];
+
+/// The per-loop hybrid of paper Section 6 against pure MDC and DDGT,
+/// derived per loop from the [`MDC_DDGT_CELLS`] runs.
 fn hybrid_report(machine: &MachineConfig) -> Result<String, PipelineError> {
-    let pipeline = Pipeline::new(machine.clone());
+    let rows = run_direct(
+        machine,
+        &figure_suites(),
+        &MDC_DDGT_CELLS,
+        |cells, stats| {
+            per_suite_rows(cells, stats, MDC_DDGT_CELLS.len(), |benchmark, s| {
+                let hybrid = derive_hybrid(s[0], s[1]).total_cycles();
+                (benchmark, s[0].total_cycles(), s[1].total_cycles(), hybrid)
+            })
+        },
+    )?;
     let mut out = String::new();
     let _ = writeln!(out, "Hybrid solution (per-loop best of MDC/DDGT, PrefClus)");
     let _ = writeln!(
@@ -124,21 +143,12 @@ fn hybrid_report(machine: &MachineConfig) -> Result<String, PipelineError> {
         "{:<10} | {:>10} {:>10} {:>10} | {:>10}",
         "benchmark", "MDC", "DDGT", "Hybrid", "gain"
     );
-    for suite in distvliw_mediabench::figure_suites() {
-        let run = |s| {
-            pipeline
-                .run_suite(&suite, s, Heuristic::PrefClus)
-                .map(|r| r.total_cycles())
-        };
-        let mdc = run(Solution::Mdc)?;
-        let ddgt = run(Solution::Ddgt)?;
-        let hybrid = run(Solution::Hybrid)?;
-        let best_pure = mdc.min(ddgt);
-        let gain = best_pure as f64 / hybrid.max(1) as f64 - 1.0;
+    for (benchmark, mdc, ddgt, hybrid) in rows {
+        let gain = mdc.min(ddgt) as f64 / hybrid.max(1) as f64 - 1.0;
         let _ = writeln!(
             out,
             "{:<10} | {:>10} {:>10} {:>10} | {:>9.1}%",
-            suite.name,
+            benchmark,
             mdc,
             ddgt,
             hybrid,
@@ -148,21 +158,25 @@ fn hybrid_report(machine: &MachineConfig) -> Result<String, PipelineError> {
     Ok(out)
 }
 
-/// Per-cluster access shares, violations and grant pressure under
-/// MDC/DDGT (PrefClus) — the imbalance surface the ROADMAP's
+/// Per-cluster access shares, violations and grant pressure of the
+/// [`MDC_DDGT_CELLS`] runs — the imbalance surface the ROADMAP's
 /// workload-breadth item asks for.
 fn imbalance_report(machine: &MachineConfig) -> Result<String, PipelineError> {
-    let pipeline = Pipeline::new(machine.clone());
-    let mut entries = Vec::new();
-    for suite in distvliw_mediabench::figure_suites() {
-        for solution in [Solution::Mdc, Solution::Ddgt] {
-            let stats = pipeline.run_suite(&suite, solution, Heuristic::PrefClus)?;
-            entries.push((
-                format!("{} {solution}(PrefClus)", suite.name),
-                stats.cluster,
-            ));
-        }
-    }
+    let entries = run_direct(
+        machine,
+        &figure_suites(),
+        &MDC_DDGT_CELLS,
+        |cells, stats| {
+            cells
+                .iter()
+                .zip(stats)
+                .map(|(cell, s)| {
+                    let label = format!("{} {}(PrefClus)", cell.suite.name, cell.solution);
+                    (label, s.cluster.clone())
+                })
+                .collect::<Vec<_>>()
+        },
+    )?;
     Ok(render::render_cluster_imbalance(
         "Cluster imbalance: accesses by issuing cluster (PrefClus)",
         &entries,

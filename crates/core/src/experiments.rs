@@ -5,8 +5,10 @@
 //! Every grid experiment is defined once, here: an ordered list of
 //! [`Cell`]s ([`per_suite_cells`] over a `*_CELLS` list, or
 //! [`sweep_cells`]) and a row fold over the cell results in that order
-//! (`*_rows`). The direct functions run the cells on a [`Pipeline`]; the
-//! serving layer runs them through its result cache, with the same fold.
+//! (`*_rows`). The direct functions run the cells on a [`Pipeline`]
+//! ([`run_direct`]); the serving layer runs them through its result
+//! cache, with the same fold. Either way the cells are what fans out
+//! over threads: one cell runs its suite's kernels serially.
 
 use std::collections::{HashMap, HashSet};
 
@@ -57,8 +59,10 @@ pub fn per_suite_cells<'a>(
         .collect()
 }
 
-/// Folds [`per_suite_cells`] results into one row per suite.
-fn per_suite_rows<R>(
+/// Folds [`per_suite_cells`] results into one row per suite: `row`
+/// receives the suite name and that suite's `width` results in combo
+/// order.
+pub fn per_suite_rows<R>(
     cells: &[Cell<'_>],
     stats: &[&SuiteStats],
     width: usize,
@@ -71,9 +75,15 @@ fn per_suite_rows<R>(
         .collect()
 }
 
-/// Runs a per-suite experiment's cells in order on one [`Pipeline`] and
-/// folds the results, propagating the first pipeline failure.
-fn run_direct<R>(
+/// Runs a per-suite experiment directly: the [`per_suite_cells`] of
+/// `suites` × `combos` fan out over [`par::par_map`] on one [`Pipeline`]
+/// (so every cell shares one II-seed store), and `fold` receives the
+/// results in cell order.
+///
+/// # Errors
+///
+/// Returns the failure of the first failing cell in cell order.
+pub fn run_direct<R>(
     machine: &MachineConfig,
     suites: &[Suite],
     combos: &[(Solution, Heuristic)],
@@ -81,10 +91,11 @@ fn run_direct<R>(
 ) -> Result<R, PipelineError> {
     let cells = per_suite_cells(machine, &suites.iter().collect::<Vec<_>>(), combos);
     let pipeline = Pipeline::new(machine.clone());
-    let stats = cells
-        .iter()
-        .map(|cell| pipeline.run_suite(cell.suite, cell.solution, cell.heuristic))
-        .collect::<Result<Vec<_>, _>>()?;
+    let stats = par::par_map(&cells, |cell| {
+        pipeline.run_suite(cell.suite, cell.solution, cell.heuristic)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     Ok(fold(&cells, &stats.iter().collect::<Vec<_>>()))
 }
 
@@ -826,17 +837,17 @@ fn cell_error(cell: &Cell<'_>, source: PipelineError) -> PipelineError {
 /// (memory-bus *count*) replay one schedule under
 /// [`Pipeline::simulate_artifact`] instead of recompiling — and the
 /// results fold through [`sweep_rows`], which derives the hybrid rows.
-/// Compiles and simulations fan out over [`crate::par`], compiles
-/// coarsest-first (the largest cluster counts are the most expensive
-/// searches, so they start first); results merge deterministically back
-/// into cell order.
+/// Compile units and simulated cells fan out over [`crate::par`] (each
+/// runs its suite's kernels serially), compiles coarsest-first (the
+/// largest cluster counts are the most expensive searches, so they
+/// start first); results merge deterministically back into cell order.
 ///
-/// Every cell schedules from a cold pipeline (fresh II-seed store, as
-/// [`Pipeline::run_matrix`] does), so the surfaced search-effort
-/// counters are reproducible and byte-identical to running every cell
-/// of [`sweep_points`] × [`SWEEP_SOLUTIONS`] through a cold
-/// [`Pipeline::run_suite`] and folding it with [`sweep_row`] — the
-/// equivalence the `tests/sweep_equivalence.rs` suite pins.
+/// Every compile unit schedules from a cold pipeline (fresh II-seed
+/// store), so no unit's seeds warm another's and the surfaced
+/// search-effort counters are reproducible and byte-identical to
+/// running every cell of [`sweep_points`] × [`SWEEP_SOLUTIONS`] through
+/// a cold [`Pipeline::run_suite`] and folding it with [`sweep_row`] —
+/// the equivalence the `tests/sweep_equivalence.rs` suite pins.
 ///
 /// # Errors
 ///

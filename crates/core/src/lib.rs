@@ -32,6 +32,6 @@ pub mod report;
 pub use distvliw_sched::{Heuristic, SchedStats};
 pub use distvliw_sim::ClusterUsage;
 pub use pipeline::{
-    derive_hybrid, IiSeedStore, KernelArtifact, KernelRun, MatrixCell, Pipeline, PipelineError,
+    derive_hybrid, IiSeedStore, KernelArtifact, KernelRun, Pipeline, PipelineError,
     PipelineOptions, SchedTotals, Solution, SuiteArtifact, SuiteStats,
 };

@@ -1,17 +1,20 @@
-//! Minimal scoped-thread fan-out for the experiment pipeline.
+//! Minimal scoped-thread fan-out over the cells of an experiment grid.
 //!
 //! The build environment has no network access, so `rayon` is not
-//! available; this module provides the one primitive the pipeline needs —
-//! an order-preserving parallel map over a slice — on plain
-//! `std::thread::scope` with an atomic work index. Results come back in
-//! input order regardless of completion order, so callers that fold them
-//! sequentially stay deterministic.
+//! available; this module provides the one parallelism primitive the
+//! workspace uses — an order-preserving parallel map over a slice — on
+//! plain `std::thread::scope` with an atomic work index. Results come
+//! back in input order regardless of completion order, so callers that
+//! fold them sequentially stay deterministic. Compute fans out at one
+//! level only: callers map it over cells, and a cell (one
+//! `Pipeline::run_suite`) runs its kernels serially, so fan-outs never
+//! nest.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Upper bound on worker threads; set `DISTVLIW_THREADS` to override the
-/// detected parallelism (e.g. `DISTVLIW_THREADS=1` forces serial runs for
-/// timing comparisons).
+/// Upper bound on worker threads: the cell fan-out width. Set
+/// `DISTVLIW_THREADS` to override the detected parallelism (e.g.
+/// `DISTVLIW_THREADS=1` forces serial runs for timing comparisons).
 fn worker_count(items: usize) -> usize {
     let detected = std::env::var("DISTVLIW_THREADS")
         .ok()

@@ -11,7 +11,7 @@ use distvliw_ir::{profile::preferred_clusters, Ddg, LoopKernel, Suite};
 use distvliw_sched::{Heuristic, ModuloScheduler, SchedStats, Schedule, ScheduleError};
 use distvliw_sim::{simulate_kernel_detailed, ClusterUsage, SimOptions, SimStats};
 
-use crate::{cachekey, par};
+use crate::cachekey;
 
 /// Which coherence solution the pipeline applies (paper Section 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,7 +200,7 @@ pub struct KernelRun {
 /// configuration on the same `Pipeline` instance) legitimately reports
 /// fewer attempts and a nonzero `seeded_kernels` while producing the
 /// byte-identical schedule. Compare effort across runs only from a
-/// fresh `Pipeline` (as `run_matrix` and the sweep do).
+/// fresh `Pipeline` (as the sweep does for every compile).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedTotals {
     /// Placement attempts across all kernels.
@@ -237,20 +237,6 @@ impl std::ops::AddAssign<&SchedTotals> for SchedTotals {
         self.seeded_kernels += other.seeded_kernels;
         self.max_reg_pressure = self.max_reg_pressure.max(other.max_reg_pressure);
     }
-}
-
-/// One `(suite, solution, heuristic)` cell of an experiment grid run by
-/// [`Pipeline::run_matrix`].
-#[derive(Debug, Clone)]
-pub struct MatrixCell {
-    /// Benchmark suite name.
-    pub suite: String,
-    /// Coherence solution of this cell.
-    pub solution: Solution,
-    /// Cluster-assignment heuristic of this cell.
-    pub heuristic: Heuristic,
-    /// The cell's result (or its pipeline failure).
-    pub stats: Result<SuiteStats, PipelineError>,
 }
 
 /// Result of running a whole benchmark suite.
@@ -525,28 +511,11 @@ impl Pipeline {
     /// Panics if the machine configuration is invalid.
     #[must_use]
     pub fn new(machine: MachineConfig) -> Self {
-        Self::with_parts(
-            machine,
-            PipelineOptions::default(),
-            Arc::new(IiSeedStore::new()),
-        )
-    }
-
-    /// The single constructor every pipeline goes through — `new`, the
-    /// seed-store builder and `run_matrix`'s detached per-cell pipelines
-    /// all funnel here, so there is exactly one place a seed store is
-    /// attached and a persisted store cannot be silently bypassed by a
-    /// second construction path.
-    fn with_parts(
-        machine: MachineConfig,
-        options: PipelineOptions,
-        seeds: Arc<IiSeedStore>,
-    ) -> Self {
         machine.validate().expect("valid machine configuration");
         Pipeline {
             machine,
-            options,
-            seeds,
+            options: PipelineOptions::default(),
+            seeds: Arc::new(IiSeedStore::new()),
         }
     }
 
@@ -574,17 +543,6 @@ impl Pipeline {
         &self.seeds
     }
 
-    /// A pipeline with this one's machine and options but a fresh,
-    /// empty seed store — the detached cell `run_matrix` schedules on so
-    /// concurrent cells report thread-timing-independent effort numbers.
-    fn detached(&self) -> Self {
-        Self::with_parts(
-            self.machine.clone(),
-            self.options,
-            Arc::new(IiSeedStore::new()),
-        )
-    }
-
     /// The machine this pipeline targets.
     #[must_use]
     pub fn machine(&self) -> &MachineConfig {
@@ -595,18 +553,16 @@ impl Pipeline {
     /// solution and heuristic. The machine's interleaving factor is set
     /// from the suite (paper Table 1).
     ///
-    /// Kernels compile and simulate concurrently (schedule and simulation
-    /// are pure functions of the kernel and machine); results are merged
-    /// in kernel order, so the statistics — and which error is reported —
-    /// are identical to a serial run. Set `DISTVLIW_THREADS=1` to force a
-    /// serial run. Per-kernel cost is dominated by the simulator's dense
-    /// event-queue engine (see `docs/sim.md`), so the fan-out scales with
-    /// suite size rather than with one slow kernel.
+    /// One suite run is one cell of an experiment grid, so its kernels
+    /// run in order on the calling thread; callers that hold a list of
+    /// cells fan out over the cells instead
+    /// ([`crate::experiments::run_direct`], the factored sweep, the
+    /// serving layer).
     ///
     /// # Errors
     ///
     /// Returns the first kernel (in suite order) that fails validation or
-    /// scheduling.
+    /// scheduling; later kernels are not run.
     pub fn run_suite(
         &self,
         suite: &Suite,
@@ -614,89 +570,12 @@ impl Pipeline {
         heuristic: Heuristic,
     ) -> Result<SuiteStats, PipelineError> {
         let machine = self.machine.clone().with_interleave(suite.interleave_bytes);
-        let runs = par::par_map(&suite.kernels, |kernel| {
-            self.run_kernel_on(&machine, kernel, solution, heuristic)
-        });
-        Self::merge_runs(&suite.name, runs)
-    }
-
-    /// Folds per-kernel results (in kernel order) into suite statistics,
-    /// reporting the first error. Shared by [`Pipeline::run_suite`] and
-    /// [`Pipeline::run_matrix`] so both merge identically.
-    fn merge_runs(
-        name: &str,
-        runs: Vec<Result<KernelRun, PipelineError>>,
-    ) -> Result<SuiteStats, PipelineError> {
-        let mut kernels = Vec::with_capacity(runs.len());
-        let mut total = SimStats::default();
-        let mut cluster = ClusterUsage::default();
-        let mut sched = SchedTotals::default();
-        for run in runs {
-            let run = run?;
-            total += run.stats;
-            cluster += &run.cluster;
-            sched.absorb(&run.sched);
-            kernels.push(run);
-        }
-        Ok(SuiteStats {
-            name: name.to_string(),
-            kernels,
-            total,
-            cluster,
-            sched,
-        })
-    }
-
-    /// Runs a whole experiment grid — every `(suite, solution, heuristic)`
-    /// combination — with the combinations themselves fanned out in
-    /// parallel (each cell runs its kernels serially to avoid
-    /// oversubscribing the worker pool). Results come back in input
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Each cell reports its own pipeline failure independently.
-    pub fn run_matrix(
-        &self,
-        suites: &[Suite],
-        solutions: &[Solution],
-        heuristics: &[Heuristic],
-    ) -> Vec<MatrixCell> {
-        let mut cells: Vec<(usize, Solution, Heuristic)> = Vec::new();
-        for (i, _) in suites.iter().enumerate() {
-            for &solution in solutions {
-                for &heuristic in heuristics {
-                    cells.push((i, solution, heuristic));
-                }
-            }
-        }
-        par::par_map(&cells, |&(i, solution, heuristic)| {
-            let suite = &suites[i];
-            let machine = self.machine.clone().with_interleave(suite.interleave_bytes);
-            // Each cell schedules against its own fresh II-seed store:
-            // cells run concurrently, and two cells can legitimately
-            // share a seed key (Free and MDC coincide on chainless
-            // kernels), which would otherwise make the surfaced search
-            // telemetry depend on thread timing. Schedules are
-            // deterministic either way; this keeps the *effort* numbers
-            // per cell reproducible and equal to a cold `run_suite`.
-            let cell = self.detached();
-            let mut runs = Vec::with_capacity(suite.kernels.len());
-            for kernel in &suite.kernels {
-                let run = cell.run_kernel_on(&machine, kernel, solution, heuristic);
-                let failed = run.is_err();
-                runs.push(run);
-                if failed {
-                    break;
-                }
-            }
-            MatrixCell {
-                suite: suite.name.clone(),
-                solution,
-                heuristic,
-                stats: Self::merge_runs(&suite.name, runs),
-            }
-        })
+        let runs = suite
+            .kernels
+            .iter()
+            .map(|kernel| self.run_kernel_on(&machine, kernel, solution, heuristic))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(merge_runs(&suite.name, runs))
     }
 
     /// Compiles and simulates a single kernel with the pipeline's machine
@@ -867,9 +746,8 @@ impl Pipeline {
     }
 
     /// The compile phase of [`Pipeline::run_suite`]: schedules every
-    /// kernel of `suite` under the given concrete solution and
-    /// heuristic (kernels compile concurrently, artifacts come back in
-    /// suite order) without simulating anything. The artifact replays
+    /// kernel of `suite`, in suite order, under the given concrete
+    /// solution and heuristic without simulating anything. The artifact replays
     /// via [`Pipeline::simulate_artifact`] on any machine whose
     /// scheduler projection ([`MachineConfig::sched_canonical_bytes`],
     /// after applying the suite's interleave) equals this pipeline's —
@@ -897,13 +775,11 @@ impl Pipeline {
             "hybrid is derived from MDC and DDGT runs, not compiled"
         );
         let machine = self.machine.clone().with_interleave(suite.interleave_bytes);
-        let compiled = par::par_map(&suite.kernels, |kernel| {
-            self.compile_kernel_on(&machine, kernel, solution, heuristic)
-        });
-        let mut kernels = Vec::with_capacity(compiled.len());
-        for artifact in compiled {
-            kernels.push(artifact?);
-        }
+        let kernels = suite
+            .kernels
+            .iter()
+            .map(|kernel| self.compile_kernel_on(&machine, kernel, solution, heuristic))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(SuiteArtifact {
             name: suite.name.clone(),
             interleave_bytes: suite.interleave_bytes,
@@ -922,10 +798,33 @@ impl Pipeline {
             .machine
             .clone()
             .with_interleave(artifact.interleave_bytes);
-        let runs = par::par_map(&artifact.kernels, |kernel| {
-            Ok(self.simulate_kernel_artifact(&machine, kernel))
-        });
-        Self::merge_runs(&artifact.name, runs).expect("simulation cannot fail")
+        let runs = artifact
+            .kernels
+            .iter()
+            .map(|kernel| self.simulate_kernel_artifact(&machine, kernel))
+            .collect();
+        merge_runs(&artifact.name, runs)
+    }
+}
+
+/// Folds per-kernel runs (in kernel order) into suite statistics —
+/// the one merge behind [`Pipeline::run_suite`],
+/// [`Pipeline::simulate_artifact`] and [`derive_hybrid`].
+fn merge_runs(name: &str, kernels: Vec<KernelRun>) -> SuiteStats {
+    let mut total = SimStats::default();
+    let mut cluster = ClusterUsage::default();
+    let mut sched = SchedTotals::default();
+    for run in &kernels {
+        total += run.stats;
+        cluster += &run.cluster;
+        sched.absorb(&run.sched);
+    }
+    SuiteStats {
+        name: name.to_string(),
+        kernels,
+        total,
+        cluster,
+        sched,
     }
 }
 
@@ -951,9 +850,9 @@ pub fn derive_hybrid(mdc: &SuiteStats, ddgt: &SuiteStats) -> SuiteStats {
         .kernels
         .iter()
         .zip(&ddgt.kernels)
-        .map(|(m, d)| Ok(if mdc_wins(m, d) { m } else { d }.clone()))
+        .map(|(m, d)| if mdc_wins(m, d) { m } else { d }.clone())
         .collect();
-    Pipeline::merge_runs(&mdc.name, winners).expect("winners cannot fail")
+    merge_runs(&mdc.name, winners)
 }
 
 /// The per-loop hybrid's choice between one kernel's MDC and DDGT runs:
@@ -1033,55 +932,6 @@ mod tests {
         let ii_plain = plain.kernels[0].ii;
         let ii_spec = specialized.kernels[0].ii;
         assert!(ii_spec <= ii_plain, "II {ii_spec} vs {ii_plain}");
-    }
-
-    #[test]
-    fn parallel_run_suite_is_deterministic() {
-        // Kernel fan-out must not perturb the merged statistics: repeated
-        // runs agree exactly, kernel order is preserved.
-        let suite = distvliw_mediabench::suite("epicdec").unwrap();
-        let p = Pipeline::new(machine());
-        let a = p
-            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
-            .unwrap();
-        let b = p
-            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
-            .unwrap();
-        assert_eq!(a.total_cycles(), b.total_cycles());
-        assert_eq!(a.kernels.len(), b.kernels.len());
-        for (x, y) in a.kernels.iter().zip(&b.kernels) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.ii, y.ii);
-            assert_eq!(x.stats.total_cycles(), y.stats.total_cycles());
-        }
-        let names: Vec<&str> = a.kernels.iter().map(|k| k.name.as_str()).collect();
-        let want: Vec<&str> = suite.kernels.iter().map(|k| k.name.as_str()).collect();
-        assert_eq!(names, want);
-    }
-
-    #[test]
-    fn run_matrix_matches_run_suite() {
-        let suites = vec![
-            distvliw_mediabench::suite("gsmdec").unwrap(),
-            distvliw_mediabench::suite("jpegenc").unwrap(),
-        ];
-        let p = Pipeline::new(machine());
-        let cells = p.run_matrix(
-            &suites,
-            &[Solution::Mdc, Solution::Ddgt],
-            &[Heuristic::PrefClus],
-        );
-        assert_eq!(cells.len(), 4);
-        // Cells come back in (suite, solution, heuristic) input order.
-        assert_eq!(cells[0].suite, "gsmdec");
-        assert_eq!(cells[3].suite, "jpegenc");
-        for cell in cells {
-            let suite = suites.iter().find(|s| s.name == cell.suite).unwrap();
-            let direct = p.run_suite(suite, cell.solution, cell.heuristic).unwrap();
-            let got = cell.stats.expect("cell runs");
-            assert_eq!(got.total_cycles(), direct.total_cycles(), "{}", cell.suite);
-            assert_eq!(got.kernels.len(), direct.kernels.len());
-        }
     }
 
     #[test]

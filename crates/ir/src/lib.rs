@@ -11,7 +11,7 @@
 //! * [`LoopKernel`], a schedulable loop body plus its dynamic metadata
 //!   (trip count, invocation count) and its *profile* and *execution*
 //!   [`MemImage`]s (per-memory-operation address streams),
-//! * profiling ([`profile`]) and unrolling ([`unroll`]) passes.
+//! * the profiling pass ([`profile`]).
 //!
 //! The IR is deliberately small: it models exactly what the paper's
 //! techniques need — typed operations, dependence edges with distances,
@@ -48,7 +48,6 @@ mod kernel;
 mod node_map;
 mod op;
 pub mod profile;
-pub mod unroll;
 
 pub use ddg::{Ddg, DdgBuilder, DdgError, EdgeId, NodeId};
 pub use dep::{Dep, DepKind};

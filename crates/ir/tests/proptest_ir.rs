@@ -1,9 +1,9 @@
-//! Property tests for the IR crate: graph invariants under replication
-//! and unrolling, and address-stream algebra.
+//! Property tests for the IR crate: graph invariants under replication,
+//! and address-stream algebra.
 
 use std::sync::Arc;
 
-use distvliw_ir::{unroll, AddressStream, DdgBuilder, DepKind, LoopKernel, NodeId, OpKind, Width};
+use distvliw_ir::{AddressStream, DdgBuilder, DepKind, LoopKernel, NodeId, OpKind, Width};
 use proptest::prelude::*;
 
 fn arb_stream() -> impl Strategy<Value = AddressStream> {
@@ -98,42 +98,6 @@ proptest! {
         prop_assert_eq!(g.out_deps(clone).count(), out_deg);
         prop_assert_eq!(g.edge_count(), total + in_deg + out_deg);
         prop_assert_eq!(g.replica_of(clone), Some(target));
-    }
-
-    #[test]
-    fn unrolling_preserves_dynamic_work(kernel in arb_kernel(), factor in 1u32..5) {
-        if kernel.trip_count < u64::from(factor) {
-            return Ok(());
-        }
-        let u = unroll::unroll(&kernel, factor);
-        prop_assert!(u.validate().is_ok(), "{:?}", u.validate());
-        // Total dynamic memory accesses are preserved when the trip count
-        // divides evenly; otherwise the epilogue remainder is dropped.
-        if kernel.trip_count % u64::from(factor) == 0 {
-            prop_assert_eq!(u.dyn_mem_accesses(), kernel.dyn_mem_accesses());
-            prop_assert_eq!(u.dyn_ops(), kernel.dyn_ops());
-        }
-        prop_assert_eq!(u.ddg.node_count(), kernel.ddg.node_count() * factor as usize);
-        prop_assert!(!u.ddg.has_zero_distance_cycle());
-    }
-
-    #[test]
-    fn unrolled_streams_tile_the_original(kernel in arb_kernel(), factor in 1u32..5) {
-        if kernel.trip_count < u64::from(factor) {
-            return Ok(());
-        }
-        let u = unroll::unroll(&kernel, factor);
-        // The union of addresses touched in the first unrolled iteration
-        // equals the original's first `factor` iterations.
-        let mut orig: Vec<u64> = kernel
-            .exec
-            .iter()
-            .flat_map(|(_, s)| (0..u64::from(factor)).map(move |i| s.addr_at(i)))
-            .collect();
-        let mut unrolled: Vec<u64> = u.exec.iter().map(|(_, s)| s.addr_at(0)).collect();
-        orig.sort_unstable();
-        unrolled.sort_unstable();
-        prop_assert_eq!(orig, unrolled);
     }
 
     #[test]

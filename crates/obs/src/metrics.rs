@@ -9,9 +9,9 @@
 //! sorted order, which is what makes the `/metrics` text exposition
 //! deterministic for a given set of recorded values.
 //!
-//! Histograms use fixed log-linear buckets (powers of two, four
+//! Histograms use fixed log-linear buckets (powers of two, sixteen
 //! sub-buckets per octave — relative quantile error is bounded by
-//! 1/8th of the value) over the full `u64` range, so two histograms
+//! 1/16th of the value) over the full `u64` range, so two histograms
 //! recorded independently merge into exactly the histogram of the
 //! concatenated stream ([`Histogram::merge_from`]).
 
@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Sub-bucket resolution: 2 bits → 4 sub-buckets per power of two.
-const SUB_BITS: u32 = 2;
+/// Sub-bucket resolution: 4 bits → 16 sub-buckets per power of two.
+const SUB_BITS: u32 = 4;
 const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// Total bucket count covering all of `u64`.
 pub const HISTOGRAM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
@@ -175,7 +175,7 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the bucket
-    /// holding it: an over-estimate by at most one part in eight.
+    /// holding it: an over-estimate by at most one part in sixteen.
     /// Returns 0 on an empty histogram.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
@@ -508,16 +508,14 @@ mod tests {
     #[test]
     fn bucket_mapping_is_monotone_and_bounded() {
         let mut last = 0usize;
-        for v in [0u64, 1, 2, 3, 4, 5, 7, 8, 9, 100, 1000, 1 << 20, u64::MAX] {
+        for v in [0u64, 1, 3, 4, 9, 15, 16, 17, 100, 1000, 1 << 20, u64::MAX] {
             let i = bucket_index(v);
             assert!(i >= last, "index must not decrease: {v}");
             last = i;
             let ub = bucket_upper_bound(i);
             assert!(ub >= v, "upper bound {ub} below value {v}");
-            // Relative error bound: ub <= v + v/4 for v >= 4.
-            if v >= 4 {
-                assert!(ub - v <= v / 4, "bucket too wide at {v}: ub {ub}");
-            }
+            // Exact below 16, relative error ub <= v + v/16 above.
+            assert!(ub - v <= v / 16, "bucket too wide at {v}: ub {ub}");
         }
         assert!(bucket_index(u64::MAX) < HISTOGRAM_BUCKETS);
     }

@@ -18,7 +18,8 @@
 //! `retry-after`. `--check` runs the independent static schedule
 //! verifier on every compiled cell, failing the cell rather than
 //! serving an illegal schedule (`docs/checking.md`). The per-request
-//! compute fan-out honours `DISTVLIW_THREADS` like every other bin.
+//! cell fan-out honours `DISTVLIW_THREADS` (its width) like every
+//! other bin.
 
 use std::process::ExitCode;
 

@@ -954,8 +954,8 @@ fn matrix(engine: &ServeEngine, body: &[u8]) -> Result<Json, ApiError> {
         None => suites,
     };
 
-    // The same (suite, solution, heuristic) nesting order as
-    // `Pipeline::run_matrix`, sharded the same way.
+    // Cells nest (suite, solution, heuristic), suite outermost, and fan
+    // out over `run_cells` like every figure route.
     let combos: Vec<(Solution, Heuristic)> = solutions
         .iter()
         .flat_map(|&solution| {

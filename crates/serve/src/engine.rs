@@ -2,11 +2,12 @@
 //! execution.
 //!
 //! One *cell* is a [`Cell`]: a `(suite, machine, solution, heuristic)`
-//! combination — the same unit `Pipeline::run_matrix` fans out. The
-//! engine memoizes cells in a content-addressed [`ResultCache`],
-//! collapses concurrent identical requests through [`SingleFlight`], and
-//! shards the cells of one request across worker threads via
-//! [`distvliw_core::par`]. Every figure endpoint runs the cell list its
+//! combination, computed by one `Pipeline::run_suite` call that runs the
+//! suite's kernels serially. The engine memoizes cells in a
+//! content-addressed [`ResultCache`], collapses concurrent identical
+//! requests through [`SingleFlight`], and shards the cells of one
+//! request across worker threads via [`distvliw_core::par`] — the one
+//! fan-out a request makes. Every figure endpoint runs the cell list its
 //! experiment defines in `distvliw_core::experiments`, so results are
 //! shared *between* endpoints too (Figure 6 and Figure 7 reuse each
 //! other's MDC/DDGT-PrefClus runs).
@@ -374,10 +375,10 @@ impl ServeEngine {
     }
 
     /// Runs a batch of cells, sharded across worker threads (results in
-    /// input order). This is the serving-side analogue of
-    /// `Pipeline::run_matrix`: each cell lands on a worker, and
-    /// identical cells — within this batch or across concurrent
-    /// requests — are computed once.
+    /// input order; `DISTVLIW_THREADS` caps the width). Each cell lands
+    /// on a worker and runs its kernels there serially, and identical
+    /// cells — within this batch or across concurrent requests — are
+    /// computed once.
     #[must_use]
     pub fn run_cells(&self, cells: &[Cell<'_>]) -> Vec<CellResult> {
         par::par_map(cells, |cell| self.run_cell(*cell))

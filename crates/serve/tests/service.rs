@@ -6,7 +6,7 @@
 //! requests are served without recomputing any cell (verified through
 //! `/stats`), every figure route is byte-identical to its direct
 //! `experiments::*` function, and `/matrix` cells agree exactly with a
-//! direct `Pipeline::run_matrix` on the same configurations.
+//! cold `Pipeline::run_suite` per cell on the same configurations.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -96,7 +96,7 @@ fn keep_alive_serves_sequential_requests() {
 }
 
 #[test]
-fn matrix_is_cached_byte_identical_and_matches_run_matrix() {
+fn matrix_is_cached_byte_identical_and_matches_run_suite() {
     let (base, handle) = spawn_server();
     let body =
         r#"{"suites":["gsmdec","jpegenc"],"solutions":["mdc","ddgt"],"heuristics":["prefclus"]}"#;
@@ -124,36 +124,32 @@ fn matrix_is_cached_byte_identical_and_matches_run_matrix() {
     );
     assert!(stats_field(&base, &["cache", "hits"]) >= hits_before + 4);
 
-    // The served numbers equal a direct cold run_matrix.
-    let suites = vec![
-        distvliw_mediabench::suite("gsmdec").unwrap(),
-        distvliw_mediabench::suite("jpegenc").unwrap(),
-    ];
-    let direct = Pipeline::new(MachineConfig::paper_baseline()).run_matrix(
-        &suites,
-        &[Solution::Mdc, Solution::Ddgt],
-        &[Heuristic::PrefClus],
-    );
+    // The served numbers equal a cold run_suite per cell, in the same
+    // (suite, solution, heuristic) order.
+    let mut direct = Vec::new();
+    for name in ["gsmdec", "jpegenc"] {
+        let suite = distvliw_mediabench::suite(name).unwrap();
+        for solution in [Solution::Mdc, Solution::Ddgt] {
+            let stats = Pipeline::new(MachineConfig::paper_baseline())
+                .run_suite(&suite, solution, Heuristic::PrefClus)
+                .expect("direct cell runs");
+            direct.push((name, solution, stats));
+        }
+    }
     let served = json::parse(std::str::from_utf8(&warm.body).unwrap()).unwrap();
     let cells = served.get("cells").unwrap().as_array().unwrap();
     assert_eq!(cells.len(), direct.len());
-    for (cell, direct_cell) in cells.iter().zip(&direct) {
-        assert_eq!(
-            cell.get("suite").unwrap().as_str().unwrap(),
-            direct_cell.suite
-        );
+    for (cell, (suite, solution, direct_stats)) in cells.iter().zip(&direct) {
+        assert_eq!(cell.get("suite").unwrap().as_str().unwrap(), *suite);
         assert_eq!(
             cell.get("solution").unwrap().as_str().unwrap(),
-            direct_cell.solution.to_string()
+            solution.to_string()
         );
         assert_eq!(cell.get("ok").unwrap().as_bool(), Some(true));
-        let direct_stats = direct_cell.stats.as_ref().expect("direct cell runs");
         assert_eq!(
             cell.get("total_cycles").unwrap().as_u64().unwrap(),
             direct_stats.total_cycles(),
-            "{}/{}",
-            direct_cell.suite,
-            direct_cell.solution
+            "{suite}/{solution}"
         );
         assert_eq!(
             cell.get("comm_ops").unwrap().as_u64().unwrap(),

@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use distvliw::arch::{AccessClass, MachineConfig};
-use distvliw::core::{Pipeline, PipelineOptions, Solution};
+use distvliw::core::{par, Pipeline, PipelineOptions, Solution};
 use distvliw::ir::Suite;
 use distvliw::sched::{Heuristic, Schedule};
 use distvliw::sim::SimStats;
@@ -44,27 +44,31 @@ pub struct Config {
 /// with `check: true` — so the independent checker verifies every
 /// schedule and fails the compile on any violation, whatever the build
 /// profile — under both heuristics, every solution and each latency
-/// mode in `relaxes`, and replays each compiled suite. Returns one
-/// [`Config`] per (kernel, heuristic, solution, relax), in that order:
-/// the line order of every golden file.
+/// mode in `relaxes`, and replays each compiled suite. The
+/// (heuristic, solution, relax) cells fan out over `core::par`. Returns
+/// one [`Config`] per (kernel, heuristic, solution, relax), in that
+/// order: the line order of every golden file.
 pub fn compile_grid(machine: &MachineConfig, suite: &Suite, relaxes: &[bool]) -> Vec<Config> {
-    let mut cells = Vec::new();
+    let mut specs = Vec::new();
     for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
         for (solution, label) in SOLUTIONS {
             for &relax in relaxes {
-                let pipeline = Pipeline::new(machine.clone()).with_options(PipelineOptions {
-                    relax_latencies: relax,
-                    check: true,
-                    ..PipelineOptions::default()
-                });
-                let artifact = pipeline
-                    .compile_suite(suite, solution, heuristic)
-                    .unwrap_or_else(|e| panic!("{}: {e}", suite.name));
-                let stats = pipeline.simulate_artifact(&artifact);
-                cells.push((label, heuristic, relax, artifact, stats));
+                specs.push((heuristic, solution, label, relax));
             }
         }
     }
+    let cells = par::par_map(&specs, |&(heuristic, solution, label, relax)| {
+        let pipeline = Pipeline::new(machine.clone()).with_options(PipelineOptions {
+            relax_latencies: relax,
+            check: true,
+            ..PipelineOptions::default()
+        });
+        let artifact = pipeline
+            .compile_suite(suite, solution, heuristic)
+            .unwrap_or_else(|e| panic!("{}: {e}", suite.name));
+        let stats = pipeline.simulate_artifact(&artifact);
+        (label, heuristic, relax, artifact, stats)
+    });
     let mut grid = Vec::new();
     for i in 0..suite.kernels.len() {
         for (solution, heuristic, relax, artifact, stats) in &cells {

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 /// `sweep` must reproduce: every `(cluster count, bus point, solution,
 /// suite)` cell runs the full compile+simulate `Pipeline::run_suite`
 /// path — no artifact reuse, no derived hybrid. A cold pipeline per cell
-/// keeps the search-effort counters reproducible (the `run_matrix`
-/// rationale): no cell's II seeds warm another's.
+/// keeps the search-effort counters reproducible: no cell's II seeds
+/// warm another's.
 fn sweep_naive(base: &MachineConfig, suites: &[Suite], spec: &SweepSpec) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for machine in &sweep_points(base, spec) {
