@@ -18,6 +18,22 @@ pub const CANONICAL_BYTES_VERSION: u8 = 2;
 /// projection).
 pub const SCHED_CANONICAL_BYTES_VERSION: u8 = 1;
 
+/// Largest cluster count [`MachineConfig::validate`] accepts.
+pub const MAX_CLUSTERS: usize = 64;
+/// Largest total first-level cache capacity, in bytes, that
+/// [`MachineConfig::validate`] accepts (the paper's is 8 KiB). It bounds
+/// the simulator's per-cell tag arrays.
+pub const MAX_CACHE_BYTES: u64 = 1 << 20;
+/// Largest set associativity (cache and Attraction Buffers).
+pub const MAX_ASSOC: usize = 64;
+/// Largest latency, in cycles, of the cache, the buses and the next
+/// level.
+pub const MAX_LATENCY: u32 = 1024;
+/// Largest count of any other resource: functional units, buses,
+/// next-level ports, registers per cluster and Attraction Buffer
+/// entries.
+pub const MAX_UNITS: usize = 4096;
+
 /// A set of identical shared buses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BusConfig {
@@ -106,6 +122,14 @@ pub enum ConfigError {
     /// Total cache capacity does not split evenly into per-cluster modules
     /// of whole sets.
     UnevenCapacity,
+    /// A size, count or latency above its bound (`MAX_*`), which keeps
+    /// one cell's memory and time bounded before anything is allocated.
+    TooLarge {
+        /// The offending field.
+        what: &'static str,
+        /// Its largest accepted value.
+        max: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -122,6 +146,7 @@ impl fmt::Display for ConfigError {
                     "cache capacity must split evenly into per-cluster modules"
                 )
             }
+            ConfigError::TooLarge { what, max } => write!(f, "{what} must be at most {max}"),
         }
     }
 }
@@ -294,7 +319,37 @@ impl MachineConfig {
         {
             return Err(ConfigError::ZeroResource("cache geometry"));
         }
-        let stripe = self.n_clusters as u64 * self.interleave_bytes;
+        let (units, lat, assoc) = (MAX_UNITS as u64, u64::from(MAX_LATENCY), MAX_ASSOC as u64);
+        let ab = self.attraction_buffers.unwrap_or(AttractionBufferConfig {
+            entries: 1,
+            assoc: 1,
+        });
+        let bounds = [
+            ("n_clusters", self.n_clusters as u64, MAX_CLUSTERS as u64),
+            ("cache.total_bytes", self.cache.total_bytes, MAX_CACHE_BYTES),
+            ("cache.assoc", self.cache.assoc as u64, assoc),
+            ("cache.latency", self.cache.latency.into(), lat),
+            ("reg_buses.latency", self.reg_buses.latency.into(), lat),
+            ("mem_buses.latency", self.mem_buses.latency.into(), lat),
+            ("next_level.latency", self.next_level.latency.into(), lat),
+            ("fu.integer", self.fu.integer as u64, units),
+            ("fu.fp", self.fu.fp as u64, units),
+            ("fu.memory", self.fu.memory as u64, units),
+            ("reg_buses.count", self.reg_buses.count as u64, units),
+            ("mem_buses.count", self.mem_buses.count as u64, units),
+            ("next_level.ports", self.next_level.ports as u64, units),
+            ("regs_per_cluster", self.regs_per_cluster as u64, units),
+            ("attraction_buffers.entries", ab.entries as u64, units),
+            ("attraction_buffers.assoc", ab.assoc as u64, assoc),
+        ];
+        if let Some(&(what, _, max)) = bounds.iter().find(|(_, value, max)| value > max) {
+            return Err(ConfigError::TooLarge { what, max });
+        }
+        // Checked: the interleave is not bounded on its own, so the
+        // stripe can overflow; no block is a multiple of such a stripe.
+        let stripe = (self.n_clusters as u64)
+            .checked_mul(self.interleave_bytes)
+            .ok_or(ConfigError::UnevenInterleave)?;
         if !self.cache.block_bytes.is_multiple_of(stripe) {
             return Err(ConfigError::UnevenInterleave);
         }
@@ -539,6 +594,57 @@ mod tests {
         let mut m = MachineConfig::paper_baseline();
         m.interleave_bytes = 0;
         assert!(matches!(m.validate(), Err(ConfigError::ZeroResource(_))));
+    }
+
+    #[test]
+    fn validation_bounds_sizes_counts_and_latencies() {
+        let too_large = |m: &MachineConfig, what: &str| {
+            assert!(
+                matches!(m.validate(), Err(ConfigError::TooLarge { what: w, .. }) if w == what),
+                "{what}: {:?}",
+                m.validate()
+            );
+        };
+        // The body that once drove a 64 GiB allocation.
+        let mut m = MachineConfig::paper_baseline();
+        m.n_clusters = 1 << 33;
+        m.interleave_bytes = 1;
+        m.cache.block_bytes = 1 << 33;
+        m.cache.total_bytes = 1 << 33;
+        m.cache.assoc = 1;
+        too_large(&m, "n_clusters");
+        m.n_clusters = 4;
+        too_large(&m, "cache.total_bytes");
+
+        let mut m = MachineConfig::paper_baseline();
+        m.cache.assoc = MAX_ASSOC + 1;
+        too_large(&m, "cache.assoc");
+        let mut m = MachineConfig::paper_baseline();
+        m.next_level.latency = MAX_LATENCY + 1;
+        too_large(&m, "next_level.latency");
+        let mut m = MachineConfig::paper_baseline();
+        m.mem_buses.count = MAX_UNITS + 1;
+        too_large(&m, "mem_buses.count");
+        let mut m =
+            MachineConfig::paper_baseline().with_attraction_buffers(AttractionBufferConfig {
+                entries: MAX_UNITS + 1,
+                assoc: 2,
+            });
+        too_large(&m, "attraction_buffers.entries");
+
+        // The stripe n_clusters × interleave_bytes overflows u64.
+        m = MachineConfig::paper_baseline().with_interleave(1 << 63);
+        assert_eq!(m.validate(), Err(ConfigError::UnevenInterleave));
+
+        // Every bound is inclusive.
+        let mut m = MachineConfig::paper_baseline();
+        m.n_clusters = MAX_CLUSTERS;
+        m.interleave_bytes = 1;
+        m.cache.block_bytes = MAX_CLUSTERS as u64;
+        m.cache.total_bytes = MAX_CACHE_BYTES;
+        m.cache.assoc = MAX_ASSOC;
+        m.cache.latency = MAX_LATENCY;
+        assert_eq!(m.validate(), Ok(()));
     }
 
     #[test]

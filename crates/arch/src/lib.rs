@@ -31,7 +31,8 @@ mod mapping;
 
 pub use config::{
     AttractionBufferConfig, BusConfig, CacheConfig, ConfigError, FuMix, MachineConfig,
-    NextLevelConfig, CANONICAL_BYTES_VERSION, SCHED_CANONICAL_BYTES_VERSION,
+    NextLevelConfig, CANONICAL_BYTES_VERSION, MAX_ASSOC, MAX_CACHE_BYTES, MAX_CLUSTERS,
+    MAX_LATENCY, MAX_UNITS, SCHED_CANONICAL_BYTES_VERSION,
 };
 pub use latency::{AccessClass, LatencyClass};
 pub use mapping::SubblockId;

@@ -1016,6 +1016,22 @@ mod tests {
     }
 
     #[test]
+    fn every_machine_the_repo_builds_validates() {
+        // The pipeline re-interleaves a machine per suite, so each one
+        // must stay valid at both bundled interleaves (paper Table 1).
+        let base = MachineConfig::paper_baseline();
+        let mut machines = vec![base.clone(), fig9_machine(&base)];
+        machines.extend(nobal_machines().map(|(_, m)| m));
+        machines.extend(sweep_points(&base, &SweepSpec::default()));
+        for machine in machines {
+            for il in [2, 4] {
+                let m = machine.clone().with_interleave(il);
+                assert_eq!(m.validate(), Ok(()), "{m:?}");
+            }
+        }
+    }
+
+    #[test]
     fn sweep_covers_grid_and_stays_coherent() {
         let spec = SweepSpec {
             cluster_counts: vec![2, 8],

@@ -80,8 +80,8 @@ impl<V: Clone> ResultCache<V> {
 
     /// Inserts (or refreshes) `key`, evicting the least recently used
     /// entry if the cache is full. Returns the evicted key, if any —
-    /// the persistence layer compacts its log when an eviction changes
-    /// the live set.
+    /// the persistence layer appends a tombstone for it, so a replay of
+    /// the log drops the victim too.
     pub fn insert(&mut self, key: CacheKey, value: V) -> Option<CacheKey> {
         self.tick += 1;
         if let Some(entry) = self.map.get_mut(&key) {
@@ -137,6 +137,12 @@ impl<V: Clone> ResultCache<V> {
                 lru: self.tick,
             },
         );
+    }
+
+    /// Drops `key` if resident, without touching the counters — for
+    /// replaying a persisted tombstone at boot.
+    pub fn remove(&mut self, key: &CacheKey) {
+        self.map.remove(key);
     }
 
     /// Every resident entry, least recently used first — the order a

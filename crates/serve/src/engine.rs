@@ -28,7 +28,7 @@ use distvliw_ir::Suite;
 use distvliw_sim::ClusterUsage;
 
 use crate::cache::{CacheStats, ResultCache, SingleFlight};
-use crate::persist::{self, LogWriter};
+use crate::persist::{self, CellLog, CellWrite, LogWriter};
 
 /// A computed cell, shared between the cache and concurrent requesters.
 pub type CellResult = Arc<Result<distvliw_core::SuiteStats, PipelineError>>;
@@ -49,7 +49,8 @@ pub struct PersistStats {
     pub discarded_bytes: u64,
     /// Stores rejected wholesale for a stale era fingerprint (0–2).
     pub stale_stores: u64,
-    /// Records appended to the logs since boot.
+    /// Records appended to the logs since boot (cell tombstones
+    /// included).
     pub appended_records: u64,
     /// Atomic compact-and-rewrite passes of the cell log since boot.
     pub compactions: u64,
@@ -63,7 +64,7 @@ pub struct PersistStats {
 /// The open state logs plus their counters, behind one lock. Lock
 /// ordering: the cache lock is always taken **before** this one.
 struct PersistState {
-    cells: LogWriter,
+    cells: CellLog<CellResult>,
     seeds: LogWriter,
     stats: PersistStats,
 }
@@ -83,11 +84,7 @@ impl PersistState {
 
     /// Rewrites the cell log to the cache's LRU-ordered live set.
     fn compact_cells(&mut self, cache: &ResultCache<CellResult>) {
-        if self
-            .cells
-            .rewrite(encode_live(&cache.entries_by_recency()))
-            .is_err()
-        {
+        if self.cells.rewrite(cache).is_err() {
             self.stats.write_errors += 1;
         } else {
             self.stats.compactions += 1;
@@ -199,11 +196,12 @@ impl ServeEngine {
     }
 
     /// Attaches durable state under `dir` (created if missing): the
-    /// cell cache loads from `cells.log`, the II-seed store from
-    /// `seeds.log`, and both logs are kept current as the engine runs
-    /// (append per insert, atomic compaction on eviction, fsync on
-    /// flush). Corrupt or stale stores are recovered, never fatal —
-    /// see [`PersistStats`] for what was kept.
+    /// cell cache replays `cells.log` (a tombstone drops its key), the
+    /// II-seed store loads `seeds.log`, and both logs are kept current
+    /// as the engine runs (see [`CellLog`] for the cell log's appends
+    /// and amortized compaction; fsync on flush). Corrupt or stale
+    /// stores are recovered, never fatal — see [`PersistStats`] for
+    /// what was kept.
     ///
     /// # Errors
     ///
@@ -212,10 +210,19 @@ impl ServeEngine {
     pub fn with_state_dir(mut self, dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let era = persist::era_bytes();
-        let (cells, cell_records, cell_report) =
-            LogWriter::open(dir.join("cells.log"), persist::KIND_CELLS, &era)?;
         let (seeds, seed_records, seed_report) =
             LogWriter::open(dir.join("seeds.log"), persist::KIND_SEEDS, &era)?;
+        let mut cache = self.cache.lock().expect("cache lock");
+        // Replay cells in file order (LRU-first snapshot, then appends
+        // and tombstones): `preload` keeps the boot invisible to the
+        // traffic counters.
+        let (cells, cell_report, undecodable) = CellLog::open(
+            dir.join("cells.log"),
+            &era,
+            &mut cache,
+            |bytes| persist::suite_stats_from_bytes(bytes).map(|suite| Arc::new(Ok(suite))),
+            encode_cell,
+        )?;
         let mut state = PersistState {
             cells,
             seeds,
@@ -223,31 +230,16 @@ impl ServeEngine {
                 discarded_records: cell_report.discarded_records + seed_report.discarded_records,
                 discarded_bytes: cell_report.discarded_bytes + seed_report.discarded_bytes,
                 stale_stores: u64::from(cell_report.stale) + u64::from(seed_report.stale),
+                loaded_cells: cache.len() as u64,
                 ..PersistStats::default()
             },
         };
-
-        // Replay cells in file order (LRU-first snapshot, then appends):
-        // `preload` keeps the boot invisible to the traffic counters
-        // while last-wins dedup and capacity eviction apply as usual.
-        let mut undecodable = 0u64;
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (key, value) in cell_records {
-                match persist::suite_stats_from_bytes(&value) {
-                    Some(suite) => {
-                        cache.preload(CacheKey::from_bytes(key), Arc::new(Ok(suite)));
-                    }
-                    // Checksum-valid but undecodable: a payload this
-                    // era's codec never wrote. Drop it, heal below.
-                    None => undecodable += 1,
-                }
-            }
-            state.stats.loaded_cells = cache.len() as u64;
-            if undecodable > 0 {
-                state.compact_cells(&cache);
-            }
+        // Checksum-valid but undecodable: a payload this era's codec
+        // never wrote. Replay dropped it; heal the log now.
+        if undecodable > 0 {
+            state.compact_cells(&cache);
         }
+        drop(cache);
 
         let mut seeds = Vec::with_capacity(seed_records.len());
         let mut undecodable_seeds = 0u64;
@@ -355,7 +347,7 @@ impl ServeEngine {
             let evicted = cache.insert(key.clone(), result.clone());
             // Persist under the cache lock (cache → persist ordering),
             // so the log mirrors insertion order exactly.
-            self.persist_insert(&cache, &key, &result, evicted.is_some());
+            self.persist_insert(&cache, &key, &result, evicted.as_ref());
             drop(cache);
             drop(persist_span);
             result
@@ -385,34 +377,27 @@ impl ServeEngine {
     }
 
     /// Mirrors one cache insertion into the logs: newly dirtied II
-    /// seeds and the cell value are appended; an eviction triggers an
-    /// atomic compact-and-rewrite of the cell log instead, so the log
-    /// stays an exact LRU-ordered snapshot of the live set. Callers
-    /// hold the cache lock (cache → persist ordering). Write failures
-    /// are counted, not fatal.
+    /// seeds are appended, then the cell log gets a tombstone for the
+    /// evicted victim and the cell's record — or, once the appends since
+    /// the last rewrite would exceed the cache capacity, an atomic
+    /// rewrite to the LRU-ordered live set ([`CellLog::record_insert`]).
+    /// Only `Ok` cells persist; a failed cell is recomputed (and may
+    /// succeed) after a restart. Callers hold the cache lock (cache →
+    /// persist ordering). Write failures are counted, not fatal.
     fn persist_insert(
         &self,
         cache: &ResultCache<CellResult>,
         key: &CacheKey,
         value: &CellResult,
-        evicted: bool,
+        evicted: Option<&CacheKey>,
     ) {
         let Some(persist) = &self.persist else { return };
         let mut p = persist.lock().expect("persist lock");
         p.append_dirty_seeds(&self.seeds);
-        if evicted {
-            p.compact_cells(cache);
-        } else if let Ok(stats) = value.as_ref() {
-            // Only Ok cells persist; a failed cell is recomputed (and
-            // may succeed) after a restart.
-            if p.cells
-                .append(key.bytes(), &persist::suite_stats_bytes(stats))
-                .is_err()
-            {
-                p.stats.write_errors += 1;
-            } else {
-                p.stats.appended_records += 1;
-            }
+        match p.cells.record_insert(cache, key, value, evicted) {
+            Ok(CellWrite::Appended(n)) => p.stats.appended_records += n,
+            Ok(CellWrite::Rewrote) => p.stats.compactions += 1,
+            Err(_) => p.stats.write_errors += 1,
         }
     }
 
@@ -463,16 +448,10 @@ impl ServeEngine {
     }
 }
 
-/// Adapts an `entries_by_recency` snapshot into the record iterator a
-/// cell-log rewrite wants, dropping `Err` cells (only successful runs
-/// persist).
-fn encode_live(entries: &[(CacheKey, CellResult)]) -> impl Iterator<Item = (&[u8], Vec<u8>)> {
-    entries
-        .iter()
-        .filter_map(|(key, value)| match value.as_ref() {
-            Ok(stats) => Some((key.bytes(), persist::suite_stats_bytes(stats))),
-            Err(_) => None,
-        })
+/// A cell's cell-log record value: `Ok` cells encode, `Err` cells are
+/// never persisted.
+fn encode_cell(value: &CellResult) -> Option<Vec<u8>> {
+    value.as_ref().as_ref().ok().map(persist::suite_stats_bytes)
 }
 
 /// Applies JSON machine overrides (see `docs/serving.md`) on top of

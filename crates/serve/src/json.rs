@@ -168,14 +168,24 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use whatever the
+/// input.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses JSON text into a [`Json`] value.
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first syntax error.
+/// Returns a message naming the byte offset of the first syntax error,
+/// or of the first array/object nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -188,6 +198,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,8 +241,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -423,6 +449,31 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("nul").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offending_offset() {
+        // Exactly MAX_DEPTH levels parse; one more is refused at the
+        // byte that opens it, for arrays and objects alike.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(200_000);
+        assert_eq!(
+            parse(&deep),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        let ok = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = r#"{"a":"#.repeat(200_000);
+        assert_eq!(
+            parse(&deep),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                5 * MAX_DEPTH
+            ))
+        );
     }
 
     #[test]

@@ -16,28 +16,36 @@
 //!
 //! The format is append-friendly: a new entry (or a fresh value for an
 //! existing key) is one appended record, and replaying records in file
-//! order with last-wins semantics reconstructs the store. Loading
-//! validates every frame and **truncates at the first torn or corrupt
-//! record instead of failing the boot**: everything before the bad
-//! frame is recovered, everything from it on is reported as discarded.
+//! order with last-wins semantics reconstructs the store. In the cell
+//! log a record with an empty value is a [`TOMBSTONE`]: replay drops
+//! its key ([`replay_cells`]). Loading validates every frame and
+//! **truncates at the first torn or corrupt record instead of failing
+//! the boot**: everything before the bad frame is recovered, everything
+//! from it on is reported as discarded.
 //! A header whose era fingerprint does not match the running binary's
 //! [`era_bytes`] marks the whole store stale — its records are counted
 //! and discarded, never trusted (a `canonical_bytes` encoding change
 //! silently changes every key, so stale entries could alias fresh
 //! ones).
 //!
-//! Compaction (on LRU eviction, and on shutdown flush) atomically
-//! rewrites the live entries: write a temp file, fsync, rename over the
-//! log. A crash at any point leaves either the old log or the complete
-//! new one.
+//! The cell log is log-structured on eviction ([`CellLog`]): an insert
+//! that evicts appends a tombstone for the victim, then the new record.
+//! Compaction atomically rewrites the live entries — write a temp file,
+//! fsync, rename over the log — when an insert's appends would take the
+//! records appended since the last rewrite past the cache capacity, and
+//! on shutdown flush. The log so holds at most twice the capacity in
+//! records, and an insert costs amortized O(1) record writes. A crash
+//! at any point leaves either the old log or the complete new one.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use distvliw_core::cachekey::{fnv1a64, CELL_KEY_VERSION};
+use distvliw_core::cachekey::{fnv1a64, CacheKey, CELL_KEY_VERSION};
 use distvliw_core::{KernelRun, SchedStats, SchedTotals, SuiteStats};
 use distvliw_sim::{ClusterUsage, SimStats};
+
+use crate::cache::ResultCache;
 
 /// Magic prefix of every store file ("DistVliw Log Store").
 pub const MAGIC: [u8; 4] = *b"DVLS";
@@ -313,6 +321,159 @@ impl LogWriter {
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+/// The value of a cell-log record that drops its key on replay. No cell
+/// value encodes to zero bytes: [`suite_stats_bytes`] always writes at
+/// least the suite name's length.
+pub const TOMBSTONE: &[u8] = &[];
+
+/// Replays cell-log records in file order into `cache`: a [`TOMBSTONE`]
+/// removes its key, any other record is decoded and preloaded (last
+/// wins; file order is recency order). Returns how many records failed
+/// to decode; they are skipped.
+pub fn replay_cells<V: Clone>(
+    records: Vec<Record>,
+    cache: &mut ResultCache<V>,
+    decode: impl Fn(&[u8]) -> Option<V>,
+) -> u64 {
+    let mut undecodable = 0;
+    for (key, value) in records {
+        let key = CacheKey::from_bytes(key);
+        if value == TOMBSTONE {
+            cache.remove(&key);
+        } else if let Some(value) = decode(&value) {
+            cache.preload(key, value);
+        } else {
+            undecodable += 1;
+        }
+    }
+    undecodable
+}
+
+/// What one [`CellLog::record_insert`] wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellWrite {
+    /// This many records were appended (0 when the value is not
+    /// persisted and nothing was evicted).
+    Appended(u64),
+    /// The log was rewritten to the cache's live set.
+    Rewrote,
+}
+
+/// The cell log of a [`ResultCache`], log-structured on eviction.
+///
+/// An insert appends the new value's record; an insert that evicts
+/// first appends a [`TOMBSTONE`] for the victim. When the records
+/// appended since the last rewrite would exceed the cache capacity, the
+/// insert rewrites the log to the live set instead
+/// ([`LogWriter::rewrite`]: temp file, fsync, rename). A rewrite holds
+/// at most `capacity` records, so the log never holds more than
+/// `2 × capacity`, and every record-boundary prefix of it replays
+/// ([`replay_cells`]) to a subset of the live set at that point.
+#[derive(Debug)]
+pub struct CellLog<V> {
+    log: LogWriter,
+    /// Records appended since the last rewrite. At open it is the
+    /// replayed log's dead records, so kill/restart cycles cannot grow
+    /// the log without bound.
+    appended: usize,
+    /// A resident value's record bytes, or `None` for a value that is
+    /// never persisted.
+    encode: fn(&V) -> Option<Vec<u8>>,
+}
+
+impl<V: Clone> CellLog<V> {
+    /// Opens (or creates) the cell log at `path` ([`LogWriter::open`])
+    /// and replays it into `cache` ([`replay_cells`]). Returns the log,
+    /// the load report and the count of records that failed to decode.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures (not corruption, which is recovered).
+    pub fn open(
+        path: PathBuf,
+        era: &[u8],
+        cache: &mut ResultCache<V>,
+        decode: impl Fn(&[u8]) -> Option<V>,
+        encode: fn(&V) -> Option<Vec<u8>>,
+    ) -> io::Result<(CellLog<V>, LoadReport, u64)> {
+        let (log, records, report) = LogWriter::open(path, KIND_CELLS, era)?;
+        let total = records.len();
+        let undecodable = replay_cells(records, cache, decode);
+        let cell_log = CellLog {
+            log,
+            appended: total.saturating_sub(cache.len()),
+            encode,
+        };
+        Ok((cell_log, report, undecodable))
+    }
+
+    /// Mirrors one [`ResultCache::insert`] of `key` → `value` that
+    /// evicted `evicted`; `cache` is the cache after the insert. Appends
+    /// a tombstone for the victim, then the value's record, or rewrites
+    /// the log when the appends would exceed the cache capacity.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` encodes to a tombstone.
+    pub fn record_insert(
+        &mut self,
+        cache: &ResultCache<V>,
+        key: &CacheKey,
+        value: &V,
+        evicted: Option<&CacheKey>,
+    ) -> io::Result<CellWrite> {
+        let value = (self.encode)(value);
+        assert!(
+            value.as_deref() != Some(TOMBSTONE),
+            "a cell value must not encode as a tombstone"
+        );
+        let records: Vec<(&[u8], &[u8])> = evicted
+            .map(|victim| (victim.bytes(), TOMBSTONE))
+            .into_iter()
+            .chain(value.as_deref().map(|v| (key.bytes(), v)))
+            .collect();
+        if self.appended + records.len() > cache.capacity() {
+            self.rewrite(cache)?;
+            return Ok(CellWrite::Rewrote);
+        }
+        self.appended += records.len();
+        for (key, value) in &records {
+            self.log.append(key, value)?;
+        }
+        Ok(CellWrite::Appended(records.len() as u64))
+    }
+
+    /// Atomically rewrites the log to the cache's persisted live
+    /// entries, least recently used first, so a reload replays recency.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures; the previous log survives any failure
+    /// before the rename.
+    pub fn rewrite(&mut self, cache: &ResultCache<V>) -> io::Result<()> {
+        let live = cache.entries_by_recency();
+        self.log.rewrite(
+            live.iter()
+                .filter_map(|(key, value)| Some((key.bytes(), (self.encode)(value)?))),
+        )?;
+        self.appended = 0;
+        Ok(())
+    }
+
+    /// Fsyncs the log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sync failure.
+    pub fn sync(&self) -> io::Result<()> {
+        self.log.sync()
     }
 }
 

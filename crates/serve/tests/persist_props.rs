@@ -10,16 +10,28 @@
 //! checksum — detection is certain, not probabilistic.)
 //!
 //! Round-trip property: an arbitrary insert/get/evict/compact sequence
-//! driven through the same append-on-insert / compact-on-eviction
-//! protocol the engine uses, then decoded and replayed into a fresh
-//! cache, restores exactly the live key→value map — the LRU-survivor
-//! set — of an independently maintained model.
+//! driven through an append-on-insert / compact-on-eviction protocol,
+//! then decoded and replayed into a fresh cache, restores exactly the
+//! live key→value map — the LRU-survivor set — of an independently
+//! maintained model.
+//!
+//! Tombstone property: the same kind of sequence, plus failed cells and
+//! SIGKILL-style restarts, driven through the engine's own cell log
+//! ([`CellLog`]) and replay ([`replay_cells`]): the on-disk log always
+//! replays to the model's live map, stays within twice the capacity,
+//! and every record-boundary prefix of it replays to at most
+//! `capacity` entries, each with its correct value.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use distvliw_core::cachekey::CacheKey;
 use distvliw_serve::cache::ResultCache;
-use distvliw_serve::persist::{decode_store, encode_header, encode_record, era_bytes, KIND_CELLS};
+use distvliw_serve::persist::{
+    decode_store, encode_header, encode_record, era_bytes, replay_cells, CellLog, Record,
+    KIND_CELLS,
+};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -36,6 +48,75 @@ fn store_bytes(records: &[(Vec<u8>, Vec<u8>)], era: &[u8]) -> Vec<u8> {
         bytes.extend_from_slice(&encode_record(k, v));
     }
     bytes
+}
+
+/// A cell value in miniature: `None` is a failed cell, which evicts
+/// like any insert but is never persisted.
+type Cell = Option<Vec<u8>>;
+
+fn encode_cell(value: &Cell) -> Option<Vec<u8>> {
+    value.clone()
+}
+
+fn decode_cell(bytes: &[u8]) -> Option<Cell> {
+    Some(Some(bytes.to_vec()))
+}
+
+/// Cells are content-addressed: a key has exactly one correct value.
+fn cell_value(key: u8) -> Vec<u8> {
+    vec![key, key ^ 0x5a, 3]
+}
+
+/// Replays `records` into a cache with room for all of them, so the
+/// result shows what the log itself implies (a capacity-bounded replay
+/// would hide an overflow by evicting).
+fn replay_unbounded(records: &[Record]) -> ResultCache<Cell> {
+    let mut cache = ResultCache::new(records.len().max(1));
+    assert_eq!(replay_cells(records.to_vec(), &mut cache, decode_cell), 0);
+    cache
+}
+
+/// The persisted (`Ok`) entries of `cache`.
+fn live_map(cache: &ResultCache<Cell>) -> HashMap<Vec<u8>, Vec<u8>> {
+    cache
+        .entries_by_recency()
+        .into_iter()
+        .filter_map(|(key, value)| Some((key.bytes().to_vec(), value?)))
+        .collect()
+}
+
+/// A fresh cell-log path per property case, removed on drop.
+struct TempLog(PathBuf);
+
+impl TempLog {
+    fn new() -> TempLog {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "distvliw-persist-props-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempLog(dir)
+    }
+
+    fn path(&self) -> PathBuf {
+        self.0.join("cells.log")
+    }
+
+    fn records(&self) -> Vec<Record> {
+        let bytes = std::fs::read(self.path()).expect("read cell log");
+        let (records, report) = decode_store(&bytes, KIND_CELLS, &era_bytes());
+        assert!(!report.stale && report.discarded_bytes == 0);
+        records
+    }
+}
+
+impl Drop for TempLog {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 proptest! {
@@ -146,7 +227,7 @@ proptest! {
         ops in pvec((any::<bool>(), any::<u8>(), any::<u8>()), 0..40),
     ) {
         let era = era_bytes();
-        // The engine's protocol, driven in miniature: a bounded LRU
+        // Snapshot compaction, driven in miniature: a bounded LRU
         // cache whose log gets one appended record per non-evicting
         // insert and an atomic compact (LRU-first snapshot) whenever an
         // insert evicts.
@@ -201,6 +282,74 @@ proptest! {
         for (k, v) in &model {
             let got = restored.get(&CacheKey::from_bytes(k.clone()));
             prop_assert_eq!(got.as_ref(), Some(v));
+        }
+    }
+
+    #[test]
+    fn tombstone_log_replays_the_live_set(
+        capacity in 1usize..5,
+        ops in pvec((0u8..8, any::<u8>()), 0..48),
+    ) {
+        let tmp = TempLog::new();
+        let open = |cache: &mut ResultCache<Cell>| {
+            CellLog::open(tmp.path(), &era_bytes(), cache, decode_cell, encode_cell)
+                .expect("open cell log")
+                .0
+        };
+        let mut cache: ResultCache<Cell> = ResultCache::new(capacity);
+        let mut log = open(&mut cache);
+        // Reference model: the live map of persisted (`Ok`) cells.
+        let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+
+        for (kind, key_byte) in ops {
+            let key_byte = key_byte % 8;
+            let key = CacheKey::from_bytes(vec![key_byte]);
+            match kind {
+                0..=2 => {
+                    let cached = cache.get(&key).flatten();
+                    prop_assert_eq!(cached, model.get(key.bytes()).cloned());
+                }
+                3..=6 => {
+                    // The engine inserts a cell only after a miss, so a
+                    // failed cell never replaces a resident one.
+                    let value = (kind != 6).then(|| cell_value(key_byte));
+                    if value.is_none() && cache.contains(&key) {
+                        continue;
+                    }
+                    let evicted = cache.insert(key.clone(), value.clone());
+                    if let Some(victim) = &evicted {
+                        model.remove(victim.bytes());
+                    }
+                    if let Some(v) = &value {
+                        model.insert(key.bytes().to_vec(), v.clone());
+                    }
+                    log.record_insert(&cache, &key, &value, evicted.as_ref())
+                        .expect("write cell log");
+                }
+                _ => {
+                    // SIGKILL and restart: reopen without compacting.
+                    drop(log);
+                    cache = ResultCache::new(capacity);
+                    log = open(&mut cache);
+                    prop_assert_eq!(live_map(&cache), model.clone());
+                }
+            }
+            // After every step the log on disk replays to the live map
+            // and stays within twice the capacity.
+            let records = tmp.records();
+            prop_assert!(records.len() <= 2 * capacity, "{} records", records.len());
+            prop_assert_eq!(live_map(&replay_unbounded(&records)), model.clone());
+        }
+
+        // A crash can cut the log at any record boundary: every prefix
+        // replays within capacity, and only to correct values.
+        let records = tmp.records();
+        for end in 0..=records.len() {
+            let prefix = replay_unbounded(&records[..end]);
+            prop_assert!(prefix.len() <= capacity);
+            for (key, value) in prefix.entries_by_recency() {
+                prop_assert_eq!(value, Some(cell_value(key.bytes()[0])));
+            }
         }
     }
 }

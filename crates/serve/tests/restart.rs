@@ -12,7 +12,9 @@
 //! - a post-restart cell that *does* schedule (a fresh cell key via a
 //!   simulation-only machine override) resumes its II search from the
 //!   persisted seed store, observable as a nonzero `seeded_kernels`;
-//! - a stale-era state dir is discarded wholesale, not trusted.
+//! - a stale-era state dir is discarded wholesale, not trusted;
+//! - after a warm-up that evicts, the replayed log (tombstones and all)
+//!   restores exactly the resident cells.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -56,9 +58,15 @@ impl Daemon {
     /// Spawns the real `serve` binary on `addr` with the given state
     /// dir and waits until `/healthz` answers.
     fn spawn(addr: &str, state_dir: &Path) -> Daemon {
+        Daemon::spawn_with(addr, state_dir, &[])
+    }
+
+    /// [`Daemon::spawn`] with extra command-line flags.
+    fn spawn_with(addr: &str, state_dir: &Path, flags: &[&str]) -> Daemon {
         let child = Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(["--addr", addr, "--state-dir"])
             .arg(state_dir)
+            .args(flags)
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
             .spawn()
@@ -284,5 +292,46 @@ fn stale_era_state_is_discarded_not_trusted() {
         "healed at the previous boot"
     );
     assert_eq!(field(&s, &["persist", "loaded_cells"]), 1);
+    daemon.shutdown();
+}
+
+#[test]
+fn sigkill_after_evictions_restores_exactly_the_resident_cells() {
+    let state = TempDir::new("evict");
+    // Four fresh cells (the bus count is a simulation-only override, so
+    // no /fig7 cell shares their keys): with a capacity of four they end
+    // up the whole resident set.
+    let body = r#"{"suites":["gsmdec"],"solutions":["mdc","ddgt"],"heuristics":["prefclus","mincoms"],
+        "machine":{"mem_buses":{"count":3}}}"#;
+
+    let daemon = Daemon::spawn_with(&free_addr(), state.path(), &["--cache-capacity", "4"]);
+    get_ok(&daemon.base, "/fig7");
+    let cold = client::post(&daemon.base, "/matrix", body).expect("matrix");
+    assert_eq!(cold.status, 200);
+    let s = stats(&daemon.base);
+    let evictions = field(&s, &["cache", "evictions"]);
+    assert!(evictions > 0, "warming /fig7 overflows four cells");
+    assert!(
+        field(&s, &["persist", "compactions"]) < evictions,
+        "evictions append tombstones instead of rewriting the log each time"
+    );
+    let resident = field(&s, &["cache", "entries"]);
+    assert_eq!(resident, 4);
+    daemon.kill();
+
+    // Reboot with room for every cell ever computed, so a replay that
+    // missed a tombstone would show as an extra loaded cell rather than
+    // be hidden by capacity eviction.
+    let daemon = Daemon::spawn_with(&free_addr(), state.path(), &["--cache-capacity", "256"]);
+    let s = stats(&daemon.base);
+    assert_eq!(field(&s, &["persist", "loaded_cells"]), resident);
+    assert_eq!(field(&s, &["persist", "discarded_bytes"]), 0);
+    let warm = client::post(&daemon.base, "/matrix", body).expect("matrix");
+    assert_eq!(warm.body, cold.body, "restored cells render byte-identical");
+    assert_eq!(
+        field(&stats(&daemon.base), &["computed_cells"]),
+        0,
+        "every resident cell was restored"
+    );
     daemon.shutdown();
 }

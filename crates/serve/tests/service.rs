@@ -85,6 +85,39 @@ fn health_stats_and_unknown_routes() {
 }
 
 #[test]
+fn hostile_matrix_bodies_are_400_and_the_daemon_keeps_serving() {
+    let (base, handle) = spawn_server();
+    let cold = client::get(&base, "/fig7").unwrap();
+    assert_eq!(cold.status, 200);
+    let computed = stats_field(&base, &["computed_cells"]);
+
+    // 200 000 nested arrays: deeper than the parser's recursion cap.
+    let resp = client::post(&base, "/matrix", &"[".repeat(200_000)).unwrap();
+    assert_eq!(resp.status, 400);
+    let body = String::from_utf8_lossy(&resp.body);
+    assert!(body.contains("nesting deeper than 64 at byte 64"), "{body}");
+
+    // A machine whose cache tag arrays alone would need 64 GiB.
+    let resp = client::post(
+        &base,
+        "/matrix",
+        r#"{"suites":["gsmdec"],"machine":{"n_clusters":8589934592,"interleave_bytes":1,
+            "cache":{"block_bytes":8589934592,"total_bytes":8589934592,"assoc":1}}}"#,
+    )
+    .unwrap();
+    assert_eq!(resp.status, 400);
+    let body = String::from_utf8_lossy(&resp.body);
+    assert!(body.contains("n_clusters must be at most 64"), "{body}");
+
+    // The same server still answers, from cache, with the same bytes.
+    let warm = client::get(&base, "/fig7").unwrap();
+    assert_eq!(warm.status, 200);
+    assert_eq!(warm.body, cold.body);
+    assert_eq!(stats_field(&base, &["computed_cells"]), computed);
+    shutdown(&base, handle);
+}
+
+#[test]
 fn keep_alive_serves_sequential_requests() {
     let (base, handle) = spawn_server();
     let mut client = Client::connect(&base).unwrap();
