@@ -319,6 +319,12 @@ impl MachineConfig {
         {
             return Err(ConfigError::ZeroResource("cache geometry"));
         }
+        if self
+            .attraction_buffers
+            .is_some_and(|ab| ab.entries == 0 || ab.assoc == 0)
+        {
+            return Err(ConfigError::ZeroResource("attraction buffers"));
+        }
         let (units, lat, assoc) = (MAX_UNITS as u64, u64::from(MAX_LATENCY), MAX_ASSOC as u64);
         let ab = self.attraction_buffers.unwrap_or(AttractionBufferConfig {
             entries: 1,
@@ -594,6 +600,13 @@ mod tests {
         let mut m = MachineConfig::paper_baseline();
         m.interleave_bytes = 0;
         assert!(matches!(m.validate(), Err(ConfigError::ZeroResource(_))));
+
+        // A zero-way buffer would divide by zero sizing its sets.
+        for (entries, assoc) in [(16, 0), (0, 2)] {
+            let m = MachineConfig::paper_baseline()
+                .with_attraction_buffers(AttractionBufferConfig { entries, assoc });
+            assert!(matches!(m.validate(), Err(ConfigError::ZeroResource(_))));
+        }
     }
 
     #[test]

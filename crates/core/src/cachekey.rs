@@ -17,11 +17,14 @@ use distvliw_sched::Heuristic;
 use crate::pipeline::{PipelineOptions, Solution};
 
 /// Version of the [`cell_key`] encoding; bump when the encoded field set
-/// changes. Like [`distvliw_arch::CANONICAL_BYTES_VERSION`], this is
-/// part of the durable-state era: the serving layer's on-disk stores
-/// hold raw cell keys, so a format change here must invalidate them
-/// (see `docs/persistence.md`) rather than let old keys alias new ones.
-pub const CELL_KEY_VERSION: u8 = 3;
+/// changes, and also when the value a key computes changes (a scheduler
+/// change that alters some cell's result). Like
+/// [`distvliw_arch::CANONICAL_BYTES_VERSION`], this is part of the
+/// durable-state era: the serving layer's on-disk stores hold raw cell
+/// keys and their values, so either change must invalidate them (see
+/// `docs/persistence.md`) rather than let old keys alias new ones or
+/// serve values the running binary would no longer compute.
+pub const CELL_KEY_VERSION: u8 = 4;
 
 /// A content-addressed cache key: the canonical encoding of one
 /// experiment cell plus its precomputed 64-bit FNV-1a hash.

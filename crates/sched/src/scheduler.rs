@@ -1388,15 +1388,9 @@ fn priority_order(ddg: &Ddg, dense: &DenseDeps, load_lat: &NodeMap<u32>) -> Vec<
 }
 
 /// The MinComs post-pass: choose the virtual→physical cluster permutation
-/// that maximizes profiled local accesses (paper Section 2.2).
-///
-/// Up to 8 clusters this enumerates every permutation in `permute`'s
-/// order, which visits the identity first. The search starts from the
-/// identity at score 0 and only a strictly better score replaces the
-/// best, so ties go to the permutation visited first — the original
-/// behaviour, pinned byte-identical by the golden snapshots. Beyond 8
-/// the factorial blows up (16! ≈ 2×10¹³), so larger sweep machines solve
-/// the same problem exactly with the O(n³) Hungarian assignment instead.
+/// that maximizes profiled local accesses (paper Section 2.2). Among
+/// optimal permutations it takes the one the golden snapshots pin: see
+/// [`first_optimal_assignment`].
 fn best_physical_mapping(
     ddg: &Ddg,
     schedule: &Schedule,
@@ -1417,27 +1411,38 @@ fn best_physical_mapping(
             *g += count;
         }
     }
-    if n_clusters > 8 {
-        return max_assignment(&gain);
-    }
-    let mut best: Vec<usize> = (0..n_clusters).collect();
-    let mut best_score = 0u64;
-    let mut perm: Vec<usize> = (0..n_clusters).collect();
-    permute(&mut perm, 0, &mut |p| {
-        let score: u64 = (0..n_clusters).map(|v| gain[v][p[v]]).sum();
-        if score > best_score {
-            best_score = score;
-            best = p.to_vec();
-        }
-    });
-    best
+    first_optimal_assignment(&gain)
 }
 
-/// Exact maximum-weight assignment (the Hungarian algorithm with
-/// potentials, O(n³)): returns `perm` with `perm[v] = p` maximizing
-/// `Σ gain[v][perm[v]]`. Deterministic for a given matrix.
-fn max_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
+/// The first maximum-gain permutation in recursive-swap order (position
+/// `k` tries `swap(k, i)` for `i = k..n` in turn, then recurses; the
+/// identity comes first), the one an exhaustive scan from the identity at
+/// score 0 that replaces only on `>` keeps. At each `k` the descent
+/// commits the first swap whose fixed prefix plus the optimum of the
+/// remaining rows and columns still reaches the global optimum: O(n⁵).
+fn first_optimal_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
     let n = gain.len();
+    let mut perm: Vec<usize> = (0..n).collect();
+    let optimum = max_assignment(gain, &perm);
+    let mut prefix = 0u64;
+    for k in 0..n {
+        for i in k..n {
+            perm.swap(k, i);
+            let fixed = prefix + gain[k][perm[k]];
+            if fixed + max_assignment(&gain[k + 1..], &perm[k + 1..]) == optimum {
+                prefix = fixed;
+                break;
+            }
+            perm.swap(k, i);
+        }
+    }
+    perm
+}
+
+/// The maximum of `Σ rows[r][cols[σ(r)]]` over bijections σ of the rows
+/// onto `cols` (the Hungarian algorithm with potentials, O(n³)).
+fn max_assignment(rows: &[Vec<u64>], cols: &[usize]) -> u64 {
+    let n = rows.len();
     let inf = i64::MAX / 4;
     // Minimize the negated gains; u/v are row/column potentials, p[j] is
     // the row matched to column j (0 = unmatched), way[j] the previous
@@ -1461,7 +1466,7 @@ fn max_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
                 if used[j] {
                     continue;
                 }
-                let cur = -(gain[i0 - 1][j - 1] as i64) - u[i0] - v[j];
+                let cur = -(rows[i0 - 1][cols[j - 1]] as i64) - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
@@ -1493,29 +1498,8 @@ fn max_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
             }
         }
     }
-    let mut perm = vec![0usize; n];
-    for j in 1..=n {
-        if p[j] > 0 {
-            perm[p[j] - 1] = j - 1;
-        }
-    }
-    perm
-}
-
-/// Visits every permutation of `slice[k..]` by recursive swapping: each
-/// element of `slice[k..]` in turn is swapped into position `k`, the
-/// suffix after `k` is permuted recursively, and the swap is undone. The
-/// first permutation visited is the slice as given.
-fn permute(slice: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k == slice.len() {
-        visit(slice);
-        return;
-    }
-    for i in k..slice.len() {
-        slice.swap(k, i);
-        permute(slice, k + 1, visit);
-        slice.swap(k, i);
-    }
+    // The start column's potential ends at minus the minimum cost.
+    v[0] as u64
 }
 
 #[cfg(test)]
@@ -2047,9 +2031,9 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random gain matrices for the assignment
-    /// tests (SplitMix64).
-    fn gain_matrix(n: usize, seed: u64) -> Vec<Vec<u64>> {
+    /// Deterministic pseudo-random gain matrices with entries in
+    /// `0..modulus` for the assignment tests (SplitMix64).
+    fn gain_matrix(n: usize, seed: u64, modulus: u64) -> Vec<Vec<u64>> {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -2059,47 +2043,61 @@ mod tests {
             z ^ (z >> 31)
         };
         (0..n)
-            .map(|_| (0..n).map(|_| next() % 1000).collect())
+            .map(|_| (0..n).map(|_| next() % modulus).collect())
             .collect()
     }
 
+    /// Visits every permutation of `slice[k..]`, the slice as given first:
+    /// swap each element into position `k`, recurse on `k + 1`, undo.
+    fn permute(slice: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
+        if k == slice.len() {
+            visit(slice);
+            return;
+        }
+        for i in k..slice.len() {
+            slice.swap(k, i);
+            permute(slice, k + 1, visit);
+            slice.swap(k, i);
+        }
+    }
+
     #[test]
-    fn hungarian_assignment_matches_brute_force_optimum() {
-        for n in 2..=7 {
-            for seed in 0..4 {
-                let gain = gain_matrix(n, seed * 31 + n as u64);
-                let perm = max_assignment(&gain);
-                // A valid permutation.
-                let mut seen = vec![false; n];
-                for &p in &perm {
-                    assert!(!seen[p], "column {p} assigned twice");
-                    seen[p] = true;
+    fn descent_matches_the_brute_force_first_optimum() {
+        // Entries in 0..=3 make ties common. The reference is the scan
+        // MinComs used to run: identity at score 0, replace only on `>`.
+        for case in 0..1400u64 {
+            let n = 1 + (case % 7) as usize;
+            let gain = gain_matrix(n, case, 4);
+            let mut best: Vec<usize> = (0..n).collect();
+            let mut best_score = 0u64;
+            let mut ids: Vec<usize> = (0..n).collect();
+            permute(&mut ids, 0, &mut |p| {
+                let score: u64 = (0..n).map(|v| gain[v][p[v]]).sum();
+                if score > best_score {
+                    best_score = score;
+                    best = p.to_vec();
                 }
-                let score: u64 = (0..n).map(|v| gain[v][perm[v]]).sum();
-                // Brute force over all permutations finds the optimum.
-                let mut best = 0u64;
-                let mut ids: Vec<usize> = (0..n).collect();
-                permute(&mut ids, 0, &mut |p| {
-                    best = best.max((0..n).map(|v| gain[v][p[v]]).sum());
-                });
-                assert_eq!(score, best, "n={n} seed={seed}");
-            }
+            });
+            assert_eq!(first_optimal_assignment(&gain), best, "case {case}");
+            assert_eq!(max_assignment(&gain, &ids), best_score, "case {case}");
         }
     }
 
     #[test]
     fn large_machine_assignment_is_fast_and_valid() {
-        // 16! permutations are unenumerable; the Hungarian path must
-        // solve a 16-cluster matrix instantly and optimally (checked
-        // against the trivial diagonal-dominant construction).
+        // 16! permutations are unenumerable; the descent must find a
+        // planted 16-cluster optimum instantly, and keep the identity
+        // when nothing is gained.
         let n = 16;
-        let mut gain = gain_matrix(n, 7);
+        let mut gain = gain_matrix(n, 7, 1000);
         for (v, row) in gain.iter_mut().enumerate() {
             row[(v + 3) % n] += 1_000_000; // planted optimum: shift by 3
         }
-        let perm = max_assignment(&gain);
+        let perm = first_optimal_assignment(&gain);
         for (v, &p) in perm.iter().enumerate() {
             assert_eq!(p, (v + 3) % n, "virtual cluster {v}");
         }
+        let identity: Vec<usize> = (0..n).collect();
+        assert_eq!(first_optimal_assignment(&vec![vec![0; n]; n]), identity);
     }
 }

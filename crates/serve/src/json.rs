@@ -182,6 +182,7 @@ pub const MAX_DEPTH: usize = 64;
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut p = Parser {
+        text,
         bytes,
         pos: 0,
         depth: 0,
@@ -196,6 +197,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects open around the current position.
@@ -356,11 +358,14 @@ impl Parser<'_> {
                 }
                 b if b < 0x80 => out.push(char::from(b)),
                 _ => {
-                    // Multi-byte UTF-8: re-decode from the slice.
+                    // Multi-byte UTF-8: decode one char from the text,
+                    // never re-validating the rest of it.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = s.chars().next().expect("nonempty");
+                    let c = self
+                        .text
+                        .get(start..)
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| "invalid utf-8 in string".to_string())?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -474,6 +479,18 @@ mod tests {
                 5 * MAX_DEPTH
             ))
         );
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // Each char must decode in constant time: re-validating the rest
+        // of the text per char is quadratic, and a 1 MiB body would tie
+        // a worker up for minutes.
+        let body = format!("[\"{}\"]", "é".repeat(256 * 1024));
+        let Ok(Json::Arr(items)) = parse(&body) else {
+            panic!("a long string parses");
+        };
+        assert_eq!(items[0].as_str().map(str::len), Some(512 * 1024));
     }
 
     #[test]

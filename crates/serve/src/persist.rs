@@ -69,9 +69,9 @@ pub const KIND_SEEDS: [u8; 4] = *b"SEED";
 /// ([`distvliw_arch::CANONICAL_BYTES_VERSION`]), the scheduler
 /// projection inside the seed-store fingerprints
 /// ([`distvliw_arch::SCHED_CANONICAL_BYTES_VERSION`]), the cell-key
-/// layout ([`CELL_KEY_VERSION`]) or the value codec — marks a persisted
-/// store stale, and stale stores are discarded wholesale rather than
-/// trusted.
+/// layout and the values keys compute ([`CELL_KEY_VERSION`]) or the
+/// value codec — marks a persisted store stale, and stale stores are
+/// discarded wholesale rather than trusted.
 #[must_use]
 pub fn era_bytes() -> [u8; 4] {
     [
