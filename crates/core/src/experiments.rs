@@ -941,18 +941,26 @@ pub fn sweep(
     });
     let rows = sweep_rows(&cells, &sims.iter().collect::<Vec<_>>());
 
-    let reg = distvliw_obs::global();
-    reg.counter(
-        "sweep_cells_simulated_total",
-        "Concrete sweep cells simulated",
-    )
-    .add(cells.len() as u64);
-    reg.histogram(
-        "sweep_duration_us",
-        "Wall time of one factored sweep in microseconds",
-    )
-    .record_micros(sweep_start.elapsed());
+    let (simulated, duration) = sweep_metrics();
+    simulated.add(cells.len() as u64);
+    duration.record_micros(sweep_start.elapsed());
     Ok(SweepRun { rows, reuse })
+}
+
+/// The sweep's metric families in the global registry: cells simulated
+/// and wall time per sweep.
+pub(crate) fn sweep_metrics() -> (distvliw_obs::Counter, distvliw_obs::Histogram) {
+    let reg = distvliw_obs::global();
+    (
+        reg.counter(
+            "sweep_cells_simulated_total",
+            "Concrete sweep cells simulated",
+        ),
+        reg.histogram(
+            "sweep_duration_us",
+            "Wall time of one factored sweep in microseconds",
+        ),
+    )
 }
 
 #[cfg(test)]

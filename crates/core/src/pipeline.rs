@@ -694,12 +694,7 @@ impl Pipeline {
                 heuristic,
                 &schedule,
             );
-            distvliw_obs::global()
-                .counter(
-                    "check_violations_total",
-                    "schedule-checker violations found by the pipeline hook",
-                )
-                .add(report.len() as u64);
+            check_violations().add(report.len() as u64);
             if !report.is_clean() {
                 debug_assert!(false, "checker rejected `{}`: {report}", kernel.name);
                 return Err(PipelineError::Check {
@@ -859,6 +854,14 @@ pub fn derive_hybrid(mdc: &SuiteStats, ddgt: &SuiteStats) -> SuiteStats {
 /// fewer total cycles wins, ties go to MDC.
 fn mdc_wins(mdc: &KernelRun, ddgt: &KernelRun) -> bool {
     mdc.stats.total_cycles() <= ddgt.stats.total_cycles()
+}
+
+/// The pipeline's checker-hook counter in the global registry.
+pub(crate) fn check_violations() -> distvliw_obs::Counter {
+    distvliw_obs::global().counter(
+        "check_violations_total",
+        "schedule-checker violations found by the pipeline hook",
+    )
 }
 
 #[cfg(test)]

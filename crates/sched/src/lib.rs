@@ -45,4 +45,4 @@ mod scheduler;
 
 pub use mrt::Mrt;
 pub use schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp, SearchPhase};
-pub use scheduler::{Heuristic, ModuloScheduler};
+pub use scheduler::{register_metrics, Heuristic, ModuloScheduler};

@@ -6,6 +6,11 @@
 //! [`Mrt::rollback`] instead of cloning the whole table per trial — the
 //! scheduler's innermost loop commits one candidate `(cluster, cycle)`
 //! placement per call and used to pay a full `Mrt` clone each time.
+//!
+//! The register buses also keep a bitset of *open* slots (occupancy below
+//! the bus count) next to their counts, so [`Mrt::find_bus_slot`] tests
+//! 64 candidate start cycles per word operation instead of probing
+//! every covered slot of every candidate.
 
 use distvliw_arch::MachineConfig;
 use distvliw_ir::FuClass;
@@ -44,6 +49,12 @@ pub struct Mrt {
     /// `bus[slot]` = register-bus occupancy (a transfer occupies
     /// `bus_latency` consecutive slots).
     bus: Vec<u32>,
+    /// Bit `s`, `s + II` and `s + 2·II` are set iff `bus[s] < bus_cap`:
+    /// three back-to-back copies of the II-slot ring, so the slots a
+    /// [`Mrt::find_bus_slot`] query reads (at most II starts from any
+    /// residue, each covering at most II slots) never wrap. One spare
+    /// word keeps the two-word window read in bounds.
+    bus_open: Vec<u64>,
     bus_cap: u32,
     bus_latency: u32,
     journal: Vec<Reservation>,
@@ -59,7 +70,7 @@ impl Mrt {
     pub fn new(machine: &MachineConfig, ii: u32) -> Self {
         assert!(ii > 0, "II must be positive");
         let slots = ii as usize;
-        Mrt {
+        let mut mrt = Mrt {
             ii,
             fu: (0..machine.n_clusters)
                 .map(|_| [vec![0; slots], vec![0; slots], vec![0; slots]])
@@ -71,10 +82,15 @@ impl Mrt {
             ],
             cluster_ops: vec![0; machine.n_clusters],
             bus: vec![0; slots],
+            bus_open: vec![0; 3 * slots / 64 + 2],
             bus_cap: machine.reg_buses.count as u32,
             bus_latency: machine.reg_buses.latency,
             journal: Vec::new(),
+        };
+        for slot in 0..slots {
+            mrt.sync_open(slot);
         }
+        mrt
     }
 
     /// The initiation interval this table was built for.
@@ -109,22 +125,12 @@ impl Mrt {
                     self.fu[cluster as usize][class as usize][slot as usize] -= 1;
                     self.cluster_ops[cluster as usize] -= 1;
                 }
-                Reservation::Bus(cycle) => {
-                    for i in 0..self.bus_latency {
-                        let slot = self.slot(cycle + i);
-                        self.bus[slot] -= 1;
-                    }
-                }
+                Reservation::Bus(cycle) => self.bus_sub(cycle),
                 Reservation::FuRelease(cluster, class, slot) => {
                     self.fu[cluster as usize][class as usize][slot as usize] += 1;
                     self.cluster_ops[cluster as usize] += 1;
                 }
-                Reservation::BusRelease(cycle) => {
-                    for i in 0..self.bus_latency {
-                        let slot = self.slot(cycle + i);
-                        self.bus[slot] += 1;
-                    }
-                }
+                Reservation::BusRelease(cycle) => self.bus_add(cycle),
             }
         }
     }
@@ -191,11 +197,7 @@ impl Mrt {
     ///
     /// Panics if any covered slot holds no transfer.
     pub fn release_bus(&mut self, cycle: u32) {
-        for i in 0..self.bus_latency {
-            let slot = self.slot(cycle + i);
-            assert!(self.bus[slot] > 0, "releasing an empty bus slot");
-            self.bus[slot] -= 1;
-        }
+        self.bus_sub(cycle);
         self.journal.push(Reservation::BusRelease(cycle));
     }
 
@@ -238,32 +240,164 @@ impl Mrt {
     /// Panics if the buses are full for any covered slot.
     pub fn reserve_bus(&mut self, cycle: u32) {
         assert!(self.bus_free(cycle), "register buses oversubscribed");
-        for i in 0..self.bus_latency {
-            let slot = self.slot(cycle + i);
-            self.bus[slot] += 1;
-        }
+        self.bus_add(cycle);
         self.journal.push(Reservation::Bus(cycle));
     }
 
-    /// Earliest cycle in `[from, to]` at which a bus transfer can start,
-    /// if any.
+    /// Earliest cycle in `[from, to]` at which a bus transfer can start
+    /// ([`Mrt::bus_free`]), if any.
     #[must_use]
     pub fn find_bus_slot(&self, from: u32, to: u32) -> Option<u32> {
         if from > to {
             return None;
         }
-        // Only II distinct residues exist; searching further is futile.
-        let limit = to.min(from.saturating_add(self.ii));
-        (from..=limit).find(|&c| self.bus_free(c))
+        // Only II distinct residues exist: start `from + II` fits iff
+        // `from` does, so at most II starts need testing.
+        let starts = (to - from).min(self.ii - 1) as usize + 1;
+        let first = self.slot(from);
+        let covered = self.bus_latency.min(self.ii) as usize;
+        for base in (0..starts).step_by(64) {
+            // Bit j: start `from + base + j` finds every covered slot open.
+            let mut fits = !0u64;
+            for k in 0..covered {
+                fits &= self.open_window(first + base + k);
+                if fits == 0 {
+                    break;
+                }
+            }
+            if starts - base < 64 {
+                fits &= (1 << (starts - base)) - 1;
+            }
+            if fits != 0 {
+                return Some(from + (base + fits.trailing_zeros() as usize) as u32);
+            }
+        }
+        None
+    }
+
+    /// Open-slot bits `pos..pos + 64` of the unrolled ring, bit 0 first.
+    fn open_window(&self, pos: usize) -> u64 {
+        let (word, shift) = (pos / 64, pos % 64);
+        let low = self.bus_open[word] >> shift;
+        if shift == 0 {
+            low
+        } else {
+            low | self.bus_open[word + 1] << (64 - shift)
+        }
+    }
+
+    /// Re-derives the open bits of `slot` from its count.
+    fn sync_open(&mut self, slot: usize) {
+        let open = self.bus[slot] < self.bus_cap;
+        for bit in [slot, slot + self.bus.len(), slot + 2 * self.bus.len()] {
+            let mask = 1 << (bit % 64);
+            if open {
+                self.bus_open[bit / 64] |= mask;
+            } else {
+                self.bus_open[bit / 64] &= !mask;
+            }
+        }
+    }
+
+    /// Adds one transfer starting at `cycle` to the bus counts.
+    fn bus_add(&mut self, cycle: u32) {
+        for i in 0..self.bus_latency {
+            let slot = self.slot(cycle + i);
+            self.bus[slot] += 1;
+            self.sync_open(slot);
+        }
+    }
+
+    /// Removes one transfer starting at `cycle` from the bus counts.
+    fn bus_sub(&mut self, cycle: u32) {
+        for i in 0..self.bus_latency {
+            let slot = self.slot(cycle + i);
+            assert!(self.bus[slot] > 0, "releasing an empty bus slot");
+            self.bus[slot] -= 1;
+            self.sync_open(slot);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
 
     fn machine() -> MachineConfig {
         MachineConfig::paper_baseline()
+    }
+
+    /// The per-start probe scan [`Mrt::find_bus_slot`] replaced: the
+    /// oracle its bitset search must agree with.
+    fn scan_bus_slot(mrt: &Mrt, from: u32, to: u32) -> Option<u32> {
+        if from > to {
+            return None;
+        }
+        let limit = to.min(from.saturating_add(mrt.ii));
+        (from..=limit).find(|&c| mrt.bus_free(c))
+    }
+
+    #[test]
+    fn bus_bitset_search_matches_the_scan() {
+        let mut rng = TestRng::for_test("bus_bitset_search_matches_the_scan");
+        let mut iis: Vec<u32> = (1..=8).chain([63, 64, 65, 127, 128, 129, 300]).collect();
+        iis.extend((0..20).map(|_| 1 + rng.below(300) as u32));
+        for ii in iis {
+            let ii64 = u64::from(ii);
+            let mut machine = machine();
+            // Latencies past II cover wrapped (every-slot) transfers.
+            machine.reg_buses.latency = 1 + rng.below(ii64 + 3) as u32;
+            machine.reg_buses.count = 1 + rng.below(4) as usize;
+            let mut mrt = Mrt::new(&machine, ii);
+            // Start cycles of the transfers held, and each open
+            // checkpoint with the cells and holdings it must restore.
+            let mut held: Vec<u32> = Vec::new();
+            let mut marks: Vec<(Checkpoint, Vec<u32>, Vec<u32>)> = Vec::new();
+            for _ in 0..150 {
+                match rng.below(8) {
+                    0..=2 => {
+                        let from = rng.below(3 * ii64) as u32;
+                        if let Some(c) = mrt.find_bus_slot(from, from + ii) {
+                            mrt.reserve_bus(c);
+                            held.push(c);
+                        }
+                    }
+                    3 if !held.is_empty() => {
+                        let c = held.swap_remove(rng.below(held.len() as u64) as usize);
+                        mrt.release_bus(c);
+                    }
+                    4 => marks.push((mrt.checkpoint(), mrt.cells(), held.clone())),
+                    5 => {
+                        if let Some((mark, cells, before)) = marks.pop() {
+                            mrt.rollback(mark);
+                            assert_eq!(mrt.cells(), cells, "II={ii}: rollback");
+                            held = before;
+                        }
+                    }
+                    6 => {
+                        if let Some((mark, ..)) = marks.pop() {
+                            mrt.commit(mark);
+                            // Outer checkpoints no longer undo to their
+                            // snapshots: the committed work is permanent.
+                            marks.clear();
+                        }
+                    }
+                    _ => {}
+                }
+                for _ in 0..6 {
+                    let from = rng.below(4 * ii64) as u32;
+                    // Windows from empty (`from > to`) to wider than II.
+                    let to = (i64::from(from) + rng.below(2 * ii64 + 10) as i64 - 5).max(0) as u32;
+                    assert_eq!(
+                        mrt.find_bus_slot(from, to),
+                        scan_bus_slot(&mrt, from, to),
+                        "II={ii} {:?} window [{from}, {to}]",
+                        machine.reg_buses
+                    );
+                }
+            }
+        }
     }
 
     #[test]

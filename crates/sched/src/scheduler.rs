@@ -35,10 +35,12 @@
 //!   every latency-assignment trial.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
 
 use distvliw_arch::{LatencyClass, MachineConfig};
 use distvliw_coherence::SchedConstraints;
 use distvliw_ir::{Ddg, DepKind, NodeId, NodeMap, PrefMap};
+use distvliw_obs::{Counter, Histogram};
 
 use crate::dense::DenseDeps;
 use crate::eject::{eject_budget, EvictionRecord};
@@ -96,6 +98,58 @@ struct SchedCtx<'a> {
     constraints: &'a SchedConstraints,
     prefs: &'a PrefMap,
     heuristic: Heuristic,
+}
+
+/// The scheduler's metric families in the global registry.
+struct Metrics {
+    duration: Histogram,
+    schedules: Counter,
+    iis_tried: Counter,
+    placement_attempts: Counter,
+    ejections: Counter,
+    seeded: Counter,
+    failures: Counter,
+}
+
+/// The scheduler's metric handles, every family registered on first use.
+fn metrics() -> &'static Metrics {
+    static METRICS: OnceLock<Metrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = distvliw_obs::global();
+        Metrics {
+            duration: reg.histogram(
+                "sched_schedule_duration_us",
+                "Wall time of one schedule() call in microseconds",
+            ),
+            schedules: reg.counter("sched_schedules_total", "Completed schedule() calls"),
+            iis_tried: reg.counter(
+                "sched_iis_tried_total",
+                "Candidate initiation intervals tried across all searches",
+            ),
+            placement_attempts: reg.counter(
+                "sched_placement_attempts_total",
+                "Node placement attempts across all searches",
+            ),
+            ejections: reg.counter(
+                "sched_ejections_total",
+                "Nodes ejected by the backtracking placement fallback",
+            ),
+            seeded: reg.counter(
+                "sched_seeded_schedules_total",
+                "Schedules whose II search opened from a stored seed",
+            ),
+            failures: reg.counter(
+                "sched_schedule_failures_total",
+                "schedule() calls returning an error",
+            ),
+        }
+    })
+}
+
+/// Registers every scheduler metric family in the global registry (at
+/// zero), so an exposition lists them before the first schedule.
+pub fn register_metrics() {
+    metrics();
 }
 
 /// Modulo scheduler for one machine configuration.
@@ -190,50 +244,23 @@ impl<'m> ModuloScheduler<'m> {
         let mut span = distvliw_obs::Span::enter("sched.schedule");
         span.field_u64("nodes", ddg.node_count() as u64);
         let result = self.schedule_inner(ddg, constraints, prefs, heuristic);
-        let reg = distvliw_obs::global();
-        reg.histogram(
-            "sched_schedule_duration_us",
-            "Wall time of one schedule() call in microseconds",
-        )
-        .record_micros(start.elapsed());
+        let metrics = metrics();
+        metrics.duration.record_micros(start.elapsed());
         match &result {
             Ok((_, stats)) => {
                 span.field_u64("ii", u64::from(stats.ii));
                 span.field_u64("mii", u64::from(stats.mii));
                 span.field_u64("iis_tried", u64::from(stats.iis_tried));
                 span.field_u64("ejections", stats.ejections);
-                reg.counter("sched_schedules_total", "Completed schedule() calls")
-                    .inc();
-                reg.counter(
-                    "sched_iis_tried_total",
-                    "Candidate initiation intervals tried across all searches",
-                )
-                .add(u64::from(stats.iis_tried));
-                reg.counter(
-                    "sched_placement_attempts_total",
-                    "Node placement attempts across all searches",
-                )
-                .add(stats.placement_attempts);
-                reg.counter(
-                    "sched_ejections_total",
-                    "Nodes ejected by the backtracking placement fallback",
-                )
-                .add(stats.ejections);
-                if stats.seeded_at.is_some() {
-                    reg.counter(
-                        "sched_seeded_schedules_total",
-                        "Schedules whose II search opened from a stored seed",
-                    )
-                    .inc();
-                }
+                metrics.schedules.inc();
+                metrics.iis_tried.add(u64::from(stats.iis_tried));
+                metrics.placement_attempts.add(stats.placement_attempts);
+                metrics.ejections.add(stats.ejections);
+                metrics.seeded.add(u64::from(stats.seeded_at.is_some()));
             }
             Err(_) => {
                 span.field_str("error", "unschedulable");
-                reg.counter(
-                    "sched_schedule_failures_total",
-                    "schedule() calls returning an error",
-                )
-                .inc();
+                metrics.failures.inc();
             }
         }
         result

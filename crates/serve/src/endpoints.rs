@@ -9,6 +9,7 @@
 //! encoding of the direct experiment's rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use distvliw_arch::{AccessClass, MachineConfig};
@@ -20,8 +21,8 @@ use distvliw_core::experiments::{
 };
 use distvliw_core::{Heuristic, PipelineError, Solution, SuiteStats};
 use distvliw_ir::Suite;
-use distvliw_obs::logger;
 use distvliw_obs::trace::{self, SpanRecord, TraceCtx, TraceSink};
+use distvliw_obs::{logger, Counter, Histogram};
 
 use crate::engine::{machine_with_overrides, ServeEngine};
 use crate::http::{Request, Response};
@@ -69,32 +70,21 @@ pub fn serve_request(
     });
     let total = parse_dur + start.elapsed();
 
-    let reg = distvliw_obs::global();
     let label = route_label(&request.path);
-    reg.counter_with(
-        "serve_http_requests_total",
-        "Requests served, by (normalized) path",
-        &[("path", &label)],
-    )
-    .inc();
-    reg.histogram(
-        "serve_http_request_duration_us",
-        "Total request wall time (parse through render) in microseconds",
-    )
-    .record_micros(total);
-    reg.counter(
-        "serve_http_response_bytes_total",
-        "Response body bytes written",
-    )
-    .add(response.body.len() as u64);
+    distvliw_obs::global()
+        .counter_with(
+            "serve_http_requests_total",
+            "Requests served, by (normalized) path",
+            &[("path", &label)],
+        )
+        .inc();
+    let metrics = http_metrics();
+    metrics.duration.record_micros(total);
+    metrics.response_bytes.add(response.body.len() as u64);
 
     let slow_ms = SLOW_REQUEST_MS.load(Ordering::Relaxed);
     if total.as_millis() as u64 >= slow_ms {
-        reg.counter(
-            "serve_http_slow_requests_total",
-            "Requests slower than the configured threshold",
-        )
-        .inc();
+        metrics.slow.inc();
         logger::event(
             "warn",
             "slow_request",
@@ -160,6 +150,42 @@ pub fn serve_request(
         }
     }
     response
+}
+
+/// The unlabeled request-path metric families in the global registry.
+struct HttpMetrics {
+    duration: Histogram,
+    response_bytes: Counter,
+    slow: Counter,
+}
+
+/// The request-path metric handles, every family registered on first use.
+fn http_metrics() -> &'static HttpMetrics {
+    static METRICS: OnceLock<HttpMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = distvliw_obs::global();
+        HttpMetrics {
+            duration: reg.histogram(
+                "serve_http_request_duration_us",
+                "Total request wall time (parse through render) in microseconds",
+            ),
+            response_bytes: reg.counter(
+                "serve_http_response_bytes_total",
+                "Response body bytes written",
+            ),
+            slow: reg.counter(
+                "serve_http_slow_requests_total",
+                "Requests slower than the configured threshold",
+            ),
+        }
+    })
+}
+
+/// Registers the request-path metric families (at zero). The per-route
+/// `serve_http_requests_total` series appear with each route's first
+/// request.
+pub(crate) fn register_metrics() {
+    http_metrics();
 }
 
 /// Collapses request paths onto the route set so the per-path counter

@@ -43,13 +43,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::endpoints;
-use crate::engine::ServeEngine;
 use crate::http::{parse_request, render_response, Parse, Request, Response};
 use crate::json::Json;
 
@@ -284,6 +284,7 @@ struct Loop {
     open: usize,
     job_tx: mpsc::SyncSender<Job>,
     queue_depth: distvliw_obs::Gauge,
+    accepted: distvliw_obs::Counter,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -585,8 +586,16 @@ fn wake(tx: &TcpStream) {
     let _ = (&*tx).write(&[1u8]);
 }
 
+/// What a worker runs for each parsed request: the engine's
+/// [`endpoints::serve_request`] in a server. Given the request and its
+/// framing read's start and duration.
+pub(crate) type Handler = dyn Fn(&Request, Instant, Duration) -> Response + Send + Sync;
+
 /// Runs the event loop until shutdown. Owns the listener and every
-/// connection; spawns exactly `config.workers` compute threads.
+/// connection; spawns exactly `config.workers` compute threads, each
+/// answering requests with `handler`. A panicking `handler` call is
+/// answered `500` and counted in `serve_panics_total`; its worker
+/// lives on.
 ///
 /// # Errors
 ///
@@ -594,7 +603,7 @@ fn wake(tx: &TcpStream) {
 /// ([`ACCEPT_FAILURE_LIMIT`] consecutive hard errors).
 pub(crate) fn run(
     listener: &TcpListener,
-    engine: &Arc<ServeEngine>,
+    handler: &Arc<Handler>,
     shutdown: &Arc<AtomicBool>,
     config: &EventConfig,
 ) -> io::Result<()> {
@@ -605,13 +614,29 @@ pub(crate) fn run(
     let job_rx = Arc::new(Mutex::new(job_rx));
     let done: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
 
+    // Register every family up front, so /metrics lists the same
+    // families (at zero) from the first scrape on, whatever code paths
+    // (first overload, first sweep, first panic) have run since.
+    distvliw_core::register_metrics();
+    endpoints::register_metrics();
     let reg = distvliw_obs::global();
     let queue_depth = reg.gauge(
         "serve_queue_depth",
         "Parsed requests waiting in the bounded worker queue",
     );
-    // Register the rejection/state families eagerly so /metrics shows
-    // them (at zero) before the first overload.
+    let accepted = reg.counter("serve_connections_total", "Connections accepted");
+    let reaped = reg.counter(
+        "serve_connections_reaped_total",
+        "Idle keep-alive connections reaped at the idle limit",
+    );
+    let accept_errors = reg.counter(
+        "serve_accept_errors_total",
+        "Accept failures answered with a 20ms backoff",
+    );
+    let panics = reg.counter(
+        "serve_panics_total",
+        "Requests whose handler panicked, answered 500",
+    );
     for reason in ["queue_full", "max_conns"] {
         let _ = reg.counter_with(
             "serve_rejected_total",
@@ -641,11 +666,12 @@ pub(crate) fn run(
 
     let mut worker_handles = Vec::with_capacity(workers);
     for i in 0..workers {
-        let engine = engine.clone();
+        let handler = handler.clone();
         let job_rx = job_rx.clone();
         let done = done.clone();
         let wake_tx = wake_tx.try_clone()?;
         let queue_depth = queue_depth.clone();
+        let panics = panics.clone();
         let handle = std::thread::Builder::new()
             .name(format!("serve-worker-{i}"))
             .spawn(move || loop {
@@ -654,8 +680,24 @@ pub(crate) fn run(
                     Err(_) => break,
                 };
                 queue_depth.add(-1);
-                let response =
-                    endpoints::serve_request(&engine, &job.request, job.parse_start, job.parse_dur);
+                // The engine's shared state survives an unwind: its locks
+                // shrug off poisoning and a panicking cell leader hands
+                // its flight to a follower.
+                let response = panic::catch_unwind(AssertUnwindSafe(|| {
+                    handler(&job.request, job.parse_start, job.parse_dur)
+                }))
+                .unwrap_or_else(|_| {
+                    panics.inc();
+                    distvliw_obs::logger::event(
+                        "error",
+                        "request_panicked",
+                        &[("path", job.request.path.as_str().into())],
+                    );
+                    Response::json(
+                        500,
+                        Json::obj(vec![("error", Json::str("internal error"))]).render(),
+                    )
+                });
                 lock(&done).push(Done {
                     token: job.token,
                     generation: job.generation,
@@ -673,6 +715,7 @@ pub(crate) fn run(
         open: 0,
         job_tx,
         queue_depth,
+        accepted,
         shutdown: shutdown.clone(),
     };
     let mut draining = false;
@@ -789,11 +832,7 @@ pub(crate) fn run(
                     Ok(()) => accept_failures = 0,
                     Err(e) => {
                         accept_failures += 1;
-                        reg.counter(
-                            "serve_accept_errors_total",
-                            "Accept failures answered with a 20ms backoff",
-                        )
-                        .inc();
+                        accept_errors.inc();
                         distvliw_obs::logger::event(
                             "warn",
                             "accept_error",
@@ -879,11 +918,7 @@ pub(crate) fn run(
                 continue;
             }
             if conn.state == ConnState::Idle {
-                reg.counter(
-                    "serve_connections_reaped_total",
-                    "Idle keep-alive connections reaped at the idle limit",
-                )
-                .inc();
+                reaped.inc();
                 distvliw_obs::logger::event(
                     "info",
                     "conn_reaped",
@@ -948,9 +983,7 @@ fn accept_ready(listener: &TcpListener, state: &mut Loop, config: &EventConfig) 
             drop(stream);
             continue;
         }
-        distvliw_obs::global()
-            .counter("serve_connections_total", "Connections accepted")
-            .inc();
+        state.accepted.inc();
         let token = state.insert(stream);
         // Bytes may already be waiting (client sent the request with
         // the SYN-ACK data); read them now rather than next tick.
@@ -992,5 +1025,51 @@ mod tests {
         }];
         sys::poll_wait(&mut fds, 1000).unwrap();
         assert_ne!(fds[0].revents & sys::POLLIN, 0);
+    }
+
+    /// The status of a one-shot `GET path`, failing (not hanging) when
+    /// no answer comes.
+    fn get_status(addr: std::net::SocketAddr, path: &str) -> u16 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(stream, "GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
+        let mut text = String::new();
+        stream
+            .read_to_string(&mut text)
+            .unwrap_or_else(|e| panic!("GET {path} got no answer: {e}"));
+        text[9..12].parse().unwrap()
+    }
+
+    #[test]
+    fn a_panicking_request_answers_500_and_its_worker_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handler: Arc<Handler> = Arc::new(|request: &Request, _, _| {
+            assert_ne!(request.path, "/boom", "handler exploded");
+            Response::json(200, "{}".to_string())
+        });
+        let shutdown = Arc::new(AtomicBool::new(false));
+        // One worker: the 200 below proves the panicked one survived.
+        let config = EventConfig {
+            workers: 1,
+            ..EventConfig::default()
+        };
+        let server = {
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || run(&listener, &handler, &shutdown, &config))
+        };
+
+        assert_eq!(get_status(addr, "/boom"), 500);
+        assert_eq!(get_status(addr, "/fine"), 200);
+        let panics = distvliw_obs::global().counter(
+            "serve_panics_total",
+            "Requests whose handler panicked, answered 500",
+        );
+        assert_eq!(panics.get(), 1);
+
+        shutdown.store(true, Ordering::SeqCst);
+        server.join().unwrap().unwrap();
     }
 }

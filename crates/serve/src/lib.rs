@@ -140,7 +140,11 @@ impl Server {
                 }
             })
         };
-        let result = event::run(&self.listener, &self.engine, &self.shutdown, &self.config);
+        let engine = self.engine.clone();
+        let handler: Arc<event::Handler> = Arc::new(move |request, parse_start, parse_dur| {
+            endpoints::serve_request(&engine, request, parse_start, parse_dur)
+        });
+        let result = event::run(&self.listener, &handler, &self.shutdown, &self.config);
         // The loop only returns once drained (in-flight responses
         // written, workers joined); make sure the flusher sees the
         // flag even when the loop exited on an error.

@@ -23,8 +23,11 @@
 //! All three are pure performance changes: statistics are bit-identical
 //! to the per-cycle scan engine (pinned by `tests/golden_sim_stats.rs`).
 
+use std::sync::OnceLock;
+
 use distvliw_arch::MachineConfig;
 use distvliw_ir::{AddressStream, DepKind, LoopKernel, NodeId, OpKind};
+use distvliw_obs::{Counter, Histogram};
 use distvliw_sched::Schedule;
 
 use crate::memsys::{AccessResult, BatchAccess, MemorySystem};
@@ -509,36 +512,62 @@ pub fn simulate_kernel_detailed(
     sim_span.field_u64("iterations", iters);
     sim_span.field_u64("cycles", total_rows + stall);
     sim_span.field_u64("batches", batches);
-    let reg = distvliw_obs::global();
-    reg.counter("sim_kernels_total", "Kernel simulations completed")
-        .inc();
-    reg.counter(
-        "sim_cycles_total",
-        "Cycles walked by the event loop (compute + stall, pre-extrapolation)",
-    )
-    .add(total_rows + stall);
-    reg.counter(
-        "sim_stall_cycles_total",
-        "Stall-on-use cycles observed (pre-extrapolation)",
-    )
-    .add(stall);
-    reg.counter(
-        "sim_batches_total",
-        "Memory-system batch windows executed via run_batch",
-    )
-    .add(batches);
-    reg.counter(
-        "sim_bus_busy_cycles_total",
-        "Memory-bus busy cycles accumulated (pre-extrapolation)",
-    )
-    .add(raw_bus_busy);
-    reg.histogram(
-        "sim_kernel_duration_us",
-        "Wall time of one kernel simulation in microseconds",
-    )
-    .record_micros(sim_start.elapsed());
+    let metrics = metrics();
+    metrics.kernels.inc();
+    metrics.cycles.add(total_rows + stall);
+    metrics.stall_cycles.add(stall);
+    metrics.batches.add(batches);
+    metrics.bus_busy_cycles.add(raw_bus_busy);
+    metrics.duration.record_micros(sim_start.elapsed());
 
     (stats.scaled(invocations), usage.scaled(invocations))
+}
+
+/// The simulator's metric families in the global registry.
+struct Metrics {
+    kernels: Counter,
+    cycles: Counter,
+    stall_cycles: Counter,
+    batches: Counter,
+    bus_busy_cycles: Counter,
+    duration: Histogram,
+}
+
+/// The simulator's metric handles, every family registered on first use.
+fn metrics() -> &'static Metrics {
+    static METRICS: OnceLock<Metrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = distvliw_obs::global();
+        Metrics {
+            kernels: reg.counter("sim_kernels_total", "Kernel simulations completed"),
+            cycles: reg.counter(
+                "sim_cycles_total",
+                "Cycles walked by the event loop (compute + stall, pre-extrapolation)",
+            ),
+            stall_cycles: reg.counter(
+                "sim_stall_cycles_total",
+                "Stall-on-use cycles observed (pre-extrapolation)",
+            ),
+            batches: reg.counter(
+                "sim_batches_total",
+                "Memory-system batch windows executed via run_batch",
+            ),
+            bus_busy_cycles: reg.counter(
+                "sim_bus_busy_cycles_total",
+                "Memory-bus busy cycles accumulated (pre-extrapolation)",
+            ),
+            duration: reg.histogram(
+                "sim_kernel_duration_us",
+                "Wall time of one kernel simulation in microseconds",
+            ),
+        }
+    })
+}
+
+/// Registers every simulator metric family in the global registry (at
+/// zero), so an exposition lists them before the first simulation.
+pub fn register_metrics() {
+    metrics();
 }
 
 #[cfg(test)]

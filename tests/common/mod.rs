@@ -13,51 +13,59 @@ use std::fmt::Write as _;
 use distvliw::arch::{AccessClass, MachineConfig};
 use distvliw::core::{par, Pipeline, PipelineOptions, Solution};
 use distvliw::ir::Suite;
-use distvliw::sched::{Heuristic, Schedule};
+use distvliw::sched::{Heuristic, SchedStats, Schedule};
 use distvliw::sim::SimStats;
 
-/// The coherence solutions a golden grid compiles, each with the label
-/// the golden files spell it with.
-const SOLUTIONS: [(Solution, &str); 3] = [
-    (Solution::Free, "free"),
-    (Solution::Mdc, "mdc"),
-    (Solution::Ddgt, "ddgt"),
-];
+/// The coherence solutions a golden grid compiles.
+const SOLUTIONS: [Solution; 3] = [Solution::Free, Solution::Mdc, Solution::Ddgt];
 
 /// One pinned configuration of a golden grid.
 pub struct Config {
     /// Kernel name.
     pub kernel: String,
     /// Lowercase solution label (`free`, `mdc`, `ddgt`).
-    pub solution: &'static str,
+    pub solution: String,
     /// Cluster-assignment heuristic.
     pub heuristic: Heuristic,
     /// Whether cache-sensitive latency relaxation was on.
     pub relax: bool,
     /// The schedule the pipeline emitted.
     pub schedule: Schedule,
+    /// The scheduler's search effort for that schedule (cold seed store).
+    pub sched: SchedStats,
     /// The simulated statistics of the schedule.
     pub stats: SimStats,
+}
+
+/// Compiles every kernel of `suite` on `machine` under both heuristics,
+/// every solution and each latency mode in `relaxes`; see
+/// [`compile_cells`]. Returns one [`Config`] per (kernel, heuristic,
+/// solution, relax), in that order: the line order of every golden file.
+pub fn compile_grid(machine: &MachineConfig, suite: &Suite, relaxes: &[bool]) -> Vec<Config> {
+    let mut cells = Vec::new();
+    for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
+        for solution in SOLUTIONS {
+            for &relax in relaxes {
+                cells.push((solution, heuristic, relax));
+            }
+        }
+    }
+    compile_cells(machine, suite, &cells)
 }
 
 /// Compiles every kernel of `suite` on `machine` through a [`Pipeline`]
 /// with `check: true` — so the independent checker verifies every
 /// schedule and fails the compile on any violation, whatever the build
-/// profile — under both heuristics, every solution and each latency
-/// mode in `relaxes`, and replays each compiled suite. The
-/// (heuristic, solution, relax) cells fan out over `core::par`. Returns
-/// one [`Config`] per (kernel, heuristic, solution, relax), in that
-/// order: the line order of every golden file.
-pub fn compile_grid(machine: &MachineConfig, suite: &Suite, relaxes: &[bool]) -> Vec<Config> {
-    let mut specs = Vec::new();
-    for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
-        for (solution, label) in SOLUTIONS {
-            for &relax in relaxes {
-                specs.push((heuristic, solution, label, relax));
-            }
-        }
-    }
-    let cells = par::par_map(&specs, |&(heuristic, solution, label, relax)| {
+/// profile — once per (solution, heuristic, relax) cell, each on a
+/// fresh pipeline (a cold II-seed store), and replays each compiled
+/// suite. The cells fan out over `core::par`. Returns one [`Config`]
+/// per (kernel, cell), kernel-major.
+pub fn compile_cells(
+    machine: &MachineConfig,
+    suite: &Suite,
+    cells: &[(Solution, Heuristic, bool)],
+) -> Vec<Config> {
+    let compiled = par::par_map(cells, |&(solution, heuristic, relax)| {
         let pipeline = Pipeline::new(machine.clone()).with_options(PipelineOptions {
             relax_latencies: relax,
             check: true,
@@ -67,18 +75,19 @@ pub fn compile_grid(machine: &MachineConfig, suite: &Suite, relaxes: &[bool]) ->
             .compile_suite(suite, solution, heuristic)
             .unwrap_or_else(|e| panic!("{}: {e}", suite.name));
         let stats = pipeline.simulate_artifact(&artifact);
-        (label, heuristic, relax, artifact, stats)
+        (artifact, stats)
     });
     let mut grid = Vec::new();
     for i in 0..suite.kernels.len() {
-        for (solution, heuristic, relax, artifact, stats) in &cells {
-            let compiled = &artifact.kernels[i];
+        for (&(solution, heuristic, relax), (artifact, stats)) in cells.iter().zip(&compiled) {
+            let kernel = &artifact.kernels[i];
             grid.push(Config {
-                kernel: compiled.kernel.name.clone(),
-                solution,
-                heuristic: *heuristic,
-                relax: *relax,
-                schedule: compiled.schedule.clone(),
+                kernel: kernel.kernel.name.clone(),
+                solution: solution.to_string().to_lowercase(),
+                heuristic,
+                relax,
+                schedule: kernel.schedule.clone(),
+                sched: kernel.sched,
                 stats: stats.kernels[i].stats,
             });
         }

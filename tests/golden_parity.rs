@@ -10,7 +10,15 @@
 //! `Pipeline` with the independent checker on, so each pinned
 //! configuration is also verified legal.
 //!
-//! Regenerate the snapshot (only when a change is *meant* to alter
+//! The NOBAL machines of the paper's Section 4.2 study (two 4-cycle
+//! register buses, or no memory buses) are pinned separately in
+//! `tests/golden/nobal_schedules.txt`: every kernel of the figure
+//! suites under the study's cells, with the search effort (IIs tried,
+//! placement attempts, ejections) of a cold compile, so a change to the
+//! scheduler's register-bus search cannot move what it finds or how
+//! hard it looks.
+//!
+//! Regenerate the snapshots (only when a change is *meant* to alter
 //! schedules) with:
 //!
 //! ```text
@@ -19,10 +27,11 @@
 
 use std::fmt::Write as _;
 
+use distvliw::core::experiments::{nobal_machines, NOBAL_CELLS};
 use distvliw::sched::Schedule;
 
 mod common;
-use common::{assert_golden, paper_grid, schedule_fingerprint};
+use common::{assert_golden, compile_cells, paper_grid, schedule_fingerprint};
 
 /// Renders the placement of one schedule, for diagnostics on mismatch.
 fn describe(s: &Schedule) -> String {
@@ -74,5 +83,40 @@ fn schedules_match_golden_snapshot() {
         "schedule",
         &lines,
         |i| describe(&grid[i].schedule),
+    );
+}
+
+#[test]
+fn nobal_schedules_match_golden_snapshot() {
+    let cells = NOBAL_CELLS.map(|(solution, heuristic)| (solution, heuristic, true));
+    let mut lines = Vec::new();
+    let mut schedules = Vec::new();
+    for (study, machine) in nobal_machines() {
+        for suite in distvliw::mediabench::figure_suites() {
+            for c in compile_cells(&machine, &suite, &cells) {
+                lines.push(format!(
+                    "{study} {}/{} {} {} II={} span={} copies={} fp={:016x} iis={} attempts={} ejections={}",
+                    suite.name,
+                    c.kernel,
+                    c.solution,
+                    c.heuristic,
+                    c.schedule.ii,
+                    c.schedule.span,
+                    c.schedule.copies.len(),
+                    schedule_fingerprint(&c.schedule),
+                    c.sched.iis_tried,
+                    c.sched.placement_attempts,
+                    c.sched.ejections,
+                ));
+                schedules.push(c.schedule);
+            }
+        }
+    }
+    assert_golden(
+        "golden_parity",
+        "tests/golden/nobal_schedules.txt",
+        "NOBAL schedule or search effort",
+        &lines,
+        |i| describe(&schedules[i]),
     );
 }
