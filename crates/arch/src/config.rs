@@ -426,9 +426,10 @@ impl MachineConfig {
     /// schedules — and identical search telemetry — for any kernel,
     /// because the scheduler never reads the remaining fields (memory-bus
     /// *count*, cache geometry, next-level ports, Attraction Buffers are
-    /// simulation-only). The sweep runner keys its schedule artifacts on
-    /// this projection so grid cells that differ only in sim-only axes
-    /// share one compile.
+    /// simulation-only). The direct cell executor
+    /// (`experiments::run_direct`) keys its compile units on this
+    /// projection so grid cells that differ only in sim-only axes share
+    /// one compile.
     #[must_use]
     pub fn sched_canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(96);

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use distvliw_arch::{AttractionBufferConfig, BusConfig, MachineConfig};
 use distvliw_core::experiments::{
     epicdec_ab_case_study, fig6, fig7, fig9, gsmdec_case_study, nobal, nobal_machines,
-    per_suite_rows, run_direct, sweep, sweep_default_suites, table3, table4, table5, SweepSpec,
+    per_suite_rows, run_per_suite, sweep, sweep_default_suites, table3, table4, table5, SweepSpec,
 };
 use distvliw_core::{
     derive_hybrid, report as render, Heuristic, Pipeline, PipelineError, PipelineOptions, Solution,
@@ -125,7 +125,7 @@ const MDC_DDGT_CELLS: [(Solution, Heuristic); 2] = [
 /// The per-loop hybrid of paper Section 6 against pure MDC and DDGT,
 /// derived per loop from the [`MDC_DDGT_CELLS`] runs.
 fn hybrid_report(machine: &MachineConfig) -> Result<String, PipelineError> {
-    let rows = run_direct(
+    let rows = run_per_suite(
         machine,
         &figure_suites(),
         &MDC_DDGT_CELLS,
@@ -162,7 +162,7 @@ fn hybrid_report(machine: &MachineConfig) -> Result<String, PipelineError> {
 /// [`MDC_DDGT_CELLS`] runs — the imbalance surface the ROADMAP's
 /// workload-breadth item asks for.
 fn imbalance_report(machine: &MachineConfig) -> Result<String, PipelineError> {
-    let entries = run_direct(
+    let entries = run_per_suite(
         machine,
         &figure_suites(),
         &MDC_DDGT_CELLS,

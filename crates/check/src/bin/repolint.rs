@@ -1,7 +1,7 @@
 //! Repository lint: static source-tree invariants that `rustc` cannot
 //! express, wired into CI next to the schedule checker.
 //!
-//! Two scans, both std-only and offline:
+//! Three scans, all std-only and offline:
 //!
 //! 1. **Unsafe scope** — `unsafe` code may appear only in
 //!    `crates/serve/src/event.rs` (the `sys` module wrapping `poll(2)`);
@@ -15,6 +15,11 @@
 //!    documented catalog cannot drift from the code. Collector families
 //!    rendered at scrape time (the `serve_cache_*` prose list) bypass
 //!    the registry and are documented in prose, not the table.
+//! 3. **Executor pin** — outside `crates/core/src/par.rs` and test
+//!    code, `par::par_map` may be called only from the two cell
+//!    executors, `experiments::run_direct` and `ServeEngine::run_cells`
+//!    ([`EXECUTORS`]). A third fan-out is a layer re-implementing the
+//!    executor, which the ROADMAP's one-executor aim rules out.
 //!
 //! Usage: `repolint [repo-root]` (default `.`). Exits nonzero listing
 //! every finding.
@@ -35,6 +40,16 @@ const SELF: &str = "crates/check/src/bin/repolint.rs";
 /// The documented metric catalog.
 const CATALOG: &str = "docs/observability.md";
 
+/// The parallelism primitive's own module, exempt from the executor pin.
+const PAR_MODULE: &str = "crates/core/src/par.rs";
+
+/// The only `(file, fn)` pairs whose bodies may call `par_map`: the
+/// direct and the served cell executor.
+const EXECUTORS: [(&str, &str); 2] = [
+    ("crates/core/src/experiments.rs", "run_direct"),
+    ("crates/serve/src/engine.rs", "run_cells"),
+];
+
 fn main() -> ExitCode {
     let root = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
     let root = PathBuf::from(root);
@@ -48,6 +63,7 @@ fn main() -> ExitCode {
 
     check_unsafe_scope(&root, &sources, &mut findings);
     check_metric_catalog(&root, &sources, &mut findings);
+    check_executor_pin(&root, &sources, &mut findings);
 
     if findings.is_empty() {
         println!("repolint: clean ({} source files scanned)", sources.len());
@@ -223,10 +239,82 @@ fn check_metric_catalog(root: &Path, sources: &[PathBuf], findings: &mut Vec<Str
     }
 }
 
+/// Scan 3: `par_map` is called only inside the [`EXECUTORS`].
+fn check_executor_pin(root: &Path, sources: &[PathBuf], findings: &mut Vec<String>) {
+    for path in sources {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        let rel_str = rel.to_string_lossy();
+        if rel == Path::new(SELF)
+            || rel == Path::new(PAR_MODULE)
+            || rel_str.starts_with("tests/")
+            || rel_str.contains("/tests/")
+        {
+            continue;
+        }
+        let Ok(content) = fs::read_to_string(path) else {
+            continue;
+        };
+        for (lineno, func) in fan_outs(&content) {
+            if !EXECUTORS.contains(&(rel_str.as_ref(), func.unwrap_or(""))) {
+                findings.push(format!(
+                    "par_map outside the cell executors ({}): {}:{lineno} in fn {} — \
+                     ROADMAP's one-executor aim: run cells through one of them",
+                    EXECUTORS.map(|(_, f)| f).join(", "),
+                    rel.display(),
+                    func.unwrap_or("<none>"),
+                ));
+            }
+        }
+    }
+}
+
+/// Every non-test line of `content` that names `par_map`, with the
+/// name of the innermost `fn` declared above it (closures do not count).
+fn fan_outs(content: &str) -> Vec<(usize, Option<&str>)> {
+    let mut func = None;
+    let mut out = Vec::new();
+    for (lineno, line) in code_lines(content) {
+        let mut words = line
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty());
+        if let Some(name) = words.by_ref().find(|&w| w == "fn").and(words.next()) {
+            func = Some(name);
+        }
+        if has_word(line, "par_map") {
+            out.push((lineno, func));
+        }
+    }
+    out
+}
+
 /// The string literal at the start of `s` (after optional whitespace,
 /// including the newline of a wrapped call), if any.
 fn leading_string_literal(s: &str) -> Option<String> {
     let t = s.trim_start();
     let rest = t.strip_prefix('"')?;
     rest.split('"').next().map(str::to_string)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fan_outs_name_their_enclosing_fn() {
+        let src = "use crate::par;\n\
+                   pub fn run_direct(cells: &[Cell]) {\n\
+                   \x20   // par_map in a comment is not a call\n\
+                   \x20   let runs = par::par_map(&units, |unit| unit);\n\
+                   }\n\
+                   fn other() { par::par_map_on(2, &x, f); }\n\
+                   pub(crate) fn sneaky<T>() {\n\
+                   \x20   par::par_map(&x, f)\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   fn t() { par::par_map(&x, f); }\n";
+        assert_eq!(
+            fan_outs(src),
+            vec![(4, Some("run_direct")), (8, Some("sneaky"))]
+        );
+    }
 }

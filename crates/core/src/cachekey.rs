@@ -24,7 +24,7 @@ use crate::pipeline::{PipelineOptions, Solution};
 /// keys and their values, so either change must invalidate them (see
 /// `docs/persistence.md`) rather than let old keys alias new ones or
 /// serve values the running binary would no longer compute.
-pub const CELL_KEY_VERSION: u8 = 4;
+pub const CELL_KEY_VERSION: u8 = 5;
 
 /// A content-addressed cache key: the canonical encoding of one
 /// experiment cell plus its precomputed 64-bit FNV-1a hash.
@@ -225,7 +225,6 @@ pub fn cell_key_from_fingerprint(
     out.extend_from_slice(&mb);
 
     push_u64(&mut out, options.sim.max_iterations);
-    out.push(u8::from(options.sim.detect_violations));
     out.push(u8::from(options.specialize));
     out.push(u8::from(options.relax_latencies));
 
@@ -264,7 +263,6 @@ pub fn cell_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distvliw_sim::SimOptions;
 
     fn base_key() -> CacheKey {
         let suite = distvliw_mediabench::suite("gsmdec").unwrap();
@@ -380,16 +378,7 @@ mod tests {
 
         // Options, field by field.
         let mut o = options;
-        o.sim = SimOptions {
-            max_iterations: 64,
-            ..o.sim
-        };
-        assert_ne!(
-            cell_key(&suite, &machine, &o, Solution::Mdc, Heuristic::PrefClus),
-            base
-        );
-        let mut o = options;
-        o.sim.detect_violations = false;
+        o.sim.max_iterations = 64;
         assert_ne!(
             cell_key(&suite, &machine, &o, Solution::Mdc, Heuristic::PrefClus),
             base

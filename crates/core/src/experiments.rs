@@ -5,10 +5,11 @@
 //! Every grid experiment is defined once, here: an ordered list of
 //! [`Cell`]s ([`per_suite_cells`] over a `*_CELLS` list, or
 //! [`sweep_cells`]) and a row fold over the cell results in that order
-//! (`*_rows`). The direct functions run the cells on a [`Pipeline`]
-//! ([`run_direct`]); the serving layer runs them through its result
-//! cache, with the same fold. Either way the cells are what fans out
-//! over threads: one cell runs its suite's kernels serially.
+//! (`*_rows`). The direct functions run the cells through the one
+//! direct executor, [`run_direct`], which compiles each distinct
+//! schedule once; the serving layer runs them through its result cache,
+//! with the same fold. Either way the fan-out is over cells (or compile
+//! units), and one suite's kernels run serially.
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,7 +21,7 @@ use distvliw_sched::Heuristic;
 use distvliw_sim::ClusterUsage;
 
 use crate::par;
-use crate::pipeline::{Pipeline, PipelineError, Solution, SuiteArtifact, SuiteStats};
+use crate::pipeline::{Pipeline, PipelineError, Solution, SuiteStats};
 
 /// One cell of an experiment grid: one suite run under one solution and
 /// heuristic on one machine.
@@ -75,27 +76,102 @@ pub fn per_suite_rows<R>(
         .collect()
 }
 
-/// Runs a per-suite experiment directly: the [`per_suite_cells`] of
-/// `suites` × `combos` fan out over [`par::par_map`] on one [`Pipeline`]
-/// (so every cell shares one II-seed store), and `fold` receives the
+/// Runs a grid of cells directly: every cell's suite statistics in cell
+/// order, plus the number of suite schedules compiled.
+///
+/// Cells sharing a suite, solution, heuristic and scheduler projection
+/// ([`MachineConfig::sched_canonical_bytes`] at the suite's interleave)
+/// form one compile unit. A unit is compiled once
+/// ([`Pipeline::compile_suite`]) on a fresh pipeline, so no unit's II
+/// seeds warm another's, and each of its cells replays the artifact on
+/// its own machine ([`Pipeline::simulate_artifact`]). Units fan out over
+/// [`par::par_map`], largest cluster count (costliest search) first.
+///
+/// # Errors
+///
+/// Returns the failure of the first failing cell in cell order, wrapped
+/// with its coordinates in [`PipelineError::Cell`].
+///
+/// # Panics
+///
+/// Panics on a [`Solution::Hybrid`] cell: the hybrid is derived from
+/// MDC and DDGT cells ([`crate::derive_hybrid`]), not compiled.
+pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), PipelineError> {
+    // Each unit lists its cells in cell order; a suite is identified by
+    // its address in the caller's suite list.
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut unit_index = HashMap::new();
+    for (i, c) in cells.iter().enumerate() {
+        let machine = c.machine.clone().with_interleave(c.suite.interleave_bytes);
+        let projection = machine.sched_canonical_bytes();
+        let suite: *const Suite = c.suite;
+        let key = (projection, suite, c.solution, c.heuristic);
+        let unit = *unit_index.entry(key).or_insert_with(|| {
+            units.push(Vec::new());
+            units.len() - 1
+        });
+        units[unit].push(i);
+    }
+    units.sort_by_key(|unit| std::cmp::Reverse(cells[unit[0]].machine.n_clusters));
+    let mut unit_of = vec![0; cells.len()];
+    for (u, unit) in units.iter().enumerate() {
+        unit.iter().for_each(|&i| unit_of[i] = u);
+    }
+
+    let mut runs = par::par_map(&units, |unit| {
+        let lead = &cells[unit[0]];
+        let mut span = distvliw_obs::Span::enter("direct.unit");
+        span.field_str("suite", lead.suite.name.clone());
+        span.field_u64("n_clusters", lead.machine.n_clusters as u64);
+        Pipeline::new(lead.machine.clone())
+            .compile_suite(lead.suite, lead.solution, lead.heuristic)
+            .map(|artifact| {
+                unit.iter()
+                    .map(|&i| Pipeline::new(cells[i].machine.clone()).simulate_artifact(&artifact))
+                    .collect::<Vec<_>>()
+                    .into_iter()
+            })
+    });
+    // A unit's results come back in its cells' order, so walking the
+    // cells in order takes each unit's next one.
+    let stats = cells
+        .iter()
+        .zip(unit_of)
+        .map(|(cell, u)| match &mut runs[u] {
+            Ok(sims) => Ok(sims.next().expect("one result per cell")),
+            Err(e) => Err(cell_error(cell, e.clone())),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((stats, units.len()))
+}
+
+/// Wraps a cell failure with the cell's coordinates.
+fn cell_error(cell: &Cell<'_>, source: PipelineError) -> PipelineError {
+    PipelineError::Cell {
+        n_clusters: cell.machine.n_clusters,
+        mem_buses: cell.machine.mem_buses,
+        solution: cell.solution,
+        heuristic: cell.heuristic,
+        suite: cell.suite.name.clone(),
+        source: Box::new(source),
+    }
+}
+
+/// Runs a per-suite experiment directly: [`run_direct`] over the
+/// [`per_suite_cells`] of `suites` × `combos`, and `fold` receives the
 /// results in cell order.
 ///
 /// # Errors
 ///
 /// Returns the failure of the first failing cell in cell order.
-pub fn run_direct<R>(
+pub fn run_per_suite<R>(
     machine: &MachineConfig,
     suites: &[Suite],
     combos: &[(Solution, Heuristic)],
     fold: impl FnOnce(&[Cell<'_>], &[&SuiteStats]) -> R,
 ) -> Result<R, PipelineError> {
     let cells = per_suite_cells(machine, &suites.iter().collect::<Vec<_>>(), combos);
-    let pipeline = Pipeline::new(machine.clone());
-    let stats = par::par_map(&cells, |cell| {
-        pipeline.run_suite(cell.suite, cell.solution, cell.heuristic)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+    let (stats, _) = run_direct(&cells)?;
     Ok(fold(&cells, &stats.iter().collect::<Vec<_>>()))
 }
 
@@ -160,7 +236,7 @@ pub fn fig6_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<Fig6Row> {
 ///
 /// Propagates the first pipeline failure.
 pub fn fig6(machine: &MachineConfig) -> Result<Vec<Fig6Row>, PipelineError> {
-    run_direct(machine, &figure_suites(), &PREFCLUS_CELLS, fig6_rows)
+    run_per_suite(machine, &figure_suites(), &PREFCLUS_CELLS, fig6_rows)
 }
 
 /// Arithmetic-mean row over Figure 6 rows.
@@ -257,7 +333,7 @@ pub fn exec_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<ExecRow> {
 ///
 /// Propagates the first pipeline failure.
 pub fn fig7(machine: &MachineConfig) -> Result<Vec<ExecRow>, PipelineError> {
-    run_direct(machine, &figure_suites(), &EXEC_CELLS, exec_rows)
+    run_per_suite(machine, &figure_suites(), &EXEC_CELLS, exec_rows)
 }
 
 /// The Figure 9 machine: `base` with 16-entry 2-way Attraction Buffers
@@ -376,7 +452,7 @@ pub fn table4_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<Table4Row> 
 ///
 /// Propagates the first pipeline failure.
 pub fn table4(machine: &MachineConfig) -> Result<Vec<Table4Row>, PipelineError> {
-    run_direct(machine, &figure_suites(), &PREFCLUS_CELLS, table4_rows)
+    run_per_suite(machine, &figure_suites(), &PREFCLUS_CELLS, table4_rows)
 }
 
 /// One benchmark row of Table 5.
@@ -471,7 +547,7 @@ pub fn nobal_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<NobalRow> {
 ///
 /// Propagates the first pipeline failure.
 pub fn nobal(machine: &MachineConfig) -> Result<Vec<NobalRow>, PipelineError> {
-    run_direct(machine, &figure_suites(), &NOBAL_CELLS, nobal_rows)
+    run_per_suite(machine, &figure_suites(), &NOBAL_CELLS, nobal_rows)
 }
 
 /// The gsmdec loop case study of Section 4.2 and the epicdec Attraction
@@ -817,43 +893,23 @@ pub fn sweep_rows(cells: &[Cell<'_>], stats: &[&SuiteStats]) -> Vec<SweepRow> {
     rows
 }
 
-/// Wraps a cell failure with its grid coordinates.
-fn cell_error(cell: &Cell<'_>, source: PipelineError) -> PipelineError {
-    PipelineError::Cell {
-        n_clusters: cell.machine.n_clusters,
-        mem_buses: cell.machine.mem_buses,
-        solution: cell.solution,
-        suite: cell.suite.name.clone(),
-        source: Box::new(source),
-    }
-}
-
-/// Runs the sensitivity sweep, factored into a schedule-once/sim-many
-/// pipeline: every cell of [`sweep_cells`] takes its suite statistics
-/// from a schedule artifact ([`Pipeline::compile_suite`]) keyed by the
-/// machine's scheduler projection
-/// ([`distvliw_arch::MachineConfig::sched_canonical_bytes`]), the
-/// solution and the suite — so cells that differ only in sim-only axes
-/// (memory-bus *count*) replay one schedule under
-/// [`Pipeline::simulate_artifact`] instead of recompiling — and the
-/// results fold through [`sweep_rows`], which derives the hybrid rows.
-/// Compile units and simulated cells fan out over [`crate::par`] (each
-/// runs its suite's kernels serially), compiles coarsest-first (the
-/// largest cluster counts are the most expensive searches, so they
-/// start first); results merge deterministically back into cell order.
+/// Runs the sensitivity sweep: [`run_direct`] over the [`sweep_cells`]
+/// of [`sweep_points`], folded through [`sweep_rows`], which derives the
+/// hybrid rows. Bus count is simulation-only, so cells that differ only
+/// in it replay one schedule; bus latency feeds the scheduler's
+/// remote-access latencies, so its cells recompile, and [`SweepReuse`]
+/// counts both.
 ///
-/// Every compile unit schedules from a cold pipeline (fresh II-seed
-/// store), so no unit's seeds warm another's and the surfaced
-/// search-effort counters are reproducible and byte-identical to
-/// running every cell of [`sweep_points`] × [`SWEEP_SOLUTIONS`] through
-/// a cold [`Pipeline::run_suite`] and folding it with [`sweep_row`] —
-/// the equivalence the `tests/sweep_equivalence.rs` suite pins.
+/// Every compile unit schedules from a cold pipeline, so the result is
+/// byte-identical to running every cell of [`sweep_points`] ×
+/// [`SWEEP_SOLUTIONS`] through a cold [`Pipeline::run_suite`] and
+/// folding it with [`sweep_row`] — the equivalence the
+/// `tests/sweep_equivalence.rs` suite pins.
 ///
 /// # Errors
 ///
 /// Reports the first failing cell in row order, wrapped with its
-/// `(clusters, bus, solution, suite)` coordinates
-/// ([`PipelineError::Cell`]).
+/// coordinates ([`PipelineError::Cell`]).
 pub fn sweep(
     base: &MachineConfig,
     suites: &[Suite],
@@ -862,84 +918,24 @@ pub fn sweep(
     let sweep_start = std::time::Instant::now();
     let points = sweep_points(base, spec);
     let cells = sweep_cells(&points, &suites.iter().collect::<Vec<_>>(), spec.heuristic);
+    let (stats, compiled) = run_direct(&cells)?;
+    let rows = sweep_rows(&cells, &stats.iter().collect::<Vec<_>>());
 
-    // Deduplicate compile work: one unit per (scheduler projection,
-    // solution, suite), represented by the first cell that needs it.
-    // Bus count never reaches the scheduler, so a later bus point
-    // usually maps onto an existing unit; bus *latency* is
-    // scheduler-visible, so its cells recompile — counted as the
-    // sched-axis fallback rather than silently absorbed. Suites are the
-    // innermost axis of `sweep_cells`, so `i % suites.len()` names a
-    // cell's suite.
-    let mut units: Vec<usize> = Vec::new();
-    let mut unit_of: HashMap<(Vec<u8>, Solution, usize), usize> = HashMap::new();
-    let mut seen_triples: HashSet<(usize, Solution, usize)> = HashSet::new();
-    let mut reuse = SweepReuse::default();
-    let mut cell_units: Vec<usize> = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        let suite_idx = i % suites.len();
-        let proj = cell
-            .machine
-            .clone()
-            .with_interleave(cell.suite.interleave_bytes)
-            .sched_canonical_bytes();
-        let unit = *unit_of
-            .entry((proj, cell.solution, suite_idx))
-            .or_insert(units.len());
-        if unit < units.len() {
-            reuse.schedules_reused += 1;
-        } else {
-            if !seen_triples.insert((cell.machine.n_clusters, cell.solution, suite_idx)) {
-                reuse.sched_axis_recompiles += 1;
-            }
-            reuse.schedules_compiled += 1;
-            units.push(i);
-        }
-        cell_units.push(unit);
-    }
-
-    // Compile phase: cold pipelines, coarsest-first for load balance
-    // (schedule search cost grows with cluster count), results mapped
-    // back to unit order.
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(cells[units[u]].machine.n_clusters));
-    let mut compiled = par::par_map(&order, |&u| {
-        let cell = &cells[units[u]];
-        let mut span = distvliw_obs::Span::enter("sweep.compile_unit");
-        span.field_str("suite", cell.suite.name.clone());
-        span.field_u64("n_clusters", cell.machine.n_clusters as u64);
-        let pipeline = Pipeline::new(cell.machine.clone());
+    // Each `(cluster count, solution, suite)` needs one compile; every
+    // further unit met a second scheduler projection.
+    let triple = |c: &Cell<'_>| {
         (
-            u,
-            pipeline.compile_suite(cell.suite, cell.solution, cell.heuristic),
+            c.machine.n_clusters,
+            c.solution,
+            std::ptr::from_ref(c.suite),
         )
-    });
-    compiled.sort_by_key(|&(u, _)| u);
-    // Surface the first failing cell in row order, with coordinates.
-    for (cell, &unit) in cells.iter().zip(&cell_units) {
-        if let Err(e) = &compiled[unit].1 {
-            return Err(cell_error(cell, e.clone()));
-        }
-    }
-    let artifacts: Vec<SuiteArtifact> = compiled
-        .into_iter()
-        .map(|(_, a)| a.expect("errors surfaced above"))
-        .collect();
-
-    // Sim phase: every concrete cell replays its artifact on the grid
-    // point's machine. Simulation cannot fail, so the fan-out is a plain
-    // deterministic map.
-    let pipelines: Vec<Pipeline> = points.iter().cloned().map(Pipeline::new).collect();
-    let per_point = SWEEP_CONCRETE.len() * suites.len();
-    let cell_ids: Vec<usize> = (0..cells.len()).collect();
-    let sims: Vec<SuiteStats> = par::par_map(&cell_ids, |&i| {
-        let (point, unit) = (i / per_point, cell_units[i]);
-        let mut span = distvliw_obs::Span::enter("sweep.sim_cell");
-        span.field_u64("point", point as u64);
-        span.field_u64("unit", unit as u64);
-        pipelines[point].simulate_artifact(&artifacts[unit])
-    });
-    let rows = sweep_rows(&cells, &sims.iter().collect::<Vec<_>>());
+    };
+    let triples: HashSet<_> = cells.iter().map(triple).collect();
+    let reuse = SweepReuse {
+        schedules_compiled: compiled as u64,
+        schedules_reused: (cells.len() - compiled) as u64,
+        sched_axis_recompiles: (compiled - triples.len()) as u64,
+    };
 
     let (simulated, duration) = sweep_metrics();
     simulated.add(cells.len() as u64);
@@ -1108,7 +1104,7 @@ mod tests {
         // Run one benchmark end to end (full fig6 is exercised by the
         // reproduction binaries; this keeps unit tests fast).
         let pgpdec = [suite("pgpdec").unwrap()];
-        let rows = run_direct(
+        let rows = run_per_suite(
             &MachineConfig::paper_baseline(),
             &pgpdec,
             &PREFCLUS_CELLS,

@@ -6,9 +6,9 @@
 //! plain `std::thread::scope` with an atomic work index. Results come
 //! back in input order regardless of completion order, so callers that
 //! fold them sequentially stay deterministic. Compute fans out at one
-//! level only: callers map it over cells, and a cell (one
-//! `Pipeline::run_suite`) runs its kernels serially, so fan-outs never
-//! nest.
+//! level only: the two cell executors map it over cells or compile
+//! units, and those run their suite's kernels serially, so fan-outs
+//! never nest.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -54,7 +54,7 @@ where
         return items.iter().map(f).collect();
     }
     // Worker threads inherit the caller's trace context so spans opened
-    // inside `f` (compile, sim, sweep cells) stay attached to the
+    // inside `f` (compile, sim, direct units) stay attached to the
     // requesting trace; this is the single propagation point for every
     // fan-out in the workspace.
     let ctx = distvliw_obs::trace::current_ctx();

@@ -87,17 +87,19 @@ pub enum PipelineError {
         /// Per-kind summary plus every violation, pretty-printed.
         report: String,
     },
-    /// A sweep cell failed: the underlying error wrapped with the grid
-    /// coordinates of the first cell (in row order) it surfaced in, so a
-    /// failure deep in a 10k-cell grid names its cell instead of only
+    /// A grid cell failed: the underlying error wrapped with the
+    /// coordinates of the first cell (in cell order) it surfaced in, so
+    /// a failure deep in a 10k-cell grid names its cell instead of only
     /// its kernel.
     Cell {
-        /// Cluster count of the failing grid point.
+        /// Cluster count of the failing cell's machine.
         n_clusters: usize,
-        /// Memory-bus configuration of the failing grid point.
+        /// Memory-bus configuration of the failing cell's machine.
         mem_buses: distvliw_arch::BusConfig,
         /// Coherence solution of the failing cell.
         solution: Solution,
+        /// Cluster-assignment heuristic of the failing cell.
+        heuristic: Heuristic,
         /// Suite the failing kernel belongs to.
         suite: String,
         /// The underlying pipeline failure.
@@ -121,12 +123,13 @@ impl fmt::Display for PipelineError {
                 n_clusters,
                 mem_buses,
                 solution,
+                heuristic,
                 suite,
                 source,
             } => {
                 write!(
                     f,
-                    "sweep cell ({n_clusters} clusters, {}@{} buses, {solution}, {suite}): {source}",
+                    "cell ({n_clusters} clusters, {}@{} buses, {solution}, {heuristic}, {suite}): {source}",
                     mem_buses.count, mem_buses.latency
                 )
             }
@@ -200,7 +203,8 @@ pub struct KernelRun {
 /// configuration on the same `Pipeline` instance) legitimately reports
 /// fewer attempts and a nonzero `seeded_kernels` while producing the
 /// byte-identical schedule. Compare effort across runs only from a
-/// fresh `Pipeline` (as the sweep does for every compile).
+/// fresh `Pipeline` (as `experiments::run_direct` does for every
+/// compile unit).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedTotals {
     /// Placement attempts across all kernels.
@@ -554,10 +558,11 @@ impl Pipeline {
     /// from the suite (paper Table 1).
     ///
     /// One suite run is one cell of an experiment grid, so its kernels
-    /// run in order on the calling thread; callers that hold a list of
-    /// cells fan out over the cells instead
-    /// ([`crate::experiments::run_direct`], the factored sweep, the
-    /// serving layer).
+    /// run in order on the calling thread; the two cell executors fan
+    /// out over cells instead ([`crate::experiments::run_direct`], which
+    /// splits a cell into [`Pipeline::compile_suite`] and
+    /// [`Pipeline::simulate_artifact`] to compile each distinct schedule
+    /// once, and the serving layer's `run_cells`).
     ///
     /// # Errors
     ///
@@ -746,8 +751,8 @@ impl Pipeline {
     /// via [`Pipeline::simulate_artifact`] on any machine whose
     /// scheduler projection ([`MachineConfig::sched_canonical_bytes`],
     /// after applying the suite's interleave) equals this pipeline's —
-    /// the sweep runner uses this to compile once per projection and
-    /// simulate per bus point.
+    /// [`crate::experiments::run_direct`] uses this to compile once per
+    /// projection and simulate per cell.
     ///
     /// # Panics
     ///

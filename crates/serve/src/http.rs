@@ -313,10 +313,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, HttpError> {
             "transfer-encoding request bodies are not supported",
         ));
     }
-    if let Some(len) = request.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| HttpError::bad("bad content-length"))?;
+    if let Some(len) = content_length(&request.headers)? {
         if len > MAX_BODY {
             return Err(HttpError::bad("body too large"));
         }
@@ -327,6 +324,27 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, HttpError> {
         pos += len;
     }
     Ok(Parse::Complete(request, pos))
+}
+
+/// The request's `Content-Length`, if any. The value must be 1*DIGIT
+/// (`usize::from_str` alone would also take `+5`), and repeated headers
+/// must be identical: a parser that picks one of two differing lengths
+/// frames the body differently from a proxy that picks the other, which
+/// is the request-smuggling pattern.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let bad = || HttpError::bad("bad content-length");
+    let mut values = headers
+        .iter()
+        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .map(|(_, value)| value.as_str());
+    let Some(first) = values.next() else {
+        return Ok(None);
+    };
+    if first.is_empty() || !first.bytes().all(|b| b.is_ascii_digit()) || values.any(|v| v != first)
+    {
+        return Err(bad());
+    }
+    first.parse().map(Some).map_err(|_| bad())
 }
 
 /// Renders the full wire bytes of `response`; `close` controls the
@@ -403,9 +421,25 @@ mod tests {
             &b"GET / SPDY/3\r\n\r\n"[..],
             &b"GET / HTTP/1.1\r\nbadheader\r\n\r\n"[..],
             &b"GET / HTTP/1.1\r\nContent-Length: wat\r\n\r\n"[..],
+            // Ambiguous lengths: only 1*DIGIT, and repeats must agree.
+            &b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: -0\r\n\r\n"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length:\r\n\r\n"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 4\r\n\r\nhello"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 05\r\n\r\nhello"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n"[..],
         ] {
             assert_eq!(parse_request(raw).unwrap_err().status, 400, "{raw:?}");
         }
+    }
+
+    #[test]
+    fn identical_content_length_repeats_frame_the_body() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        let (req, used) = complete(raw);
+        assert_eq!(req.body, b"hello");
+        assert_eq!(used, raw.len());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * `json::parse` — `Ok` or a `String` error; an `Ok` value renders.
 //! * `http::parse_request`, on every prefix of the buffer as the event
 //!   loop sees it grow — `Partial`, a `Complete` request spanning at most
-//!   the buffer, or an `HttpError` with status 400 or 501.
+//!   the buffer, or an `HttpError` with status 400 or 501. Ambiguous
+//!   `Content-Length` framing is a 400.
 //! * the trace parser — `Ok` or a typed `TraceError`; an `Ok` trace
 //!   renders back to text that parses to the same trace.
 //! * `machine_with_overrides` — `Ok` or a `String` error; an `Ok`
@@ -257,5 +258,19 @@ proptest! {
         let traces = trace::bundled_traces();
         let text = traces[which % traces.len()].render();
         check_trace(&mutate(text.as_bytes(), &edits))?;
+    }
+}
+
+/// Ambiguous `Content-Length` framing — a signed value, or repeats that
+/// disagree — is the request-smuggling pattern: the parser answers 400
+/// instead of choosing one reading.
+#[test]
+fn ambiguous_content_length_is_rejected() {
+    for raw in [
+        "POST /matrix HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+        "POST /matrix HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 20\r\n\r\n{}",
+    ] {
+        let status = parse_request(raw.as_bytes()).err().map(|e| e.status);
+        assert_eq!(status, Some(400), "{raw:?}");
     }
 }

@@ -40,15 +40,12 @@ pub struct SimOptions {
     /// Iteration cap per invocation; longer loops are simulated for this
     /// many iterations and extrapolated linearly.
     pub max_iterations: u64,
-    /// Whether to run the coherence-violation detector.
-    pub detect_violations: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             max_iterations: 1024,
-            detect_violations: true,
         }
     }
 }
@@ -295,7 +292,7 @@ pub fn simulate_kernel_detailed(
     // can ever touch a common granule the detector is provably a no-op,
     // so skip recording entirely — the reported counts (all zero) are
     // byte-identical to running it.
-    let detect = options.detect_violations && hazard_possible(&sites);
+    let detect = hazard_possible(&sites);
 
     // Register-flow inputs flattened to CSR, routing pre-resolved.
     let mut input_lists: Vec<Vec<RfInput>> = vec![Vec::new(); n_nodes];
@@ -662,7 +659,6 @@ mod tests {
         let s = schedule_free(&k, &m);
         let opts = SimOptions {
             max_iterations: 256,
-            detect_violations: true,
         };
         let stats = simulate_kernel(&m, &k, &s, opts);
         assert_eq!(stats.iterations, 4096);
@@ -785,7 +781,6 @@ mod tests {
         let s = schedule_free(&k, &m);
         let opts = SimOptions {
             max_iterations: 256,
-            detect_violations: true,
         };
         let (stats, usage) = simulate_kernel_detailed(&m, &k, &s, opts);
         assert_eq!(stats, simulate_kernel(&m, &k, &s, opts));

@@ -3,7 +3,7 @@
 //! (or row) order — never whichever cell a worker thread finished first.
 
 use distvliw::arch::{BusConfig, MachineConfig};
-use distvliw::core::experiments::{run_direct, sweep, SweepSpec};
+use distvliw::core::experiments::{per_suite_cells, run_direct, sweep, SweepSpec};
 use distvliw::core::{Heuristic, Pipeline, PipelineError, Solution};
 use distvliw::ir::Suite;
 
@@ -52,21 +52,31 @@ fn run_suite_and_compile_suite_report_the_first_failing_kernel() {
 #[test]
 fn run_direct_reports_the_first_failing_cell() {
     let suites = [failing_suite("first"), failing_suite("second")];
-    let err = run_direct(
-        &MachineConfig::paper_baseline(),
-        &suites,
+    let machine = MachineConfig::paper_baseline();
+    let cells = per_suite_cells(
+        &machine,
+        &suites.iter().collect::<Vec<_>>(),
         &[(Solution::Mdc, Heuristic::PrefClus)],
-        |_, _| unreachable!("the fold never runs on a failed grid"),
-    )
-    .unwrap_err();
-    assert_eq!(err, second_kernel_error(&suites[0]));
+    );
+    let err = run_direct(&cells).unwrap_err();
+    assert_eq!(
+        err,
+        PipelineError::Cell {
+            n_clusters: machine.n_clusters,
+            mem_buses: machine.mem_buses,
+            solution: Solution::Mdc,
+            heuristic: Heuristic::PrefClus,
+            suite: "first".into(),
+            source: Box::new(second_kernel_error(&suites[0])),
+        }
+    );
 }
 
 #[test]
 fn sweep_reports_the_first_failing_cell_in_row_order() {
-    // The good suite fills the first cell of every grid point, and the
-    // sweep compiles its largest cluster count first: the reported cell
-    // is still the first failing one in row order.
+    // The good suite fills the first cell of every grid point, and
+    // `run_direct` compiles the largest cluster count first: the
+    // reported cell is still the first failing one in row order.
     let good = distvliw::mediabench::suite("gsmdec").unwrap();
     let suites = [good, failing_suite("first"), failing_suite("second")];
     let bus = BusConfig {
@@ -85,6 +95,7 @@ fn sweep_reports_the_first_failing_cell_in_row_order() {
             n_clusters: 2,
             mem_buses: bus,
             solution: Solution::Free,
+            heuristic: Heuristic::PrefClus,
             suite: "first".into(),
             source: Box::new(second_kernel_error(&suites[1])),
         }
