@@ -24,7 +24,7 @@ use crate::pipeline::{PipelineOptions, Solution};
 /// keys and their values, so either change must invalidate them (see
 /// `docs/persistence.md`) rather than let old keys alias new ones or
 /// serve values the running binary would no longer compute.
-pub const CELL_KEY_VERSION: u8 = 5;
+pub const CELL_KEY_VERSION: u8 = 6;
 
 /// A content-addressed cache key: the canonical encoding of one
 /// experiment cell plus its precomputed 64-bit FNV-1a hash.
@@ -224,8 +224,6 @@ pub fn cell_key_from_fingerprint(
     push_u64(&mut out, mb.len() as u64);
     out.extend_from_slice(&mb);
 
-    push_u64(&mut out, options.sim.max_iterations);
-    out.push(u8::from(options.specialize));
     out.push(u8::from(options.relax_latencies));
 
     out.push(match solution {
@@ -376,21 +374,7 @@ mod tests {
             base
         );
 
-        // Options, field by field.
-        let mut o = options;
-        o.sim.max_iterations = 64;
-        assert_ne!(
-            cell_key(&suite, &machine, &o, Solution::Mdc, Heuristic::PrefClus),
-            base
-        );
-        let o = PipelineOptions {
-            specialize: true,
-            ..options
-        };
-        assert_ne!(
-            cell_key(&suite, &machine, &o, Solution::Mdc, Heuristic::PrefClus),
-            base
-        );
+        // Options.
         let o = PipelineOptions {
             relax_latencies: false,
             ..options

@@ -915,7 +915,6 @@ pub fn sweep(
     suites: &[Suite],
     spec: &SweepSpec,
 ) -> Result<SweepRun, PipelineError> {
-    let sweep_start = std::time::Instant::now();
     let points = sweep_points(base, spec);
     let cells = sweep_cells(&points, &suites.iter().collect::<Vec<_>>(), spec.heuristic);
     let (stats, compiled) = run_direct(&cells)?;
@@ -936,27 +935,7 @@ pub fn sweep(
         schedules_reused: (cells.len() - compiled) as u64,
         sched_axis_recompiles: (compiled - triples.len()) as u64,
     };
-
-    let (simulated, duration) = sweep_metrics();
-    simulated.add(cells.len() as u64);
-    duration.record_micros(sweep_start.elapsed());
     Ok(SweepRun { rows, reuse })
-}
-
-/// The sweep's metric families in the global registry: cells simulated
-/// and wall time per sweep.
-pub(crate) fn sweep_metrics() -> (distvliw_obs::Counter, distvliw_obs::Histogram) {
-    let reg = distvliw_obs::global();
-    (
-        reg.counter(
-            "sweep_cells_simulated_total",
-            "Concrete sweep cells simulated",
-        ),
-        reg.histogram(
-            "sweep_duration_us",
-            "Wall time of one factored sweep in microseconds",
-        ),
-    )
 }
 
 #[cfg(test)]

@@ -37,12 +37,11 @@ pub use pipeline::{
 };
 
 /// Registers every metric family of the pipeline's layers — scheduler,
-/// checker hook, simulator and sweep — in the global registry (at
+/// checker hook and simulator — in the global registry (at
 /// zero), so a long-running server's exposition lists the same families
 /// from its first scrape on.
 pub fn register_metrics() {
     distvliw_sched::register_metrics();
     distvliw_sim::register_metrics();
     pipeline::check_violations();
-    experiments::sweep_metrics();
 }

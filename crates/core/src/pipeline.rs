@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use distvliw_arch::MachineConfig;
-use distvliw_coherence::{find_chains, specialize_kernel, transform, SchedConstraints};
+use distvliw_coherence::{find_chains, transform, SchedConstraints};
 use distvliw_ir::{profile::preferred_clusters, Ddg, LoopKernel, Suite};
 use distvliw_sched::{Heuristic, ModuloScheduler, SchedStats, Schedule, ScheduleError};
 use distvliw_sim::{simulate_kernel_detailed, ClusterUsage, SimOptions, SimStats};
@@ -146,14 +146,12 @@ impl std::error::Error for PipelineError {
     }
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration. The pipeline always simulates with
+/// [`SimOptions::default`]; a caller that wants paper Section 6 code
+/// specialization passes kernels through
+/// [`distvliw_coherence::specialize_kernel`] first.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
-    /// Simulator options.
-    pub sim: SimOptions,
-    /// Apply code specialization (paper Section 6) before the coherence
-    /// pass.
-    pub specialize: bool,
     /// Cache-sensitive latency assignment in the scheduler.
     pub relax_latencies: bool,
     /// Run the independent static verifier (`distvliw-check`) on every
@@ -167,8 +165,6 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            sim: SimOptions::default(),
-            specialize: false,
             relax_latencies: true,
             check: false,
         }
@@ -282,17 +278,16 @@ impl std::ops::Deref for SuiteStats {
     }
 }
 
-/// One kernel's compile-phase output: the (specialized, transformed)
-/// kernel the simulator must execute together with its schedule and the
-/// search telemetry that produced it. Everything here is a pure function
+/// One kernel's compile-phase output: the (transformed) kernel the
+/// simulator must execute together with its schedule and the search
+/// telemetry that produced it. Everything here is a pure function
 /// of the kernel, the coherence solution, the heuristic and the
 /// machine's *scheduler projection*
 /// ([`MachineConfig::sched_canonical_bytes`]), so one artifact replays
 /// under every memory-system variant that shares the projection.
 #[derive(Debug, Clone)]
 pub struct KernelArtifact {
-    /// The kernel as scheduled: specialization applied when the pipeline
-    /// options ask for it, and the DDGT graph transformation applied for
+    /// The kernel as scheduled: the DDGT graph transformation applied for
     /// [`Solution::Ddgt`] (store replicas and synchronization edges are
     /// part of the graph the schedule refers to).
     pub kernel: LoopKernel,
@@ -619,10 +614,10 @@ impl Pipeline {
         Ok(self.simulate_kernel_artifact(machine, &artifact))
     }
 
-    /// The compile phase for one kernel: validation, optional
-    /// specialization, the profile and coherence passes, and the modulo
-    /// schedule. `solution` must be concrete ([`Solution::Hybrid`] is a
-    /// selection over MDC and DDGT runs, not a compilation).
+    /// The compile phase for one kernel: validation, the profile and
+    /// coherence passes, and the modulo schedule. `solution` must be
+    /// concrete ([`Solution::Hybrid`] is a selection over MDC and DDGT
+    /// runs, not a compilation).
     fn compile_kernel_on(
         &self,
         machine: &MachineConfig,
@@ -638,12 +633,7 @@ impl Pipeline {
             error: e.to_string(),
         })?;
 
-        // Optional code specialization (paper Section 6).
-        let mut kernel = if self.options.specialize {
-            specialize_kernel(kernel).0
-        } else {
-            kernel.clone()
-        };
+        let mut kernel = kernel.clone();
 
         // Profile pass: preferred clusters under the profile input.
         let prefs = preferred_clusters(&kernel, machine.n_clusters, |addr| {
@@ -732,7 +722,7 @@ impl Pipeline {
             machine,
             &artifact.kernel,
             &artifact.schedule,
-            self.options.sim,
+            SimOptions::default(),
         );
         KernelRun {
             name: artifact.kernel.name.clone(),
@@ -920,22 +910,22 @@ mod tests {
     #[test]
     fn specialization_option_changes_chained_benchmarks() {
         let suite = distvliw_mediabench::suite("rasta").unwrap();
-        let base = Pipeline::new(machine());
-        let spec = Pipeline::new(machine()).with_options(PipelineOptions {
-            specialize: true,
-            ..PipelineOptions::default()
-        });
+        let mut spec_suite = suite.clone();
+        for kernel in &mut spec_suite.kernels {
+            *kernel = distvliw_coherence::specialize_kernel(kernel).0;
+        }
+        let p = Pipeline::new(machine());
         // With MinComs the scheduler can spread the now-independent
         // segments over clusters: specialization removes the
         // cross-segment links, shrinking what MDC must serialize and the
         // chained loop's II with it. (Under PrefClus the segments can
         // still tie-break into one cluster, so MinComs is the clean
         // observable.)
-        let plain = base
+        let plain = p
             .run_suite(&suite, Solution::Mdc, Heuristic::MinComs)
             .unwrap();
-        let specialized = spec
-            .run_suite(&suite, Solution::Mdc, Heuristic::MinComs)
+        let specialized = p
+            .run_suite(&spec_suite, Solution::Mdc, Heuristic::MinComs)
             .unwrap();
         let ii_plain = plain.kernels[0].ii;
         let ii_spec = specialized.kernels[0].ii;

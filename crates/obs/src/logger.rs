@@ -11,9 +11,11 @@
 //!
 //! Until [`init`] runs, both channels are no-ops, so library code can
 //! log unconditionally and binaries opt in. Each line is one flat JSON
-//! object rendered with the same escaping rules as the serve-side JSON
-//! writer; writes are line-atomic (single `write_all` under a mutex).
+//! object whose strings go through [`escape_into`], the escaper the
+//! serve-side JSON writer calls too; writes are line-atomic (single
+//! `write_all` under a mutex).
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Mutex, OnceLock};
 
@@ -163,7 +165,11 @@ pub fn render_line(fields: &[(&str, LogValue)]) -> String {
     out
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` get their short escapes, and
+/// every other control character becomes `\u00XX`. The one string
+/// escaper for log lines and served JSON.
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -173,7 +179,7 @@ fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -391,17 +391,6 @@ impl Registry {
         }
     }
 
-    /// The registered metric family names, sorted.
-    #[must_use]
-    pub fn family_names(&self) -> Vec<&'static str> {
-        self.families
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .keys()
-            .copied()
-            .collect()
-    }
-
     /// A flat `(series name, value)` snapshot of every counter and
     /// gauge (histograms surface as `<name>_count`), sorted by name —
     /// the counter snapshot `/stats` embeds.

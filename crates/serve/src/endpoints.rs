@@ -188,16 +188,36 @@ pub(crate) fn register_metrics() {
     http_metrics();
 }
 
+/// Every route but the index `GET /`, as (method, path) in the order
+/// `GET /` lists them. `/metrics` is answered before [`handle`]'s
+/// dispatch and `/shutdown` by the event layer; any other method on a
+/// listed path is a 405.
+const ROUTES: [(&str, &str); 14] = [
+    ("GET", "/healthz"),
+    ("GET", "/stats"),
+    ("GET", "/metrics"),
+    ("GET", "/debug/trace"),
+    ("GET", "/fig6"),
+    ("GET", "/fig7"),
+    ("GET", "/fig9"),
+    ("GET", "/table3"),
+    ("GET", "/table4"),
+    ("GET", "/table5"),
+    ("GET", "/nobal"),
+    ("GET", "/sweep"),
+    ("POST", "/matrix"),
+    ("POST", "/shutdown"),
+];
+
+/// Whether `path` is the index or one of [`ROUTES`].
+fn is_route(path: &str) -> bool {
+    path == "/" || ROUTES.iter().any(|&(_, p)| p == path)
+}
+
 /// Collapses request paths onto the route set so the per-path counter
 /// stays bounded under 404 scans.
 fn route_label(path: &str) -> String {
-    match path {
-        "/" | "/healthz" | "/stats" | "/metrics" | "/debug/trace" | "/fig6" | "/fig7" | "/fig9"
-        | "/table3" | "/table4" | "/table5" | "/nobal" | "/sweep" | "/matrix" | "/shutdown" => {
-            path.to_string()
-        }
-        _ => "other".to_string(),
-    }
+    if is_route(path) { path } else { "other" }.to_string()
 }
 
 /// Renders one span as JSON (durations in microseconds).
@@ -323,11 +343,7 @@ pub fn handle(engine: &ServeEngine, request: &Request) -> Response {
             .map(|rows| sweep_json(spec.heuristic, &SWEEP_DEFAULT_SUITE_NAMES, &rows))
         }
         ("POST", "/matrix") => matrix(engine, &request.body),
-        (
-            _,
-            "/" | "/healthz" | "/stats" | "/debug/trace" | "/fig6" | "/fig7" | "/fig9" | "/table3"
-            | "/table4" | "/table5" | "/nobal" | "/sweep" | "/matrix",
-        ) => Err(ApiError::MethodNotAllowed),
+        (_, path) if is_route(path) => Err(ApiError::MethodNotAllowed),
         _ => Err(ApiError::NotFound),
     };
     match result {
@@ -366,25 +382,10 @@ fn index() -> Json {
         (
             "endpoints",
             Json::Arr(
-                [
-                    "GET /healthz",
-                    "GET /stats",
-                    "GET /metrics",
-                    "GET /debug/trace",
-                    "GET /fig6",
-                    "GET /fig7",
-                    "GET /fig9",
-                    "GET /table3",
-                    "GET /table4",
-                    "GET /table5",
-                    "GET /nobal",
-                    "GET /sweep",
-                    "POST /matrix",
-                    "POST /shutdown",
-                ]
-                .iter()
-                .map(|s| Json::str(*s))
-                .collect(),
+                ROUTES
+                    .iter()
+                    .map(|(method, path)| Json::str(format!("{method} {path}")))
+                    .collect(),
             ),
         ),
     ])
@@ -1005,4 +1006,45 @@ fn matrix(engine: &ServeEngine, body: &[u8]) -> Result<Json, ApiError> {
         })
         .collect();
     Ok(Json::obj(vec![("cells", Json::Arr(cells))]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(method: &str, path: &str) -> Request {
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: String::new(),
+            minor: 1,
+            headers: Vec::new(),
+            body: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_route_is_labelled_guarded_and_listed() {
+        let engine = ServeEngine::new(MachineConfig::paper_baseline(), 4);
+        let index = handle(&engine, &request("GET", "/"));
+        assert_eq!(index.status, 200);
+        let index = String::from_utf8(index.body).unwrap();
+        for (method, path) in ROUTES {
+            assert_eq!(route_label(path), path);
+            let other = if method == "GET" { "POST" } else { "GET" };
+            assert_eq!(
+                handle(&engine, &request(other, path)).status,
+                405,
+                "{other} {path}"
+            );
+            assert!(
+                index.contains(&format!("\"{method} {path}\"")),
+                "index lists {method} {path}: {index}"
+            );
+        }
+        assert_eq!(route_label("/"), "/");
+        assert_eq!(route_label("/nope"), "other");
+        assert_eq!(handle(&engine, &request("POST", "/")).status, 405);
+        assert_eq!(handle(&engine, &request("GET", "/nope")).status, 404);
+    }
 }

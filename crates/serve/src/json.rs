@@ -10,6 +10,8 @@
 
 use std::fmt::Write as _;
 
+use distvliw_obs::logger::escape_into;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -123,7 +125,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => render_string(s, out),
+            Json::Str(s) => escape_into(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -140,7 +142,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    escape_into(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -148,24 +150,6 @@ impl Json {
             }
         }
     }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The deepest array/object nesting [`parse`] accepts. The parser

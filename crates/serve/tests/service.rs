@@ -515,7 +515,7 @@ fn metrics_exposition_has_families_from_every_layer() {
         "sim_kernel_duration_us",
         // registered when the server starts, before any path records
         "sched_schedule_failures_total",
-        "sweep_cells_simulated_total",
+        "check_violations_total",
         "serve_connections_reaped_total",
         "serve_http_slow_requests_total",
         "serve_panics_total",

@@ -21,7 +21,7 @@
 //!   [`MemorySystem::run_batch`] in a single call.
 //!
 //! All three are pure performance changes: statistics are bit-identical
-//! to the per-cycle scan engine (pinned by `tests/golden_sim_stats.rs`).
+//! to the per-cycle scan engine (pinned by `tests/golden/sim_stats.txt`).
 
 use std::sync::OnceLock;
 

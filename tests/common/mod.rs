@@ -1,5 +1,5 @@
 //! Helpers shared by the golden test binaries (`golden_parity`,
-//! `golden_sim_stats`, `golden_scale`): the grids they pin, compiled
+//! `golden_scale`): the grids they pin, compiled
 //! through the real [`Pipeline`] with the independent checker on, the
 //! schedule fingerprint, the statistics line format and the snapshot
 //! comparison. One definition keeps every snapshot pinning the same
@@ -69,7 +69,6 @@ pub fn compile_cells(
         let pipeline = Pipeline::new(machine.clone()).with_options(PipelineOptions {
             relax_latencies: relax,
             check: true,
-            ..PipelineOptions::default()
         });
         let artifact = pipeline
             .compile_suite(suite, solution, heuristic)
@@ -93,18 +92,6 @@ pub fn compile_cells(
         }
     }
     grid
-}
-
-/// The 312-configuration 4-cluster grid `golden_parity` and
-/// `golden_sim_stats` pin: every bundled Mediabench kernel on the
-/// paper machine × both heuristics × {free, mdc, ddgt} × {relaxed,
-/// strict} latencies.
-pub fn paper_grid() -> Vec<Config> {
-    let machine = MachineConfig::paper_baseline();
-    distvliw::mediabench::suites()
-        .iter()
-        .flat_map(|suite| compile_grid(&machine, suite, &[true, false]))
-        .collect()
 }
 
 /// FNV-1a over the full placement description (clusters, cycles,

@@ -1,4 +1,4 @@
-//! Golden parity tests for the modulo scheduler.
+//! Golden parity tests for the modulo scheduler and the simulator.
 //!
 //! The dense-map / transactional-MRT rewrite of the scheduling hot path
 //! must be a pure performance change: for every bundled Mediabench
@@ -9,6 +9,14 @@
 //! `tests/golden/schedules.txt`. Every schedule is compiled through
 //! `Pipeline` with the independent checker on, so each pinned
 //! configuration is also verified legal.
+//!
+//! The same 312-configuration grid, compiled once per run of this
+//! binary, pins the simulated statistics (compute/stall cycles, the
+//! five access-class counters, coherence violations, dynamic copies and
+//! memory-bus occupancy) in `tests/golden/sim_stats.txt`. That snapshot
+//! was recorded against the pre-rewrite per-cycle scan engine of the
+//! simulator, so a passing run proves the dense event-queue / batched
+//! address-stream rewrite changed no statistic.
 //!
 //! The NOBAL machines of the paper's Section 4.2 study (two 4-cycle
 //! register buses, or no memory buses) are pinned separately in
@@ -26,12 +34,31 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
+use distvliw::arch::MachineConfig;
 use distvliw::core::experiments::{nobal_machines, NOBAL_CELLS};
 use distvliw::sched::Schedule;
 
 mod common;
-use common::{assert_golden, compile_cells, paper_grid, schedule_fingerprint};
+use common::{
+    assert_golden, compile_cells, compile_grid, render_stats, schedule_fingerprint, Config,
+};
+
+/// The 312-configuration 4-cluster grid both paper snapshots pin: every
+/// bundled Mediabench kernel on the paper machine × both heuristics ×
+/// {free, mdc, ddgt} × {relaxed, strict} latencies. Compiled on first
+/// use and shared by the schedule and statistics tests.
+fn paper_grid() -> &'static [Config] {
+    static GRID: OnceLock<Vec<Config>> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let machine = MachineConfig::paper_baseline();
+        distvliw::mediabench::suites()
+            .iter()
+            .flat_map(|suite| compile_grid(&machine, suite, &[true, false]))
+            .collect()
+    })
+}
 
 /// Renders the placement of one schedule, for diagnostics on mismatch.
 fn describe(s: &Schedule) -> String {
@@ -83,6 +110,30 @@ fn schedules_match_golden_snapshot() {
         "schedule",
         &lines,
         |i| describe(&grid[i].schedule),
+    );
+}
+
+#[test]
+fn sim_stats_match_golden_snapshot() {
+    let lines: Vec<String> = paper_grid()
+        .iter()
+        .map(|c| {
+            format!(
+                "{} {} {} relax={} {}",
+                c.kernel,
+                c.solution,
+                c.heuristic,
+                c.relax,
+                render_stats(&c.stats)
+            )
+        })
+        .collect();
+    assert_golden(
+        "golden_parity",
+        "tests/golden/sim_stats.txt",
+        "simulated statistics",
+        &lines,
+        |_| String::new(),
     );
 }
 

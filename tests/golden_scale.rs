@@ -1,8 +1,8 @@
 //! Golden parity tests for the large-machine (8- and 16-cluster)
 //! configurations the sensitivity sweep opened.
 //!
-//! The 4-cluster paper machine is pinned by `tests/golden_parity.rs`
-//! and `tests/golden_sim_stats.rs`; this file extends the net to the
+//! The 4-cluster paper machine is pinned by `tests/golden_parity.rs`;
+//! this file extends the net to the
 //! scaled machines ([`sweep_machine`] at 8 and 16 clusters, paper
 //! buses) over a mixed workload — two synthetic benchmarks plus the
 //! bundled recorded traces — so future refactors cannot silently change
