@@ -13,9 +13,9 @@ use crate::latency::LatencyClass;
 pub const CANONICAL_BYTES_VERSION: u8 = 2;
 
 /// Version of [`MachineConfig::sched_canonical_bytes`]; bump when the
-/// scheduler starts reading a new field. Part of the same durable-state
-/// era as [`CANONICAL_BYTES_VERSION`] (the II-seed store keys embed this
-/// projection).
+/// scheduler starts reading a new field. The in-memory II-seed store
+/// keys embed this projection; it is also part of the serving layer's
+/// durable-state era, next to [`CANONICAL_BYTES_VERSION`].
 pub const SCHED_CANONICAL_BYTES_VERSION: u8 = 1;
 
 /// Largest cluster count [`MachineConfig::validate`] accepts.

@@ -318,22 +318,11 @@ pub struct SuiteArtifact {
 /// re-scanning from the MII. Shared across the pipeline's clones and
 /// threads; the scheduler is deterministic, so a warm seed reproduces
 /// the cold result exactly while skipping the provably re-failing IIs.
-///
-/// The store is durable-state aware: [`IiSeedStore::snapshot`] and
-/// [`IiSeedStore::absorb`] give the serving layer lossless save/load
-/// hooks, and [`IiSeedStore::drain_dirty`] yields only the entries
-/// recorded (or changed) since the last drain, so a persistence layer
-/// can append incrementally instead of rewriting the whole store per
-/// compile. Keys are the 128-bit full-configuration fingerprints of
-/// `seed_key`; a persisted store must be era-tagged by the caller (the
-/// fingerprint embeds `MachineConfig::canonical_bytes`, so any encoding
-/// change silently changes every key — see `docs/persistence.md`).
+/// The store lives in memory and lasts one process: a schedule is a
+/// pure function of its key, so nothing about it needs to persist.
 #[derive(Debug, Default)]
 pub struct IiSeedStore {
     map: Mutex<HashMap<[u8; 16], u32>>,
-    /// Keys recorded with a new or changed value since the last
-    /// [`IiSeedStore::drain_dirty`], in record order.
-    dirty: Mutex<Vec<[u8; 16]>>,
 }
 
 impl IiSeedStore {
@@ -352,81 +341,10 @@ impl IiSeedStore {
     }
 
     fn record(&self, key: [u8; 16], ii: u32) {
-        let mut map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if map.insert(key, ii) != Some(ii) {
-            self.dirty
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(key);
-        }
-    }
-
-    /// Number of recorded seeds.
-    #[must_use]
-    pub fn len(&self) -> usize {
         self.map
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Whether no seed has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every `(key, ii)` pair, sorted by key so a persisted snapshot is
-    /// deterministic across runs.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<([u8; 16], u32)> {
-        let mut entries: Vec<([u8; 16], u32)> = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        entries.sort_unstable_by_key(|entry| entry.0);
-        entries
-    }
-
-    /// Loads `(key, ii)` pairs (later entries win on duplicate keys, so
-    /// replaying an append-ordered log lands on the freshest value).
-    /// Loaded entries do **not** mark the store dirty: they are already
-    /// durable.
-    pub fn absorb(&self, entries: &[([u8; 16], u32)]) {
-        let mut map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (key, ii) in entries {
-            map.insert(*key, *ii);
-        }
-    }
-
-    /// The `(key, ii)` pairs recorded since the last drain, clearing the
-    /// dirty set. Values are read at drain time, so a key recorded twice
-    /// between drains yields its freshest II (and appears once per
-    /// record, which an append log tolerates by last-wins replay).
-    #[must_use]
-    pub fn drain_dirty(&self) -> Vec<([u8; 16], u32)> {
-        let keys: Vec<[u8; 16]> = std::mem::take(
-            &mut *self
-                .dirty
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        let map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        keys.iter()
-            .filter_map(|k| map.get(k).map(|ii| (*k, *ii)))
-            .collect()
+            .insert(key, ii);
     }
 }
 
@@ -525,21 +443,14 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the II-seed store with a shared (possibly persisted)
-    /// one. The scheduler is deterministic, so a warm store changes only
-    /// search *effort* (fewer `iis_tried`, a nonzero `seeded_at`), never
-    /// a schedule byte — pinned by `warm_seed_store_reproduces_cold_run`.
+    /// Replaces the II-seed store with a shared one. The scheduler is
+    /// deterministic, so a warm store changes only search *effort*
+    /// (fewer `iis_tried`, a nonzero `seeded_at`), never a schedule
+    /// byte — pinned by `warm_seed_store_reproduces_cold_run`.
     #[must_use]
     pub fn with_seed_store(mut self, seeds: Arc<IiSeedStore>) -> Self {
         self.seeds = seeds;
         self
-    }
-
-    /// The pipeline's II-seed store (shared by all clones), for
-    /// persistence layers that save it across restarts.
-    #[must_use]
-    pub fn seed_store(&self) -> &Arc<IiSeedStore> {
-        &self.seeds
     }
 
     /// The machine this pipeline targets.
@@ -937,16 +848,14 @@ mod tests {
         // A pipeline handed another run's seed store must produce
         // byte-identical schedules and simulations — only the search
         // *effort* may differ (fewer IIs tried, nonzero seeded counts).
-        // This is the invariant that makes persisting the store safe.
         let suite = distvliw_mediabench::suite("gsmdec").unwrap();
-        let cold_pipeline = Pipeline::new(machine());
-        let cold = cold_pipeline
+        let seeds = Arc::new(IiSeedStore::new());
+        let cold = Pipeline::new(machine())
+            .with_seed_store(seeds.clone())
             .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
             .unwrap();
-        assert!(!cold_pipeline.seed_store().is_empty());
 
-        let warm_pipeline =
-            Pipeline::new(machine()).with_seed_store(cold_pipeline.seed_store().clone());
+        let warm_pipeline = Pipeline::new(machine()).with_seed_store(seeds);
         let warm = warm_pipeline
             .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
             .unwrap();
@@ -964,11 +873,14 @@ mod tests {
                 w.name
             );
         }
-        // The warm run re-recorded identical seeds: the store is stable.
-        assert_eq!(
-            warm_pipeline.seed_store().snapshot(),
-            cold_pipeline.seed_store().snapshot()
-        );
+        // The warm run re-recorded identical seeds: a second warm run
+        // searches exactly like the first.
+        let again = warm_pipeline
+            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+            .unwrap();
+        for (a, w) in again.kernels.iter().zip(&warm.kernels) {
+            assert_eq!(a.sched, w.sched, "{}", w.name);
+        }
     }
 
     #[test]
@@ -981,8 +893,9 @@ mod tests {
         // MII, which makes the resumption observable as a nonzero
         // `seeded_kernels`.
         let suite = distvliw_mediabench::suite("epicenc").unwrap();
-        let cold_pipeline = Pipeline::new(machine());
-        let cold = cold_pipeline
+        let seeds = Arc::new(IiSeedStore::new());
+        let cold = Pipeline::new(machine())
+            .with_seed_store(seeds.clone())
             .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
             .unwrap();
         assert_eq!(cold.sched.seeded_kernels, 0, "cold run has no seeds");
@@ -993,14 +906,13 @@ mod tests {
 
         let mut variant = machine();
         variant.mem_buses.count += 1;
-        let warm_pipeline =
-            Pipeline::new(variant).with_seed_store(cold_pipeline.seed_store().clone());
+        let warm_pipeline = Pipeline::new(variant).with_seed_store(seeds);
         let warm = warm_pipeline
             .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
             .unwrap();
         assert!(
             warm.sched.seeded_kernels > 0,
-            "the bus variant must resume from the persisted-style seeds"
+            "the bus variant must resume from the other variant's seeds"
         );
         // Seeding changes search effort only: the schedules themselves
         // are identical (the simulation differs — more buses).
@@ -1009,33 +921,12 @@ mod tests {
             assert_eq!(w.span, c.span, "{}", w.name);
             assert_eq!(w.static_comm_ops, c.static_comm_ops, "{}", w.name);
         }
-    }
-
-    #[test]
-    fn seed_store_snapshot_absorb_round_trips() {
-        let store = IiSeedStore::new();
-        store.record([1; 16], 10);
-        store.record([2; 16], 20);
-        store.record([1; 16], 8); // update wins
-        let snap = store.snapshot();
-        assert_eq!(snap, vec![([1; 16], 8), ([2; 16], 20)]);
-
-        let restored = IiSeedStore::new();
-        restored.absorb(&snap);
-        assert_eq!(restored.snapshot(), snap);
-        assert_eq!(restored.len(), 2);
-        // Absorbed entries are durable already: nothing is dirty.
-        assert!(restored.drain_dirty().is_empty());
-
-        // Dirty tracking: only changes since the last drain, last value.
-        let dirty = store.drain_dirty();
-        assert_eq!(dirty.len(), 3, "three records (one key twice)");
-        assert!(dirty.contains(&([1; 16], 8)));
-        assert!(store.drain_dirty().is_empty());
-        store.record([2; 16], 20); // same value: not dirty
-        assert!(store.drain_dirty().is_empty());
-        store.record([2; 16], 19);
-        assert_eq!(store.drain_dirty(), vec![([2; 16], 19)]);
+        let again = warm_pipeline
+            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+            .unwrap();
+        for (a, w) in again.kernels.iter().zip(&warm.kernels) {
+            assert_eq!(a.sched, w.sched, "{}", w.name);
+        }
     }
 
     #[test]

@@ -157,19 +157,18 @@ pub fn register_metrics() {
 pub struct ModuloScheduler<'m> {
     machine: &'m MachineConfig,
     relax_latencies: bool,
-    ejection: bool,
     ii_seed: Option<u32>,
 }
 
 impl<'m> ModuloScheduler<'m> {
-    /// Creates a scheduler with cache-sensitive latency assignment and
-    /// the ejection (backtracking) fallback enabled.
+    /// Creates a scheduler with cache-sensitive latency assignment. The
+    /// ejection (backtracking) fallback always runs after a failed plain
+    /// pass.
     #[must_use]
     pub fn new(machine: &'m MachineConfig) -> Self {
         ModuloScheduler {
             machine,
             relax_latencies: true,
-            ejection: true,
             ii_seed: None,
         }
     }
@@ -179,16 +178,6 @@ impl<'m> ModuloScheduler<'m> {
     #[must_use]
     pub fn with_latency_relaxation(mut self, on: bool) -> Self {
         self.relax_latencies = on;
-        self
-    }
-
-    /// Enables or disables the ejection fallback. With it off the search
-    /// degenerates to the restart-only scan (one from-scratch placement
-    /// pass per II) — kept for ablations and the regression tests that
-    /// prove ejection never does worse.
-    #[must_use]
-    pub fn with_ejection(mut self, on: bool) -> Self {
-        self.ejection = on;
         self
     }
 
@@ -357,16 +346,14 @@ impl<'m> ModuloScheduler<'m> {
                 found = Some((ii, p));
                 break;
             }
-            if self.ejection {
-                let eject_span = distvliw_obs::Span::enter("sched.eject");
-                let placed = self.try_place_eject(ctx, &lat, &order, ii, &mut counters);
-                drop(eject_span);
-                if let Some(p) = placed {
-                    trial_span.field_str("outcome", "ejected");
-                    found = Some((ii, p));
-                    used_eject = true;
-                    break;
-                }
+            let eject_span = distvliw_obs::Span::enter("sched.eject");
+            let placed = self.try_place_eject(ctx, &lat, &order, ii, &mut counters);
+            drop(eject_span);
+            if let Some(p) = placed {
+                trial_span.field_str("outcome", "ejected");
+                found = Some((ii, p));
+                used_eject = true;
+                break;
             }
             trial_span.field_str("outcome", "infeasible");
         }
@@ -391,7 +378,7 @@ impl<'m> ModuloScheduler<'m> {
         // remove.
         let relax_try = |order: &[NodeId], lat: &NodeMap<u32>, counters: &mut SearchCounters| {
             self.try_place(ctx, lat, order, ii0, counters).or_else(|| {
-                (used_eject && self.ejection)
+                used_eject
                     .then(|| self.try_place_eject(ctx, lat, order, ii0, counters))
                     .flatten()
             })
@@ -1898,31 +1885,6 @@ mod tests {
             "no accepted placement may exceed the register budget: {}",
             tight_stats.max_reg_pressure
         );
-    }
-
-    #[test]
-    fn disabling_ejection_matches_on_easy_graphs() {
-        // Where the plain pass succeeds at the first II, the ejection
-        // scheduler must be byte-identical to the restart-only search.
-        let g = simple_graph();
-        let on = ModuloScheduler::new(&machine())
-            .schedule(
-                &g,
-                &SchedConstraints::none(),
-                &PrefMap::new(),
-                Heuristic::MinComs,
-            )
-            .unwrap();
-        let off = ModuloScheduler::new(&machine())
-            .with_ejection(false)
-            .schedule(
-                &g,
-                &SchedConstraints::none(),
-                &PrefMap::new(),
-                Heuristic::MinComs,
-            )
-            .unwrap();
-        assert_eq!(on, off);
     }
 
     #[test]

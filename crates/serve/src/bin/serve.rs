@@ -8,8 +8,8 @@
 //!     [--workers N] [--max-conns N] [--queue-depth N] [--check]
 //! ```
 //!
-//! With `--state-dir` the result cache and II-seed store persist across
-//! restarts (crash-safe log-structured files; see `docs/persistence.md`).
+//! With `--state-dir` the result cache persists across restarts (a
+//! crash-safe log-structured file; see `docs/persistence.md`).
 //! `--access-log` writes one structured JSON line per request (`-` for
 //! stdout); `--slow-ms` warns on requests over the threshold (see
 //! `docs/observability.md`). `--workers`, `--max-conns` and
@@ -103,9 +103,8 @@ fn main() -> ExitCode {
         };
         if let Some(p) = engine.stats().persist {
             println!(
-                "state: {} cells, {} seeds restored from {} ({} records / {} bytes discarded, {} stale stores)",
+                "state: {} cells restored from {} ({} records / {} bytes discarded, {} stale stores)",
                 p.loaded_cells,
-                p.loaded_seeds,
                 dir.display(),
                 p.discarded_records,
                 p.discarded_bytes,

@@ -16,7 +16,7 @@
 //! nonzero. With `--expect-warm` it additionally asserts the *first*
 //! figure fetch computed zero cells — the restart check for a daemon
 //! booted from a persisted `--state-dir`. `state` reports the
-//! persistence counters (cells/seeds restored at boot, records and
+//! persistence counters (cells restored at boot, records and
 //! bytes discarded at recovery, appends/compactions/flushes since).
 //! `load` replays N concurrent requests (C persistent keep-alive
 //! connections — thousands are fine against the event-loop server)
@@ -223,9 +223,8 @@ fn cmd_state(base: &str) -> ExitCode {
     };
     let field = |name: &str| p.get(name).and_then(json::Json::as_u64).unwrap_or(0);
     say!(
-        "state: loaded {} cells, {} seeds; discarded {} records / {} bytes ({} stale stores)",
+        "state: loaded {} cells; discarded {} records / {} bytes ({} stale stores)",
         field("loaded_cells"),
-        field("loaded_seeds"),
         field("discarded_records"),
         field("discarded_bytes"),
         field("stale_stores"),

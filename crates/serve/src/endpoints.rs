@@ -581,7 +581,6 @@ fn stats(engine: &ServeEngine) -> Json {
                 None => Json::Null,
                 Some(p) => Json::obj(vec![
                     ("loaded_cells", Json::U64(p.loaded_cells)),
-                    ("loaded_seeds", Json::U64(p.loaded_seeds)),
                     ("discarded_records", Json::U64(p.discarded_records)),
                     ("discarded_bytes", Json::U64(p.discarded_bytes)),
                     ("stale_stores", Json::U64(p.stale_stores)),

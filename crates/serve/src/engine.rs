@@ -28,7 +28,7 @@ use distvliw_ir::Suite;
 use distvliw_sim::ClusterUsage;
 
 use crate::cache::{CacheStats, ResultCache, SingleFlight};
-use crate::persist::{self, CellLog, CellWrite, LogWriter};
+use crate::persist::{self, CellLog, CellWrite};
 
 /// A computed cell, shared between the cache and concurrent requesters.
 pub type CellResult = Arc<Result<distvliw_core::SuiteStats, PipelineError>>;
@@ -39,17 +39,15 @@ pub struct PersistStats {
     /// Cell results restored into the cache at boot (after last-wins
     /// dedup).
     pub loaded_cells: u64,
-    /// II seeds restored into the seed store at boot.
-    pub loaded_seeds: u64,
     /// Persisted records thrown away at boot: stale-era records, frames
     /// behind a corrupt one, and checksum-valid records whose payload
     /// failed to decode.
     pub discarded_records: u64,
     /// Bytes truncated at boot (torn/corrupt tails, stale stores).
     pub discarded_bytes: u64,
-    /// Stores rejected wholesale for a stale era fingerprint (0–2).
+    /// Stores rejected wholesale for a stale era fingerprint (0–1).
     pub stale_stores: u64,
-    /// Records appended to the logs since boot (cell tombstones
+    /// Records appended to the cell log since boot (tombstones
     /// included).
     pub appended_records: u64,
     /// Atomic compact-and-rewrite passes of the cell log since boot.
@@ -61,27 +59,14 @@ pub struct PersistStats {
     pub write_errors: u64,
 }
 
-/// The open state logs plus their counters, behind one lock. Lock
+/// The open cell log plus its counters, behind one lock. Lock
 /// ordering: the cache lock is always taken **before** this one.
 struct PersistState {
     cells: CellLog<CellResult>,
-    seeds: LogWriter,
     stats: PersistStats,
 }
 
 impl PersistState {
-    /// Appends the II seeds recorded since the last drain to the seed
-    /// log.
-    fn append_dirty_seeds(&mut self, seeds: &IiSeedStore) {
-        for (key, ii) in seeds.drain_dirty() {
-            if self.seeds.append(&key, &ii.to_le_bytes()).is_err() {
-                self.stats.write_errors += 1;
-            } else {
-                self.stats.appended_records += 1;
-            }
-        }
-    }
-
     /// Rewrites the cell log to the cache's LRU-ordered live set.
     fn compact_cells(&mut self, cache: &ResultCache<CellResult>) {
         if self.cells.rewrite(cache).is_err() {
@@ -109,8 +94,8 @@ pub struct EngineStats {
     pub deduped_requests: u64,
     /// Per-cluster usage aggregated over every computed cell.
     pub cluster: ClusterUsage,
-    /// Kernels whose II search started from a profitable persisted or
-    /// recorded seed (summed over computed cells).
+    /// Kernels whose II search started from a profitable seed recorded
+    /// earlier in this process (summed over computed cells).
     pub seeded_kernels: u64,
     /// Persistence counters, when the engine runs with a state dir.
     pub persist: Option<PersistStats>,
@@ -132,8 +117,7 @@ pub struct ServeEngine {
     flight: SingleFlight<CellResult>,
     /// One shared II-seed store for every pipeline this engine spawns,
     /// so a cell computed on one machine variant seeds the II search of
-    /// scheduler-equivalent variants — and so the store can be persisted
-    /// across restarts.
+    /// scheduler-equivalent variants. It lives in memory only.
     seeds: Arc<IiSeedStore>,
     persist: Option<Mutex<PersistState>>,
     usage: Mutex<ClusterUsage>,
@@ -196,40 +180,36 @@ impl ServeEngine {
     }
 
     /// Attaches durable state under `dir` (created if missing): the
-    /// cell cache replays `cells.log` (a tombstone drops its key), the
-    /// II-seed store loads `seeds.log`, and both logs are kept current
-    /// as the engine runs (see [`CellLog`] for the cell log's appends
-    /// and amortized compaction; fsync on flush). Corrupt or stale
-    /// stores are recovered, never fatal — see [`PersistStats`] for
-    /// what was kept.
+    /// cell cache replays `cells.log` (a tombstone drops its key), and
+    /// the log is kept current as the engine runs (see [`CellLog`] for
+    /// its appends and amortized compaction; fsync on flush). The II
+    /// seed store is not persisted: after a restart a cell miss
+    /// searches cold. A corrupt or stale log is recovered, never
+    /// fatal — see [`PersistStats`] for what was kept.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures creating or opening the logs (not
+    /// Propagates I/O failures creating or opening the log (not
     /// corruption, which is healed in place).
     pub fn with_state_dir(mut self, dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let era = persist::era_bytes();
-        let (seeds, seed_records, seed_report) =
-            LogWriter::open(dir.join("seeds.log"), persist::KIND_SEEDS, &era)?;
         let mut cache = self.cache.lock().expect("cache lock");
         // Replay cells in file order (LRU-first snapshot, then appends
         // and tombstones): `preload` keeps the boot invisible to the
         // traffic counters.
-        let (cells, cell_report, undecodable) = CellLog::open(
+        let (cells, report, undecodable) = CellLog::open(
             dir.join("cells.log"),
-            &era,
+            &persist::era_bytes(),
             &mut cache,
             |bytes| persist::suite_stats_from_bytes(bytes).map(|suite| Arc::new(Ok(suite))),
             encode_cell,
         )?;
         let mut state = PersistState {
             cells,
-            seeds,
             stats: PersistStats {
-                discarded_records: cell_report.discarded_records + seed_report.discarded_records,
-                discarded_bytes: cell_report.discarded_bytes + seed_report.discarded_bytes,
-                stale_stores: u64::from(cell_report.stale) + u64::from(seed_report.stale),
+                discarded_records: report.discarded_records + undecodable,
+                discarded_bytes: report.discarded_bytes,
+                stale_stores: u64::from(report.stale),
                 loaded_cells: cache.len() as u64,
                 ..PersistStats::default()
             },
@@ -240,34 +220,6 @@ impl ServeEngine {
             state.compact_cells(&cache);
         }
         drop(cache);
-
-        let mut seeds = Vec::with_capacity(seed_records.len());
-        let mut undecodable_seeds = 0u64;
-        for (key, value) in seed_records {
-            match (
-                <[u8; 16]>::try_from(key.as_slice()),
-                <[u8; 4]>::try_from(value.as_slice()),
-            ) {
-                (Ok(key), Ok(ii)) => seeds.push((key, u32::from_le_bytes(ii))),
-                _ => undecodable_seeds += 1,
-            }
-        }
-        self.seeds.absorb(&seeds);
-        state.stats.loaded_seeds = self.seeds.len() as u64;
-        if undecodable_seeds > 0 {
-            let live = self.seeds.snapshot();
-            let rewrite = state.seeds.rewrite(
-                live.iter()
-                    .map(|(k, ii)| (k.as_slice(), ii.to_le_bytes().to_vec())),
-            );
-            if rewrite.is_err() {
-                state.stats.write_errors += 1;
-            } else {
-                state.stats.compactions += 1;
-            }
-        }
-        state.stats.discarded_records += undecodable + undecodable_seeds;
-
         self.persist = Some(Mutex::new(state));
         Ok(self)
     }
@@ -376,10 +328,9 @@ impl ServeEngine {
         par::par_map(cells, |cell| self.run_cell(*cell))
     }
 
-    /// Mirrors one cache insertion into the logs: newly dirtied II
-    /// seeds are appended, then the cell log gets a tombstone for the
-    /// evicted victim and the cell's record — or, once the appends since
-    /// the last rewrite would exceed the cache capacity, an atomic
+    /// Mirrors one cache insertion into the cell log: a tombstone for
+    /// the evicted victim and the cell's record — or, once the appends
+    /// since the last rewrite would exceed the cache capacity, an atomic
     /// rewrite to the LRU-ordered live set ([`CellLog::record_insert`]).
     /// Only `Ok` cells persist; a failed cell is recomputed (and may
     /// succeed) after a restart. Callers hold the cache lock (cache →
@@ -393,7 +344,6 @@ impl ServeEngine {
     ) {
         let Some(persist) = &self.persist else { return };
         let mut p = persist.lock().expect("persist lock");
-        p.append_dirty_seeds(&self.seeds);
         match p.cells.record_insert(cache, key, value, evicted) {
             Ok(CellWrite::Appended(n)) => p.stats.appended_records += n,
             Ok(CellWrite::Rewrote) => p.stats.compactions += 1,
@@ -401,23 +351,18 @@ impl ServeEngine {
         }
     }
 
-    /// Flushes the durable state: appends any dirty II seeds and fsyncs
-    /// both logs. With `compact`, additionally rewrites the cell log to
-    /// the current LRU-ordered live set, capturing recency drift from
-    /// cache hits since the last eviction — used on clean shutdown.
-    /// No-op without a state dir; write failures are counted, not
-    /// fatal.
+    /// Flushes the durable state: fsyncs the cell log, or with
+    /// `compact` rewrites it to the current LRU-ordered live set
+    /// instead, capturing recency drift from cache hits since the last
+    /// eviction — used on clean shutdown. No-op without a state dir;
+    /// write failures are counted, not fatal.
     pub fn flush_state(&self, compact: bool) {
         let Some(persist) = &self.persist else { return };
         let cache = self.cache.lock().expect("cache lock");
         let mut p = persist.lock().expect("persist lock");
-        p.append_dirty_seeds(&self.seeds);
         if compact {
             p.compact_cells(&cache);
         } else if p.cells.sync().is_err() {
-            p.stats.write_errors += 1;
-        }
-        if p.seeds.sync().is_err() {
             p.stats.write_errors += 1;
         }
         p.stats.flushes += 1;

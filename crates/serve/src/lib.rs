@@ -123,9 +123,9 @@ impl Server {
     /// Propagates listener failures (an escalated accept failure ends
     /// the loop; per-connection I/O errors only end that connection).
     pub fn run(self) -> io::Result<()> {
-        // Periodic state flush: dirty II seeds reach the log (and both
-        // logs reach disk) within a few seconds even if the process is
-        // later killed uncleanly. Exits with the shutdown flag.
+        // Periodic state flush: the cell log reaches disk within a few
+        // seconds even if the machine later goes down uncleanly. Exits
+        // with the shutdown flag.
         let flusher = {
             let engine = self.engine.clone();
             let shutdown = self.shutdown.clone();

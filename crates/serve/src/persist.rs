@@ -1,11 +1,14 @@
 //! Crash-safe on-disk persistence for the serving layer's warm state.
 //!
-//! Two stores survive restarts: the content-addressed cell cache
+//! One store survives restarts: the content-addressed cell cache
 //! ([`crate::cache::ResultCache`], keyed by
-//! [`distvliw_core::cachekey::cell_key`] bytes) and the pipeline's
-//! profile-guided II-seed store ([`distvliw_core::IiSeedStore`], keyed
-//! by its 128-bit configuration fingerprints). Both use the same
-//! log-structured format (see `docs/persistence.md` for the spec):
+//! [`distvliw_core::cachekey::cell_key`] bytes). Schedules do not
+//! persist: a schedule is a pure compile-time function of the loop,
+//! the coherence solution and the machine, and a cell already holds
+//! every result its schedules produced, so the pipeline's II-seed store
+//! ([`distvliw_core::IiSeedStore`]) lives in memory for one process.
+//! The cell log uses this log-structured format (see
+//! `docs/persistence.md` for the spec):
 //!
 //! ```text
 //! header:  magic "DVLS" · kind (4 bytes) · format version (u32 LE)
@@ -60,18 +63,20 @@ pub const VALUE_CODEC_VERSION: u8 = 1;
 
 /// Store kind tag for the result-cache log.
 pub const KIND_CELLS: [u8; 4] = *b"CELL";
-/// Store kind tag for the II-seed log.
-pub const KIND_SEEDS: [u8; 4] = *b"SEED";
 
 /// The era fingerprint of the running binary: every format version the
 /// persisted bytes transitively depend on. A mismatch in **any**
 /// component — the machine encoding behind every key
-/// ([`distvliw_arch::CANONICAL_BYTES_VERSION`]), the scheduler
-/// projection inside the seed-store fingerprints
-/// ([`distvliw_arch::SCHED_CANONICAL_BYTES_VERSION`]), the cell-key
-/// layout and the values keys compute ([`CELL_KEY_VERSION`]) or the
-/// value codec — marks a persisted store stale, and stale stores are
+/// ([`distvliw_arch::CANONICAL_BYTES_VERSION`]), the cell-key layout
+/// and the values keys compute ([`CELL_KEY_VERSION`]) or the value
+/// codec — marks a persisted store stale, and stale stores are
 /// discarded wholesale rather than trusted.
+///
+/// The scheduler-projection version
+/// ([`distvliw_arch::SCHED_CANONICAL_BYTES_VERSION`]) stays in the era
+/// although no persisted key embeds it: dropping it would change these
+/// bytes, so a state dir an earlier binary wrote would be discarded
+/// instead of booting warm.
 #[must_use]
 pub fn era_bytes() -> [u8; 4] {
     [
