@@ -51,8 +51,8 @@ impl EvictionRecord {
 /// next. Rau's iterative modulo scheduling uses a small multiple of the
 /// operation count; the constant offset keeps tiny kernels from giving
 /// up after a couple of evictions. The multiple also caps what a
-/// *hopeless* II may cost — an ejection pass that fails burns the whole
-/// budget, and it runs once per II the plain pass fails at.
+/// *hopeless* II may cost — an ejecting pass that fails burns the whole
+/// budget, and phase 1 runs one per II.
 #[must_use]
 pub(crate) fn eject_budget(n_nodes: usize) -> u64 {
     n_nodes as u64 * 3 + 16

@@ -44,5 +44,5 @@ mod schedule;
 mod scheduler;
 
 pub use mrt::Mrt;
-pub use schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp, SearchPhase};
+pub use schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp};
 pub use scheduler::{register_metrics, Heuristic, ModuloScheduler};

@@ -148,31 +148,6 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// Which latency model the II search was running under when it gave up
-/// (paper Section 2.2: the search first places with optimistic local-hit
-/// load latencies, then relaxes them cache-sensitively).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchPhase {
-    /// Every load assumed a local hit.
-    Optimistic,
-    /// Cache-sensitive (raised) load latencies. With the current
-    /// two-phase search a [`ScheduleError::NoFeasibleIi`] always
-    /// reports [`SearchPhase::Optimistic`] — phase 2 falls back to the
-    /// phase-1 placement rather than failing — but consumers matching
-    /// on the phase stay total if a future search shape can fail under
-    /// relaxed latencies.
-    Relaxed,
-}
-
-impl fmt::Display for SearchPhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SearchPhase::Optimistic => f.write_str("optimistic latencies"),
-            SearchPhase::Relaxed => f.write_str("relaxed latencies"),
-        }
-    }
-}
-
 /// Search telemetry of one `schedule_with_stats` call: how hard the II
 /// search had to work, and what the ejection scheduler did. The pipeline
 /// aggregates these per (suite, solution, heuristic) cell and feeds the
@@ -208,8 +183,6 @@ pub enum ScheduleError {
         mii: u32,
         /// Highest II tried.
         max_tried: u32,
-        /// Latency model the search was under when it gave up.
-        phase: SearchPhase,
         /// Total placement attempts spent before giving up.
         attempts: u64,
         /// The first node that could not be placed at the last II tried
@@ -226,13 +199,12 @@ impl fmt::Display for ScheduleError {
             ScheduleError::NoFeasibleIi {
                 mii,
                 max_tried,
-                phase,
                 attempts,
                 first_blocked,
             } => {
                 write!(
                     f,
-                    "no feasible II in [{mii}, {max_tried}] ({phase}, {attempts} placement attempts"
+                    "no feasible II in [{mii}, {max_tried}] ({attempts} placement attempts"
                 )?;
                 match first_blocked {
                     Some(n) => write!(f, ", first blocked on {n})"),
@@ -320,13 +292,11 @@ mod tests {
         let e = ScheduleError::NoFeasibleIi {
             mii: 3,
             max_tried: 40,
-            phase: SearchPhase::Optimistic,
             attempts: 1234,
             first_blocked: Some(NodeId(7)),
         };
         let text = e.to_string();
         assert!(text.contains("[3, 40]"), "{text}");
-        assert!(text.contains("optimistic latencies"), "{text}");
         assert!(text.contains("1234 placement attempts"), "{text}");
         assert!(text.contains("n7"), "{text}");
     }

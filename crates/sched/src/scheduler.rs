@@ -47,13 +47,20 @@ use crate::eject::{eject_budget, EvictionRecord};
 use crate::mii::{constrained_res_mii, res_mii, RecMiiSolver};
 use crate::mrt::Mrt;
 use crate::pressure::{range_cost, PressureCtx};
-use crate::schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp, SearchPhase};
+use crate::schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp};
 
 /// Slack subtracted from a profile-provided II seed before the search
 /// opens: covers small graph drift between the run that recorded the
 /// seed and the current one, while still skipping the (deterministically
 /// re-failing) II range below it.
 const SEED_II_SLACK: u32 = 2;
+
+/// The raised load-latency classes phase 2 tries, largest first.
+const RELAXED_CLASSES: [LatencyClass; 3] = [
+    LatencyClass::RemoteMiss,
+    LatencyClass::LocalMiss,
+    LatencyClass::RemoteHit,
+];
 
 /// The two cluster-assignment heuristics of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -297,7 +304,7 @@ impl<'m> ModuloScheduler<'m> {
         let local_hit = self.machine.latency_of(LatencyClass::LocalHit);
         let mut classes: NodeMap<LatencyClass> =
             ddg.loads().map(|l| (l, LatencyClass::LocalHit)).collect();
-        let mut lat = self.cycles_of(&classes);
+        let lat = self.cycles_of(&classes);
         let mut rec_solver = RecMiiSolver::from_dense(&dense);
 
         // Every II below the MII is provably infeasible. The
@@ -331,124 +338,91 @@ impl<'m> ModuloScheduler<'m> {
             .saturating_add(32)
             .max(start_ii);
 
-        // The priority order depends only on the latency assignment, not
-        // the II: compute it once for the whole II search.
+        // One ejecting pass per II; `used_eject` records whether it had
+        // to force a node at the II it placed. The priority order depends
+        // only on the latency assignment, not the II: compute it once for
+        // the whole II search.
         let mut counters = SearchCounters::default();
-        let mut order = priority_order(ddg, &dense, &lat);
-        let mut found: Option<(u32, Placement)> = None;
-        let mut used_eject = false;
+        let order = priority_order(ddg, &dense, &lat);
+        let mut found: Option<(u32, Placement, bool)> = None;
         for ii in start_ii..=max_ii {
             counters.iis_tried += 1;
             let mut trial_span = distvliw_obs::Span::enter("sched.ii_trial");
             trial_span.field_u64("ii", u64::from(ii));
-            if let Some(p) = self.try_place(ctx, &lat, &order, ii, &mut counters) {
-                trial_span.field_str("outcome", "placed");
-                found = Some((ii, p));
-                break;
-            }
-            let eject_span = distvliw_obs::Span::enter("sched.eject");
-            let placed = self.try_place_eject(ctx, &lat, &order, ii, &mut counters);
-            drop(eject_span);
-            if let Some(p) = placed {
-                trial_span.field_str("outcome", "ejected");
-                found = Some((ii, p));
-                used_eject = true;
+            if let Some((p, forced)) = self.try_place(ctx, &lat, &order, ii, true, &mut counters) {
+                trial_span.field_str("outcome", if forced { "ejected" } else { "placed" });
+                found = Some((ii, p, forced));
                 break;
             }
             trial_span.field_str("outcome", "infeasible");
         }
-        let Some((ii0, mut best)) = found else {
+        let Some((ii0, mut best, used_eject)) = found else {
             return Err(ScheduleError::NoFeasibleIi {
                 mii: mii0,
                 max_tried: max_ii,
-                phase: SearchPhase::Optimistic,
                 attempts: counters.attempts,
                 first_blocked: counters.first_blocked,
             });
         };
         let span_budget = best.span.saturating_add(4 * ii0);
-        // A placement pass under relaxed latencies only gets the
-        // ejection fallback if phase 1 needed it at this II — when the
-        // plain pass carried phase 1, relaxation trials stay plain and
-        // byte-identical to the pre-ejection scheduler. Only the
-        // *joint* relaxation trials (at most three) get the fallback:
-        // the per-load refinement multiplies by the load count, and a
-        // full-budget ejection pass per failed refinement trial is the
-        // kind of degenerate search-cost blowup this change exists to
-        // remove.
-        let relax_try = |order: &[NodeId], lat: &NodeMap<u32>, counters: &mut SearchCounters| {
-            self.try_place(ctx, lat, order, ii0, counters).or_else(|| {
-                used_eject
-                    .then(|| self.try_place_eject(ctx, lat, order, ii0, counters))
-                    .flatten()
-            })
-        };
 
         // Phase 2: cache-sensitive latency assignment — raise load
-        // latencies as far as compute time (II and schedule length) allows.
+        // latencies as far as compute time (II and schedule length)
+        // allows.
         if self.relax_latencies && !classes.is_empty() {
-            let loads: Vec<NodeId> = classes.keys().collect();
-            // Joint pass: find the largest uniform class that still fits.
-            let mut uniform = LatencyClass::LocalHit;
-            for class in [
-                LatencyClass::RemoteMiss,
-                LatencyClass::LocalMiss,
-                LatencyClass::RemoteHit,
-            ] {
-                if self.machine.latency_of(class) <= local_hit {
-                    continue;
-                }
-                let saved_classes = classes.clone();
-                let saved_lat = lat.clone();
-                for &l in &loads {
+            // One trial moves `moved` to `class` and re-places at `ii0`,
+            // keeping the placement if its span fits the budget — compute
+            // time is dominated by the II, so the pipeline fill may grow
+            // by a bounded number of stages, as the paper's latency
+            // assignment does — and restoring the old classes otherwise.
+            let mut trial = |classes: &mut NodeMap<LatencyClass>,
+                             moved: &[NodeId],
+                             class: LatencyClass,
+                             eject: bool| {
+                let saved: Vec<(NodeId, LatencyClass)> =
+                    moved.iter().map(|&l| (l, classes[l])).collect();
+                for &l in moved {
                     classes.insert(l, class);
-                    lat.insert(l, self.machine.latency_of(class));
                 }
+                let lat = self.cycles_of(classes);
                 if rec_solver.feasible_at(&lat, ii0) {
-                    order = priority_order(ddg, &dense, &lat);
-                    if let Some(p) = relax_try(&order, &lat, &mut counters) {
-                        // Compute time is dominated by the II; allow the
-                        // pipeline fill (span) to grow by a bounded number
-                        // of stages, as the paper's latency assignment
-                        // does.
-                        if p.span <= span_budget {
-                            best = p;
-                            uniform = class;
-                            break;
-                        }
+                    let order = priority_order(ddg, &dense, &lat);
+                    let placed = self.try_place(ctx, &lat, &order, ii0, eject, &mut counters);
+                    if let Some((p, _)) = placed.filter(|(p, _)| p.span <= span_budget) {
+                        best = p;
+                        return true;
                     }
                 }
-                classes = saved_classes;
-                lat = saved_lat;
+                for (l, old) in saved {
+                    classes.insert(l, old);
+                }
+                false
+            };
+            let loads: Vec<NodeId> = classes.keys().collect();
+            // Joint pass: the largest uniform class that still fits. It
+            // may eject only if phase 1 had to at `ii0` — when phase 1
+            // forced nothing, relaxation stays plain.
+            let mut uniform = LatencyClass::LocalHit;
+            for class in RELAXED_CLASSES {
+                if self.machine.latency_of(class) > local_hit
+                    && trial(&mut classes, &loads, class, used_eject)
+                {
+                    uniform = class;
+                    break;
+                }
             }
-            // Per-load refinement above the uniform class.
+            // Per-load refinement above the uniform class. Its trials
+            // never eject: they multiply by the load count, and a
+            // full-budget ejecting pass per failed trial is a degenerate
+            // search-cost blowup.
             if uniform != LatencyClass::RemoteMiss {
                 for &load in &loads {
-                    for class in [
-                        LatencyClass::RemoteMiss,
-                        LatencyClass::LocalMiss,
-                        LatencyClass::RemoteHit,
-                    ] {
+                    for class in RELAXED_CLASSES {
                         if self.machine.latency_of(class) <= self.machine.latency_of(classes[load])
+                            || trial(&mut classes, &[load], class, false)
                         {
                             break;
                         }
-                        let old_class = classes[load];
-                        let old_lat = lat[load];
-                        classes.insert(load, class);
-                        lat.insert(load, self.machine.latency_of(class));
-                        if rec_solver.feasible_at(&lat, ii0) {
-                            order = priority_order(ddg, &dense, &lat);
-                            // Plain pass only — see `relax_try`.
-                            if let Some(p) = self.try_place(ctx, &lat, &order, ii0, &mut counters) {
-                                if p.span <= span_budget {
-                                    best = p;
-                                    break;
-                                }
-                            }
-                        }
-                        classes.insert(load, old_class);
-                        lat.insert(load, old_lat);
                     }
                 }
             }
@@ -524,71 +498,57 @@ impl<'m> ModuloScheduler<'m> {
         }
     }
 
-    /// One from-scratch placement pass at a fixed II. Returns `None`
-    /// when any node cannot be placed.
+    /// One from-scratch worklist placement pass at a fixed II. A node
+    /// that cannot be placed fails the pass when `eject` is false;
+    /// otherwise it is forced in, evicting the ops blocking it (see
+    /// `crate::eject`), which re-enter the worklist at the back, and the
+    /// pass fails once the ejection budget is spent or a node cannot be
+    /// forced into any cluster. Up to its first forced node, the
+    /// ejecting pass is exactly the plain one. Returns the placement and
+    /// whether any node was forced.
     fn try_place(
         &self,
         ctx: SchedCtx<'_>,
         load_lat: &NodeMap<u32>,
         order: &[NodeId],
         ii: u32,
+        eject: bool,
         counters: &mut SearchCounters,
-    ) -> Option<Placement> {
-        let mut placer = self.placer(ctx, load_lat, ii, counters);
-        for &n in order {
-            if !placer.place(n) {
-                placer.counters.first_blocked = Some(n);
-                return None;
-            }
-        }
-        placer.into_placement()
-    }
-
-    /// The ejection pass at a fixed II: like [`ModuloScheduler::try_place`],
-    /// but a node that cannot be placed evicts the ops blocking it (see
-    /// `crate::eject`), which re-enter the worklist at the back. Fails
-    /// the II once the ejection budget is spent or a node cannot be
-    /// forced into any cluster.
-    fn try_place_eject(
-        &self,
-        ctx: SchedCtx<'_>,
-        load_lat: &NodeMap<u32>,
-        order: &[NodeId],
-        ii: u32,
-        counters: &mut SearchCounters,
-    ) -> Option<Placement> {
+    ) -> Option<(Placement, bool)> {
         let mut budget = eject_budget(ctx.ddg.node_count());
         let mut placer = self.placer(ctx, load_lat, ii, counters);
         let mut queue: VecDeque<NodeId> = order.iter().copied().collect();
         let mut floor: NodeMap<u32> = NodeMap::new();
+        let mut forced = false;
         while let Some(n) = queue.pop_front() {
             if placer.place(n) {
                 continue;
             }
-            let Some(evicted) = placer.force_place(n, &mut floor) else {
+            let Some(evicted) = eject.then(|| placer.force_place(n, &mut floor)).flatten() else {
                 placer.counters.first_blocked = Some(n);
                 return None;
             };
-            placer.counters.ejections += evicted.len() as u64;
             let cost = evicted.len() as u64;
+            placer.counters.ejections += cost;
             if cost > budget {
                 placer.counters.first_blocked = Some(n);
                 return None;
             }
             budget -= cost;
+            forced = true;
             queue.extend(evicted);
         }
-        placer.into_placement()
+        Some((placer.into_placement(), forced))
     }
 }
 
 /// Accumulated search telemetry, shared by every pass of one
 /// `schedule_with_stats` call.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct SearchCounters {
     /// Candidate `(cluster, cycle)` commit trials.
     attempts: u64,
-    /// Ops evicted by the ejection passes.
+    /// Ops evicted by the ejecting passes.
     ejections: u64,
     /// IIs attempted.
     iis_tried: u32,
@@ -734,7 +694,7 @@ impl Placer<'_> {
 
     /// Earliest start for `n` in cluster `c` from placed predecessors
     /// only (clamped ≥ 0). Shared by the bounded normal placement and
-    /// the forced placement of the ejection pass, which ignores
+    /// the forced placement of the ejecting pass, which ignores
     /// successors and evicts the ones it violates instead.
     fn pred_est(&self, n: NodeId, c: usize) -> i64 {
         let bus_lat = i64::from(self.bus_lat);
@@ -1297,7 +1257,7 @@ impl Placer<'_> {
     }
 
     /// Finalizes a fully placed attempt.
-    fn into_placement(self) -> Option<Placement> {
+    fn into_placement(self) -> Placement {
         #[cfg(debug_assertions)]
         {
             // The incremental pressure accounting must agree with the
@@ -1320,16 +1280,16 @@ impl Placer<'_> {
             .max()
             .unwrap_or(1)
             .max(self.ii);
-        Some(Placement {
+        Placement {
             placed: self.placed,
             copies: self.copies,
             span,
-        })
+        }
     }
 }
 
 /// Internal placement result.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Placement {
     placed: NodeMap<(usize, u32)>,
     copies: Vec<CopyOp>,
@@ -1904,6 +1864,80 @@ mod tests {
         assert!(stats.placement_attempts >= s.ops.len() as u64);
         assert_eq!(stats.ejections, 0);
         assert_eq!(stats.seeded_at, None);
+    }
+
+    /// One phase-1 placement pass of `g` at `ii` (local-hit latencies)
+    /// on the baseline machine, with the counters it left behind.
+    fn place_once(
+        g: &Ddg,
+        constraints: &SchedConstraints,
+        prefs: &PrefMap,
+        ii: u32,
+        eject: bool,
+    ) -> (Option<(Placement, bool)>, SearchCounters) {
+        let m = machine();
+        let dense = DenseDeps::new(g);
+        let ctx = SchedCtx {
+            ddg: g,
+            dense: &dense,
+            constraints,
+            prefs,
+            heuristic: Heuristic::PrefClus,
+        };
+        let lat = g
+            .loads()
+            .map(|l| (l, m.latency_of(LatencyClass::LocalHit)))
+            .collect();
+        let order = priority_order(g, &dense, &lat);
+        let mut counters = SearchCounters::default();
+        let placed =
+            ModuloScheduler::new(&m).try_place(ctx, &lat, &order, ii, eject, &mut counters);
+        (placed, counters)
+    }
+
+    #[test]
+    fn ejecting_pass_equals_the_plain_pass_when_nothing_blocks() {
+        let (g, none, prefs) = (simple_graph(), SchedConstraints::none(), PrefMap::new());
+        let plain = place_once(&g, &none, &prefs, 1, false);
+        assert!(matches!(plain.0, Some((_, false))));
+        // Same placement, same attempts, nothing forced or ejected.
+        assert_eq!(plain, place_once(&g, &none, &prefs, 1, true));
+    }
+
+    #[test]
+    fn pinned_chain_with_an_intruder_needs_ejection_at_its_mii() {
+        // A memory-anti chain pinned by its profile to cluster 0, plus a
+        // higher-priority load preferring the same cluster: at the
+        // chain's constrained MII the intruder holds the memory slot the
+        // chain is short of, so only a forced placement keeps the II.
+        let n_clusters = machine().n_clusters;
+        let mut b = DdgBuilder::new();
+        let chain: Vec<NodeId> = (0..n_clusters).map(|_| b.load(Width::W4)).collect();
+        for w in chain.windows(2) {
+            b.dep(w[0], w[1], DepKind::MemAnti, 0);
+        }
+        let intruder = b.load(Width::W4);
+        (0..4).fold(intruder, |prev, _| b.op(OpKind::IntAlu, &[prev]));
+        let g = b.finish();
+        let mut prefs = PrefMap::new();
+        for &l in chain.iter().chain([&intruder]) {
+            let mut counts = vec![0; n_clusters];
+            counts[0] = 100;
+            prefs.insert(g.node(l).mem_id().unwrap(), PrefInfo::from_counts(counts));
+        }
+        let constraints = SchedConstraints::for_mdc(&find_chains(&g), &g, Some(&prefs), n_clusters);
+        let mii = constrained_res_mii(&g, &machine(), &constraints);
+        assert_eq!(mii, n_clusters as u32, "the chain bounds the II");
+
+        let (plain, counters) = place_once(&g, &constraints, &prefs, mii, false);
+        assert!(plain.is_none(), "the plain pass gives the MII away");
+        assert!(counters.first_blocked.is_some());
+        let (worklist, counters) = place_once(&g, &constraints, &prefs, mii, true);
+        assert!(
+            matches!(worklist, Some((_, true))),
+            "ejection keeps the MII"
+        );
+        assert!(counters.ejections > 0);
     }
 
     #[test]

@@ -335,10 +335,12 @@ proptest! {
         // colocation (the constraint family that used to trigger the
         // degenerate II blowup): the ejection scheduler must never do
         // worse than the restart-only search, and its schedules must
-        // stay legal. Every II trial opens with the restart-only scan's
-        // plain pass, so a search that tried each II from the MII up to
-        // the one it returned never passed an II the restart-only scan
-        // would have taken.
+        // stay legal. Every II trial is one worklist pass that starts
+        // by doing exactly the restart-only scan's plain pass and only
+        // deviates (by ejecting) where that pass would have failed, so a
+        // search that tried each II from the MII up to the one it
+        // returned never passed an II the restart-only scan would have
+        // taken.
         let (kernel, n_clusters) = case;
         let machine = sweep_machine(
             &MachineConfig::paper_baseline(),
