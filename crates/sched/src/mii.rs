@@ -40,6 +40,35 @@ pub fn dep_latency(ddg: &Ddg, dep: &Dep, load_lat: &NodeMap<u32>) -> u32 {
     }
 }
 
+/// The resource bound of ops with per-class `counts` on per-class
+/// `caps` units: the max over classes of ⌈count / capacity⌉ (at least
+/// 1), or `u32::MAX` when a class with ops has no units — an
+/// unschedulable mix, reported as an absurd bound so scheduling fails
+/// loudly rather than looping forever.
+fn class_bound(counts: [u32; 3], caps: [u32; 3]) -> u32 {
+    let mut mii = 1;
+    for class in FuClass::ALL {
+        let i = class.index();
+        if counts[i] == 0 {
+            continue;
+        }
+        if caps[i] == 0 {
+            return u32::MAX;
+        }
+        mii = mii.max(counts[i].div_ceil(caps[i]));
+    }
+    mii
+}
+
+/// Functional units of each class in one cluster.
+fn cluster_caps(machine: &MachineConfig) -> [u32; 3] {
+    [
+        machine.fu.integer as u32,
+        machine.fu.fp as u32,
+        machine.fu.memory as u32,
+    ]
+}
+
 /// Resource-constrained MII: for each functional-unit class, the ops of
 /// that class divided by total machine capacity.
 #[must_use]
@@ -50,24 +79,8 @@ pub fn res_mii(ddg: &Ddg, machine: &MachineConfig) -> u32 {
             counts[class.index()] += 1;
         }
     }
-    let caps = [
-        machine.fu.integer as u32 * machine.n_clusters as u32,
-        machine.fu.fp as u32 * machine.n_clusters as u32,
-        machine.fu.memory as u32 * machine.n_clusters as u32,
-    ];
-    let mut mii = 1;
-    for class in FuClass::ALL {
-        let i = class.index();
-        if caps[i] == 0 && counts[i] > 0 {
-            // Unschedulable mix; report an absurd bound so scheduling fails
-            // loudly rather than looping forever.
-            return u32::MAX;
-        }
-        if caps[i] > 0 {
-            mii = mii.max(counts[i].div_ceil(caps[i]));
-        }
-    }
-    mii
+    let caps = cluster_caps(machine).map(|units| units * machine.n_clusters as u32);
+    class_bound(counts, caps)
 }
 
 /// Constraint-aware resource MII: the tightest per-cluster bound implied
@@ -78,10 +91,9 @@ pub fn res_mii(ddg: &Ddg, machine: &MachineConfig) -> u32 {
 /// each class; likewise every set of ops pinned to the same cluster.
 /// Groups with a pre-decided target cluster pool with the pins of that
 /// cluster. The plain [`res_mii`] divides by *machine-wide* capacity and
-/// misses all of this — under MDC/DDGT the II search used to discover
-/// the gap one failed full placement pass per II, which is exactly the
-/// degenerate blowup this bound now skips: every II below it is provably
-/// infeasible.
+/// misses all of this; without this bound an II search under MDC/DDGT
+/// would find the gap one failed full placement pass per II, although
+/// every II below it is provably infeasible.
 #[must_use]
 pub fn constrained_res_mii(
     ddg: &Ddg,
@@ -91,11 +103,6 @@ pub fn constrained_res_mii(
     if constraints.colocate.is_empty() && constraints.pinned.is_empty() {
         return 1;
     }
-    let caps = [
-        machine.fu.integer as u32,
-        machine.fu.fp as u32,
-        machine.fu.memory as u32,
-    ];
     // Per-target-cluster counts (pins + groups with a known target) and
     // per-untargeted-group counts.
     let mut cluster_counts: BTreeMap<usize, [u32; 3]> = BTreeMap::new();
@@ -113,20 +120,12 @@ pub fn constrained_res_mii(
             }
         }
     }
-    let mut mii = 1u32;
-    for counts in cluster_counts.values().chain(group_counts.values()) {
-        for class in FuClass::ALL {
-            let i = class.index();
-            if counts[i] == 0 {
-                continue;
-            }
-            if caps[i] == 0 {
-                return u32::MAX;
-            }
-            mii = mii.max(counts[i].div_ceil(caps[i]));
-        }
-    }
-    mii
+    let caps = cluster_caps(machine);
+    cluster_counts
+        .values()
+        .chain(group_counts.values())
+        .map(|&counts| class_bound(counts, caps))
+        .fold(1, u32::max)
 }
 
 /// Reusable RecMII engine for one graph.
@@ -230,9 +229,8 @@ impl RecMiiSolver {
         // simple cycle visits at most min(n, edges) edges, so
         // `min(n, edges) × max edge latency` bounds its latency sum, and
         // any binding latency-to-distance ratio is achieved by a simple
-        // cycle. (The previous bound summed over *all* edges, which on
-        // huge synthetic graphs forced the binary search to open at an
-        // absurd II.)
+        // cycle. Summing over *all* edges instead would open the binary
+        // search at an absurd II on huge graphs.
         let max_lat = self.latencies.iter().copied().max().unwrap_or(0);
         let cycle_edges = self.n.min(self.edges.len()) as i64;
         let hi0: i64 = (cycle_edges * i64::from(max_lat)).max(1);
@@ -252,17 +250,6 @@ impl RecMiiSolver {
         }
         lo
     }
-}
-
-/// Whether the graph admits a legal schedule at initiation interval `ii`.
-///
-/// One-shot convenience over [`RecMiiSolver`]; hot paths should hold a
-/// solver instead.
-#[must_use]
-pub fn feasible_ii(ddg: &Ddg, load_lat: &NodeMap<u32>, ii: u32) -> bool {
-    let mut solver = RecMiiSolver::new(ddg);
-    solver.refresh_latencies(load_lat);
-    solver.feasible(ii)
 }
 
 /// Recurrence-constrained MII (one-shot convenience over
@@ -351,10 +338,11 @@ mod tests {
         b.dep(s, l, DepKind::MemFlow, 1);
         let g = b.finish();
         let lat = NodeMap::new();
-        let r = rec_mii(&g, &lat);
-        assert!(!feasible_ii(&g, &lat, r - 1));
-        assert!(feasible_ii(&g, &lat, r));
-        assert!(feasible_ii(&g, &lat, r + 5));
+        let mut solver = RecMiiSolver::new(&g);
+        let r = solver.rec_mii(&lat);
+        assert!(!solver.feasible_at(&lat, r - 1));
+        assert!(solver.feasible_at(&lat, r));
+        assert!(solver.feasible_at(&lat, r + 5));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! journal of touched cells, so a failed placement trial is undone with
 //! [`Mrt::rollback`] instead of cloning the whole table per trial — the
 //! scheduler's innermost loop commits one candidate `(cluster, cycle)`
-//! placement per call and used to pay a full `Mrt` clone each time.
+//! placement per call, so a clone per trial would dominate its cost.
 //!
 //! The register buses also keep a bitset of *open* slots (occupancy below
 //! the bus count) next to their counts, so [`Mrt::find_bus_slot`] tests

@@ -1,5 +1,4 @@
-//! Stage-aware register pressure (tentpole of the ejection-scheduler
-//! change).
+//! Stage-aware register pressure.
 //!
 //! A modulo schedule overlaps `span / ii` iterations, so a value whose
 //! live range crosses stage boundaries is simultaneously live in several
@@ -8,13 +7,12 @@
 //! structure covers. The placement loop charges every value against each
 //! cluster that holds it — where it is produced, and every cluster it is
 //! copied into — and rejects placements that would push a cluster's
-//! stage-crossing demand past `MachineConfig::regs_per_cluster`. Before
-//! this model existed the overflow was never represented at all:
-//! pressure built up silently and surfaced only indirectly, as the
-//! bus-slot failures of the copy storm a real register allocator would
-//! have spilled into.
+//! stage-crossing demand past `MachineConfig::regs_per_cluster`. Without
+//! this gate the overflow would surface only indirectly, as the bus-slot
+//! failures of the copy storm a real register allocator would have
+//! spilled into.
 //!
-//! The placer maintains the demand *incrementally* (`Placer::extend` /
+//! The placer maintains the demand *incrementally* (`Placer::extend_range` /
 //! `recompute_value_range` in `scheduler.rs`, journaled for rollback);
 //! this module holds the model definition as a from-scratch recompute,
 //! used by the placer's debug assertion and the unit tests.
@@ -40,8 +38,9 @@ pub(crate) struct PressureCtx<'a> {
 }
 
 impl PressureCtx<'_> {
-    /// Cycles after issue at which `p`'s result register is written
-    /// (mirrors the placer's `out_latency`).
+    /// Cycles after issue at which `p`'s result register is written —
+    /// the one result latency of the pressure model and the placer,
+    /// which charges it on outgoing register flow.
     pub(crate) fn def_latency(&self, p: NodeId) -> i64 {
         let op = self.ddg.node(p);
         i64::from(if op.is_load() {

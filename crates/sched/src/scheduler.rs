@@ -42,7 +42,7 @@ use distvliw_coherence::SchedConstraints;
 use distvliw_ir::{Ddg, DepKind, NodeId, NodeMap, PrefMap};
 use distvliw_obs::{Counter, Histogram};
 
-use crate::dense::DenseDeps;
+use crate::dense::{DenseDeps, DepRec};
 use crate::eject::{eject_budget, EvictionRecord};
 use crate::mii::{constrained_res_mii, res_mii, RecMiiSolver};
 use crate::mrt::Mrt;
@@ -139,7 +139,7 @@ fn metrics() -> &'static Metrics {
             ),
             ejections: reg.counter(
                 "sched_ejections_total",
-                "Nodes ejected by the backtracking placement fallback",
+                "Nodes evicted by forced placements",
             ),
             seeded: reg.counter(
                 "sched_seeded_schedules_total",
@@ -168,9 +168,8 @@ pub struct ModuloScheduler<'m> {
 }
 
 impl<'m> ModuloScheduler<'m> {
-    /// Creates a scheduler with cache-sensitive latency assignment. The
-    /// ejection (backtracking) fallback always runs after a failed plain
-    /// pass.
+    /// Creates a scheduler with cache-sensitive latency assignment. Each
+    /// candidate II gets one ejecting worklist placement pass.
     #[must_use]
     pub fn new(machine: &'m MachineConfig) -> Self {
         ModuloScheduler {
@@ -308,11 +307,10 @@ impl<'m> ModuloScheduler<'m> {
         let mut rec_solver = RecMiiSolver::from_dense(&dense);
 
         // Every II below the MII is provably infeasible. The
-        // constraint-aware resource bound is what kills the degenerate
-        // blowup: an MDC chain colocated in one cluster used to start
-        // the scan at the machine-wide ResMII and fail one full
-        // placement pass per II until the single-cluster bound was
-        // reached by brute force.
+        // constraint-aware resource bound matters under MDC: a chain
+        // colocated in one cluster needs the single-cluster bound, and
+        // the machine-wide ResMII alone would open the scan where every
+        // II fails one full placement pass.
         let mii0 = res_mii(ddg, self.machine)
             .max(rec_solver.rec_mii(&lat))
             .max(constrained_res_mii(ddg, self.machine, constraints))
@@ -637,9 +635,6 @@ impl Placer<'_> {
             while t <= hi {
                 let start = u32::try_from(t).expect("start bounded");
                 if self.commit(n, c, start) {
-                    if let Some(&g) = self.ctx.constraints.colocate.get(&n) {
-                        self.group_cluster.entry(g).or_insert(c);
-                    }
                     return true;
                 }
                 t += 1;
@@ -692,64 +687,68 @@ impl Placer<'_> {
         order
     }
 
+    /// Earliest start in cluster `c` that the placed producer of `d`
+    /// allows, or `None` when it is unplaced or `d` is a self edge (self
+    /// edges are covered by RecMII). Cross-cluster register flow reads
+    /// the producer's existing copy into `c` when there is one and
+    /// otherwise pays a bus transfer.
+    fn pred_bound(&self, d: &DepRec, c: usize) -> Option<i64> {
+        if d.src == d.dst {
+            return None;
+        }
+        let &(pc, ps) = self.placed.get(d.src)?;
+        let value = i64::from(ps) + i64::from(d.latency(self.load_lat));
+        let arrival = if d.kind == DepKind::RegFlow && pc != c {
+            let sent = self.copy_map.get(d.src, c).map_or(value, i64::from);
+            sent + i64::from(self.bus_lat)
+        } else {
+            value
+        };
+        Some(arrival - i64::from(self.ii) * i64::from(d.distance))
+    }
+
+    /// Latest start in cluster `c` that the placed consumer of `d`
+    /// allows, or `None` when it is unplaced or `d` is a self edge.
+    /// Cross-cluster register flow must leave room for the copy.
+    fn succ_bound(&self, d: &DepRec, c: usize) -> Option<i64> {
+        if d.src == d.dst {
+            return None;
+        }
+        let &(sc, ss) = self.placed.get(d.dst)?;
+        let transfer = if d.kind == DepKind::RegFlow && sc != c {
+            i64::from(self.bus_lat)
+        } else {
+            0
+        };
+        let carried = i64::from(self.ii) * i64::from(d.distance);
+        Some(i64::from(ss) + carried - i64::from(d.latency(self.load_lat)) - transfer)
+    }
+
     /// Earliest start for `n` in cluster `c` from placed predecessors
     /// only (clamped ≥ 0). Shared by the bounded normal placement and
-    /// the forced placement of the ejecting pass, which ignores
-    /// successors and evicts the ones it violates instead.
+    /// the forced placement, which ignores successors and evicts the
+    /// ones it violates instead.
     fn pred_est(&self, n: NodeId, c: usize) -> i64 {
-        let bus_lat = i64::from(self.bus_lat);
-        let ii = i64::from(self.ii);
-        let mut est = 0i64;
-        for d in self.ctx.dense.in_deps(n) {
-            if d.src == n {
-                continue; // self edges are covered by RecMII
-            }
-            let Some(&(pc, ps)) = self.placed.get(d.src) else {
-                continue;
-            };
-            let lat = i64::from(d.latency(self.load_lat));
-            let dist = i64::from(d.distance);
-            let bound = if d.kind == DepKind::RegFlow && pc != c {
-                match self.copy_map.get(d.src, c) {
-                    Some(s0) => i64::from(s0) + bus_lat - ii * dist,
-                    None => i64::from(ps) + lat + bus_lat - ii * dist,
-                }
-            } else {
-                i64::from(ps) + lat - ii * dist
-            };
-            est = est.max(bound);
-        }
-        est
+        self.ctx
+            .dense
+            .in_deps(n)
+            .iter()
+            .filter_map(|d| self.pred_bound(d, c))
+            .fold(0, i64::max)
     }
 
     /// Earliest/latest start for `n` in cluster `c` given current
     /// placements (as i64: latest may be unbounded, earliest clamped ≥ 0).
     fn start_bounds(&self, n: NodeId, c: usize) -> Option<(i64, i64)> {
-        let bus_lat = i64::from(self.bus_lat);
-        let ii = i64::from(self.ii);
         let est = self.pred_est(n, c);
-        let mut lst = i64::from(u32::MAX / 2);
-        for d in self.ctx.dense.out_deps(n) {
-            if d.dst == n {
-                continue;
-            }
-            let Some(&(sc, ss)) = self.placed.get(d.dst) else {
-                continue;
-            };
-            let lat = i64::from(d.latency(self.load_lat));
-            let dist = i64::from(d.distance);
-            let bound = if d.kind == DepKind::RegFlow && sc != c {
-                i64::from(ss) - lat - bus_lat + ii * dist
-            } else {
-                i64::from(ss) - lat + ii * dist
-            };
-            lst = lst.min(bound);
-        }
-        if lst < est {
-            None
-        } else {
-            Some((est, lst))
-        }
+        let lst = self
+            .ctx
+            .dense
+            .out_deps(n)
+            .iter()
+            .filter_map(|d| self.succ_bound(d, c))
+            .fold(i64::from(u32::MAX / 2), i64::min);
+        (lst >= est).then_some((est, lst))
     }
 
     /// Attempts to commit `n` at `(c, start)`: checks the functional unit
@@ -776,8 +775,8 @@ impl Placer<'_> {
         // distance d read the copy's value d iterations later.
         let mark = self.mrt.checkpoint();
         self.planned.clear();
-        let ii_i = i64::from(self.ii);
-        let bus_lat_i = i64::from(self.bus_lat);
+        let ii = i64::from(self.ii);
+        let bus_lat = i64::from(self.bus_lat);
         for d in dense.in_deps(n) {
             if d.kind != DepKind::RegFlow || d.src == n {
                 continue;
@@ -785,38 +784,14 @@ impl Placer<'_> {
             let Some(&(pc, ps)) = self.placed.get(d.src) else {
                 continue;
             };
-            if pc == c || self.copy_map.get(d.src, c).is_some() {
-                continue;
-            }
-            if self
-                .planned
-                .iter()
-                .any(|p| p.producer == d.src && p.to == c)
-            {
-                continue;
-            }
             let ready = i64::from(ps) + i64::from(d.latency(load_lat));
-            let deadline = i64::from(start) - bus_lat_i + ii_i * i64::from(d.distance);
-            if deadline < ready || ready < 0 {
+            let deadline = i64::from(start) - bus_lat + ii * i64::from(d.distance);
+            if !self.plan_copy(d.src, pc, c, ready, deadline) {
                 self.mrt.rollback(mark);
                 return false;
             }
-            let Some(slot) = self
-                .mrt
-                .find_bus_slot(ready as u32, deadline.min(ready + ii_i) as u32)
-            else {
-                self.mrt.rollback(mark);
-                return false;
-            };
-            self.mrt.reserve_bus(slot);
-            self.planned.push(PlannedCopy {
-                producer: d.src,
-                from: pc,
-                to: c,
-                start: slot,
-            });
         }
-        let n_lat = self.out_latency(n);
+        let ready = i64::from(start) + self.pressure_ctx().def_latency(n);
         for d in dense.out_deps(n) {
             if d.kind != DepKind::RegFlow || d.dst == n {
                 continue;
@@ -824,32 +799,11 @@ impl Placer<'_> {
             let Some(&(sc, ss)) = self.placed.get(d.dst) else {
                 continue;
             };
-            if sc == c || self.copy_map.get(n, sc).is_some() {
-                continue;
-            }
-            if self.planned.iter().any(|p| p.producer == n && p.to == sc) {
-                continue;
-            }
-            let ready = i64::from(start) + n_lat;
-            let deadline = i64::from(ss) - bus_lat_i + ii_i * i64::from(d.distance);
-            if deadline < ready || ready < 0 {
+            let deadline = i64::from(ss) - bus_lat + ii * i64::from(d.distance);
+            if !self.plan_copy(n, c, sc, ready, deadline) {
                 self.mrt.rollback(mark);
                 return false;
             }
-            let Some(slot) = self
-                .mrt
-                .find_bus_slot(ready as u32, deadline.min(ready + ii_i) as u32)
-            else {
-                self.mrt.rollback(mark);
-                return false;
-            };
-            self.mrt.reserve_bus(slot);
-            self.planned.push(PlannedCopy {
-                producer: n,
-                from: c,
-                to: sc,
-                start: slot,
-            });
         }
 
         // Stage-aware register pressure gate: the placement and its
@@ -892,18 +846,43 @@ impl Placer<'_> {
                 start: p.start,
             });
         }
+        if let Some(&g) = self.ctx.constraints.colocate.get(&n) {
+            self.group_cluster.entry(g).or_insert(c);
+        }
         true
     }
 
-    /// Cycles after issue at which `n`'s result register is written —
-    /// the producer latency commit charges on outgoing register flow.
-    fn out_latency(&self, n: NodeId) -> i64 {
-        let ddg = self.ctx.ddg;
-        i64::from(if ddg.node(n).is_load() {
-            self.load_lat.get(n).copied().unwrap_or(1)
-        } else {
-            ddg.node(n).kind.base_latency()
-        })
+    /// Plans the copy of `producer`'s value from cluster `from` to `to`
+    /// for the in-flight commit: the first bus slot in
+    /// `[ready, deadline]`, searched within one II of `ready`. Nothing is
+    /// needed within one cluster or when the value already reaches `to`
+    /// (accepted or planned copy). Returns false when no slot fits.
+    fn plan_copy(
+        &mut self,
+        producer: NodeId,
+        from: usize,
+        to: usize,
+        ready: i64,
+        deadline: i64,
+    ) -> bool {
+        if from == to || self.copy_lookup(producer, to).is_some() {
+            return true;
+        }
+        if deadline < ready {
+            return false;
+        }
+        let last = deadline.min(ready + i64::from(self.ii));
+        let Some(slot) = self.mrt.find_bus_slot(ready as u32, last as u32) else {
+            return false;
+        };
+        self.mrt.reserve_bus(slot);
+        self.planned.push(PlannedCopy {
+            producer,
+            from,
+            to,
+            start: slot,
+        });
+        true
     }
 
     /// The model context for the from-scratch pressure mirror in
@@ -986,7 +965,7 @@ impl Placer<'_> {
         // n's own value: home range plus ranges in every cluster its
         // placed consumers read it from.
         if dense.out_deps(n).iter().any(|d| d.kind == DepKind::RegFlow) {
-            let def = i64::from(start) + self.out_latency(n);
+            let def = i64::from(start) + self.pressure_ctx().def_latency(n);
             self.extend_range(n, c, def, def, log);
             for d in dense.out_deps(n) {
                 if d.kind != DepKind::RegFlow {
@@ -1015,7 +994,7 @@ impl Placer<'_> {
                 continue;
             };
             let use_at = i64::from(start) + ii * i64::from(d.distance);
-            let home_def = i64::from(ps) + self.out_latency(p);
+            let home_def = i64::from(ps) + self.pressure_ctx().def_latency(p);
             if pc == c {
                 self.extend_range(p, c, home_def, use_at, log);
             } else if let Some(s0) = self.copy_lookup(p, c) {
@@ -1056,10 +1035,10 @@ impl Placer<'_> {
     /// Forced placement of `n` (the ejection path): pick a start bounded
     /// by placed predecessors only, evict whatever blocks it — the
     /// same-slot functional-unit occupant and every placed successor
-    /// whose separation the start would violate — and commit. Returns
-    /// the evicted nodes for re-enqueueing, or `None` when no cluster
-    /// admits `n` even with evictions (e.g. the register buses or the
-    /// pressure budget stay exhausted).
+    /// whose bound the start exceeds — and commit. Returns the evicted
+    /// nodes for re-enqueueing, or `None` when no cluster admits `n`
+    /// even with evictions (e.g. the register buses or the pressure
+    /// budget stay exhausted).
     fn force_place(&mut self, n: NodeId, floor: &mut NodeMap<u32>) -> Option<Vec<NodeId>> {
         for c in self.candidate_clusters(n) {
             // One forced shot per cluster, at the earliest
@@ -1068,8 +1047,9 @@ impl Placer<'_> {
             // II — provides the progress a slot scan would, at a
             // fraction of the cost on hopeless IIs. A wider scan here
             // multiplies into every failed II of every latency trial.
-            let est = self.pred_est(n, c).max(0);
-            let base = est.max(i64::from(floor.get(n).copied().unwrap_or(0)));
+            let base = self
+                .pred_est(n, c)
+                .max(i64::from(floor.get(n).copied().unwrap_or(0)));
             let Ok(start) = u32::try_from(base) else {
                 continue;
             };
@@ -1077,9 +1057,6 @@ impl Placer<'_> {
             let mut rec = EvictionRecord::default();
             self.evict_conflicts(n, c, start, &mut rec);
             if self.commit(n, c, start) {
-                if let Some(&g) = self.ctx.constraints.colocate.get(&n) {
-                    self.group_cluster.entry(g).or_insert(c);
-                }
                 floor.insert(n, start + 1);
                 return Some(rec.evicted().collect());
             }
@@ -1090,9 +1067,9 @@ impl Placer<'_> {
 
     /// Evicts everything that blocks placing `n` at `(c, start)`: enough
     /// same-class ops in the target modulo slot to free a unit, and
-    /// every placed successor whose dependence the start would violate.
-    /// Predecessor constraints never need evictions — the forced start
-    /// is at or after `pred_est`.
+    /// every placed successor whose `succ_bound` the start exceeds.
+    /// Predecessor bounds never need evictions — the forced start is at
+    /// or after `pred_est`.
     fn evict_conflicts(&mut self, n: NodeId, c: usize, start: u32, rec: &mut EvictionRecord) {
         if let Some(class) = self.ctx.ddg.node(n).kind.fu_class() {
             while !self.mrt.fu_free(c, class, start) {
@@ -1114,35 +1091,17 @@ impl Placer<'_> {
                 }
             }
         }
-        let ii = i64::from(self.ii);
-        let bus_lat = i64::from(self.bus_lat);
-        let n_lat = self.out_latency(n);
         let mut victims: Vec<NodeId> = Vec::new();
         for d in self.ctx.dense.out_deps(n) {
-            if d.dst == n {
-                continue;
-            }
-            let Some(&(sc, ss)) = self.placed.get(d.dst) else {
-                continue;
-            };
-            let dist = i64::from(d.distance);
-            let violated = if d.kind == DepKind::RegFlow && sc != c {
-                // Mirror of commit's copy deadline: the transfer must
-                // fit between the value being ready and the consumer
-                // reading it.
-                i64::from(ss) - bus_lat + ii * dist < i64::from(start) + n_lat
-            } else {
-                let lat = i64::from(d.latency(self.load_lat));
-                i64::from(ss) + ii * dist < i64::from(start) + lat
-            };
-            if violated && !victims.contains(&d.dst) {
+            let late = self
+                .succ_bound(d, c)
+                .is_some_and(|lst| i64::from(start) > lst);
+            if late && !victims.contains(&d.dst) {
                 victims.push(d.dst);
             }
         }
         for m in victims {
-            if self.placed.contains_key(m) {
-                self.evict(m, rec);
-            }
+            self.evict(m, rec);
         }
     }
 
@@ -1299,9 +1258,8 @@ struct Placement {
 /// Topological order over zero-distance edges, prioritizing nodes with the
 /// longest latency path to a sink (critical path first).
 ///
-/// The ready set is a max-heap keyed by `(height, Reverse(node))` — the
-/// same node the previous sort-then-pop implementation selected (highest
-/// height, lowest id on ties), at O(log n) per step instead of a re-sort.
+/// The ready set is a max-heap keyed by `(height, Reverse(node))`: the
+/// highest ready node first, the lowest id on ties, at O(log n) per step.
 fn priority_order(ddg: &Ddg, dense: &DenseDeps, load_lat: &NodeMap<u32>) -> Vec<NodeId> {
     let n = ddg.node_count();
     // Heights by reverse topological DP over zero-distance edges.
@@ -1938,6 +1896,52 @@ mod tests {
             "ejection keeps the MII"
         );
         assert!(counters.ejections > 0);
+    }
+
+    #[test]
+    fn a_forced_start_evicts_exactly_the_successors_it_outruns() {
+        // An FP producer with two placed integer consumers: a near one in
+        // its own cluster and a far one across the bus. The window the
+        // bounded placement searches evicts nothing; one cycle past the
+        // near consumer's bound evicts it alone, and one past the far
+        // consumer's bound (which pays the copy) evicts both.
+        let m = machine();
+        let mut b = DdgBuilder::new();
+        let p = b.op(OpKind::FpMul, &[]);
+        let near = b.op(OpKind::IntAlu, &[p]);
+        let far = b.op(OpKind::IntAlu, &[p]);
+        let g = b.finish();
+        let dense = DenseDeps::new(&g);
+        let (none, prefs) = (SchedConstraints::none(), PrefMap::new());
+        let ctx = SchedCtx {
+            ddg: &g,
+            dense: &dense,
+            constraints: &none,
+            prefs: &prefs,
+            heuristic: Heuristic::MinComs,
+        };
+        let lat = NodeMap::new();
+        let mut counters = SearchCounters::default();
+        let scheduler = ModuloScheduler::new(&m);
+        let mut placer = scheduler.placer(ctx, &lat, 4, &mut counters);
+        assert!(placer.commit(near, 0, 6) && placer.commit(far, 1, 12));
+        let far_bound = 12 - 4 - i64::from(m.reg_buses.latency);
+        assert_eq!(placer.start_bounds(p, 0), Some((0, 2)));
+
+        let mut evicted_at = |start: i64| {
+            let mark = placer.mrt.checkpoint();
+            let mut rec = EvictionRecord::default();
+            placer.evict_conflicts(p, 0, u32::try_from(start).unwrap(), &mut rec);
+            let evicted: Vec<NodeId> = rec.evicted().collect();
+            placer.unevict(rec, mark);
+            evicted
+        };
+        for start in 0..=2 {
+            assert_eq!(evicted_at(start), [], "start {start}");
+        }
+        assert_eq!(evicted_at(3), [near]);
+        assert_eq!(evicted_at(far_bound), [near]);
+        assert_eq!(evicted_at(far_bound + 1), [near, far]);
     }
 
     #[test]
