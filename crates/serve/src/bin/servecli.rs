@@ -27,7 +27,8 @@
 //! retried and counted (`rejected_503`); any other non-200 fails the
 //! run. `metrics` scrapes and validates the
 //! Prometheus exposition, failing if any `--require`d family is absent;
-//! `trace` prints the most recent spans from the global rings.
+//! `trace` prints the most recent spans from the global rings, each
+//! with its fields.
 
 use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
@@ -619,8 +620,12 @@ fn cmd_trace(base: &str, n: usize) -> ExitCode {
                 .to_string()
         };
         let u = |k: &str| span.get(k).and_then(json::Json::as_u64).unwrap_or(0);
+        let fields = span
+            .get("fields")
+            .map(|f| format!(" {}", f.render()))
+            .unwrap_or_default();
         say!(
-            "{:>12}us +{:>9}us  {} (id={} parent={} trace={})",
+            "{:>12}us +{:>9}us  {}{fields} (id={} parent={} trace={})",
             u("start_us"),
             u("dur_us"),
             s("name"),

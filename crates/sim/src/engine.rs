@@ -509,12 +509,15 @@ pub fn simulate_kernel_detailed(
     sim_span.field_u64("iterations", iters);
     sim_span.field_u64("cycles", total_rows + stall);
     sim_span.field_u64("batches", batches);
+    let granules = detector.tracked_granules();
+    sim_span.field_u64("granules", granules);
     let metrics = metrics();
     metrics.kernels.inc();
     metrics.cycles.add(total_rows + stall);
     metrics.stall_cycles.add(stall);
     metrics.batches.add(batches);
     metrics.bus_busy_cycles.add(raw_bus_busy);
+    metrics.detector_granules.add(granules);
     metrics.duration.record_micros(sim_start.elapsed());
 
     (stats.scaled(invocations), usage.scaled(invocations))
@@ -527,6 +530,7 @@ struct Metrics {
     stall_cycles: Counter,
     batches: Counter,
     bus_busy_cycles: Counter,
+    detector_granules: Counter,
     duration: Histogram,
 }
 
@@ -552,6 +556,10 @@ fn metrics() -> &'static Metrics {
             bus_busy_cycles: reg.counter(
                 "sim_bus_busy_cycles_total",
                 "Memory-bus busy cycles accumulated (pre-extrapolation)",
+            ),
+            detector_granules: reg.counter(
+                "sim_detector_granules_total",
+                "Granules the violation detector tracked (pre-extrapolation; 0 when the precheck skips it)",
             ),
             duration: reg.histogram(
                 "sim_kernel_duration_us",

@@ -1,8 +1,8 @@
 //! A minimal multiply-rotate hasher for the simulator's interior maps.
 //!
 //! The simulator's remaining hash maps (pending fills/remote requests in
-//! the memory system, per-granule access windows in the violation
-//! detector) are keyed by small integers and hit on every memory access,
+//! the memory system, the violation detector's granule → slab-slot
+//! index) are keyed by small integers and hit on every memory access,
 //! so the default SipHash — designed to resist adversarial keys — is
 //! pure overhead here. This hasher trades that robustness for a couple
 //! of arithmetic instructions per key, the same trade the compiler

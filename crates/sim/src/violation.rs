@@ -32,9 +32,17 @@ use crate::stats::ClusterCounts;
 /// Tracking granule in bytes (the smallest access width).
 const GRANULE: u64 = 2;
 
+/// The inclusive granule interval that accesses of `width` bytes starting
+/// anywhere in `[lo, hi]` touch. The last byte saturates at the top of
+/// the address space, so an access there never wraps to an empty range.
+fn granule_span(lo: u64, hi: u64, width: u64) -> (u64, u64) {
+    (lo / GRANULE, hi.saturating_add(width.max(1) - 1) / GRANULE)
+}
+
 /// The granules a `[addr, addr + width)` access touches.
 fn granules(addr: u64, width: u64) -> impl Iterator<Item = u64> {
-    (addr / GRANULE)..(addr + width.max(1)).div_ceil(GRANULE)
+    let (first, last) = granule_span(addr, addr, width);
+    first..=last
 }
 
 /// Sliding window of recent accesses remembered per address; loop kernels
@@ -42,52 +50,70 @@ fn granules(addr: u64, width: u64) -> impl Iterator<Item = u64> {
 /// practice.
 const WINDOW: usize = 16;
 
-/// One recorded access: program order, home-module time, issuing cluster.
-type Access = (u64, u64, usize);
+/// A window stores each access's issuing cluster in one byte.
+const _: () = assert!(distvliw_arch::MAX_CLUSTERS <= 1 << u8::BITS);
 
-/// A fixed-capacity window of recent accesses: stored inline (no
-/// per-granule heap allocation) and evicted by smallest program order.
-/// Program orders are unique per access, so the evicted entry — and with
-/// it the retained *set* — is exactly what the old `Vec`-backed window
-/// kept; queries are set-semantics (existential / argmax over unique
-/// keys), so detection results are identical.
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    entries: [Access; WINDOW],
-    len: usize,
+/// The byte a window stores for `cluster`.
+///
+/// # Panics
+///
+/// Panics if `cluster` does not fit in a byte; no machine has that many
+/// clusters.
+fn cluster_byte(cluster: usize) -> u8 {
+    u8::try_from(cluster).expect("cluster id fits in a byte")
 }
 
-impl Default for Window {
-    fn default() -> Self {
-        Window {
-            entries: [(0, 0, 0); WINDOW],
-            len: 0,
-        }
-    }
+/// One recorded access: program order and home-module time. The issuing
+/// cluster sits beside it in its window's byte array, so a record is 16
+/// bytes with no padding.
+#[derive(Debug, Clone, Copy, Default)]
+struct Record {
+    po: u64,
+    time: u64,
+}
+
+/// A fixed-capacity window of recent accesses, evicted by smallest
+/// program order. Program orders are unique per access, so the retained
+/// *set* is determined by the insertions alone; queries are
+/// set-semantics (existential / argmax over unique keys).
+#[derive(Debug, Clone, Copy, Default)]
+struct Window {
+    records: [Record; WINDOW],
+    clusters: [u8; WINDOW],
+    len: u8,
 }
 
 impl Window {
-    fn as_slice(&self) -> &[Access] {
-        &self.entries[..self.len]
+    /// The resident accesses as `(program order, time, cluster)`.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64, u8)> + '_ {
+        let n = usize::from(self.len);
+        self.records[..n]
+            .iter()
+            .zip(&self.clusters[..n])
+            .map(|(r, &c)| (r.po, r.time, c))
     }
 
-    /// Inserts `entry`, evicting the smallest program order when full
-    /// (which may be the new entry itself).
-    fn push(&mut self, entry: Access) {
-        if self.len < WINDOW {
-            self.entries[self.len] = entry;
+    /// Inserts an access, evicting the smallest program order when full
+    /// (which may be the new access itself).
+    fn push(&mut self, po: u64, time: u64, cluster: u8) {
+        let n = usize::from(self.len);
+        let slot = if n < WINDOW {
             self.len += 1;
-            return;
-        }
-        let (min_idx, &(min_po, _, _)) = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &(p, _, _))| p)
-            .expect("window is full, so nonempty");
-        if entry.0 > min_po {
-            self.entries[min_idx] = entry;
-        }
+            n
+        } else {
+            let (min_idx, min) = self
+                .records
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, r)| r.po)
+                .expect("window is full, so nonempty");
+            if po <= min.po {
+                return;
+            }
+            min_idx
+        };
+        self.records[slot] = Record { po, time };
+        self.clusters[slot] = cluster;
     }
 }
 
@@ -112,13 +138,7 @@ pub struct SiteRange {
 impl SiteRange {
     /// The inclusive granule interval this site can touch.
     fn granule_range(&self) -> (u64, u64) {
-        (
-            self.lo_addr / GRANULE,
-            self.hi_addr
-                .saturating_add(self.width.max(1))
-                .saturating_sub(1)
-                / GRANULE,
-        )
+        granule_span(self.lo_addr, self.hi_addr, self.width)
     }
 }
 
@@ -146,8 +166,8 @@ pub fn hazard_possible(sites: &[SiteRange]) -> bool {
 }
 
 /// The store and load windows of one granule, stored together so each
-/// recorded access does a single hash lookup (check the opposite window,
-/// push into its own) instead of one per map.
+/// recorded access does a single lookup (check the opposite window, push
+/// into its own).
 #[derive(Debug, Clone, Copy, Default)]
 struct GranuleWindows {
     stores: Window,
@@ -155,10 +175,16 @@ struct GranuleWindows {
 }
 
 /// Counts memory-ordering violations.
+///
+/// Every touched granule owns one slot of a slab, assigned in
+/// first-touch order; the hash map holds only each granule's 4-byte slot
+/// index, so growing it never moves the windows themselves.
 #[derive(Debug, Clone, Default)]
 pub struct ViolationDetector {
-    /// granule → recent stores and loads.
-    windows: FxHashMap<u64, GranuleWindows>,
+    /// granule → its slot in `slab`.
+    slots: FxHashMap<u64, u32>,
+    /// Recent stores and loads of every touched granule.
+    slab: Vec<GranuleWindows>,
     violations: u64,
     /// Violations attributed to the issuing cluster of the access that
     /// detected them (dense, no map).
@@ -184,10 +210,29 @@ impl ViolationDetector {
         &self.by_cluster
     }
 
+    /// Number of distinct granules recorded so far.
+    pub(crate) fn tracked_granules(&self) -> u64 {
+        self.slab.len() as u64
+    }
+
+    /// The windows of granule `g`, allocating its slot on first touch.
+    fn windows_mut(&mut self, g: u64) -> &mut GranuleWindows {
+        let slab = &mut self.slab;
+        let slot = *self.slots.entry(g).or_insert_with(|| {
+            slab.push(GranuleWindows::default());
+            u32::try_from(slab.len() - 1).expect("fewer than 2^32 granules per kernel")
+        });
+        &mut self.slab[slot as usize]
+    }
+
     /// Records a store to `addr` with sequential program order `po` whose
     /// home module performs the write at `write_time`; counts an anti
     /// violation for every earlier load whose read had not yet been
     /// performed when this write landed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster` does not fit in a byte.
     pub fn record_store(
         &mut self,
         addr: u64,
@@ -196,15 +241,16 @@ impl ViolationDetector {
         write_time: u64,
         cluster: usize,
     ) {
+        let c_self = cluster_byte(cluster);
         let mut violated = false;
         for g in granules(addr, width) {
-            let w = self.windows.entry(g).or_default();
-            violated |= w
-                .loads
-                .as_slice()
-                .iter()
-                .any(|&(p, read, c)| c != cluster && p < po && read >= write_time);
-            w.stores.push((po, write_time, cluster));
+            let w = self.windows_mut(g);
+            // Non-short-circuit `&`/`|` keep the scan free of
+            // data-dependent branches, which would mispredict constantly.
+            violated |= w.loads.iter().fold(false, |hit, (p, read, c)| {
+                hit | ((c != c_self) & (p < po) & (read >= write_time))
+            });
+            w.stores.push(po, write_time, c_self);
         }
         self.violations += u64::from(violated);
         if violated {
@@ -216,21 +262,30 @@ impl ViolationDetector {
     /// module performs the read at `read_time`; counts a flow violation
     /// if the program-order-latest prior store had not yet written, or an
     /// anti violation if a later store had already overwritten the value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster` does not fit in a byte.
     pub fn record_load(&mut self, addr: u64, width: u64, po: u64, read_time: u64, cluster: usize) {
+        let c_self = cluster_byte(cluster);
         let mut violated = false;
         for g in granules(addr, width) {
-            let w = self.windows.entry(g).or_default();
-            let window = w.stores.as_slice();
-            let stale = window
-                .iter()
-                .filter(|&&(p, _, _)| p < po)
-                .max_by_key(|&&(p, _, _)| p)
-                .is_some_and(|&(_, write, c)| c != cluster && write > read_time);
-            let overwritten = window
-                .iter()
-                .any(|&(p, write, c)| c != cluster && p > po && write <= read_time);
-            violated |= stale || overwritten;
-            w.loads.push((po, read_time, cluster));
+            let w = self.windows_mut(g);
+            // One pass, again without short-circuit conditions: `stale`
+            // follows the program-order-latest prior store (the last of
+            // equal maxima), `overwritten` is any later store that
+            // already wrote.
+            let (mut latest, mut stale, mut overwritten) = (None, false, false);
+            for (p, write, c) in w.stores.iter() {
+                let other = c != c_self;
+                if (p < po) & latest.is_none_or(|l| p >= l) {
+                    latest = Some(p);
+                    stale = other & (write > read_time);
+                }
+                overwritten |= other & (p > po) & (write <= read_time);
+            }
+            violated |= stale | overwritten;
+            w.loads.push(po, read_time, c_self);
         }
         self.violations += u64::from(violated);
         if violated {
@@ -357,16 +412,54 @@ mod tests {
     fn window_never_exceeds_capacity_and_keeps_newest() {
         let mut w = Window::default();
         for po in 0..40u64 {
-            w.push((po, po, 0));
+            w.push(po, po, 0);
         }
-        assert_eq!(w.as_slice().len(), WINDOW);
+        assert_eq!(w.iter().count(), WINDOW);
         // The retained set is the WINDOW largest program orders.
-        let mut pos: Vec<u64> = w.as_slice().iter().map(|&(p, _, _)| p).collect();
+        let mut pos: Vec<u64> = w.iter().map(|(p, _, _)| p).collect();
         pos.sort_unstable();
         assert_eq!(pos, (24..40).collect::<Vec<_>>());
         // An entry older than everything resident is dropped outright.
-        w.push((1, 1, 0));
-        assert!(!w.as_slice().iter().any(|&(p, _, _)| p == 1));
+        w.push(1, 1, 0);
+        assert!(!w.iter().any(|(p, _, _)| p == 1));
+    }
+
+    #[test]
+    fn records_round_trip_the_widest_values() {
+        // The engine numbers accesses `iteration × body span + seq`, with
+        // `seq` a u32: this is the largest order it can produce.
+        let max_po = crate::SimOptions::default().max_iterations * (1 << u32::BITS) - 1;
+        let mut w = Window::default();
+        w.push(max_po, u64::MAX, 63);
+        w.push(u64::MAX, 7, 62);
+        assert_eq!(
+            w.iter().collect::<Vec<_>>(),
+            [(max_po, u64::MAX, 63), (u64::MAX, 7, 62)]
+        );
+
+        // Cluster 63 against cluster 0 races; against itself it is exempt.
+        let mut d = ViolationDetector::new();
+        d.record_store(100, 4, max_po - 2, u64::MAX, 63);
+        d.record_load(100, 4, max_po - 1, u64::MAX - 1, 63);
+        assert_eq!(d.violations(), 0);
+        d.record_load(100, 4, max_po, u64::MAX - 1, 0);
+        assert_eq!(d.violations(), 1);
+        assert_eq!(d.violations_by_cluster().get(0), 1);
+    }
+
+    #[test]
+    fn one_granule_fits_in_560_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+        assert!(std::mem::size_of::<GranuleWindows>() <= 560);
+    }
+
+    #[test]
+    fn accesses_at_the_top_of_the_address_space_are_tracked() {
+        let mut d = ViolationDetector::new();
+        d.record_store(u64::MAX - 1, 4, 1, 20, 3);
+        d.record_load(u64::MAX - 1, 4, 2, 12, 0);
+        assert_eq!(d.violations(), 1);
+        assert_eq!(granules(u64::MAX, 8).collect::<Vec<_>>(), [u64::MAX / 2]);
     }
 
     #[test]
@@ -389,5 +482,182 @@ mod tests {
         d.record_store(100, 4, 9, 2, 3);
         d.record_load(100, 4, 4, 10, 0);
         assert_eq!(d.violations(), 1);
+    }
+
+    /// The map-of-inline-windows detector the slab layout replaced: the
+    /// oracle it must agree with. Its granule range wraps at the top of
+    /// the address space, so it is only driven below that.
+    mod reference {
+        use crate::fx::FxHashMap;
+        use crate::stats::ClusterCounts;
+
+        use super::{GRANULE, WINDOW};
+
+        type Access = (u64, u64, usize);
+
+        #[derive(Clone, Copy)]
+        struct Window {
+            entries: [Access; WINDOW],
+            len: usize,
+        }
+
+        impl Default for Window {
+            fn default() -> Self {
+                Window {
+                    entries: [(0, 0, 0); WINDOW],
+                    len: 0,
+                }
+            }
+        }
+
+        impl Window {
+            fn as_slice(&self) -> &[Access] {
+                &self.entries[..self.len]
+            }
+
+            fn push(&mut self, entry: Access) {
+                if self.len < WINDOW {
+                    self.entries[self.len] = entry;
+                    self.len += 1;
+                    return;
+                }
+                let (min_idx, &(min_po, _, _)) = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &(p, _, _))| p)
+                    .expect("window is full, so nonempty");
+                if entry.0 > min_po {
+                    self.entries[min_idx] = entry;
+                }
+            }
+        }
+
+        #[derive(Clone, Copy, Default)]
+        struct GranuleWindows {
+            stores: Window,
+            loads: Window,
+        }
+
+        #[derive(Default)]
+        pub(super) struct Detector {
+            windows: FxHashMap<u64, GranuleWindows>,
+            pub(super) violations: u64,
+            pub(super) by_cluster: ClusterCounts,
+        }
+
+        fn granules(addr: u64, width: u64) -> impl Iterator<Item = u64> {
+            (addr / GRANULE)..(addr + width.max(1)).div_ceil(GRANULE)
+        }
+
+        impl Detector {
+            pub(super) fn record_store(
+                &mut self,
+                addr: u64,
+                width: u64,
+                po: u64,
+                write_time: u64,
+                cluster: usize,
+            ) {
+                let mut violated = false;
+                for g in granules(addr, width) {
+                    let w = self.windows.entry(g).or_default();
+                    violated |= w
+                        .loads
+                        .as_slice()
+                        .iter()
+                        .any(|&(p, read, c)| c != cluster && p < po && read >= write_time);
+                    w.stores.push((po, write_time, cluster));
+                }
+                self.violations += u64::from(violated);
+                if violated {
+                    self.by_cluster.add(cluster, 1);
+                }
+            }
+
+            pub(super) fn record_load(
+                &mut self,
+                addr: u64,
+                width: u64,
+                po: u64,
+                read_time: u64,
+                cluster: usize,
+            ) {
+                let mut violated = false;
+                for g in granules(addr, width) {
+                    let w = self.windows.entry(g).or_default();
+                    let window = w.stores.as_slice();
+                    let stale = window
+                        .iter()
+                        .filter(|&&(p, _, _)| p < po)
+                        .max_by_key(|&&(p, _, _)| p)
+                        .is_some_and(|&(_, write, c)| c != cluster && write > read_time);
+                    let overwritten = window
+                        .iter()
+                        .any(|&(p, write, c)| c != cluster && p > po && write <= read_time);
+                    violated |= stale || overwritten;
+                    w.loads.push((po, read_time, cluster));
+                }
+                self.violations += u64::from(violated);
+                if violated {
+                    self.by_cluster.add(cluster, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_detector_matches_the_reference() {
+        use proptest::test_runner::TestRng;
+
+        let mut rng = TestRng::for_test("slab_detector_matches_the_reference");
+        let mut total = 0;
+        for case in 0..24 {
+            // A handful of hot byte addresses at odd alignments, so every
+            // granule sees far more than WINDOW accesses; case 0 sits
+            // just below the reference's overflow.
+            let base = if case == 0 {
+                u64::MAX - 64
+            } else {
+                rng.below(1 << 40)
+            };
+            let hot: Vec<u64> = (0..1 + rng.below(6))
+                .map(|_| base + rng.below(24))
+                .collect();
+            // Unique program orders arriving out of order: a shuffle
+            // within small blocks of the sequence.
+            let n = 600 + rng.below(600);
+            let mut pos: Vec<u64> = (0..n).collect();
+            for block in pos.chunks_mut(1 + rng.below(12) as usize) {
+                for i in (1..block.len()).rev() {
+                    block.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+            let mut d = ViolationDetector::new();
+            let mut r = reference::Detector::default();
+            for po in pos {
+                let addr = hot[rng.below(hot.len() as u64) as usize];
+                let width = [1, 2, 4, 8][rng.below(4) as usize];
+                // Home-module times loosely follow program order, so
+                // both early and late arrivals occur.
+                let time = po + rng.below(24);
+                let cluster = rng.below(64) as usize;
+                if rng.below(2) == 0 {
+                    d.record_store(addr, width, po, time, cluster);
+                    r.record_store(addr, width, po, time, cluster);
+                } else {
+                    d.record_load(addr, width, po, time, cluster);
+                    r.record_load(addr, width, po, time, cluster);
+                }
+                assert_eq!(d.violations(), r.violations, "case {case} po {po}");
+                assert_eq!(
+                    d.violations_by_cluster(),
+                    &r.by_cluster,
+                    "case {case} po {po}"
+                );
+            }
+            total += d.violations();
+        }
+        assert!(total > 0, "the sequences must exercise the rule");
     }
 }
