@@ -12,6 +12,7 @@
 //! units), and one suite's kernels run serially.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use distvliw_arch::{AccessClass, AttractionBufferConfig, BusConfig, MachineConfig};
 use distvliw_coherence::{chain_stats, specialize_kernel, ChainStats};
@@ -97,9 +98,11 @@ pub fn per_suite_rows<R>(
 /// Panics on a [`Solution::Hybrid`] cell: the hybrid is derived from
 /// MDC and DDGT cells ([`crate::derive_hybrid`]), not compiled.
 pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), PipelineError> {
-    // Each unit lists its cells in cell order; a suite is identified by
-    // its address in the caller's suite list.
-    let mut units: Vec<Vec<usize>> = Vec::new();
+    // A suite is identified by its address in the caller's suite list;
+    // the units share one owned copy of each, so they can run on the
+    // resident pool.
+    let mut owned: HashMap<*const Suite, Arc<Suite>> = HashMap::new();
+    let mut units: Vec<Unit> = Vec::new();
     let mut unit_index = HashMap::new();
     for (i, c) in cells.iter().enumerate() {
         let machine = c.machine.clone().with_interleave(c.suite.interleave_bytes);
@@ -107,27 +110,38 @@ pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), Pipeli
         let suite: *const Suite = c.suite;
         let key = (projection, suite, c.solution, c.heuristic);
         let unit = *unit_index.entry(key).or_insert_with(|| {
-            units.push(Vec::new());
+            units.push(Unit {
+                suite: owned
+                    .entry(suite)
+                    .or_insert_with(|| Arc::new(c.suite.clone()))
+                    .clone(),
+                solution: c.solution,
+                heuristic: c.heuristic,
+                cells: Vec::new(),
+                machines: Vec::new(),
+            });
             units.len() - 1
         });
-        units[unit].push(i);
+        units[unit].cells.push(i);
+        units[unit].machines.push(c.machine.clone());
     }
-    units.sort_by_key(|unit| std::cmp::Reverse(cells[unit[0]].machine.n_clusters));
+    units.sort_by_key(|unit| std::cmp::Reverse(unit.machines[0].n_clusters));
     let mut unit_of = vec![0; cells.len()];
     for (u, unit) in units.iter().enumerate() {
-        unit.iter().for_each(|&i| unit_of[i] = u);
+        unit.cells.iter().for_each(|&i| unit_of[i] = u);
     }
 
     let mut runs = par::par_map(&units, |unit| {
-        let lead = &cells[unit[0]];
+        let lead = &unit.machines[0];
         let mut span = distvliw_obs::Span::enter("direct.unit");
-        span.field_str("suite", lead.suite.name.clone());
-        span.field_u64("n_clusters", lead.machine.n_clusters as u64);
-        Pipeline::new(lead.machine.clone())
-            .compile_suite(lead.suite, lead.solution, lead.heuristic)
+        span.field_str("suite", unit.suite.name.clone());
+        span.field_u64("n_clusters", lead.n_clusters as u64);
+        Pipeline::new(lead.clone())
+            .compile_suite(&unit.suite, unit.solution, unit.heuristic)
             .map(|artifact| {
-                unit.iter()
-                    .map(|&i| Pipeline::new(cells[i].machine.clone()).simulate_artifact(&artifact))
+                unit.machines
+                    .iter()
+                    .map(|machine| Pipeline::new(machine.clone()).simulate_artifact(&artifact))
                     .collect::<Vec<_>>()
                     .into_iter()
             })
@@ -143,6 +157,20 @@ pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), Pipeli
         })
         .collect::<Result<_, _>>()?;
     Ok((stats, units.len()))
+}
+
+/// One compile unit of [`run_direct`]: a suite, solution and heuristic
+/// compiled once on its first cell's machine and replayed on every
+/// cell's.
+#[derive(Clone)]
+struct Unit {
+    suite: Arc<Suite>,
+    solution: Solution,
+    heuristic: Heuristic,
+    /// The unit's cells, in cell order.
+    cells: Vec<usize>,
+    /// Each cell's machine, in the same order.
+    machines: Vec<MachineConfig>,
 }
 
 /// Wraps a cell failure with the cell's coordinates.

@@ -7,17 +7,17 @@
 //! * a **global striped ring** ([`recent`]): a fixed pool of
 //!   mutex-striped ring buffers shared by all threads, so
 //!   `GET /debug/trace` can show the most recent spans of the whole
-//!   process without per-thread registration churn (worker threads are
-//!   short-lived scoped threads) and with hard-bounded memory;
+//!   process without per-thread registration and with hard-bounded
+//!   memory;
 //! * the current **[`TraceSink`]**, when one is active: a per-request
 //!   collector, so one request's own span tree can be assembled without
 //!   scanning the global rings.
 //!
 //! The trace context — trace id, parent span id, sink — lives in a
 //! thread-local and crosses thread boundaries only explicitly:
-//! fan-out primitives capture [`current_ctx`] and wrap their workers in
+//! fan-out primitives capture [`current_ctx`] and wrap each job in
 //! [`with_ctx`] (as `distvliw_core::par::par_map` does), so spans
-//! recorded on a worker still attach to the requesting trace.
+//! recorded on a pool thread still attach to the requesting trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -4,13 +4,17 @@
 //! One *cell* is a [`Cell`]: a `(suite, machine, solution, heuristic)`
 //! combination, computed by one `Pipeline::run_suite` call that runs the
 //! suite's kernels serially. The engine memoizes cells in a
-//! content-addressed [`ResultCache`], collapses concurrent identical
-//! requests through [`SingleFlight`], and shards the cells of one
-//! request across worker threads via [`distvliw_core::par`] — the one
-//! fan-out a request makes. Every figure endpoint runs the cell list its
-//! experiment defines in `distvliw_core::experiments`, so results are
-//! shared *between* endpoints too (Figure 6 and Figure 7 reuse each
-//! other's MDC/DDGT-PrefClus runs).
+//! content-addressed [`ResultCache`] and collapses concurrent identical
+//! requests through [`SingleFlight`]. A request looks up all of its
+//! cells under one cache lock, so hits resolve inline on the calling
+//! thread; only the misses fan out, over the resident pool of
+//! [`distvliw_core::par`] — the one fan-out a request makes. A miss runs
+//! as an owned pool job, so the state it touches (cache, flight, seed
+//! store, persistence, counters) lives behind one `Arc` inside the
+//! engine. Every figure endpoint runs the cell list its experiment
+//! defines in `distvliw_core::experiments`, so results are shared
+//! *between* endpoints too (Figure 6 and Figure 7 reuse each other's
+//! MDC/DDGT-PrefClus runs).
 
 use std::io;
 use std::path::Path;
@@ -23,7 +27,9 @@ use distvliw_core::cachekey::{
     cell_key_from_fingerprint, digest_fingerprint, suite_digest, CacheKey,
 };
 use distvliw_core::experiments::Cell;
-use distvliw_core::{par, IiSeedStore, Pipeline, PipelineError, PipelineOptions};
+use distvliw_core::{
+    par, Heuristic, IiSeedStore, Pipeline, PipelineError, PipelineOptions, Solution,
+};
 use distvliw_ir::Suite;
 use distvliw_sim::ClusterUsage;
 
@@ -106,13 +112,20 @@ pub struct EngineStats {
 /// The long-running engine behind the HTTP service.
 pub struct ServeEngine {
     machine: MachineConfig,
-    options: PipelineOptions,
-    suites: Vec<Suite>,
+    suites: Vec<Arc<Suite>>,
     /// Content fingerprint of each entry of `suites`, precomputed so
     /// key derivation on the hot (cached) path never re-walks a graph
     /// or re-hashes a ~100 KB digest.
     fingerprints: Vec<[u8; 16]>,
     figure_names: Vec<String>,
+    cells: Arc<CellStore>,
+    started: Instant,
+}
+
+/// Everything a cell computation touches, behind one `Arc` so the
+/// engine can hand its misses to the resident pool as owned jobs.
+struct CellStore {
+    options: PipelineOptions,
     cache: Mutex<ResultCache<CellResult>>,
     flight: SingleFlight<CellResult>,
     /// One shared II-seed store for every pipeline this engine spawns,
@@ -124,7 +137,25 @@ pub struct ServeEngine {
     computed: AtomicU64,
     deduped: AtomicU64,
     seeded: AtomicU64,
-    started: Instant,
+}
+
+/// One distinct suite of a [`ServeEngine::run_cells`] batch.
+struct BatchSuite<'a> {
+    suite: &'a Suite,
+    fingerprint: [u8; 16],
+    /// The copy pool jobs share: the engine's own for a bundled suite,
+    /// made on the first miss for a foreign one.
+    owned: Option<Arc<Suite>>,
+}
+
+/// A cache miss as a pool job owns it.
+#[derive(Clone)]
+struct Miss {
+    key: CacheKey,
+    suite: Arc<Suite>,
+    machine: MachineConfig,
+    solution: Solution,
+    heuristic: Heuristic,
 }
 
 impl ServeEngine {
@@ -136,13 +167,14 @@ impl ServeEngine {
     #[must_use]
     pub fn new(machine: MachineConfig, cache_capacity: usize) -> Self {
         machine.validate().expect("valid machine configuration");
-        let mut suites: Vec<Suite> = distvliw_mediabench::BENCHMARKS
-            .iter()
-            .map(distvliw_mediabench::build_suite)
-            .collect();
         // The bundled recorded traces are addressable like any other
         // suite (in `/matrix` bodies and the `/sweep` grid).
-        suites.extend(distvliw_mediabench::trace_suites());
+        let suites: Vec<Arc<Suite>> = distvliw_mediabench::BENCHMARKS
+            .iter()
+            .map(distvliw_mediabench::build_suite)
+            .chain(distvliw_mediabench::trace_suites())
+            .map(Arc::new)
+            .collect();
         let figure_names = distvliw_mediabench::FIGURE_BENCHMARKS
             .iter()
             .map(|s| (*s).to_string())
@@ -153,20 +185,27 @@ impl ServeEngine {
             .collect();
         ServeEngine {
             machine,
-            options: PipelineOptions::default(),
             suites,
             fingerprints,
             figure_names,
-            cache: Mutex::new(ResultCache::new(cache_capacity)),
-            flight: SingleFlight::new(),
-            seeds: Arc::new(IiSeedStore::new()),
-            persist: None,
-            usage: Mutex::new(ClusterUsage::default()),
-            computed: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            seeded: AtomicU64::new(0),
+            cells: Arc::new(CellStore {
+                options: PipelineOptions::default(),
+                cache: Mutex::new(ResultCache::new(cache_capacity)),
+                flight: SingleFlight::new(),
+                seeds: Arc::new(IiSeedStore::new()),
+                persist: None,
+                usage: Mutex::new(ClusterUsage::default()),
+                computed: AtomicU64::new(0),
+                deduped: AtomicU64::new(0),
+                seeded: AtomicU64::new(0),
+            }),
             started: Instant::now(),
         }
+    }
+
+    /// The cell store, while the engine is still being configured.
+    fn configure(&mut self) -> &mut CellStore {
+        Arc::get_mut(&mut self.cells).expect("an engine is configured before it serves")
     }
 
     /// Runs the independent static checker (`distvliw-check`) on every
@@ -175,7 +214,7 @@ impl ServeEngine {
     /// docs/checking.md). Debug builds always check.
     #[must_use]
     pub fn with_check(mut self, check: bool) -> Self {
-        self.options.check = check;
+        self.configure().options.check = check;
         self
     }
 
@@ -193,14 +232,15 @@ impl ServeEngine {
     /// corruption, which is healed in place).
     pub fn with_state_dir(mut self, dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let mut cache = self.cache.lock().expect("cache lock");
+        let store = self.configure();
+        let cache = store.cache.get_mut().expect("cache lock");
         // Replay cells in file order (LRU-first snapshot, then appends
         // and tombstones): `preload` keeps the boot invisible to the
         // traffic counters.
         let (cells, report, undecodable) = CellLog::open(
             dir.join("cells.log"),
             &persist::era_bytes(),
-            &mut cache,
+            cache,
             |bytes| persist::suite_stats_from_bytes(bytes).map(|suite| Arc::new(Ok(suite))),
             encode_cell,
         )?;
@@ -217,10 +257,9 @@ impl ServeEngine {
         // Checksum-valid but undecodable: a payload this era's codec
         // never wrote. Replay dropped it; heal the log now.
         if undecodable > 0 {
-            state.compact_cells(&cache);
+            state.compact_cells(cache);
         }
-        drop(cache);
-        self.persist = Some(Mutex::new(state));
+        store.persist = Some(Mutex::new(state));
         Ok(self)
     }
 
@@ -233,7 +272,10 @@ impl ServeEngine {
     /// The bundled suite named `name`, if any.
     #[must_use]
     pub fn suite(&self, name: &str) -> Option<&Suite> {
-        self.suites.iter().find(|s| s.name == name)
+        self.suites
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| s.as_ref())
     }
 
     /// The thirteen figure suites, in the paper's order.
@@ -241,50 +283,165 @@ impl ServeEngine {
         self.figure_names.iter().filter_map(|name| self.suite(name))
     }
 
-    /// Runs one cell through cache → single-flight → pipeline.
-    pub fn run_cell(&self, cell: Cell<'_>) -> CellResult {
-        // Cells normally borrow a bundled suite, whose fingerprint was
-        // precomputed; a foreign suite (e.g. re-interleaved for a
-        // /matrix override) digests on the spot.
-        let fingerprint = self
-            .suites
-            .iter()
-            .position(|s| std::ptr::eq(s, cell.suite))
-            .map_or_else(
-                || digest_fingerprint(&suite_digest(cell.suite)),
-                |i| self.fingerprints[i],
-            );
-        let key = cell_key_from_fingerprint(
-            &fingerprint,
-            cell.machine,
-            &self.options,
-            cell.solution,
-            cell.heuristic,
-        );
-        let cached = {
-            let mut span = distvliw_obs::Span::enter("cache_lookup");
-            let value = self.cache.lock().expect("cache lock").get(&key);
-            span.field_str("outcome", if value.is_some() { "hit" } else { "miss" });
-            value
-        };
-        if let Some(value) = cached {
-            return value;
+    /// Runs a batch of cells through cache → single-flight → pipeline
+    /// (results in input order). Every key is looked up under one cache
+    /// lock, so hits resolve inline; only the misses fan out over the
+    /// resident pool (`DISTVLIW_THREADS` caps the width), and a batch
+    /// with at most one miss never leaves the calling thread. Each miss
+    /// runs its suite's kernels serially, and identical cells — within
+    /// this batch or across concurrent requests — are computed once.
+    #[must_use]
+    pub fn run_cells(&self, cells: &[Cell<'_>]) -> Vec<CellResult> {
+        // Each distinct suite's fingerprint, once per batch: a bundled
+        // suite's was precomputed, and a foreign suite (e.g.
+        // re-interleaved for a /matrix override) digests on the spot.
+        let mut distinct: Vec<BatchSuite<'_>> = Vec::new();
+        let mut suite_of = Vec::with_capacity(cells.len());
+        for cell in cells {
+            let d = distinct
+                .iter()
+                .position(|d| std::ptr::eq(d.suite, cell.suite))
+                .unwrap_or_else(|| {
+                    let bundled = self
+                        .suites
+                        .iter()
+                        .position(|s| std::ptr::eq(s.as_ref(), cell.suite));
+                    let fingerprint = bundled.map_or_else(
+                        || digest_fingerprint(&suite_digest(cell.suite)),
+                        |i| self.fingerprints[i],
+                    );
+                    distinct.push(BatchSuite {
+                        suite: cell.suite,
+                        fingerprint,
+                        owned: bundled.map(|i| self.suites[i].clone()),
+                    });
+                    distinct.len() - 1
+                });
+            suite_of.push(d);
         }
+        let keys: Vec<CacheKey> = cells
+            .iter()
+            .zip(&suite_of)
+            .map(|(cell, &d)| {
+                cell_key_from_fingerprint(
+                    &distinct[d].fingerprint,
+                    cell.machine,
+                    &self.cells.options,
+                    cell.solution,
+                    cell.heuristic,
+                )
+            })
+            .collect();
+        let mut found: Vec<Option<CellResult>> = {
+            let mut span = distvliw_obs::Span::enter("cache_lookup");
+            let mut cache = self.cells.cache.lock().expect("cache lock");
+            let found: Vec<_> = keys.iter().map(|key| cache.get(key)).collect();
+            drop(cache);
+            let misses = found.iter().filter(|v| v.is_none()).count();
+            span.field_u64("cells", cells.len() as u64);
+            span.field_u64("misses", misses as u64);
+            span.field_str("outcome", if misses == 0 { "hit" } else { "miss" });
+            found
+        };
+
+        let missed: Vec<usize> = (0..cells.len()).filter(|&i| found[i].is_none()).collect();
+        if !missed.is_empty() {
+            let misses: Vec<Miss> = missed
+                .iter()
+                .map(|&i| {
+                    let cell = &cells[i];
+                    let suite = distinct[suite_of[i]]
+                        .owned
+                        .get_or_insert_with(|| Arc::new(cell.suite.clone()));
+                    Miss {
+                        key: keys[i].clone(),
+                        suite: suite.clone(),
+                        machine: cell.machine.clone(),
+                        solution: cell.solution,
+                        heuristic: cell.heuristic,
+                    }
+                })
+                .collect();
+            let store = self.cells.clone();
+            let computed = par::par_map(&misses, move |miss| store.compute(miss));
+            for (i, value) in missed.into_iter().zip(computed) {
+                found[i] = Some(value);
+            }
+        }
+        found
+            .into_iter()
+            .map(|value| value.expect("every cell resolved"))
+            .collect()
+    }
+
+    /// Flushes the durable state: fsyncs the cell log, or with
+    /// `compact` rewrites it to the current LRU-ordered live set
+    /// instead, capturing recency drift from cache hits since the last
+    /// eviction — used on clean shutdown. No-op without a state dir;
+    /// write failures are counted, not fatal.
+    pub fn flush_state(&self, compact: bool) {
+        let Some(persist) = &self.cells.persist else {
+            return;
+        };
+        let cache = self.cells.cache.lock().expect("cache lock");
+        let mut p = persist.lock().expect("persist lock");
+        if compact {
+            p.compact_cells(&cache);
+        } else if p.cells.sync().is_err() {
+            p.stats.write_errors += 1;
+        }
+        p.stats.flushes += 1;
+    }
+
+    /// A snapshot of the engine counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an internal lock is poisoned.
+    #[must_use]
+    pub fn stats(&self) -> EngineStats {
+        let store = &self.cells;
+        let cache = store.cache.lock().expect("cache lock");
+        EngineStats {
+            cache: cache.stats(),
+            cache_entries: cache.len(),
+            cache_capacity: cache.capacity(),
+            computed_cells: store.computed.load(Ordering::Relaxed),
+            deduped_requests: store.deduped.load(Ordering::Relaxed),
+            cluster: store.usage.lock().expect("usage lock").clone(),
+            seeded_kernels: store.seeded.load(Ordering::Relaxed),
+            persist: store
+                .persist
+                .as_ref()
+                .map(|p| p.lock().expect("persist lock").stats),
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+        }
+    }
+}
+
+impl CellStore {
+    /// Resolves one cache miss through single-flight → pipeline. The
+    /// cache lookup that missed was already counted.
+    fn compute(&self, miss: &Miss) -> CellResult {
         let flight_start = Instant::now();
-        let (value, leader) = self.flight.work(key.bytes(), || {
+        let (value, leader) = self.flight.work(miss.key.bytes(), || {
             // Double-check under the flight: a requester that missed the
-            // cache above but reached here after the previous leader
-            // retired its flight must find the published entry, not
-            // recompute it. Uncounted — this request's lookup was
-            // already tallied as the miss above.
-            if let Some(value) = self.cache.lock().expect("cache lock").get_uncounted(&key) {
+            // cache but reached here after the previous leader retired
+            // its flight must find the published entry, not recompute
+            // it. Uncounted — the lookup was already tallied as a miss.
+            if let Some(value) = self
+                .cache
+                .lock()
+                .expect("cache lock")
+                .get_uncounted(&miss.key)
+            {
                 return value;
             }
-            let pipeline = Pipeline::new(cell.machine.clone())
+            let pipeline = Pipeline::new(miss.machine.clone())
                 .with_options(self.options)
                 .with_seed_store(self.seeds.clone());
             let result: CellResult =
-                Arc::new(pipeline.run_suite(cell.suite, cell.solution, cell.heuristic));
+                Arc::new(pipeline.run_suite(&miss.suite, miss.solution, miss.heuristic));
             if let Ok(stats) = result.as_ref() {
                 *self.usage.lock().expect("usage lock") += &stats.cluster;
                 self.seeded
@@ -296,10 +453,10 @@ impl ServeEngine {
             // cannot start a duplicate computation.
             let persist_span = distvliw_obs::Span::enter("persist");
             let mut cache = self.cache.lock().expect("cache lock");
-            let evicted = cache.insert(key.clone(), result.clone());
+            let evicted = cache.insert(miss.key.clone(), result.clone());
             // Persist under the cache lock (cache → persist ordering),
             // so the log mirrors insertion order exactly.
-            self.persist_insert(&cache, &key, &result, evicted.as_ref());
+            self.persist_insert(&cache, &miss.key, &result, evicted.as_ref());
             drop(cache);
             drop(persist_span);
             result
@@ -316,16 +473,6 @@ impl ServeEngine {
             );
         }
         value
-    }
-
-    /// Runs a batch of cells, sharded across worker threads (results in
-    /// input order; `DISTVLIW_THREADS` caps the width). Each cell lands
-    /// on a worker and runs its kernels there serially, and identical
-    /// cells — within this batch or across concurrent requests — are
-    /// computed once.
-    #[must_use]
-    pub fn run_cells(&self, cells: &[Cell<'_>]) -> Vec<CellResult> {
-        par::par_map(cells, |cell| self.run_cell(*cell))
     }
 
     /// Mirrors one cache insertion into the cell log: a tombstone for
@@ -348,47 +495,6 @@ impl ServeEngine {
             Ok(CellWrite::Appended(n)) => p.stats.appended_records += n,
             Ok(CellWrite::Rewrote) => p.stats.compactions += 1,
             Err(_) => p.stats.write_errors += 1,
-        }
-    }
-
-    /// Flushes the durable state: fsyncs the cell log, or with
-    /// `compact` rewrites it to the current LRU-ordered live set
-    /// instead, capturing recency drift from cache hits since the last
-    /// eviction — used on clean shutdown. No-op without a state dir;
-    /// write failures are counted, not fatal.
-    pub fn flush_state(&self, compact: bool) {
-        let Some(persist) = &self.persist else { return };
-        let cache = self.cache.lock().expect("cache lock");
-        let mut p = persist.lock().expect("persist lock");
-        if compact {
-            p.compact_cells(&cache);
-        } else if p.cells.sync().is_err() {
-            p.stats.write_errors += 1;
-        }
-        p.stats.flushes += 1;
-    }
-
-    /// A snapshot of the engine counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal lock is poisoned.
-    #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        let cache = self.cache.lock().expect("cache lock");
-        EngineStats {
-            cache: cache.stats(),
-            cache_entries: cache.len(),
-            cache_capacity: cache.capacity(),
-            computed_cells: self.computed.load(Ordering::Relaxed),
-            deduped_requests: self.deduped.load(Ordering::Relaxed),
-            cluster: self.usage.lock().expect("usage lock").clone(),
-            seeded_kernels: self.seeded.load(Ordering::Relaxed),
-            persist: self
-                .persist
-                .as_ref()
-                .map(|p| p.lock().expect("persist lock").stats),
-            uptime_ms: self.started.elapsed().as_millis() as u64,
         }
     }
 }
@@ -498,10 +604,14 @@ pub fn machine_with_overrides(
 mod tests {
     use super::*;
     use crate::json;
-    use distvliw_core::{Heuristic, Solution};
 
     fn engine() -> ServeEngine {
         ServeEngine::new(MachineConfig::paper_baseline(), 64)
+    }
+
+    /// One cell through the batch executor.
+    fn run(engine: &ServeEngine, cell: Cell<'_>) -> CellResult {
+        engine.run_cells(&[cell]).remove(0)
     }
 
     #[test]
@@ -514,12 +624,12 @@ mod tests {
             solution: Solution::Mdc,
             heuristic: Heuristic::PrefClus,
         };
-        let cold = engine.run_cell(spec);
+        let cold = run(&engine, spec);
         let s = engine.stats();
         assert_eq!(s.computed_cells, 1);
         assert_eq!(s.cache.hits, 0);
         assert_eq!(s.cache.misses, 1, "one lookup outcome per request");
-        let warm = engine.run_cell(spec);
+        let warm = run(&engine, spec);
         let s = engine.stats();
         assert_eq!(s.computed_cells, 1, "second run must not recompute");
         assert_eq!(s.cache.hits, 1);
@@ -539,7 +649,7 @@ mod tests {
             solution: Solution::Mdc,
             heuristic: Heuristic::PrefClus,
         };
-        engine.run_cell(base);
+        run(&engine, base);
         // Different heuristic, solution, machine and suite each compute
         // a fresh cell.
         let m2 = engine.machine().clone().with_interleave(2);
@@ -563,7 +673,7 @@ mod tests {
             },
         ];
         for (i, spec) in variants.iter().enumerate() {
-            engine.run_cell(*spec);
+            run(&engine, *spec);
             assert_eq!(
                 engine.stats().computed_cells,
                 i as u64 + 2,
@@ -571,6 +681,23 @@ mod tests {
             );
         }
         assert_eq!(engine.stats().cache.hits, 0);
+    }
+
+    #[test]
+    fn a_cell_listed_twice_in_one_batch_computes_once() {
+        let engine = engine();
+        let spec = Cell {
+            suite: engine.suite("gsmdec").unwrap(),
+            machine: engine.machine(),
+            solution: Solution::Mdc,
+            heuristic: Heuristic::PrefClus,
+        };
+        // Both copies miss the one lookup pass; the second then resolves
+        // through the single flight (or the entry the first published).
+        let out = engine.run_cells(&[spec, spec]);
+        assert!(Arc::ptr_eq(&out[0], &out[1]));
+        let s = engine.stats();
+        assert_eq!((s.cache.hits, s.cache.misses, s.computed_cells), (0, 2, 1));
     }
 
     #[test]
@@ -586,7 +713,7 @@ mod tests {
                         solution: Solution::Ddgt,
                         heuristic: Heuristic::PrefClus,
                     };
-                    let result = engine.run_cell(spec);
+                    let result = run(&engine, spec);
                     assert!(result.is_ok());
                 });
             }
@@ -610,8 +737,8 @@ mod tests {
             solution: Solution::Ddgt,
             heuristic: Heuristic::MinComs,
         };
-        engine.run_cell(spec); // cold
-        let warm = engine.run_cell(spec); // from cache
+        run(&engine, spec); // cold
+        let warm = run(&engine, spec); // from cache
         let direct = Pipeline::new(engine.machine().clone())
             .run_suite(suite, Solution::Ddgt, Heuristic::MinComs)
             .unwrap();
@@ -619,6 +746,59 @@ mod tests {
         assert_eq!(warm.total_cycles(), direct.total_cycles());
         assert_eq!(warm.total, direct.total);
         assert_eq!(warm.cluster, direct.cluster);
+    }
+
+    #[test]
+    fn override_suites_key_like_a_full_digest() {
+        // A 4-combo /matrix body whose interleave override re-interleaves
+        // the suite: its cells key by each foreign suite's digest,
+        // resolved once per batch, exactly as a per-cell digest keys
+        // them, and the body is the one served before.
+        let engine = engine();
+        let body = r#"{"suites":["gsmdec"],"solutions":["mdc","ddgt"],
+            "heuristics":["prefclus","mincoms"],"machine":{"interleave_bytes":2}}"#;
+        let request = crate::http::Request {
+            method: "POST".to_string(),
+            path: "/matrix".to_string(),
+            query: String::new(),
+            minor: 1,
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        };
+        let resp = crate::endpoints::handle(&engine, &request);
+        assert_eq!(resp.status, 200);
+        assert_eq!(
+            distvliw_core::cachekey::fnv1a64(&resp.body),
+            0x924f_e7b7_8dad_5d69,
+            "served bytes moved"
+        );
+
+        let mut suite = engine.suite("gsmdec").unwrap().clone();
+        suite.interleave_bytes = 2;
+        let machine = engine.machine().clone().with_interleave(2);
+        let mut want: Vec<CacheKey> = [Solution::Mdc, Solution::Ddgt]
+            .into_iter()
+            .flat_map(|solution| {
+                [Heuristic::PrefClus, Heuristic::MinComs].map(|heuristic| {
+                    distvliw_core::cachekey::cell_key(
+                        &suite,
+                        &machine,
+                        &PipelineOptions::default(),
+                        solution,
+                        heuristic,
+                    )
+                })
+            })
+            .collect();
+        let cache = engine.cells.cache.lock().unwrap();
+        let mut keys: Vec<CacheKey> = cache
+            .entries_by_recency()
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        keys.sort_by(|a, b| a.bytes().cmp(b.bytes()));
+        want.sort_by(|a, b| a.bytes().cmp(b.bytes()));
+        assert_eq!(keys, want);
     }
 
     #[test]

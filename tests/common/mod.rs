@@ -9,6 +9,7 @@
 #![allow(dead_code)] // each test binary uses a subset
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use distvliw::arch::{AccessClass, MachineConfig};
 use distvliw::core::{par, Pipeline, PipelineOptions, Solution};
@@ -65,7 +66,11 @@ pub fn compile_cells(
     suite: &Suite,
     cells: &[(Solution, Heuristic, bool)],
 ) -> Vec<Config> {
-    let compiled = par::par_map(cells, |&(solution, heuristic, relax)| {
+    // Pool jobs own what they touch: one shared copy of the machine and
+    // the suite.
+    let shared = Arc::new((machine.clone(), suite.clone()));
+    let compiled = par::par_map(cells, move |&(solution, heuristic, relax)| {
+        let (machine, suite) = &*shared;
         let pipeline = Pipeline::new(machine.clone()).with_options(PipelineOptions {
             relax_latencies: relax,
             check: true,
