@@ -1,13 +1,13 @@
-//! The one parallelism primitive of the workspace: an order-preserving
-//! parallel map over the cells of an experiment grid, run on one
-//! process-wide pool of resident threads.
+//! The one parallelism primitive of the workspace: one process-wide
+//! pool of resident threads ([`global`]), which runs submitted jobs
+//! ([`Pool::spawn`]) and the order-preserving parallel map over the
+//! cells of an experiment grid ([`par_map`]).
 //!
 //! The build environment has no network access, so `rayon` is not
-//! available. [`par_map`] fans a slice out over a pool that starts with
-//! the first fan-out wider than one and is sized once, to that width
-//! minus one: the calling thread is the other runner. Jobs are owned
+//! available. The pool starts on first use and is sized once, to the
+//! fan-out width (`DISTVLIW_THREADS`, or the CPU count). Jobs are owned
 //! `'static` closures, so no borrowed data crosses a thread and the
-//! crate stays free of `unsafe`. Results come back in input order
+//! crate stays free of `unsafe`. [`par_map`] returns results in input order
 //! regardless of completion order, so callers that fold them
 //! sequentially stay deterministic.
 //!
@@ -17,7 +17,8 @@
 //! then blocks until the items the runners claimed have finished; it
 //! never runs queued jobs. Nobody ever waits on an unclaimed item, and
 //! a claimed item is always running, so a map called from inside a job
-//! cannot deadlock, whatever the pool's size. In practice compute fans
+//! cannot deadlock, whatever the pool's size: a served request is a
+//! job that is the caller of its own fan-out. In practice compute fans
 //! out at one level: the two cell executors map over cells or compile
 //! units, and those run their suite's kernels serially.
 
@@ -60,13 +61,22 @@ where
     R: Send + 'static,
     F: Fn(&T) -> R + Send + Sync + 'static,
 {
-    static POOL: OnceLock<Pool> = OnceLock::new();
     let width = requested_width();
     if width.min(items.len()) <= 1 {
         return items.iter().map(f).collect();
     }
-    POOL.get_or_init(|| Pool::new(width - 1, jobs_counter()))
-        .map(width, items, f)
+    global().map(width, items, f)
+}
+
+/// The process-wide pool, started on first use with one thread per
+/// unit of fan-out width.
+pub fn global() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let mut pool = Pool::new(requested_width());
+        pool.jobs = jobs_counter();
+        pool
+    })
 }
 
 /// The pool's counter in the global registry.
@@ -80,8 +90,9 @@ pub(crate) fn jobs_counter() -> Counter {
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send>;
 
-/// Resident threads running queued jobs until the pool drops.
-struct Pool {
+/// Resident threads running queued jobs, first in first out, until the
+/// pool drops.
+pub struct Pool {
     queue: Arc<Queue>,
     threads: Vec<JoinHandle<()>>,
     /// Items run by runner jobs rather than by their caller.
@@ -113,13 +124,14 @@ impl Queue {
     }
 
     /// A pool thread's loop: runs queued jobs, sleeping while the queue
-    /// is empty, until the queue is closed and drained.
+    /// is empty, until the queue is closed and drained. A panicking job
+    /// is dropped; the thread lives on.
     fn serve(&self) {
         let mut state = self.lock();
         loop {
             if let Some(job) = state.jobs.pop_front() {
                 drop(state);
-                job();
+                let _ = panic::catch_unwind(AssertUnwindSafe(job));
                 state = self.lock();
             } else if state.closed {
                 return;
@@ -177,11 +189,11 @@ impl<T, R, F: Fn(&T) -> R> Batch<T, R, F> {
 }
 
 impl Pool {
-    /// A pool of `threads` resident threads counting runner items in
-    /// `jobs`.
-    fn new(threads: usize, jobs: Counter) -> Pool {
+    /// A pool of `threads` resident threads (at least one).
+    #[must_use]
+    pub fn new(threads: usize) -> Pool {
         let queue = Arc::new(Queue::default());
-        let threads = (0..threads)
+        let threads = (0..threads.max(1))
             .map(|i| {
                 let queue = queue.clone();
                 std::thread::Builder::new()
@@ -193,8 +205,14 @@ impl Pool {
         Pool {
             queue,
             threads,
-            jobs,
+            jobs: Counter::new(),
         }
+    }
+
+    /// Queues `job` behind every job submitted before it; the first
+    /// free thread runs it.
+    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        self.queue.push(Box::new(job));
     }
 
     /// [`par_map`] at fan-out `width`: at most `width − 1` runner jobs
@@ -274,7 +292,7 @@ mod tests {
 
     /// A local pool for fan-outs of `width`.
     fn pool(width: usize) -> Pool {
-        Pool::new(width - 1, Counter::new())
+        Pool::new(width)
     }
 
     fn panic_message(err: &(dyn Any + Send)) -> &str {
@@ -410,6 +428,22 @@ mod tests {
             assert_eq!(spans.len(), items.len(), "{width}");
             assert!(spans.iter().all(|r| r.trace == sink.trace_id()), "{width}");
         }
+    }
+
+    #[test]
+    fn spawned_jobs_run_in_order_and_a_panic_spares_the_thread() {
+        let pool = Pool::new(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(|| panic!("request exploded"));
+        for i in 0..4 {
+            let tx = tx.clone();
+            pool.spawn(move || tx.send((i, std::thread::current().id())).unwrap());
+        }
+        let ran: Vec<(i32, ThreadId)> = rx.iter().take(4).collect();
+        assert_eq!(ran.iter().map(|r| r.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let thread = pool.threads[0].thread().id();
+        assert!(ran.iter().all(|r| r.1 == thread));
+        assert!(!pool.threads[0].is_finished());
     }
 
     #[test]

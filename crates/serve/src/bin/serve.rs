@@ -5,21 +5,21 @@
 //! cargo run --release -p distvliw-serve --bin serve -- \
 //!     [--addr 127.0.0.1:7411] [--cache-capacity 256] [--state-dir DIR] \
 //!     [--access-log PATH|-] [--slow-ms N] \
-//!     [--workers N] [--max-conns N] [--queue-depth N] [--check]
+//!     [--max-conns N] [--queue-depth N] [--check]
 //! ```
 //!
 //! With `--state-dir` the result cache persists across restarts (a
 //! crash-safe log-structured file; see `docs/persistence.md`).
 //! `--access-log` writes one structured JSON line per request (`-` for
 //! stdout); `--slow-ms` warns on requests over the threshold (see
-//! `docs/observability.md`). `--workers`, `--max-conns` and
-//! `--queue-depth` size the event-driven connection layer (see
-//! `docs/serving.md`); overload beyond the caps is answered `503` with
-//! `retry-after`. `--check` runs the independent static schedule
-//! verifier on every compiled cell, failing the cell rather than
-//! serving an illegal schedule (`docs/checking.md`). The per-request
-//! cell fan-out honours `DISTVLIW_THREADS` (its width) like every
-//! other bin.
+//! `docs/observability.md`). `--max-conns` and `--queue-depth` size
+//! the event-driven connection layer (see `docs/serving.md`); overload
+//! beyond the caps is answered `503` with `retry-after`. `--check` runs
+//! the independent static schedule verifier on every compiled cell,
+//! failing the cell rather than serving an illegal schedule
+//! (`docs/checking.md`). Requests and their cell fan-out run on one
+//! resident pool whose width `DISTVLIW_THREADS` sets (the CPU count by
+//! default), like every other bin's fan-out.
 
 use std::process::ExitCode;
 
@@ -58,10 +58,6 @@ fn main() -> ExitCode {
             "--slow-ms" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => slow_ms = v,
                 None => return usage("--slow-ms needs a non-negative integer"),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => config.workers = v,
-                _ => return usage("--workers needs a positive integer"),
             },
             "--max-conns" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => config.max_conns = v,
@@ -120,9 +116,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "distvliw-serve listening on http://{} ({} workers, {} max conns, queue depth {})",
+        "distvliw-serve listening on http://{} ({} max conns, queue depth {})",
         server.local_addr(),
-        config.workers,
         config.max_conns,
         config.queue_depth,
     );
@@ -138,7 +133,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: serve [--addr HOST:PORT] [--cache-capacity N] [--state-dir DIR] [--access-log PATH|-] [--slow-ms N] [--workers N] [--max-conns N] [--queue-depth N] [--check]";
+const USAGE: &str = "usage: serve [--addr HOST:PORT] [--cache-capacity N] [--state-dir DIR] [--access-log PATH|-] [--slow-ms N] [--max-conns N] [--queue-depth N] [--check]";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("{msg}\n{USAGE}");

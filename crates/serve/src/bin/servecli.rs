@@ -382,7 +382,7 @@ fn cmd_load(base: &str, path: &str, n: usize, c: usize, json_out: bool) -> ExitC
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
-    let workers = c.min(n);
+    let clients = c.min(n);
     // Per-worker histograms, merged after the joins; merging fixed
     // log-scale buckets is exact (identical to one shared histogram).
     let latencies = Histogram::new();
@@ -391,10 +391,10 @@ fn cmd_load(base: &str, path: &str, n: usize, c: usize, json_out: bool) -> ExitC
     let mut failures: Vec<String> = Vec::new();
     std::thread::scope(|scope| {
         let reference = &reference;
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..clients)
             .map(|w| {
-                // Split n as evenly as possible across workers.
-                let quota = n / workers + usize::from(w < n % workers);
+                // Split n as evenly as possible across clients.
+                let quota = n / clients + usize::from(w < n % clients);
                 scope.spawn(move || {
                     let mut out = WorkerResult {
                         hist: Histogram::new(),
@@ -489,7 +489,7 @@ fn cmd_load(base: &str, path: &str, n: usize, c: usize, json_out: bool) -> ExitC
         let obj = json::Json::obj(vec![
             ("path", json::Json::str(path)),
             ("n", json::Json::U64(latencies.count())),
-            ("c", json::Json::U64(workers as u64)),
+            ("c", json::Json::U64(clients as u64)),
             ("cold_ms", json::Json::F64(cold_ms)),
             ("p50_us", json::Json::U64(pct_us(0.50))),
             ("p90_us", json::Json::U64(pct_us(0.90))),
@@ -508,7 +508,7 @@ fn cmd_load(base: &str, path: &str, n: usize, c: usize, json_out: bool) -> ExitC
         say!("{}", obj.render());
     } else {
         say!(
-            "load {path}: n={} c={workers}  cold={cold_ms:.1}ms  p50={:.2}ms p90={:.2}ms p99={:.2}ms max={:.2}ms",
+            "load {path}: n={} c={clients}  cold={cold_ms:.1}ms  p50={:.2}ms p90={:.2}ms p99={:.2}ms max={:.2}ms",
             latencies.count(),
             ms(pct_us(0.50)),
             ms(pct_us(0.90)),

@@ -93,13 +93,14 @@ impl Client {
         body: Option<&str>,
     ) -> io::Result<ClientResponse> {
         let body = body.unwrap_or("");
-        write!(
-            self.writer,
+        // One write: a SYN-cookie connection can lose its first segment,
+        // and `write!` on the socket sends each formatted piece as one.
+        let request = format!(
             "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n\r\n{body}",
             self.host,
             body.len()
-        )?;
-        self.writer.flush()?;
+        );
+        self.writer.write_all(request.as_bytes())?;
         read_response(&mut self.reader)
     }
 }
@@ -108,7 +109,7 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
+pub(crate) fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
     let mut status_line = String::new();
     if reader.read_line(&mut status_line)? == 0 {
         return Err(bad("server closed the connection"));

@@ -43,7 +43,8 @@ pub fn set_slow_request_ms(ms: u64) {
 /// HTTP-layer metrics, the JSON access-log line, the slow-request
 /// warning, and — with `?trace=1` — the request's own span tree wrapped
 /// around the response body. `parse_start`/`parse_dur` time the framing
-/// read, which happened before this function could open a context.
+/// read, which happened before this function could open a context, and
+/// the request then waited for a pool thread (the `queue_wait` span).
 #[must_use]
 pub fn serve_request(
     engine: &ServeEngine,
@@ -51,7 +52,8 @@ pub fn serve_request(
     parse_start: Instant,
     parse_dur: Duration,
 ) -> Response {
-    let start = Instant::now();
+    let complete = parse_start + parse_dur;
+    let queue_wait = complete.elapsed();
     let wants_trace = request.query_param("trace").is_some_and(|v| v == "1");
     // The sink is only needed when somebody will read the collected
     // spans; without it, spans still reach the global rings.
@@ -64,11 +66,12 @@ pub fn serve_request(
         root.field_str("method", request.method.clone());
         root.field_str("path", request.path.clone());
         trace::record("parse", parse_start, parse_dur, Vec::new());
+        trace::record("queue_wait", complete, queue_wait, Vec::new());
         let response = handle(engine, request);
         root.field_u64("status", u64::from(response.status));
         response
     });
-    let total = parse_dur + start.elapsed();
+    let total = parse_start.elapsed();
 
     let label = route_label(&request.path);
     distvliw_obs::global()
@@ -79,6 +82,7 @@ pub fn serve_request(
         )
         .inc();
     let metrics = http_metrics();
+    metrics.queue_wait.record_micros(queue_wait);
     metrics.duration.record_micros(total);
     metrics.response_bytes.add(response.body.len() as u64);
 
@@ -129,6 +133,7 @@ pub fn serve_request(
                 ("bytes", (response.body.len() as u64).into()),
                 ("total_us", (total.as_micros() as u64).into()),
                 ("parse_us", phase("parse").into()),
+                ("queue_wait_us", phase("queue_wait").into()),
                 ("cache_lookup_us", phase("cache_lookup").into()),
                 ("flight_wait_us", phase("flight_wait").into()),
                 ("compile_us", phase("compile").into()),
@@ -154,6 +159,7 @@ pub fn serve_request(
 
 /// The unlabeled request-path metric families in the global registry.
 struct HttpMetrics {
+    queue_wait: Histogram,
     duration: Histogram,
     response_bytes: Counter,
     slow: Counter,
@@ -165,9 +171,13 @@ fn http_metrics() -> &'static HttpMetrics {
     METRICS.get_or_init(|| {
         let reg = distvliw_obs::global();
         HttpMetrics {
+            queue_wait: reg.histogram(
+                "serve_queue_wait_us",
+                "Wait from a complete request to its job's start on the pool, in microseconds",
+            ),
             duration: reg.histogram(
                 "serve_http_request_duration_us",
-                "Total request wall time (parse through render) in microseconds",
+                "Total request wall time (first byte through render, queue wait included) in microseconds",
             ),
             response_bytes: reg.counter(
                 "serve_http_response_bytes_total",
@@ -502,7 +512,7 @@ fn metrics_text(engine: &ServeEngine) -> String {
     g(
         &mut out,
         "serve_process_threads",
-        "OS threads in this process (loop + workers + flusher; 0 without procfs)",
+        "OS threads in this process (loop + flusher + compute pool; 0 without procfs)",
         distvliw_obs::process_threads(),
     );
     out

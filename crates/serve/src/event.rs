@@ -1,27 +1,26 @@
 //! The event-driven connection layer: a poll(2) readiness loop,
-//! per-connection state machines, and a fixed worker pool behind a
-//! bounded request queue.
+//! per-connection state machines, and a bounded admission count for the
+//! request jobs it submits to the process-wide compute pool.
 //!
-//! This is stage 1 of the ROADMAP's scale-out item. The previous
-//! connection layer spawned one thread per accepted socket and kept an
-//! unbounded handler vector, so a connection flood grew the process
-//! until it died. Here the thread budget is fixed up front —
-//! **one** loop thread owning every socket plus `workers` compute
-//! threads — and admission is explicit:
+//! The previous connection layer spawned one thread per accepted socket
+//! and kept an unbounded handler vector, so a connection flood grew the
+//! process until it died. Here the thread budget is fixed up front —
+//! **one** loop thread owning every socket, and the `distvliw_core::par`
+//! pool computing requests and their cells — and admission is explicit:
 //!
 //! * connections beyond `max_conns` are answered `503` with
 //!   `retry-after` at accept time and closed;
-//! * parsed requests land in a bounded [`mpsc::sync_channel`]; when it
-//!   is full the loop answers `503 retry-after` immediately instead of
-//!   queueing without bound (the connection stays open so the client
-//!   can back off and retry).
+//! * at most `queue_depth` of this loop's request jobs wait for a pool
+//!   thread (runner jobs are not counted); beyond that the loop answers
+//!   `503 retry-after` immediately instead of queueing without bound
+//!   (the connection stays open so the client can back off and retry).
 //!
 //! Each connection walks an explicit state machine:
 //!
 //! ```text
 //!           readable              complete request
 //!   Idle ───────────▶ Reading ───────────────────▶ Computing
-//!    ▲                   │ parse error → 4xx/501        │ worker finishes
+//!    ▲                   │ parse error → 4xx/501        │ request job finishes
 //!    │                   ▼                              ▼
 //!    └────────────── Writing ◀──────────────────────────┘
 //!      response flushed (or close)
@@ -29,8 +28,8 @@
 //!
 //! While a connection is `Computing` the loop polls no events for it —
 //! pipelined bytes wait in the kernel buffer — so one slow request
-//! cannot make the loop busy-spin. Workers hand finished responses back
-//! through a completion list and wake the loop via a loopback
+//! cannot make the loop busy-spin. Request jobs hand finished responses
+//! back through a completion list and wake the loop via a loopback
 //! socketpair (std has no pipes). Responses are rendered with the same
 //! [`render_response`] bytes the threaded layer wrote, so warm
 //! responses stay byte-identical across the migration.
@@ -39,15 +38,18 @@
 //! keep-alive connections are reaped after 60 s, a connection stalling
 //! mid-request (or mid-response) is closed after 30 s, and shutdown
 //! drains — in-flight computations finish and their responses are
-//! written before the loop exits.
+//! written before the loop exits. However the loop exits, `run`
+//! returns only once every request job it submitted has finished.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+use distvliw_core::par::Pool;
+use distvliw_obs::{Counter, Gauge};
 
 use crate::endpoints;
 use crate::http::{parse_request, render_response, Parse, Request, Response};
@@ -73,16 +75,14 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 /// `retry-after` seconds advertised on backpressure 503s.
 const RETRY_AFTER_SECS: u32 = 1;
 
-/// Sizing knobs for the connection layer (`serve --workers
-/// --max-conns --queue-depth`).
+/// Sizing knobs for the connection layer (`serve --max-conns
+/// --queue-depth`).
 #[derive(Debug, Clone, Copy)]
 pub struct EventConfig {
-    /// Compute threads pulling parsed requests from the queue.
-    pub workers: usize,
     /// Maximum concurrently open connections; excess accepts are
     /// answered 503 and closed.
     pub max_conns: usize,
-    /// Bound on parsed requests waiting for a worker; overflow is
+    /// Bound on parsed requests waiting for a pool thread; overflow is
     /// answered 503 immediately.
     pub queue_depth: usize,
 }
@@ -90,7 +90,6 @@ pub struct EventConfig {
 impl Default for EventConfig {
     fn default() -> Self {
         EventConfig {
-            workers: std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
             max_conns: 4096,
             queue_depth: 256,
         }
@@ -192,23 +191,57 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One parsed request in flight to (or inside) the worker pool.
-struct Job {
-    token: usize,
-    generation: u64,
-    request: Request,
-    /// Close-after-response decision, captured at parse time.
-    close: bool,
-    parse_start: Instant,
-    parse_dur: Duration,
-}
-
 /// One finished response on its way back to the loop.
 struct Done {
     token: usize,
     generation: u64,
     response: Response,
+    /// Close-after-response decision, captured at parse time.
     close: bool,
+}
+
+/// What the loop shares with the request jobs it submits.
+struct Shared {
+    handler: Arc<Handler>,
+    jobs: Mutex<Jobs>,
+    /// Signalled when the last unfinished job finishes.
+    idle: Condvar,
+    wake_tx: TcpStream,
+    /// `serve_queue_depth`, summed over every server in the process.
+    queue_depth: Gauge,
+    panics: Counter,
+}
+
+#[derive(Default)]
+struct Jobs {
+    /// Submitted, not yet started: what [`EventConfig::queue_depth`]
+    /// bounds.
+    waiting: usize,
+    /// Submitted, not yet finished.
+    unfinished: usize,
+    /// Finished responses the loop has not picked up yet.
+    done: Vec<Done>,
+}
+
+impl Shared {
+    /// Counts one more waiting job, unless `limit` jobs already wait.
+    fn admit(&self, limit: usize) -> bool {
+        let mut jobs = lock(&self.jobs);
+        if jobs.waiting >= limit {
+            return false;
+        }
+        jobs.waiting += 1;
+        jobs.unfinished += 1;
+        true
+    }
+
+    /// Blocks until every submitted job has finished.
+    fn wait_idle(&self) {
+        let mut jobs = lock(&self.jobs);
+        while jobs.unfinished > 0 {
+            jobs = self.idle.wait(jobs).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// Connection FSM states. `Computing` connections are absent from the
@@ -220,7 +253,7 @@ enum ConnState {
     Idle,
     /// Mid-request: bytes buffered, frame incomplete.
     Reading,
-    /// Request handed to the worker pool; no events polled.
+    /// Request submitted to the pool; no events polled.
     Computing,
     /// Response bytes pending in the out buffer.
     Writing,
@@ -265,30 +298,22 @@ enum FlushStep {
     Done,
 }
 
-/// Outcome of one dispatch attempt inside [`Loop::pump`].
-enum DispatchStep {
-    /// Nothing further to drive right now: request incomplete, or
-    /// handed to the worker pool (`Computing`).
-    Wait,
-    /// Answer inline — parse error, `/shutdown`, queue-full 503 —
-    /// with the given close-after-write flag.
-    Respond(Response, bool),
-    Close,
-}
-
 /// All loop-owned mutable state, factored so helpers can borrow it
 /// without fighting the borrow checker over `self`-splitting.
-struct Loop {
+struct Loop<'p> {
     slots: Vec<Slot>,
     free: Vec<usize>,
     open: usize,
-    job_tx: mpsc::SyncSender<Job>,
-    queue_depth: distvliw_obs::Gauge,
-    accepted: distvliw_obs::Counter,
+    pool: &'p Pool,
+    shared: Arc<Shared>,
+    queue_limit: usize,
+    accepted: Counter,
+    rejected_queue_full: Counter,
+    rejected_max_conns: Counter,
     shutdown: Arc<AtomicBool>,
 }
 
-impl Loop {
+impl Loop<'_> {
     fn conn_mut(&mut self, token: usize) -> Option<&mut Conn> {
         self.slots.get_mut(token).and_then(|s| s.conn.as_mut())
     }
@@ -372,11 +397,8 @@ impl Loop {
                     FlushStep::Done => {}
                 },
                 ConnState::Idle | ConnState::Reading => match self.dispatch_step(token) {
-                    DispatchStep::Wait => return After::Keep,
-                    DispatchStep::Respond(resp, close) => {
-                        self.queue_response(token, &resp, close);
-                    }
-                    DispatchStep::Close => return After::Close,
+                    Some((resp, close)) => self.queue_response(token, &resp, close),
+                    None => return After::Keep,
                 },
                 ConnState::Computing => return After::Keep,
             }
@@ -440,18 +462,14 @@ impl Loop {
     }
 
     /// Parses the front of the connection buffer; on a complete
-    /// request, hands it to the worker queue (or asks [`Loop::pump`]
-    /// to answer 503/4xx/501 inline). `/shutdown` is handled here at
-    /// the connection layer, exactly like the threaded layer did — the
-    /// engine stays a pure request → response function.
-    fn dispatch_step(&mut self, token: usize) -> DispatchStep {
-        let generation = match self.slots.get(token) {
-            Some(slot) => slot.generation,
-            None => return DispatchStep::Wait,
-        };
-        let Some(conn) = self.conn_mut(token) else {
-            return DispatchStep::Wait;
-        };
+    /// request, submits it to the pool (`None`, as for an incomplete
+    /// one) or returns the 503/4xx/501 that [`Loop::pump`] answers
+    /// inline, with its close-after-write flag. `/shutdown` is handled
+    /// here at the connection layer, exactly like the threaded layer
+    /// did — the engine stays a pure request → response function.
+    fn dispatch_step(&mut self, token: usize) -> Option<(Response, bool)> {
+        let generation = self.slots.get(token)?.generation;
+        let conn = self.conn_mut(token)?;
         let (request, used) = match parse_request(&conn.buf) {
             Ok(Parse::Partial) => {
                 // Drain the blank-line prefix parse_request skips
@@ -470,7 +488,7 @@ impl Loop {
                     conn.since = Instant::now();
                     conn.read_started = Some(Instant::now());
                 }
-                return DispatchStep::Wait;
+                return None;
             }
             Ok(Parse::Complete(request, used)) => (request, used),
             Err(e) => {
@@ -478,7 +496,7 @@ impl Loop {
                     e.status,
                     Json::obj(vec![("error", Json::str(e.msg))]).render(),
                 );
-                return DispatchStep::Respond(resp, true);
+                return Some((resp, true));
             }
         };
         conn.buf.drain(..used);
@@ -501,66 +519,74 @@ impl Loop {
                     Json::obj(vec![("error", Json::str("method not allowed"))]).render(),
                 )
             };
-            return DispatchStep::Respond(resp, true);
+            return Some((resp, true));
         }
 
         let close = request.wants_close();
-        let job = Job {
-            token,
-            generation,
-            request,
-            close,
-            parse_start,
-            parse_dur,
-        };
-        // Count the job before the send: the worker decrements after
-        // its recv, so incrementing afterwards would let a fast worker
-        // (one possibly rendering /metrics for this very request) read
-        // the gauge below zero.
-        self.queue_depth.add(1);
-        match self.job_tx.try_send(job) {
-            Ok(()) => {
-                if let Some(conn) = self.conn_mut(token) {
-                    conn.state = ConnState::Computing;
-                    conn.since = Instant::now();
-                }
-                DispatchStep::Wait
-            }
-            Err(TrySendError::Full(job)) => {
-                // Backpressure: the queue is the admission bound. The
-                // threaded layer would have spawned another thread
-                // here; instead the front door says "later".
-                self.queue_depth.add(-1);
-                distvliw_obs::global()
-                    .counter_with(
-                        "serve_rejected_total",
-                        "Requests rejected 503 at the front door, by reason",
-                        &[("reason", "queue_full")],
-                    )
-                    .inc();
-                distvliw_obs::logger::event(
-                    "warn",
-                    "overload_rejected",
-                    &[
-                        ("reason", "queue_full".into()),
-                        ("path", job.request.path.as_str().into()),
-                        ("retry_after_secs", u64::from(RETRY_AFTER_SECS).into()),
-                    ],
-                );
-                let resp = Response::overloaded("request queue full", RETRY_AFTER_SECS);
-                DispatchStep::Respond(resp, job.close)
-            }
-            // Workers only exit after the loop drops the sender.
-            Err(TrySendError::Disconnected(_)) => {
-                self.queue_depth.add(-1);
-                DispatchStep::Close
-            }
+        if !self.shared.admit(self.queue_limit) {
+            // Backpressure: the admission count is the bound. The
+            // threaded layer would have spawned another thread here;
+            // instead the front door says "later".
+            self.rejected_queue_full.inc();
+            distvliw_obs::logger::event(
+                "warn",
+                "overload_rejected",
+                &[
+                    ("reason", "queue_full".into()),
+                    ("path", request.path.as_str().into()),
+                    ("retry_after_secs", u64::from(RETRY_AFTER_SECS).into()),
+                ],
+            );
+            let resp = Response::overloaded("request queue full", RETRY_AFTER_SECS);
+            return Some((resp, close));
         }
+        if let Some(conn) = self.conn_mut(token) {
+            conn.state = ConnState::Computing;
+            conn.since = Instant::now();
+        }
+        self.shared.queue_depth.add(1);
+        let shared = self.shared.clone();
+        self.pool.spawn(move || {
+            lock(&shared.jobs).waiting -= 1;
+            shared.queue_depth.add(-1);
+            // The engine's shared state survives an unwind: its locks
+            // shrug off poisoning and a panicking cell leader hands its
+            // flight to a follower.
+            let response = panic::catch_unwind(AssertUnwindSafe(|| {
+                (shared.handler)(&request, parse_start, parse_dur)
+            }))
+            .unwrap_or_else(|_| {
+                shared.panics.inc();
+                distvliw_obs::logger::event(
+                    "error",
+                    "request_panicked",
+                    &[("path", request.path.as_str().into())],
+                );
+                Response::json(
+                    500,
+                    Json::obj(vec![("error", Json::str("internal error"))]).render(),
+                )
+            });
+            let mut jobs = lock(&shared.jobs);
+            jobs.done.push(Done {
+                token,
+                generation,
+                response,
+                close,
+            });
+            jobs.unfinished -= 1;
+            if jobs.unfinished == 0 {
+                shared.idle.notify_all();
+            }
+            drop(jobs);
+            wake(&shared.wake_tx);
+        });
+        None
     }
 }
 
 /// Creates the loopback waker socketpair (std exposes no pipes): the
-/// write end wakes the poll loop from worker threads, the read end
+/// write end wakes the poll loop from request jobs, the read end
 /// sits in the poll set.
 fn waker_pair() -> io::Result<(TcpStream, TcpStream)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -586,33 +612,31 @@ fn wake(tx: &TcpStream) {
     let _ = (&*tx).write(&[1u8]);
 }
 
-/// What a worker runs for each parsed request: the engine's
-/// [`endpoints::serve_request`] in a server. Given the request and its
-/// framing read's start and duration.
+/// What a request job runs: the engine's [`endpoints::serve_request`]
+/// in a server. Given the request and its framing read's start and
+/// duration.
 pub(crate) type Handler = dyn Fn(&Request, Instant, Duration) -> Response + Send + Sync;
 
 /// Runs the event loop until shutdown. Owns the listener and every
-/// connection; spawns exactly `config.workers` compute threads, each
-/// answering requests with `handler`. A panicking `handler` call is
-/// answered `500` and counted in `serve_panics_total`; its worker
-/// lives on.
+/// connection; each parsed request becomes a job on `pool` that
+/// answers it with `handler`. A panicking `handler` call is answered
+/// `500` and counted in `serve_panics_total`; its pool thread lives on.
+/// Returns only once every submitted job has finished, on the drain
+/// path and on an error exit alike.
 ///
 /// # Errors
 ///
-/// Propagates listener setup failures and escalated accept failures
-/// ([`ACCEPT_FAILURE_LIMIT`] consecutive hard errors).
+/// Propagates listener setup failures, poll failures and escalated
+/// accept failures ([`ACCEPT_FAILURE_LIMIT`] consecutive hard errors).
 pub(crate) fn run(
     listener: &TcpListener,
     handler: &Arc<Handler>,
     shutdown: &Arc<AtomicBool>,
     config: &EventConfig,
+    pool: &Pool,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let (wake_tx, wake_rx) = waker_pair()?;
-    let workers = config.workers.max(1);
-    let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let done: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Register every family up front, so /metrics lists the same
     // families (at zero) from the first scrape on, whatever code paths
@@ -620,11 +644,13 @@ pub(crate) fn run(
     distvliw_core::register_metrics();
     endpoints::register_metrics();
     let reg = distvliw_obs::global();
-    let queue_depth = reg.gauge(
-        "serve_queue_depth",
-        "Parsed requests waiting in the bounded worker queue",
-    );
-    let accepted = reg.counter("serve_connections_total", "Connections accepted");
+    let rejected = |reason| {
+        reg.counter_with(
+            "serve_rejected_total",
+            "Requests rejected 503 at the front door, by reason",
+            &[("reason", reason)],
+        )
+    };
     let reaped = reg.counter(
         "serve_connections_reaped_total",
         "Idle keep-alive connections reaped at the idle limit",
@@ -633,17 +659,6 @@ pub(crate) fn run(
         "serve_accept_errors_total",
         "Accept failures answered with a 20ms backoff",
     );
-    let panics = reg.counter(
-        "serve_panics_total",
-        "Requests whose handler panicked, answered 500",
-    );
-    for reason in ["queue_full", "max_conns"] {
-        let _ = reg.counter_with(
-            "serve_rejected_total",
-            "Requests rejected 503 at the front door, by reason",
-            &[("reason", reason)],
-        );
-    }
     let state_gauges: Vec<(ConnState, distvliw_obs::Gauge)> = [
         (ConnState::Idle, "idle"),
         (ConnState::Reading, "reading"),
@@ -664,58 +679,29 @@ pub(crate) fn run(
     .collect();
     let open_gauge = reg.gauge("serve_connections_open", "Currently open connections");
 
-    let mut worker_handles = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let handler = handler.clone();
-        let job_rx = job_rx.clone();
-        let done = done.clone();
-        let wake_tx = wake_tx.try_clone()?;
-        let queue_depth = queue_depth.clone();
-        let panics = panics.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("serve-worker-{i}"))
-            .spawn(move || loop {
-                let job = match lock(&job_rx).recv() {
-                    Ok(job) => job,
-                    Err(_) => break,
-                };
-                queue_depth.add(-1);
-                // The engine's shared state survives an unwind: its locks
-                // shrug off poisoning and a panicking cell leader hands
-                // its flight to a follower.
-                let response = panic::catch_unwind(AssertUnwindSafe(|| {
-                    handler(&job.request, job.parse_start, job.parse_dur)
-                }))
-                .unwrap_or_else(|_| {
-                    panics.inc();
-                    distvliw_obs::logger::event(
-                        "error",
-                        "request_panicked",
-                        &[("path", job.request.path.as_str().into())],
-                    );
-                    Response::json(
-                        500,
-                        Json::obj(vec![("error", Json::str("internal error"))]).render(),
-                    )
-                });
-                lock(&done).push(Done {
-                    token: job.token,
-                    generation: job.generation,
-                    response,
-                    close: job.close,
-                });
-                wake(&wake_tx);
-            })?;
-        worker_handles.push(handle);
-    }
-
     let mut state = Loop {
         slots: Vec::new(),
         free: Vec::new(),
         open: 0,
-        job_tx,
-        queue_depth,
-        accepted,
+        pool,
+        shared: Arc::new(Shared {
+            handler: handler.clone(),
+            jobs: Mutex::default(),
+            idle: Condvar::new(),
+            wake_tx,
+            queue_depth: reg.gauge(
+                "serve_queue_depth",
+                "Parsed requests waiting for a pool thread",
+            ),
+            panics: reg.counter(
+                "serve_panics_total",
+                "Requests whose handler panicked, answered 500",
+            ),
+        }),
+        queue_limit: config.queue_depth.max(1),
+        accepted: reg.counter("serve_connections_total", "Connections accepted"),
+        rejected_queue_full: rejected("queue_full"),
+        rejected_max_conns: rejected("max_conns"),
         shutdown: shutdown.clone(),
     };
     let mut draining = false;
@@ -796,7 +782,9 @@ pub(crate) fn run(
         let now = Instant::now();
         let timeout =
             next_deadline.map_or(MAX_TICK, |d| d.saturating_duration_since(now).min(MAX_TICK));
-        sys::poll_wait(&mut fds, timeout.as_millis() as i32)?;
+        if let Err(e) = sys::poll_wait(&mut fds, timeout.as_millis() as i32) {
+            break Err(e);
+        }
 
         // 1. Waker: drain the pending wake bytes.
         if fds[0].revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0 {
@@ -805,7 +793,7 @@ pub(crate) fn run(
         }
 
         // 2. Finished computations → start writing responses.
-        let finished: Vec<Done> = std::mem::take(&mut *lock(&done));
+        let finished: Vec<Done> = std::mem::take(&mut lock(&state.shared.jobs).done);
         for d in finished {
             let live = state
                 .slots
@@ -929,17 +917,14 @@ pub(crate) fn run(
         }
     };
 
-    // Teardown: dropping the sender lets workers drain any queued jobs
-    // (their connections are gone; completions are discarded) and exit.
-    drop(state.job_tx);
-    for handle in worker_handles {
-        let _ = handle.join();
-    }
+    // Teardown: after an error exit, request jobs may still wait or
+    // run (their responses are discarded); the caller's final state
+    // flush must not race them.
+    state.shared.wait_idle();
     for (_, gauge) in &state_gauges {
         gauge.set(0);
     }
     open_gauge.set(0);
-    state.queue_depth.set(0);
     result
 }
 
@@ -959,13 +944,7 @@ fn accept_ready(listener: &TcpListener, state: &mut Loop, config: &EventConfig) 
             continue;
         }
         if state.open >= config.max_conns {
-            distvliw_obs::global()
-                .counter_with(
-                    "serve_rejected_total",
-                    "Requests rejected 503 at the front door, by reason",
-                    &[("reason", "max_conns")],
-                )
-                .inc();
+            state.rejected_max_conns.inc();
             distvliw_obs::logger::event(
                 "warn",
                 "overload_rejected",
@@ -996,11 +975,15 @@ fn accept_ready(listener: &TcpListener, state: &mut Loop, config: &EventConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
+    use std::net::SocketAddr;
+    use std::sync::mpsc;
+
+    use crate::client::{read_response, ClientResponse};
 
     #[test]
     fn default_config_is_bounded() {
         let c = EventConfig::default();
-        assert!(c.workers >= 1);
         assert!(c.max_conns >= 64);
         assert!(c.queue_depth >= 1);
     }
@@ -1027,49 +1010,234 @@ mod tests {
         assert_ne!(fds[0].revents & sys::POLLIN, 0);
     }
 
-    /// The status of a one-shot `GET path`, failing (not hanging) when
-    /// no answer comes.
-    fn get_status(addr: std::net::SocketAddr, path: &str) -> u16 {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
-        let mut text = String::new();
-        stream
-            .read_to_string(&mut text)
-            .unwrap_or_else(|e| panic!("GET {path} got no answer: {e}"));
-        text[9..12].parse().unwrap()
+    /// A keep-alive test connection.
+    type Conn = BufReader<TcpStream>;
+
+    /// Sends `GET path` on `conn`.
+    fn send(conn: &mut Conn, path: &str) {
+        write!(conn.get_mut(), "GET {path} HTTP/1.1\r\n\r\n").unwrap();
+    }
+
+    /// Sends `GET path` on `conn` and reads the answer.
+    fn get(conn: &mut Conn, path: &str) -> ClientResponse {
+        send(conn, path);
+        read_response(conn).unwrap()
+    }
+
+    /// A loop on its own one-thread pool, so admission does not depend
+    /// on the host's CPU count. Its handler answers 200 with the id of
+    /// the thread it ran on; `/hold` first reports to `held` and waits
+    /// for a `release`, and `/boom` panics.
+    struct Gated {
+        addr: SocketAddr,
+        /// A clone of the loop's listener.
+        listener: TcpListener,
+        shutdown: Arc<AtomicBool>,
+        server: std::thread::JoinHandle<io::Result<()>>,
+        held: mpsc::Receiver<()>,
+        release: mpsc::Sender<()>,
+    }
+
+    impl Gated {
+        fn start(queue_depth: usize) -> Gated {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let (held_tx, held) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel::<()>();
+            let release_rx = Mutex::new(release_rx);
+            let handler: Arc<Handler> = Arc::new(move |request: &Request, _, _| {
+                match request.path.as_str() {
+                    "/hold" => {
+                        held_tx.send(()).unwrap();
+                        lock(&release_rx).recv().unwrap();
+                    }
+                    "/boom" => panic!("handler exploded"),
+                    _ => {}
+                }
+                let thread = format!("{:?}", std::thread::current().id());
+                Response::json(200, Json::obj(vec![("thread", Json::str(thread))]).render())
+            });
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let config = EventConfig {
+                queue_depth,
+                ..EventConfig::default()
+            };
+            let server = {
+                let (listener, shutdown) = (listener.try_clone().unwrap(), shutdown.clone());
+                std::thread::spawn(move || {
+                    run(&listener, &handler, &shutdown, &config, &Pool::new(1))
+                })
+            };
+            Gated {
+                addr: listener.local_addr().unwrap(),
+                listener,
+                shutdown,
+                server,
+                held,
+                release,
+            }
+        }
+
+        /// Opens a connection and sends `GET path` on it.
+        fn connect(&self, path: &str) -> Conn {
+            let stream = TcpStream::connect(self.addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut conn = BufReader::new(stream);
+            send(&mut conn, path);
+            conn
+        }
+
+        /// Sends `/hold`; returns once the pool's only thread holds it.
+        fn hold(&self) -> Conn {
+            let conn = self.connect("/hold");
+            self.held
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the pool thread starts /hold");
+            conn
+        }
+
+        /// Holds the pool's thread, then sends `depth + 1` requests on
+        /// their own connections: `depth` of them wait for the thread,
+        /// and whichever the loop reads last is refused. Returns the
+        /// held connection, the waiting ones, and the refused one with
+        /// its answer.
+        #[cfg(unix)]
+        fn fill_queue(&self, depth: usize) -> (Conn, Vec<Conn>, Conn, ClientResponse) {
+            let held = self.hold();
+            let mut waiting: Vec<Conn> = (0..=depth).map(|_| self.connect("/fine")).collect();
+            // While the thread is held only the refused request can be
+            // answered.
+            let mut fds: Vec<sys::PollFd> = waiting
+                .iter()
+                .map(|c| sys::PollFd {
+                    fd: sys::raw_fd(c.get_ref()),
+                    events: sys::POLLIN,
+                    revents: 0,
+                })
+                .collect();
+            assert_eq!(sys::poll_wait(&mut fds, 10_000).unwrap(), 1);
+            let i = fds.iter().position(|f| f.revents != 0).unwrap();
+            let mut refused = waiting.remove(i);
+            let answer = read_response(&mut refused).unwrap();
+            (held, waiting, refused, answer)
+        }
+
+        /// Shuts the loop down and returns how it ended.
+        fn stop(self) -> io::Result<()> {
+            self.shutdown.store(true, Ordering::SeqCst);
+            self.server.join().unwrap()
+        }
     }
 
     #[test]
     fn a_panicking_request_answers_500_and_its_worker_keeps_serving() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handler: Arc<Handler> = Arc::new(|request: &Request, _, _| {
-            assert_ne!(request.path, "/boom", "handler exploded");
-            Response::json(200, "{}".to_string())
-        });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // One worker: the 200 below proves the panicked one survived.
-        let config = EventConfig {
-            workers: 1,
-            ..EventConfig::default()
-        };
-        let server = {
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || run(&listener, &handler, &shutdown, &config))
-        };
-
-        assert_eq!(get_status(addr, "/boom"), 500);
-        assert_eq!(get_status(addr, "/fine"), 200);
+        let server = Gated::start(1);
         let panics = distvliw_obs::global().counter(
             "serve_panics_total",
             "Requests whose handler panicked, answered 500",
         );
-        assert_eq!(panics.get(), 1);
+        let before = panics.get();
+        let mut conn = server.connect("/fine");
+        let fine = read_response(&mut conn).unwrap();
+        assert_eq!(fine.status, 200);
+        assert_eq!(get(&mut conn, "/boom").status, 500);
+        assert_eq!(panics.get(), before + 1);
+        // The pool's only thread survived the unwind and answers next.
+        let again = get(&mut conn, "/fine");
+        assert_eq!(again.status, 200);
+        assert_eq!(again.body, fine.body, "the same pool thread answers");
+        server.stop().unwrap();
+    }
 
-        shutdown.store(true, Ordering::SeqCst);
-        server.join().unwrap().unwrap();
+    #[cfg(unix)]
+    #[test]
+    fn queue_overflow_is_answered_503_and_the_connection_survives() {
+        const DEPTH: usize = 2;
+        let server = Gated::start(DEPTH);
+        let (mut held, mut waiting, mut refused, answer) = server.fill_queue(DEPTH);
+        assert_eq!(answer.status, 503);
+        assert_eq!(answer.header("retry-after"), Some("1"));
+        assert!(
+            !answer.closes(),
+            "queue-full rejection must keep the connection open"
+        );
+        // The bound holds as long as the thread does.
+        assert_eq!(get(&mut refused, "/fine").status, 503);
+
+        server.release.send(()).unwrap();
+        assert_eq!(read_response(&mut held).unwrap().status, 200);
+        for conn in &mut waiting {
+            assert_eq!(read_response(conn).unwrap().status, 200);
+        }
+        // Every waiting job has started: the retry is admitted.
+        assert_eq!(get(&mut refused, "/fine").status, 200);
+        server.stop().unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn pipelined_inline_responses_are_answered_iteratively() {
+        let server = Gated::start(1);
+        let (mut held, mut waiting, mut refused, answer) = server.fill_queue(1);
+        assert_eq!(answer.status, 503);
+
+        // One burst of pipelined keep-alive requests into the full
+        // queue. The loop answers every one of them inline —
+        // iteratively, not one stack frame per buffered request (the
+        // old recursive flush→dispatch chain grew the loop thread's
+        // stack with each inline answer).
+        const N: usize = 1000;
+        let burst = "GET /fine HTTP/1.1\r\n\r\n".repeat(N);
+        refused.get_mut().write_all(burst.as_bytes()).unwrap();
+        for i in 0..N {
+            let answer =
+                read_response(&mut refused).unwrap_or_else(|e| panic!("answer {i} of {N}: {e}"));
+            assert_eq!(answer.status, 503, "answer {i}");
+            assert!(!answer.closes(), "answer {i} closed the connection");
+        }
+
+        server.release.send(()).unwrap();
+        assert_eq!(read_response(&mut held).unwrap().status, 200);
+        assert_eq!(read_response(&mut waiting[0]).unwrap().status, 200);
+        assert_eq!(get(&mut refused, "/fine").status, 200);
+        server.stop().unwrap();
+    }
+
+    /// What lets `Server::run` compact its state logs right after this
+    /// loop returns: a loop that fails while a request job still runs
+    /// waits for that job first.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_error_exit_returns_only_after_every_request_job_finished() {
+        use std::net::Shutdown;
+        use std::os::fd::OwnedFd;
+
+        let server = Gated::start(1);
+        let accept_errors = distvliw_obs::global().counter(
+            "serve_accept_errors_total",
+            "Accept failures answered with a 20ms backoff",
+        );
+        let before = accept_errors.get();
+        let _held = server.hold();
+        // shutdown(2) on the listening socket, through a duplicate of
+        // its fd, fails every later accept with EINVAL while poll keeps
+        // reporting the listener ready: the loop gives up after
+        // ACCEPT_FAILURE_LIMIT tries.
+        let listener = TcpStream::from(OwnedFd::from(server.listener.try_clone().unwrap()));
+        listener.shutdown(Shutdown::Both).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while accept_errors.get() < before + u64::from(ACCEPT_FAILURE_LIMIT) {
+            assert!(Instant::now() < deadline, "the loop kept its listener");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(
+            !server.server.is_finished(),
+            "run returned while a request job was still running"
+        );
+        server.release.send(()).unwrap();
+        let err = server.server.join().unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

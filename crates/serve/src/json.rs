@@ -469,7 +469,7 @@ mod tests {
     fn long_multibyte_strings_parse_in_linear_time() {
         // Each char must decode in constant time: re-validating the rest
         // of the text per char is quadratic, and a 1 MiB body would tie
-        // a worker up for minutes.
+        // a pool thread up for minutes.
         let body = format!("[\"{}\"]", "é".repeat(256 * 1024));
         let Ok(Json::Arr(items)) = parse(&body) else {
             panic!("a long string parses");

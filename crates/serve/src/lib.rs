@@ -7,16 +7,16 @@
 //! content-addressed [`cache::ResultCache`] keyed by
 //! [`distvliw_core::cachekey::cell_key`], collapses concurrent identical
 //! requests with [`cache::SingleFlight`], and shards each request's
-//! cells across worker threads via `distvliw_core::par` — so repeated
-//! figure regenerations are incremental instead of recomputing the
-//! whole grid.
+//! cell misses across the resident pool of `distvliw_core::par` — so
+//! repeated figure regenerations are incremental instead of recomputing
+//! the whole grid.
 //!
 //! Connections are served by an event-driven layer ([`event`]): one
-//! poll(2) readiness loop owns every socket, a fixed worker pool pulls
-//! parsed requests from a bounded queue, and overload is answered `503`
-//! with `retry-after` instead of unbounded thread growth. Sizing is a
-//! [`event::EventConfig`] (`--workers`, `--max-conns`, `--queue-depth`
-//! on the `serve` bin).
+//! poll(2) readiness loop owns every socket, each parsed request runs as
+//! a job on that same pool behind a bounded admission count, and
+//! overload is answered `503` with `retry-after` instead of unbounded
+//! thread growth. Sizing is a [`event::EventConfig`] (`--max-conns`,
+//! `--queue-depth` on the `serve` bin).
 //!
 //! Endpoints: `GET /fig6 /fig7 /fig9 /table3 /table4 /table5 /nobal
 //! /sweep /healthz /stats`, `POST /matrix` (arbitrary grids, with
@@ -108,15 +108,9 @@ impl Server {
         &self.engine
     }
 
-    /// The connection-layer sizing this server runs with.
-    #[must_use]
-    pub fn config(&self) -> EventConfig {
-        self.config
-    }
-
     /// Serves connections until shutdown: runs the [`event`] readiness
-    /// loop on the calling thread with `config.workers` compute threads
-    /// behind the bounded queue.
+    /// loop on the calling thread, with each request computed on the
+    /// process-wide pool of `distvliw_core::par`.
     ///
     /// # Errors
     ///
@@ -144,10 +138,11 @@ impl Server {
         let handler: Arc<event::Handler> = Arc::new(move |request, parse_start, parse_dur| {
             endpoints::serve_request(&engine, request, parse_start, parse_dur)
         });
-        let result = event::run(&self.listener, &handler, &self.shutdown, &self.config);
-        // The loop only returns once drained (in-flight responses
-        // written, workers joined); make sure the flusher sees the
-        // flag even when the loop exited on an error.
+        let pool = distvliw_core::par::global();
+        let result = event::run(&self.listener, &handler, &self.shutdown, &self.config, pool);
+        // The loop only returns once every request job it submitted has
+        // finished, whether it drained or failed; make sure the flusher
+        // sees the flag even when the loop exited on an error.
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = flusher.join();
         // Clean shutdown compacts the cell log, so recency drift from

@@ -1,7 +1,9 @@
 //! Never-panic properties for every parser that sees untrusted bytes.
 //!
-//! A daemon worker that panics loses its connection and its thread, so
-//! hostile input must come back as an error value, never as a panic.
+//! A parser that panics on the event loop's thread takes the whole
+//! daemon down, and one that panics inside a request job turns its
+//! answer into a 500, so hostile input must come back as an error value,
+//! never as a panic.
 //! Each entry point is fed arbitrary bytes and byte-level mutations of a
 //! valid input (overwrites, inserts, deletes, duplicated runs,
 //! truncation, and digit runs swapped for extreme numbers):

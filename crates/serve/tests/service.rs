@@ -412,6 +412,7 @@ fn trace_query_reports_phase_spans_and_cache_hits_skip_compute() {
     let count = |name: &str| spans.iter().filter(|(n, _)| n == name).count();
     assert_eq!(count("request"), 1, "exactly one root request span");
     assert_eq!(count("parse"), 1);
+    assert_eq!(count("queue_wait"), 1);
     assert!(count("cache_lookup") >= 1);
     assert!(count("compile") >= 1, "cold run must compile");
     assert!(count("sim") >= 1, "cold run must simulate");
@@ -519,6 +520,7 @@ fn metrics_exposition_has_families_from_every_layer() {
         "serve_connections_reaped_total",
         "serve_http_slow_requests_total",
         "serve_panics_total",
+        "serve_queue_wait_us",
     ] {
         assert!(
             families.iter().any(|f| f == required),
@@ -606,7 +608,6 @@ fn stats_reports_uptime_build_and_counters() {
 #[test]
 fn connection_cap_answers_503_with_retry_after_and_bounded_threads() {
     let (base, handle) = spawn_server_with(EventConfig {
-        workers: 2,
         max_conns: 4,
         queue_depth: 8,
     });
@@ -650,8 +651,8 @@ fn connection_cap_answers_503_with_retry_after_and_bounded_threads() {
     }
 
     // No thread-per-connection: 8 overflow + 4 admitted connections
-    // must not have grown the process thread budget (loop + workers
-    // are fixed at startup; a small tolerance absorbs unrelated churn
+    // must not have grown the process thread budget (loop, flusher and
+    // pool are fixed at startup; a small tolerance absorbs unrelated churn
     // from tests running in parallel in this process).
     let threads_after = distvliw_obs::process_threads();
     assert!(
@@ -674,141 +675,6 @@ fn connection_cap_answers_503_with_retry_after_and_bounded_threads() {
     }
     assert!(ok, "shutdown must be admitted once the table drains");
     handle.join().expect("server thread");
-}
-
-#[test]
-fn queue_overflow_is_answered_503_and_the_connection_survives() {
-    let (base, handle) = spawn_server_with(EventConfig {
-        workers: 1,
-        max_conns: 64,
-        queue_depth: 1,
-    });
-
-    // Occupy the single worker with a slow cold sweep and the single
-    // queue slot with a cold matrix cell.
-    let base_a = base.clone();
-    let slow = std::thread::spawn(move || client::get(&base_a, "/sweep").unwrap());
-    std::thread::sleep(Duration::from_millis(200));
-    let base_b = base.clone();
-    let queued = std::thread::spawn(move || {
-        client::post(
-            &base_b,
-            "/matrix",
-            r#"{"suites":["gsmdec"],"solutions":["mdc"],"heuristics":["prefclus"]}"#,
-        )
-        .unwrap()
-    });
-    std::thread::sleep(Duration::from_millis(200));
-
-    // The next request finds the queue full: 503, retry-after, and the
-    // connection stays usable for the retry.
-    let mut probe = Client::connect(&base).unwrap();
-    let resp = probe.get("/healthz").unwrap();
-    if resp.status == 503 {
-        assert_eq!(resp.header("retry-after"), Some("1"));
-        assert!(
-            !resp.closes(),
-            "queue-full rejection must keep the connection open"
-        );
-        let mut ok = false;
-        for _ in 0..100 {
-            std::thread::sleep(Duration::from_millis(100));
-            let retry = probe.get("/healthz").unwrap();
-            if retry.status == 200 {
-                ok = true;
-                break;
-            }
-            assert_eq!(retry.status, 503, "only overload 503s are acceptable");
-        }
-        assert!(ok, "the probe must eventually be admitted");
-    } else {
-        // The compute won the race and drained the queue first; the
-        // request must then simply have succeeded.
-        assert_eq!(resp.status, 200);
-    }
-
-    assert_eq!(slow.join().expect("sweep client").status, 200);
-    assert_eq!(queued.join().expect("matrix client").status, 200);
-    shutdown(&base, handle);
-}
-
-/// Occurrences of `needle` in `haystack` (responses are counted by
-/// their status-line prefix; the JSON bodies never contain it).
-fn count_occurrences(haystack: &[u8], needle: &[u8]) -> usize {
-    haystack
-        .windows(needle.len())
-        .filter(|w| *w == needle)
-        .count()
-}
-
-#[test]
-fn pipelined_inline_responses_are_answered_iteratively() {
-    let (base, handle) = spawn_server_with(EventConfig {
-        workers: 1,
-        max_conns: 64,
-        queue_depth: 1,
-    });
-
-    // Occupy the single worker with a slow cold sweep and the single
-    // queue slot with a cold matrix cell, so pipelined requests are
-    // answered inline (queue-full 503) by the loop thread itself.
-    let base_a = base.clone();
-    let slow = std::thread::spawn(move || client::get(&base_a, "/sweep").unwrap());
-    std::thread::sleep(Duration::from_millis(200));
-    let base_b = base.clone();
-    let queued = std::thread::spawn(move || {
-        client::post(
-            &base_b,
-            "/matrix",
-            r#"{"suites":["gsmdec"],"solutions":["mdc"],"heuristics":["prefclus"]}"#,
-        )
-        .unwrap()
-    });
-    std::thread::sleep(Duration::from_millis(200));
-
-    // One burst of pipelined keep-alive requests. The loop must answer
-    // every one of them — iteratively, not one stack frame per
-    // buffered request (the old recursive flush→dispatch chain grew
-    // the loop thread's stack with each inline answer).
-    const N: usize = 1000;
-    let host = client::host_of(&base);
-    let mut raw = TcpStream::connect(&host).unwrap();
-    let mut burst = Vec::new();
-    for _ in 0..N {
-        burst.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
-    }
-    raw.write_all(&burst).unwrap();
-
-    raw.set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let mut bytes = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    while count_occurrences(&bytes, b"HTTP/1.1 ") < N {
-        let n = raw.read(&mut chunk).unwrap();
-        assert!(
-            n > 0,
-            "server closed the connection after {} of {N} responses",
-            count_occurrences(&bytes, b"HTTP/1.1 ")
-        );
-        bytes.extend_from_slice(&chunk[..n]);
-    }
-    let ok = count_occurrences(&bytes, b"HTTP/1.1 200 ");
-    let rejected = count_occurrences(&bytes, b"HTTP/1.1 503 ");
-    assert_eq!(
-        ok + rejected,
-        N,
-        "every pipelined request must be answered 200 or overload-503"
-    );
-    assert_eq!(
-        count_occurrences(&bytes, b"connection: close"),
-        0,
-        "inline answers on a keep-alive connection must not close it"
-    );
-
-    drop(raw);
-    assert_eq!(slow.join().expect("sweep client").status, 200);
-    assert_eq!(queued.join().expect("matrix client").status, 200);
-    shutdown(&base, handle);
 }
 
 #[test]
