@@ -10,14 +10,13 @@
 //! shrink dramatically (paper Table 5).
 //!
 //! Our ground truth for "actually aliases" is the kernel's *execution*
-//! address streams: a dependence edge is removable exactly when the byte
-//! ranges its endpoints touch are disjoint over the whole loop.
+//! address streams: a dependence edge is removable exactly when no two
+//! iterations of the whole trip have its endpoints touch a common byte,
+//! as decided exactly (never by sampling) by
+//! [`distvliw_ir::alias::overlap_any`].
 
-use distvliw_ir::{AddressStream, LoopKernel, Width};
-
-/// Iterations sampled per stream when deciding runtime aliasing; streams
-/// repeat far sooner than this in practice.
-pub const ALIAS_SAMPLE_CAP: u64 = 4096;
+use distvliw_ir::alias::{self, Access};
+use distvliw_ir::LoopKernel;
 
 /// Outcome of [`specialize_kernel`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,47 +34,6 @@ impl SpecializationReport {
     pub fn changed(&self) -> bool {
         self.removed > 0
     }
-}
-
-/// Byte intervals touched by `stream` over `iters` iterations, as sorted,
-/// coalesced `[start, end)` ranges.
-fn touched_ranges(stream: &AddressStream, width: Width, iters: u64) -> Vec<(u64, u64)> {
-    let n = iters.min(ALIAS_SAMPLE_CAP);
-    let mut ranges: Vec<(u64, u64)> = (0..n)
-        .map(|i| {
-            let a = stream.addr_at(i);
-            (a, a + width.bytes())
-        })
-        .collect();
-    ranges.sort_unstable();
-    ranges.dedup();
-    // Coalesce overlapping/adjacent ranges.
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-    for (s, e) in ranges {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Whether two sorted range lists intersect.
-fn ranges_overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (s1, e1) = a[i];
-        let (s2, e2) = b[j];
-        if s1 < e2 && s2 < e1 {
-            return true;
-        }
-        if e1 <= s2 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    false
 }
 
 /// Applies code specialization to `kernel`: removes every memory
@@ -120,9 +78,9 @@ pub fn specialize_kernel(kernel: &LoopKernel) -> (LoopKernel, SpecializationRepo
         else {
             continue; // unbound streams stay conservative
         };
-        let a = touched_ranges(src_stream, src_ref.width, kernel.trip_count);
-        let b = touched_ranges(dst_stream, dst_ref.width, kernel.trip_count);
-        if !ranges_overlap(&a, &b) {
+        let src = Access::new(src_stream, src_ref.width);
+        let dst = Access::new(dst_stream, dst_ref.width);
+        if !alias::overlap_any(&src, &dst, kernel.trip_count) {
             out.ddg.remove_dep(e);
             report.removed += 1;
         }
@@ -137,7 +95,7 @@ pub fn specialize_kernel(kernel: &LoopKernel) -> (LoopKernel, SpecializationRepo
 mod tests {
     use super::*;
     use crate::mdc::find_chains;
-    use distvliw_ir::{DdgBuilder, DepKind, MemImage, Width};
+    use distvliw_ir::{AddressStream, DdgBuilder, DepKind, MemImage, Width};
 
     fn kernel_with_regions(src_base: u64, dst_base: u64) -> LoopKernel {
         let mut b = DdgBuilder::new();
@@ -230,20 +188,32 @@ mod tests {
     }
 
     #[test]
-    fn touched_ranges_coalesce() {
-        let s = AddressStream::Affine { base: 0, stride: 4 };
-        let r = touched_ranges(&s, Width::W4, 8);
-        assert_eq!(r, vec![(0, 32)]);
-        let s = AddressStream::Affine { base: 0, stride: 8 };
-        let r = touched_ranges(&s, Width::W4, 3);
-        assert_eq!(r, vec![(0, 4), (8, 12), (16, 20)]);
-    }
-
-    #[test]
-    fn ranges_overlap_cases() {
-        assert!(ranges_overlap(&[(0, 4)], &[(3, 5)]));
-        assert!(!ranges_overlap(&[(0, 4)], &[(4, 8)]));
-        assert!(ranges_overlap(&[(0, 2), (10, 14)], &[(4, 11)]));
-        assert!(!ranges_overlap(&[], &[(0, 1)]));
+    fn an_alias_past_the_first_4096_iterations_keeps_its_edge() {
+        // The load walks 8-byte steps from 0 and first reaches the store's
+        // start, 40000, at iteration 5000 of 8192; within the first 4096
+        // iterations the two touch disjoint ranges.
+        let mut b = DdgBuilder::new();
+        let l = b.load(Width::W4);
+        let s = b.store(Width::W4, &[l]);
+        b.dep(l, s, DepKind::MemAnti, 0);
+        let g = b.finish();
+        let (ml, ms) = (g.node(l).mem_id().unwrap(), g.node(s).mem_id().unwrap());
+        let mut k = LoopKernel::new("late", g, 8192);
+        for img in [&mut k.profile, &mut k.exec] {
+            img.insert(ml, AddressStream::Affine { base: 0, stride: 8 });
+            img.insert(
+                ms,
+                AddressStream::Affine {
+                    base: 40_000,
+                    stride: 4,
+                },
+            );
+        }
+        let (out, report) = specialize_kernel(&k);
+        assert_eq!(report.removed, 0);
+        assert_eq!(out.ddg.mem_dep_edges().count(), 1);
+        // The same pair cut to 4096 iterations never aliases.
+        k.trip_count = 4096;
+        assert_eq!(specialize_kernel(&k).1.removed, 1);
     }
 }

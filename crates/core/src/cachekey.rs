@@ -63,13 +63,16 @@ impl std::hash::Hash for CacheKey {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// 64-bit FNV-1a over `bytes`.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -180,21 +183,23 @@ pub fn suite_digest(suite: &Suite) -> Vec<u8> {
 }
 
 /// A compact 128-bit fingerprint of a [`suite_digest`]: two
-/// independent 64-bit FNV-1a passes (standard and alternate offset
-/// basis). Digests run to ~100 KB for the Indexed-stream suites, so
-/// keys embed this fingerprint instead of the raw digest — computing
-/// it once per suite keeps warm-path key derivation O(1) instead of
-/// re-hashing 100 KB per cell per request.
+/// independent 64-bit FNV-1a lanes (standard and alternate offset
+/// basis) run over the bytes in one pass. Digests run to ~100 KB for the
+/// Indexed-stream suites, so keys embed this fingerprint instead of the
+/// raw digest — computing it once per suite keeps warm-path key
+/// derivation O(1) instead of re-hashing 100 KB per cell per request.
 #[must_use]
 pub fn digest_fingerprint(digest: &[u8]) -> [u8; 16] {
-    let a = fnv1a64(digest);
-    // Second pass with a perturbed basis; together the two halves make
-    // accidental suite-content collisions (the only part of a key not
-    // compared byte-for-byte) vanishingly unlikely.
-    let mut b: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
+    // The second lane's perturbed basis makes the halves independent;
+    // together they make accidental suite-content collisions (the only
+    // part of a key not compared byte-for-byte) vanishingly unlikely.
+    // The lanes' multiply chains do not depend on each other, so one
+    // loop runs both in the time of one.
+    let mut a = FNV_OFFSET;
+    let mut b = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
     for &byte in digest {
-        b ^= u64::from(byte);
-        b = b.wrapping_mul(0x0000_0100_0000_01b3);
+        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
     }
     let mut out = [0u8; 16];
     out[..8].copy_from_slice(&a.to_le_bytes());
@@ -215,14 +220,33 @@ pub fn cell_key_from_fingerprint(
     solution: Solution,
     heuristic: Heuristic,
 ) -> CacheKey {
-    let mut out = Vec::with_capacity(160);
+    cell_key_from_encoded(
+        fingerprint,
+        &machine.canonical_bytes(),
+        options,
+        solution,
+        heuristic,
+    )
+}
+
+/// [`cell_key_from_fingerprint`] for a machine already encoded by
+/// [`MachineConfig::canonical_bytes`], so a caller keying many cells on
+/// a few machines encodes each machine once.
+#[must_use]
+pub fn cell_key_from_encoded(
+    fingerprint: &[u8; 16],
+    machine_bytes: &[u8],
+    options: &PipelineOptions,
+    solution: Solution,
+    heuristic: Heuristic,
+) -> CacheKey {
+    let mut out = Vec::with_capacity(32 + machine_bytes.len());
     out.push(CELL_KEY_VERSION);
 
     out.extend_from_slice(fingerprint);
 
-    let mb = machine.canonical_bytes();
-    push_u64(&mut out, mb.len() as u64);
-    out.extend_from_slice(&mb);
+    push_u64(&mut out, machine_bytes.len() as u64);
+    out.extend_from_slice(machine_bytes);
 
     out.push(u8::from(options.relax_latencies));
 
@@ -405,6 +429,64 @@ mod tests {
             ),
             base
         );
+    }
+
+    #[test]
+    fn fingerprint_lanes_are_pinned() {
+        // Persisted cell keys embed this value: the bytes must not move.
+        assert_eq!(
+            digest_fingerprint(b"distvliw suite fingerprint"),
+            [
+                0x3f, 0x74, 0xe5, 0x25, 0xfe, 0x93, 0xff, 0x59, 0xee, 0xa6, 0x6d, 0xef, 0xd2, 0x95,
+                0x03, 0x57
+            ]
+        );
+        let mut first = [0u8; 8];
+        first.copy_from_slice(&digest_fingerprint(b"foobar")[..8]);
+        assert_eq!(u64::from_le_bytes(first), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn bundled_suite_fingerprints_are_pinned() {
+        // Every resident suite's content, including the memory edges the
+        // alias oracle discovers: a moved fingerprint means a moved DDG.
+        let pinned = [
+            ("epicdec", "dcd8a1b7ea3883a6c5d8cbb0579cfb5a"),
+            ("epicenc", "f0039acafe3b6a606121a02e43c1f0da"),
+            ("g721dec", "046c35ee0d970984ef175cabe5d04579"),
+            ("g721enc", "fc45a781252886d287e7a0ebf70bbe13"),
+            ("gsmdec", "77fabe2f2ed37a42e2a5ef5166b247a8"),
+            ("gsmenc", "7f4af82c6b6728dfbe53badbf3a52f24"),
+            ("jpegdec", "40795334a53b226f41b2138d6b5dfefe"),
+            ("jpegenc", "c701e15ee63e73cfee1d0c1dcef8d17b"),
+            ("mpeg2dec", "d43c6beafc08aefcd5a2fa1eaf4ba270"),
+            ("pegwitdec", "b0c27d8f5a7a7faa8179f1a47a896a4b"),
+            ("pegwitenc", "175de7c8dc9a12868c19ea2017409a94"),
+            ("pgpdec", "0248e626a5840c6bab3b1d7890b16699"),
+            ("pgpenc", "201ec3041fec04e3b5a9922de2867015"),
+            ("rasta", "720b7cbcbaf4e79945af215db71c2e0a"),
+            ("fir8", "78752758934eaac0471aaf40b0c09dfd"),
+            ("ptrchase", "657a1423854a5d76dce6d8d58b2f6ce2"),
+        ];
+        let suites: Vec<Suite> = distvliw_mediabench::suites()
+            .into_iter()
+            .chain(distvliw_mediabench::trace_suites())
+            .collect();
+        let got: Vec<(String, String)> = suites
+            .iter()
+            .map(|s| {
+                let hex = digest_fingerprint(&suite_digest(s))
+                    .iter()
+                    .map(|b| format!("{b:02x}"))
+                    .collect();
+                (s.name.clone(), hex)
+            })
+            .collect();
+        let want: Vec<(String, String)> = pinned
+            .iter()
+            .map(|(n, h)| ((*n).to_string(), (*h).to_string()))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -319,7 +319,11 @@ pub struct SuiteArtifact {
 /// threads; the scheduler is deterministic, so a warm seed reproduces
 /// the cold result exactly while skipping the provably re-failing IIs.
 /// The store lives in memory and lasts one process: a schedule is a
-/// pure function of its key, so nothing about it needs to persist.
+/// pure function of its key, so nothing about it needs to persist. It
+/// holds at most `SEED_STORE_CAPACITY` (65,536) seeds and starts over when a
+/// new one would exceed that, so a daemon fed endless distinct machines
+/// stays bounded; losing seeds costs search effort, never a schedule
+/// byte.
 #[derive(Debug, Default)]
 pub struct IiSeedStore {
     map: Mutex<HashMap<[u8; 16], u32>>,
@@ -341,12 +345,21 @@ impl IiSeedStore {
     }
 
     fn record(&self, key: [u8; 16], ii: u32) {
-        self.map
+        let mut map = self
+            .map
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, ii);
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if map.len() >= SEED_STORE_CAPACITY && !map.contains_key(&key) {
+            map.clear();
+        }
+        map.insert(key, ii);
     }
 }
+
+/// The most seeds an [`IiSeedStore`] holds: far above the few thousand
+/// distinct scheduling problems any figure, sweep or bench workload
+/// compiles, at about 2 MB.
+const SEED_STORE_CAPACITY: usize = 1 << 16;
 
 /// The full-configuration key of one scheduling problem. Everything the
 /// scheduler's output depends on is encoded — the machine's *scheduler
@@ -881,6 +894,58 @@ mod tests {
         for (a, w) in again.kernels.iter().zip(&warm.kernels) {
             assert_eq!(a.sched, w.sched, "{}", w.name);
         }
+    }
+
+    #[test]
+    fn a_full_seed_store_clears_and_keeps_seeding() {
+        let suite = distvliw_mediabench::suite("gsmdec").unwrap();
+        let seeds = Arc::new(IiSeedStore::new());
+        let run = || {
+            Pipeline::new(machine())
+                .with_seed_store(seeds.clone())
+                .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+                .unwrap()
+        };
+        let len = || seeds.map.lock().unwrap().len();
+        let foreign = |i: usize| {
+            let mut key = [0xa5; 16];
+            key[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            key
+        };
+        let cold = run();
+        // Fill the store with other problems: its own seeds survive.
+        for i in len()..SEED_STORE_CAPACITY {
+            seeds.record(foreign(i), 1);
+        }
+        assert_eq!(len(), SEED_STORE_CAPACITY);
+        let warm = run();
+        assert_eq!(len(), SEED_STORE_CAPACITY, "re-recorded keys do not clear");
+        // One more problem starts the store over.
+        seeds.record(foreign(SEED_STORE_CAPACITY), 1);
+        assert_eq!(len(), 1);
+        let cleared = run();
+        let reseeded = run();
+        for (i, c) in cold.kernels.iter().enumerate() {
+            for other in [&warm, &cleared, &reseeded] {
+                let k = &other.kernels[i];
+                assert_eq!(
+                    (k.ii, k.span, &k.stats),
+                    (c.ii, c.span, &c.stats),
+                    "{}",
+                    c.name
+                );
+                assert_eq!(k.static_comm_ops, c.static_comm_ops, "{}", c.name);
+            }
+            // With its seeds gone the search is the cold one, and the
+            // next run is seeded again.
+            assert_eq!(cleared.kernels[i].sched, c.sched, "{}", c.name);
+            assert_eq!(
+                reseeded.kernels[i].sched, warm.kernels[i].sched,
+                "{}",
+                c.name
+            );
+        }
+        assert_eq!(cleared.total, cold.total);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! * [`LoopKernel`], a schedulable loop body plus its dynamic metadata
 //!   (trip count, invocation count) and its *profile* and *execution*
 //!   [`MemImage`]s (per-memory-operation address streams),
-//! * the profiling pass ([`profile`]).
+//! * the profiling pass ([`profile`]),
+//! * the exact alias oracle ([`alias`]): whether two address streams
+//!   touch a common byte, at a given distance or anywhere, over a whole
+//!   trip.
 //!
 //! The IR is deliberately small: it models exactly what the paper's
 //! techniques need — typed operations, dependence edges with distances,
@@ -42,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod alias;
 mod ddg;
 mod dep;
 mod kernel;

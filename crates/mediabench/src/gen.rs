@@ -7,9 +7,12 @@
 //!   multiprecision arithmetic, filter bank): loads and wide stores with
 //!   *overlapping* byte ranges on a shared array, producing genuine
 //!   MF/MA/MO dependences through [`add_true_mem_deps`], an honest
-//!   memory-disambiguation pass. Several *segments* on disjoint arrays
-//!   can be linked by conservative (never-aliasing) edges — exactly the
-//!   may-alias residue that the paper's code specialization removes.
+//!   memory-disambiguation pass that decides overlap exactly over the
+//!   kernel's whole trip with [`distvliw_ir::alias`] (never by
+//!   sampling iterations), at distances up to [`MAX_DEP_DISTANCE`].
+//!   Several *segments* on disjoint arrays can be linked by conservative
+//!   (never-aliasing) edges — exactly the may-alias residue that the
+//!   paper's code specialization removes.
 //! * [`stream_loop`] — independent streaming accesses (no memory
 //!   dependences) with a configurable locality profile.
 //!
@@ -19,9 +22,9 @@
 
 use std::sync::Arc;
 
+use distvliw_ir::alias::{self, Access};
 use distvliw_ir::{
-    AddressStream, Ddg, DdgBuilder, DepKind, LoopKernel, MemId, NodeId, OpKind, PrefInfo, PrefMap,
-    Width,
+    AddressStream, DdgBuilder, DepKind, LoopKernel, MemId, NodeId, OpKind, PrefInfo, PrefMap, Width,
 };
 use rand::{RngExt, SeedableRng};
 
@@ -32,7 +35,8 @@ use crate::alloc::AddressAllocator;
 pub const WRAP: u64 = 64;
 
 /// Maximum loop-carried distance examined by the disambiguator; media
-/// kernels carry their reuse within a couple of iterations.
+/// kernels carry their reuse within a couple of iterations. A pair that
+/// aliases only at a larger distance gets no edge.
 pub const MAX_DEP_DISTANCE: u32 = 2;
 
 /// How the addresses of a streaming access spread over clusters.
@@ -65,37 +69,42 @@ fn random_stream(base: u64, stride: u64, slots: u64, seed: u64) -> AddressStream
     AddressStream::Indexed(Arc::from(table))
 }
 
-/// Whether streams `a` (at iteration `i`) and `b` (at iteration `i + d`)
-/// ever touch overlapping byte ranges; exact for wrap-around tables.
-fn streams_overlap(a: &AddressStream, wa: u64, b: &AddressStream, wb: u64, d: u64) -> bool {
-    (0..WRAP.saturating_mul(2)).any(|i| {
-        let ra = a.addr_at(i);
-        let rb = b.addr_at(i + d);
-        ra < rb + wb && rb < ra + wa
-    })
-}
-
 /// The honest memory-disambiguation pass: for every ordered pair of
 /// memory operations and every distance up to [`MAX_DEP_DISTANCE`], adds
 /// the appropriate dependence edge (MF store→load, MA load→store, MO
-/// store→store) when their execution streams actually overlap. Returns
-/// the number of edges added.
-pub fn add_true_mem_deps(
-    ddg: &mut Ddg,
-    kernel_exec: &[(NodeId, MemId)],
-    streams: &dyn Fn(MemId) -> (AddressStream, u64),
-) -> usize {
+/// store→store) when their execution streams overlap at that distance on
+/// some iteration of the kernel's trip, as decided exactly by
+/// [`distvliw_ir::alias::overlap_at`]. Pairs are visited in program
+/// order, then by distance, so edge ids follow that order. Returns the
+/// number of edges added.
+///
+/// # Panics
+///
+/// Panics if a memory operation has no execution stream.
+pub fn add_true_mem_deps(kernel: &mut LoopKernel) -> usize {
+    let LoopKernel {
+        ddg,
+        exec,
+        trip_count,
+        ..
+    } = kernel;
+    // Each site's stream is resolved once, not once per pair.
+    let sites: Vec<(NodeId, bool, Access<'_>)> = ddg
+        .mem_nodes()
+        .map(|n| {
+            let op = ddg.node(n);
+            let mem = op.mem.expect("memory op has a site");
+            let stream = exec
+                .get(mem.mem)
+                .unwrap_or_else(|| panic!("no execution stream bound for {}", mem.mem));
+            (n, op.is_store(), Access::new(stream, mem.width))
+        })
+        .collect();
     let mut added = 0;
-    for (ai, &(a, ma)) in kernel_exec.iter().enumerate() {
-        for (bi, &(b, mb)) in kernel_exec.iter().enumerate() {
-            if a == b {
-                continue;
-            }
-            let (sa, wa) = streams(ma);
-            let (sb, wb) = streams(mb);
-            let a_store = ddg.node(a).is_store();
-            let b_store = ddg.node(b).is_store();
+    for (ai, (a, a_store, sa)) in sites.iter().enumerate() {
+        for (bi, (b, b_store, sb)) in sites.iter().enumerate() {
             let kind = match (a_store, b_store) {
+                _ if ai == bi => continue,
                 (true, false) => DepKind::MemFlow,
                 (false, true) => DepKind::MemAnti,
                 (true, true) => DepKind::MemOut,
@@ -105,8 +114,8 @@ pub fn add_true_mem_deps(
                 if d == 0 && bi <= ai {
                     continue; // same-iteration edges follow program order
                 }
-                if streams_overlap(&sa, wa, &sb, wb, u64::from(d)) {
-                    ddg.add_dep(a, b, kind, d);
+                if alias::overlap_at(sa, sb, *trip_count, u64::from(d)) {
+                    ddg.add_dep(*a, *b, kind, d);
                     added += 1;
                 }
             }
@@ -210,7 +219,6 @@ pub fn chain_loop(spec: &ChainSpec, alloc: &mut AddressAllocator) -> LoopKernel 
     let mut b = DdgBuilder::new();
     let mut profile_streams: Vec<(MemId, AddressStream)> = Vec::new();
     let mut exec_streams: Vec<(MemId, AddressStream)> = Vec::new();
-    let mut mem_ops: Vec<(NodeId, MemId)> = Vec::new();
     let mut segment_stores: Vec<Vec<NodeId>> = Vec::new();
     let mut segment_first_load: Vec<NodeId> = Vec::new();
 
@@ -229,7 +237,6 @@ pub fn chain_loop(spec: &ChainSpec, alloc: &mut AddressAllocator) -> LoopKernel 
                 let mem = b.graph().node(ld).mem_id().expect("load site");
                 profile_streams.push((mem, wrap_stream(pbase, off, pat.stride)));
                 exec_streams.push((mem, wrap_stream(ebase, off, pat.stride)));
-                mem_ops.push((ld, mem));
                 loads.push(ld);
                 first_load.get_or_insert(ld);
             }
@@ -266,7 +273,6 @@ pub fn chain_loop(spec: &ChainSpec, alloc: &mut AddressAllocator) -> LoopKernel 
                 let mem = b.graph().node(st).mem_id().expect("store site");
                 profile_streams.push((mem, wrap_stream(pbase, off, pat.stride)));
                 exec_streams.push((mem, wrap_stream(ebase, off, pat.stride)));
-                mem_ops.push((st, mem));
                 stores.push(st);
             }
         }
@@ -305,17 +311,13 @@ pub fn chain_loop(spec: &ChainSpec, alloc: &mut AddressAllocator) -> LoopKernel 
         prev = if i % 4 == 3 { None } else { Some(n) };
     }
 
-    let mut ddg = b.finish();
+    let mut kernel = LoopKernel::new(spec.name, b.finish(), spec.trip);
+    kernel.invocations = spec.invocations;
+    kernel.profile.extend(profile_streams);
+    kernel.exec.extend(exec_streams);
 
     // True dependences from actual overlap.
-    let exec_map: std::collections::BTreeMap<MemId, AddressStream> =
-        exec_streams.iter().cloned().collect();
-    let width_map: std::collections::BTreeMap<MemId, u64> = mem_ops
-        .iter()
-        .map(|&(n, m)| (m, ddg.node(n).mem.expect("mem op").width.bytes()))
-        .collect();
-    let lookup = |m: MemId| (exec_map[&m].clone(), width_map[&m]);
-    add_true_mem_deps(&mut ddg, &mem_ops, &lookup);
+    add_true_mem_deps(&mut kernel);
 
     // Conservative links between consecutive segments: the compiler could
     // not disambiguate the segment arrays, so it added a may-alias edge
@@ -324,13 +326,8 @@ pub fn chain_loop(spec: &ChainSpec, alloc: &mut AddressAllocator) -> LoopKernel 
     for s in 0..spec.segments.len().saturating_sub(1) {
         let from = *segment_stores[s].last().expect("segment has stores");
         let to = segment_first_load[s + 1];
-        ddg.add_dep(from, to, DepKind::MemFlow, 0);
+        kernel.ddg.add_dep(from, to, DepKind::MemFlow, 0);
     }
-
-    let mut kernel = LoopKernel::new(spec.name, ddg, spec.trip);
-    kernel.invocations = spec.invocations;
-    kernel.profile.extend(profile_streams);
-    kernel.exec.extend(exec_streams);
     kernel
 }
 
@@ -582,14 +579,21 @@ mod tests {
 
     #[test]
     fn overlap_detection_is_symmetric_enough() {
-        let a = wrap_stream(0, 0, 16);
-        let b = wrap_stream(0, 2, 16);
+        let (a, b, c) = (
+            wrap_stream(0, 0, 16),
+            wrap_stream(0, 2, 16),
+            wrap_stream(1 << 20, 0, 16),
+        );
+        let (a, b, c) = (
+            Access::new(&a, Width::W4),
+            Access::new(&b, Width::W8),
+            Access::new(&c, Width::W8),
+        );
         // W4 at offset 0 overlaps W8 at offset 2 in the same iteration.
-        assert!(streams_overlap(&a, 4, &b, 8, 0));
-        assert!(streams_overlap(&b, 8, &a, 4, 0));
+        assert!(alias::overlap_at(&a, &b, WRAP, 0));
+        assert!(alias::overlap_at(&b, &a, WRAP, 0));
         // Disjoint arrays never overlap.
-        let c = wrap_stream(1 << 20, 0, 16);
-        assert!(!streams_overlap(&a, 4, &c, 8, 0));
+        assert!(!alias::overlap_at(&a, &c, WRAP, 0));
     }
 
     #[test]

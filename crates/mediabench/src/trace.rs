@@ -548,7 +548,6 @@ impl Trace {
         let mut suite = Suite::new(self.name.clone(), self.interleave);
         for tk in &self.kernels {
             let mut b = DdgBuilder::new();
-            let mut mem_ops: Vec<(NodeId, MemId)> = Vec::new();
             let mut profile_streams: Vec<(MemId, AddressStream)> = Vec::new();
             let mut exec_streams: Vec<(MemId, AddressStream)> = Vec::new();
             let mut last_load: Option<NodeId> = None;
@@ -566,7 +565,6 @@ impl Trace {
                         let mem = b.graph().node(node).mem_id().expect("mem op");
                         profile_streams.push((mem, m.profile.to_stream()));
                         exec_streams.push((mem, m.exec.to_stream()));
-                        mem_ops.push((node, mem));
                     }
                     TraceOp::Arith { fp, count, depth } => {
                         let kind = if *fp { OpKind::FpAlu } else { OpKind::IntAlu };
@@ -592,20 +590,11 @@ impl Trace {
                     }
                 }
             }
-            let mut ddg = b.finish();
-            let exec_map: std::collections::BTreeMap<MemId, AddressStream> =
-                exec_streams.iter().cloned().collect();
-            let width_map: std::collections::BTreeMap<MemId, u64> = mem_ops
-                .iter()
-                .map(|&(n, m)| (m, ddg.node(n).mem.expect("mem op").width.bytes()))
-                .collect();
-            let lookup = |m: MemId| (exec_map[&m].clone(), width_map[&m]);
-            add_true_mem_deps(&mut ddg, &mem_ops, &lookup);
-
-            let mut kernel = LoopKernel::new(tk.name.clone(), ddg, tk.trip);
+            let mut kernel = LoopKernel::new(tk.name.clone(), b.finish(), tk.trip);
             kernel.invocations = tk.invocations;
             kernel.profile.extend(profile_streams);
             kernel.exec.extend(exec_streams);
+            add_true_mem_deps(&mut kernel);
             suite.kernels.push(kernel);
         }
         suite

@@ -23,9 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use distvliw_arch::MachineConfig;
-use distvliw_core::cachekey::{
-    cell_key_from_fingerprint, digest_fingerprint, suite_digest, CacheKey,
-};
+use distvliw_core::cachekey::{cell_key_from_encoded, digest_fingerprint, suite_digest, CacheKey};
 use distvliw_core::experiments::Cell;
 use distvliw_core::{
     par, Heuristic, IiSeedStore, Pipeline, PipelineError, PipelineOptions, Solution,
@@ -283,15 +281,12 @@ impl ServeEngine {
         self.figure_names.iter().filter_map(|name| self.suite(name))
     }
 
-    /// Runs a batch of cells through cache → single-flight → pipeline
-    /// (results in input order). Every key is looked up under one cache
-    /// lock, so hits resolve inline; only the misses fan out over the
-    /// resident pool (`DISTVLIW_THREADS` caps the width), and a batch
-    /// with at most one miss never leaves the calling thread. Each miss
-    /// runs its suite's kernels serially, and identical cells — within
-    /// this batch or across concurrent requests — are computed once.
-    #[must_use]
-    pub fn run_cells(&self, cells: &[Cell<'_>]) -> Vec<CellResult> {
+    /// The cache key of every cell of a batch, with the batch's
+    /// distinct suites and each cell's index into them.
+    fn batch_keys<'a>(
+        &self,
+        cells: &[Cell<'a>],
+    ) -> (Vec<BatchSuite<'a>>, Vec<usize>, Vec<CacheKey>) {
         // Each distinct suite's fingerprint, once per batch: a bundled
         // suite's was precomputed, and a foreign suite (e.g.
         // re-interleaved for a /matrix override) digests on the spot.
@@ -319,19 +314,42 @@ impl ServeEngine {
                 });
             suite_of.push(d);
         }
+        // Each distinct machine's encoding, once per batch: a figure's
+        // cells share one machine, a sweep's a handful.
+        let mut machines: Vec<(&MachineConfig, Vec<u8>)> = Vec::new();
         let keys: Vec<CacheKey> = cells
             .iter()
             .zip(&suite_of)
             .map(|(cell, &d)| {
-                cell_key_from_fingerprint(
+                let m = machines
+                    .iter()
+                    .position(|(m, _)| std::ptr::eq(*m, cell.machine))
+                    .unwrap_or_else(|| {
+                        machines.push((cell.machine, cell.machine.canonical_bytes()));
+                        machines.len() - 1
+                    });
+                cell_key_from_encoded(
                     &distinct[d].fingerprint,
-                    cell.machine,
+                    &machines[m].1,
                     &self.cells.options,
                     cell.solution,
                     cell.heuristic,
                 )
             })
             .collect();
+        (distinct, suite_of, keys)
+    }
+
+    /// Runs a batch of cells through cache → single-flight → pipeline
+    /// (results in input order). Every key is looked up under one cache
+    /// lock, so hits resolve inline; only the misses fan out over the
+    /// resident pool (`DISTVLIW_THREADS` caps the width), and a batch
+    /// with at most one miss never leaves the calling thread. Each miss
+    /// runs its suite's kernels serially, and identical cells — within
+    /// this batch or across concurrent requests — are computed once.
+    #[must_use]
+    pub fn run_cells(&self, cells: &[Cell<'_>]) -> Vec<CellResult> {
+        let (mut distinct, suite_of, keys) = self.batch_keys(cells);
         let mut found: Vec<Option<CellResult>> = {
             let mut span = distvliw_obs::Span::enter("cache_lookup");
             let mut cache = self.cells.cache.lock().expect("cache lock");
@@ -637,6 +655,46 @@ mod tests {
         // Computed usage is the cell's own per-cluster usage.
         let stats = cold.as_ref().as_ref().unwrap();
         assert_eq!(s.cluster, stats.cluster);
+    }
+
+    #[test]
+    fn batch_keys_equal_cell_key_on_a_mixed_machine_grid() {
+        let engine = engine();
+        let m2 = engine.machine().clone().with_interleave(2);
+        let m3 = engine.machine().clone().with_interleave(2); // equal to m2, another address
+        let foreign = engine.suite("gsmdec").unwrap().clone();
+        let suites = [
+            engine.suite("gsmdec").unwrap(),
+            engine.suite("rasta").unwrap(),
+            &foreign,
+        ];
+        let mut cells = Vec::new();
+        for machine in [engine.machine(), &m2, engine.machine(), &m3] {
+            for suite in suites {
+                for solution in [Solution::Mdc, Solution::Ddgt] {
+                    cells.push(Cell {
+                        suite,
+                        machine,
+                        solution,
+                        heuristic: Heuristic::MinComs,
+                    });
+                }
+            }
+        }
+        let (_, _, keys) = engine.batch_keys(&cells);
+        let want: Vec<CacheKey> = cells
+            .iter()
+            .map(|c| {
+                distvliw_core::cachekey::cell_key(
+                    c.suite,
+                    c.machine,
+                    &PipelineOptions::default(),
+                    c.solution,
+                    c.heuristic,
+                )
+            })
+            .collect();
+        assert_eq!(keys, want);
     }
 
     #[test]
