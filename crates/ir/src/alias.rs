@@ -26,10 +26,9 @@
 //!   and subtracted.
 //! * indexed × affine: the same congruence once per table entry,
 //!   restricted to the iterations that read that entry.
-//! * indexed × indexed: a walk over `min(trip − d, lcm(la, lb))` phases
-//!   with two wrapping cursors, or, once the trip covers every phase and
-//!   the walk would be longer than the tables, a sort-and-sweep of the
-//!   entries grouped by their residue modulo `gcd(la, lb)`.
+//! * indexed × indexed: for [`overlap_at`], a walk over
+//!   `min(trip − d, lcm(la, lb))` phases with two wrapping cursors; for
+//!   [`overlap_any`], a sort-and-sweep of the entries the trip reads.
 //!
 //! Every cost is bounded by the stream descriptions, never by the trip.
 
@@ -143,10 +142,7 @@ pub fn overlap_at(a: &Access<'_>, b: &Access<'_>, trip: u64, d: u64) -> bool {
                 lo: lo_b,
                 hi: hi_b,
             },
-        ) => {
-            let top = hi_a.max(hi_b) > SPACE;
-            lo_a < hi_b && lo_b < hi_a && tables_at(ta, wa, tb, wb, n, d, top)
-        }
+        ) => lo_a < hi_b && lo_b < hi_a && tables_at(ta, wa, tb, wb, n, d),
     }
 }
 
@@ -187,14 +183,7 @@ pub fn overlap_any(a: &Access<'_>, b: &Access<'_>, trip: u64) -> bool {
                 hi: hi_b,
             },
         ) => {
-            lo_a < hi_b
-                && lo_b < hi_a
-                && classes_meet(
-                    read_by(ta, trip).iter().map(|&x| (0, x)),
-                    wa,
-                    read_by(tb, trip).iter().map(|&y| (0, y)),
-                    wb,
-                )
+            lo_a < hi_b && lo_b < hi_a && entries_meet(read_by(ta, trip), wa, read_by(tb, trip), wb)
         }
     }
 }
@@ -423,54 +412,20 @@ fn floor_sum(mut n: u128, mut m: u128, mut a: u128, mut b: u128) -> u128 {
     }
 }
 
-/// `ta[i mod la]` against `tb[(i + d) mod lb]` over the iterations
-/// `i < n`; `top` says whether some entry's range crosses 2^64.
-fn tables_at(ta: &[u64], wa: u64, tb: &[u64], wb: u64, n: u64, d: u64, top: bool) -> bool {
+/// `ta[i mod la]` (width `wa`) against `tb[(i + d) mod lb]` (width `wb`)
+/// over the iterations `i < n`. The phase pair repeats every
+/// `lcm(la, lb)` iterations, so at most that many are walked. The
+/// cursors advance in runs that end where one wraps, so each run
+/// compares two contiguous slices without a branch or a division.
+fn tables_at(ta: &[u64], wa: u64, tb: &[u64], wb: u64, n: u64, d: u64) -> bool {
     let (la, lb) = (ta.len() as u64, tb.len() as u64);
-    let g = if la == lb { la } else { gcd(la, lb) };
-    let lcm = u128::from(la / g) * u128::from(lb);
-    if u128::from(n) >= lcm && lcm > u128::from(la + lb) {
-        // Every phase pair runs: entry p of a meets entry q of b at some
-        // iteration exactly when p ≡ q − d (mod g).
-        let shift = g - d % g;
-        return classes_meet(
-            ta.iter().enumerate().map(|(p, &x)| (p as u64 % g, x)),
-            wa,
-            tb.iter()
-                .enumerate()
-                .map(|(q, &y)| ((q as u64 + shift) % g, y)),
-            wb,
-        );
-    }
-    let phases = u128::from(n).min(lcm) as usize;
-    let start = if d < lb { d } else { d % lb } as usize;
-    if top {
-        walk(ta, tb, start, phases, |x, y| bytes_meet(x, wa, y, wb))
-    } else {
-        // With no range crossing the top of the address space, testing
-        // the offset y − x modulo 2^64 is exact.
-        walk(ta, tb, start, phases, |x, y| {
-            y.wrapping_sub(x).wrapping_add(wb - 1) < wa + wb - 1
-        })
-    }
-}
-
-/// Whether `meet(ta[i mod la], tb[(start + i) mod lb])` for some
-/// `i < phases`. The cursors advance in runs that end where one wraps,
-/// so each run compares two contiguous slices without a branch or a
-/// division.
-fn walk(
-    ta: &[u64],
-    tb: &[u64],
-    start: usize,
-    phases: usize,
-    meet: impl Fn(u64, u64) -> bool,
-) -> bool {
-    let (mut pa, mut pb, mut left) = (0, start, phases);
+    let lcm = u128::from(la / gcd(la, lb)) * u128::from(lb);
+    let (mut pa, mut pb) = (0, (d % lb) as usize);
+    let mut left = u128::from(n).min(lcm) as usize;
     while left > 0 {
         let run = (ta.len() - pa).min(tb.len() - pb).min(left);
         let pairs = ta[pa..pa + run].iter().zip(&tb[pb..pb + run]);
-        if pairs.fold(false, |hit, (&x, &y)| hit | meet(x, y)) {
+        if pairs.fold(false, |hit, (&x, &y)| hit | bytes_meet(x, wa, y, wb)) {
             return true;
         }
         left -= run;
@@ -486,24 +441,18 @@ fn walk(
     false
 }
 
-/// Whether some `(class, x)` of `a` and `(class, y)` of `b` with the same
-/// class have intersecting byte ranges: both sides sorted, then swept.
-fn classes_meet(
-    a: impl Iterator<Item = (u64, u64)>,
-    wa: u64,
-    b: impl Iterator<Item = (u64, u64)>,
-    wb: u64,
-) -> bool {
-    let mut a: Vec<(u64, u64)> = a.collect();
-    let mut b: Vec<(u64, u64)> = b.collect();
+/// Whether some `x` of `a` (width `wa`) and `y` of `b` (width `wb`) have
+/// intersecting byte ranges: both sides sorted, then swept.
+fn entries_meet(a: &[u64], wa: u64, b: &[u64], wb: u64) -> bool {
+    let (mut a, mut b) = (a.to_vec(), b.to_vec());
     a.sort_unstable();
     b.sort_unstable();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        let ((ca, x), (cb, y)) = (a[i], b[j]);
-        if ca < cb || (ca == cb && u128::from(x) + u128::from(wa) <= u128::from(y)) {
+        let (x, y) = (a[i], b[j]);
+        if u128::from(x) + u128::from(wa) <= u128::from(y) {
             i += 1;
-        } else if cb < ca || u128::from(y) + u128::from(wb) <= u128::from(x) {
+        } else if u128::from(y) + u128::from(wb) <= u128::from(x) {
             j += 1;
         } else {
             return true;
@@ -602,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn coprime_tables_take_the_sweep_and_agree_with_the_walk() {
+    fn coprime_table_walks_match_whole_trip_enumeration() {
         let mut rng = Mix(7);
         for _ in 0..2_000 {
             let (la, lb) = (5 + rng.below(4) as usize, 9 + rng.below(4) as usize);
@@ -613,8 +562,8 @@ mod tests {
                 AddressStream::Indexed(tb.into()),
             );
             let (xa, xb) = (Access::with_bytes(&a, 4), Access::with_bytes(&b, 2));
-            // Trip 200 covers every phase pair (lcm ≤ 96), so the sweep
-            // decides; the enumeration is the reference.
+            // Trip 200 covers every phase pair (lcm ≤ 96), so the walk
+            // stops at the lcm; the enumeration is the reference.
             for d in 0..=3 {
                 assert_eq!(overlap_at(&xa, &xb, 200, d), brute_at(&a, 4, &b, 2, 200, d));
             }
