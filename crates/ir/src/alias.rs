@@ -11,9 +11,11 @@
 //!   which `a(i)` and `b(i + d)` touch a common byte? Dependence
 //!   discovery asks it once per ordered pair of sites and distance.
 //! * [`overlap_any`]: do any two iterations `i, j < trip` touch a common
-//!   byte? Code specialization (paper §6) asks it once per memory edge.
+//!   byte? Code specialization (paper §6) asks it once per memory edge,
+//!   and the simulator's hazard precheck once per cross-cluster
+//!   (store, load) pair, with both widths padded by one byte.
 //!
-//! Ranges intersect exactly when `b − a` is one of the at most 15
+//! Ranges intersect exactly when `b − a` is one of the at most 31
 //! offsets `1 − wb ..= wa − 1` the widths allow, so each question is a
 //! small number of exact subproblems:
 //!
@@ -73,8 +75,15 @@ impl<'s> Access<'s> {
         Access::with_bytes(stream, width.bytes())
     }
 
-    fn with_bytes(stream: &'s AddressStream, width: u64) -> Self {
-        debug_assert!((1..=8).contains(&width), "access widths are 1 to 8 bytes");
+    /// A site accessing `width` bytes at the addresses of `stream`, for a
+    /// caller that widens an access beyond the machine's own widths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an indexed `stream` has an empty table.
+    #[must_use]
+    pub fn with_bytes(stream: &'s AddressStream, width: u64) -> Self {
+        debug_assert!((1..=16).contains(&width), "access widths are 1 to 16 bytes");
         let shape = match stream {
             AddressStream::Affine { base, stride } => Shape::Affine {
                 base: *base,
@@ -526,7 +535,7 @@ mod tests {
         let (mut at_hits, mut any_hits) = (0, 0);
         for case in 0..20_000 {
             let (a, b) = (tiny_stream(&mut rng), tiny_stream(&mut rng));
-            let (wa, wb) = (1 + rng.below(8), 1 + rng.below(8));
+            let (wa, wb) = (1 + rng.below(9), 1 + rng.below(9));
             let n = 1 + rng.below(24); // shorter and longer than the tables
             let (xa, xb) = (Access::with_bytes(&a, wa), Access::with_bytes(&b, wb));
             for d in 0..=3 {

@@ -32,4 +32,4 @@ mod violation;
 pub use engine::{register_metrics, simulate_kernel, simulate_kernel_detailed, SimOptions};
 pub use memsys::{AccessResult, BatchAccess, MemorySystem, ResourcePool, SubblockCache};
 pub use stats::{AccessCounts, ClusterCounts, ClusterUsage, SimStats};
-pub use violation::{hazard_possible, SiteRange, ViolationDetector};
+pub use violation::ViolationDetector;

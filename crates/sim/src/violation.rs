@@ -32,17 +32,11 @@ use crate::stats::ClusterCounts;
 /// Tracking granule in bytes (the smallest access width).
 const GRANULE: u64 = 2;
 
-/// The inclusive granule interval that accesses of `width` bytes starting
-/// anywhere in `[lo, hi]` touch. The last byte saturates at the top of
-/// the address space, so an access there never wraps to an empty range.
-fn granule_span(lo: u64, hi: u64, width: u64) -> (u64, u64) {
-    (lo / GRANULE, hi.saturating_add(width.max(1) - 1) / GRANULE)
-}
-
-/// The granules a `[addr, addr + width)` access touches.
+/// The granules a `[addr, addr + width)` access touches. The last byte
+/// saturates at the top of the address space, so an access there never
+/// wraps to an empty range.
 fn granules(addr: u64, width: u64) -> impl Iterator<Item = u64> {
-    let (first, last) = granule_span(addr, addr, width);
-    first..=last
+    addr / GRANULE..=addr.saturating_add(width.max(1) - 1) / GRANULE
 }
 
 /// Sliding window of recent accesses remembered per address; loop kernels
@@ -115,54 +109,6 @@ impl Window {
         self.records[slot] = Record { po, time };
         self.clusters[slot] = cluster;
     }
-}
-
-/// One scheduled memory site summarized for [`hazard_possible`]: the
-/// address interval it can touch across the simulated iterations and the
-/// cluster it issues from (`None` when the issuing cluster depends on the
-/// address, i.e. a DDGT home-gated store).
-#[derive(Debug, Clone, Copy)]
-pub struct SiteRange {
-    /// Store (true) or load (false).
-    pub is_store: bool,
-    /// The issuing cluster, when statically known.
-    pub cluster: Option<usize>,
-    /// Smallest byte address the site can access.
-    pub lo_addr: u64,
-    /// Largest byte address the site can access.
-    pub hi_addr: u64,
-    /// Access width in bytes.
-    pub width: u64,
-}
-
-impl SiteRange {
-    /// The inclusive granule interval this site can touch.
-    fn granule_range(&self) -> (u64, u64) {
-        granule_span(self.lo_addr, self.hi_addr, self.width)
-    }
-}
-
-/// Whether any (load, store) pair of `sites` could race: their granule
-/// intervals overlap and they can issue from different clusters (a gated
-/// store's cluster is address-dependent, so it conflicts with any load).
-/// When this returns `false`, running the detector is provably a no-op —
-/// same-cluster pairs are exempt and disjoint granules never meet in one
-/// window — so the engine can skip recording entirely and still report
-/// byte-identical (zero) violation counts.
-#[must_use]
-pub fn hazard_possible(sites: &[SiteRange]) -> bool {
-    sites.iter().filter(|s| s.is_store).any(|store| {
-        let (slo, shi) = store.granule_range();
-        sites.iter().filter(|s| !s.is_store).any(|load| {
-            let (llo, lhi) = load.granule_range();
-            let overlap = slo <= lhi && llo <= shi;
-            let cross_cluster = match (store.cluster, load.cluster) {
-                (Some(s), Some(l)) => s != l,
-                _ => true,
-            };
-            overlap && cross_cluster
-        })
-    })
 }
 
 /// The store and load windows of one granule, stored together so each

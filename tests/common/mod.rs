@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use distvliw::arch::{AccessClass, MachineConfig};
-use distvliw::core::{par, Pipeline, PipelineOptions, Solution};
+use distvliw::core::{cachekey, par, Pipeline, PipelineOptions, Solution};
 use distvliw::ir::Suite;
 use distvliw::sched::{Heuristic, SchedStats, Schedule};
 use distvliw::sim::SimStats;
@@ -117,12 +117,7 @@ pub fn schedule_fingerprint(s: &Schedule) -> u64 {
             c.producer, c.from_cluster, c.to_cluster, c.start
         );
     }
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in text.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01B3);
-    }
-    hash
+    cachekey::fnv1a64(text.as_bytes())
 }
 
 /// One snapshot line: every *pinned* counter of [`SimStats`], spelled
