@@ -13,7 +13,7 @@ use crate::latency::LatencyClass;
 pub const CANONICAL_BYTES_VERSION: u8 = 2;
 
 /// Version of [`MachineConfig::sched_canonical_bytes`]; bump when the
-/// scheduler starts reading a new field. The in-memory II-seed store
+/// scheduler starts reading a new field. The in-memory schedule memo's
 /// keys embed this projection; it is also part of the serving layer's
 /// durable-state era, next to [`CANONICAL_BYTES_VERSION`].
 pub const SCHED_CANONICAL_BYTES_VERSION: u8 = 1;

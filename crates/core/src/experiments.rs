@@ -83,10 +83,11 @@ pub fn per_suite_rows<R>(
 /// Cells sharing a suite, solution, heuristic and scheduler projection
 /// ([`MachineConfig::sched_canonical_bytes`] at the suite's interleave)
 /// form one compile unit. A unit is compiled once
-/// ([`Pipeline::compile_suite`]) on a fresh pipeline, so no unit's II
-/// seeds warm another's, and each of its cells replays the artifact on
-/// its own machine ([`Pipeline::simulate_artifact`]). Units fan out over
-/// [`par::par_map`], largest cluster count (costliest search) first.
+/// ([`Pipeline::compile_suite`]) on a fresh pipeline, so no unit's
+/// schedule memo warms another's, and each of its cells replays the
+/// artifact on its own machine ([`Pipeline::simulate_artifact`]). Units
+/// fan out over [`par::par_map`], largest cluster count (costliest
+/// search) first.
 ///
 /// # Errors
 ///

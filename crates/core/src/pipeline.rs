@@ -8,7 +8,9 @@ use std::sync::{Arc, Mutex};
 use distvliw_arch::MachineConfig;
 use distvliw_coherence::{find_chains, transform, SchedConstraints};
 use distvliw_ir::{profile::preferred_clusters, Ddg, LoopKernel, Suite};
-use distvliw_sched::{Heuristic, ModuloScheduler, SchedStats, Schedule, ScheduleError};
+use distvliw_sched::{
+    Heuristic, ModuloScheduler, SchedStats, Schedule, ScheduleError, SearchRecord,
+};
 use distvliw_sim::{simulate_kernel_detailed, ClusterUsage, SimOptions, SimStats};
 
 use crate::cachekey;
@@ -195,12 +197,12 @@ pub struct KernelRun {
 /// surfaces.
 ///
 /// These are *effort* numbers, not pure functions of the inputs: a
-/// pipeline whose II-seed store is warm (an earlier run of the same
+/// pipeline whose schedule memo is warm (an earlier run of the same
 /// configuration on the same `Pipeline` instance) legitimately reports
-/// fewer attempts and a nonzero `seeded_kernels` while producing the
-/// byte-identical schedule. Compare effort across runs only from a
-/// fresh `Pipeline` (as `experiments::run_direct` does for every
-/// compile unit).
+/// the effort of a search seeded at the remembered II — fewer attempts
+/// and a nonzero `seeded_kernels` — for the byte-identical schedule.
+/// Compare effort across runs only from a fresh `Pipeline` (as
+/// `experiments::run_direct` does for every compile unit).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedTotals {
     /// Placement attempts across all kernels.
@@ -312,54 +314,66 @@ pub struct SuiteArtifact {
     pub kernels: Vec<KernelArtifact>,
 }
 
-/// Profile-guided II seeds: achieved IIs recorded per full scheduling
-/// configuration (machine, graph, constraints, profile, heuristic), fed
-/// back so a repeat search opens just under the recorded II instead of
-/// re-scanning from the MII. Shared across the pipeline's clones and
-/// threads; the scheduler is deterministic, so a warm seed reproduces
-/// the cold result exactly while skipping the provably re-failing IIs.
-/// The store lives in memory and lasts one process: a schedule is a
-/// pure function of its key, so nothing about it needs to persist. It
-/// holds at most `SEED_STORE_CAPACITY` (65,536) seeds and starts over when a
-/// new one would exceed that, so a daemon fed endless distinct machines
-/// stays bounded; losing seeds costs search effort, never a schedule
-/// byte.
+/// One solved scheduling problem: the schedule and the pass-by-pass
+/// record of the search that found it.
+type Solved = Arc<(Schedule, SearchRecord)>;
+
+/// The schedule memo: every successful search, stored under the full
+/// configuration of its scheduling problem (machine projection, graph,
+/// constraints, profile, heuristic — see `seed_key`), so a repeat of
+/// the problem skips the scheduler altogether. The scheduler is
+/// deterministic, so a stored schedule is byte for byte the one a
+/// repeat search would find. A hit reports the stats a search seeded
+/// with the stored II would ([`SearchRecord::stats`] at that II), so the
+/// effort a pipeline reports does not depend on whether a repeat ran or
+/// was remembered. Shared across the pipeline's clones and threads; it
+/// lives in memory and lasts one process, since a schedule is a pure
+/// function of its key. It holds at most `MEMO_CAPACITY` entries and
+/// starts over when a new one would exceed that, so a daemon fed
+/// endless distinct machines stays bounded; losing entries costs
+/// search time, never a schedule byte.
 #[derive(Debug, Default)]
-pub struct IiSeedStore {
-    map: Mutex<HashMap<[u8; 16], u32>>,
+pub struct ScheduleMemo {
+    map: Mutex<HashMap<[u8; 16], Solved>>,
 }
 
-impl IiSeedStore {
-    /// An empty store.
+impl ScheduleMemo {
+    /// An empty memo.
     #[must_use]
     pub fn new() -> Self {
-        IiSeedStore::default()
+        ScheduleMemo::default()
     }
 
-    fn get(&self, key: [u8; 16]) -> Option<u32> {
+    fn get(&self, key: [u8; 16]) -> Option<Solved> {
         self.map
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get(&key)
-            .copied()
+            .cloned()
     }
 
-    fn record(&self, key: [u8; 16], ii: u32) {
+    fn record(&self, key: [u8; 16], solved: Solved) {
         let mut map = self
             .map
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if map.len() >= SEED_STORE_CAPACITY && !map.contains_key(&key) {
+        if map.len() >= MEMO_CAPACITY && !map.contains_key(&key) {
             map.clear();
         }
-        map.insert(key, ii);
+        map.insert(key, solved);
     }
 }
 
-/// The most seeds an [`IiSeedStore`] holds: far above the few thousand
-/// distinct scheduling problems any figure, sweep or bench workload
-/// compiles, at about 2 MB.
-const SEED_STORE_CAPACITY: usize = 1 << 16;
+/// The most entries a [`ScheduleMemo`] holds. An entry costs about
+/// 180 bytes of map slot, `Arc` and fixed fields, about 34 bytes per
+/// scheduled op (its `BTreeMap` entry), 24 per copy and 32 per II the
+/// search tried. Over every problem the bundled suites pose on the
+/// figure, NOBAL and sweep machines (660 distinct) that averages about
+/// 3 KB, and the largest (a 613-op DDGT graph) is about 37 KB: a full
+/// memo holds about 6 MB of typical entries and stays under about
+/// 75 MB even if every entry were the largest. 2048 is still about three
+/// times the problems the whole catalog poses.
+const MEMO_CAPACITY: usize = 1 << 11;
 
 /// The full-configuration key of one scheduling problem. Everything the
 /// scheduler's output depends on is encoded — the machine's *scheduler
@@ -369,10 +383,9 @@ const SEED_STORE_CAPACITY: usize = 1 << 16;
 /// topology (the same `op_tag`/`dep_tag` encoding the result-cache
 /// digest uses), constraints, profile preferences, heuristic and
 /// options — then compressed to the cache layer's 128-bit two-FNV
-/// fingerprint, so a seed is never replayed against a different problem
-/// (a replayed seed above the victim's optimal II would silently return
-/// a worse schedule, which is why a single 64-bit hash is not enough
-/// here either).
+/// fingerprint, so a memo entry is never returned for a different
+/// problem (it would be a schedule of another graph, which is why a
+/// single 64-bit hash is not enough here either).
 fn seed_key(
     machine: &MachineConfig,
     ddg: &Ddg,
@@ -429,8 +442,9 @@ fn seed_key(
 pub struct Pipeline {
     machine: MachineConfig,
     options: PipelineOptions,
-    /// Profile-guided II seeds, shared by all clones of this pipeline.
-    seeds: Arc<IiSeedStore>,
+    /// Solved scheduling problems, shared by all clones of this
+    /// pipeline.
+    memo: Arc<ScheduleMemo>,
 }
 
 impl Pipeline {
@@ -445,7 +459,7 @@ impl Pipeline {
         Pipeline {
             machine,
             options: PipelineOptions::default(),
-            seeds: Arc::new(IiSeedStore::new()),
+            memo: Arc::new(ScheduleMemo::new()),
         }
     }
 
@@ -456,13 +470,14 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the II-seed store with a shared one. The scheduler is
-    /// deterministic, so a warm store changes only search *effort*
-    /// (fewer `iis_tried`, a nonzero `seeded_at`), never a schedule
-    /// byte — pinned by `warm_seed_store_reproduces_cold_run`.
+    /// Replaces the schedule memo with a shared one. The scheduler is
+    /// deterministic, so a warm memo changes only the search *effort*
+    /// reported (that of a seeded search: fewer `iis_tried`, a nonzero
+    /// `seeded_at`), never a schedule byte — pinned by
+    /// `warm_memo_reproduces_cold_run`.
     #[must_use]
-    pub fn with_seed_store(mut self, seeds: Arc<IiSeedStore>) -> Self {
-        self.seeds = seeds;
+    pub fn with_memo(mut self, memo: Arc<ScheduleMemo>) -> Self {
+        self.memo = memo;
         self
     }
 
@@ -579,9 +594,10 @@ impl Pipeline {
             Solution::Hybrid => unreachable!("hybrid is not compiled"),
         };
 
-        // Cluster-aware modulo scheduling, seeded with the II a prior
-        // run of this exact configuration achieved (if any) and feeding
-        // the achieved II back for the next one.
+        // Cluster-aware modulo scheduling, or the schedule a prior run
+        // of this exact configuration found. A hit reports the stats of
+        // a search seeded at the remembered II, as a repeat search
+        // would, and counts them the same way.
         let key = seed_key(
             machine,
             &kernel.ddg,
@@ -590,15 +606,28 @@ impl Pipeline {
             heuristic,
             self.options.relax_latencies,
         );
-        let (schedule, sched): (Schedule, SchedStats) = ModuloScheduler::new(machine)
-            .with_latency_relaxation(self.options.relax_latencies)
-            .with_ii_seed(self.seeds.get(key))
-            .schedule_with_stats(&kernel.ddg, &constraints, &prefs, heuristic)
-            .map_err(|error| PipelineError::Schedule {
-                kernel: kernel.name.clone(),
-                error,
-            })?;
-        self.seeds.record(key, schedule.ii);
+        let memoized = self.memo.get(key);
+        span.field_str("memo", if memoized.is_some() { "hit" } else { "miss" });
+        let (schedule, sched) = match memoized {
+            Some(solved) => {
+                let (schedule, record) = &*solved;
+                let stats = record.stats(Some(record.ii));
+                distvliw_sched::count_schedule(&stats, true);
+                (schedule.clone(), stats)
+            }
+            None => {
+                let (schedule, record) = ModuloScheduler::new(machine)
+                    .with_latency_relaxation(self.options.relax_latencies)
+                    .schedule_with_record(&kernel.ddg, &constraints, &prefs, heuristic)
+                    .map_err(|error| PipelineError::Schedule {
+                        kernel: kernel.name.clone(),
+                        error,
+                    })?;
+                let stats = record.stats(None);
+                self.memo.record(key, Arc::new((schedule.clone(), record)));
+                (schedule, stats)
+            }
+        };
         span.field_u64("ii", u64::from(schedule.ii));
 
         // Translation validation: re-verify the schedule from first
@@ -856,38 +885,79 @@ mod tests {
         assert!(ii_spec <= ii_plain, "II {ii_spec} vs {ii_plain}");
     }
 
-    #[test]
-    fn warm_seed_store_reproduces_cold_run() {
-        // A pipeline handed another run's seed store must produce
-        // byte-identical schedules and simulations — only the search
-        // *effort* may differ (fewer IIs tried, nonzero seeded counts).
-        let suite = distvliw_mediabench::suite("gsmdec").unwrap();
-        let seeds = Arc::new(IiSeedStore::new());
-        let cold = Pipeline::new(machine())
-            .with_seed_store(seeds.clone())
-            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
-            .unwrap();
+    /// Runs `f` under a fresh trace sink and counts the searches that
+    /// ran (`sched.schedule` spans) and the compiles the memo answered
+    /// (`compile` spans with `memo=hit`).
+    fn traced<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+        use distvliw_obs::trace::{self, FieldValue, TraceCtx};
+        let sink = trace::TraceSink::new();
+        let out = trace::with_ctx(TraceCtx::for_sink(&sink), f);
+        let (records, dropped) = sink.take();
+        assert_eq!(dropped, 0);
+        let searches = records
+            .iter()
+            .filter(|r| r.name == "sched.schedule")
+            .count();
+        let hits = records
+            .iter()
+            .filter(|r| r.name == "compile")
+            .filter(|r| {
+                r.fields
+                    .contains(&("memo", FieldValue::Str("hit".to_string())))
+            })
+            .count();
+        (out, searches, hits)
+    }
 
-        let warm_pipeline = Pipeline::new(machine()).with_seed_store(seeds);
-        let warm = warm_pipeline
-            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
-            .unwrap();
-        assert_eq!(warm.total, cold.total);
-        assert_eq!(warm.cluster, cold.cluster);
-        for (w, c) in warm.kernels.iter().zip(&cold.kernels) {
-            assert_eq!(w.name, c.name);
-            assert_eq!(w.ii, c.ii, "{}", w.name);
-            assert_eq!(w.span, c.span, "{}", w.name);
-            assert_eq!(w.static_comm_ops, c.static_comm_ops, "{}", w.name);
-            assert_eq!(w.stats, c.stats, "{}", w.name);
-            assert!(
-                w.sched.iis_tried <= c.sched.iis_tried,
-                "{}: a warm search never tries more IIs",
-                w.name
+    /// Asserts that two runs of one suite produced the same schedules
+    /// and the same simulations.
+    fn assert_same_runs(a: &SuiteStats, b: &SuiteStats) {
+        assert_eq!(a.total, b.total);
+        assert_eq!(a.cluster, b.cluster);
+        for (x, y) in a.kernels.iter().zip(&b.kernels) {
+            assert_eq!(x.name, y.name);
+            assert_eq!(
+                (x.ii, x.span, x.static_comm_ops, &x.stats),
+                (y.ii, y.span, y.static_comm_ops, &y.stats),
+                "{}",
+                x.name
             );
         }
-        // The warm run re-recorded identical seeds: a second warm run
-        // searches exactly like the first.
+    }
+
+    #[test]
+    fn warm_memo_reproduces_cold_run() {
+        // A pipeline handed another run's memo schedules nothing and
+        // produces byte-identical schedules and simulations. Only the
+        // reported search *effort* differs: that of a search seeded at
+        // the remembered II.
+        let suite = distvliw_mediabench::suite("gsmdec").unwrap();
+        let memo = Arc::new(ScheduleMemo::new());
+        let (cold, searched, _) = traced(|| {
+            Pipeline::new(machine())
+                .with_memo(memo.clone())
+                .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+                .unwrap()
+        });
+        assert_eq!(searched, memo.map.lock().unwrap().len());
+
+        let warm_pipeline = Pipeline::new(machine()).with_memo(memo);
+        let (warm, searched, hits) = traced(|| {
+            warm_pipeline
+                .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+                .unwrap()
+        });
+        assert_eq!((searched, hits), (0, suite.kernels.len()));
+        assert_same_runs(&warm, &cold);
+        for (w, c) in warm.kernels.iter().zip(&cold.kernels) {
+            assert!(
+                w.sched.iis_tried <= c.sched.iis_tried,
+                "{}: a seeded search never tries more IIs",
+                w.name
+            );
+            assert!(w.sched.placement_attempts <= c.sched.placement_attempts);
+        }
+        // Every later hit reports the same effort.
         let again = warm_pipeline
             .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
             .unwrap();
@@ -897,70 +967,70 @@ mod tests {
     }
 
     #[test]
-    fn a_full_seed_store_clears_and_keeps_seeding() {
+    fn a_full_memo_clears_and_refills() {
         let suite = distvliw_mediabench::suite("gsmdec").unwrap();
-        let seeds = Arc::new(IiSeedStore::new());
+        let memo = Arc::new(ScheduleMemo::new());
         let run = || {
-            Pipeline::new(machine())
-                .with_seed_store(seeds.clone())
-                .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
-                .unwrap()
+            traced(|| {
+                Pipeline::new(machine())
+                    .with_memo(memo.clone())
+                    .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+                    .unwrap()
+            })
         };
-        let len = || seeds.map.lock().unwrap().len();
+        let len = || memo.map.lock().unwrap().len();
         let foreign = |i: usize| {
             let mut key = [0xa5; 16];
             key[..8].copy_from_slice(&(i as u64).to_le_bytes());
             key
         };
-        let cold = run();
-        // Fill the store with other problems: its own seeds survive.
-        for i in len()..SEED_STORE_CAPACITY {
-            seeds.record(foreign(i), 1);
+        let (cold, distinct, _) = run();
+        assert_eq!(distinct, len());
+        // Fill the memo with other problems: its own entries survive.
+        let filler = memo.map.lock().unwrap().values().next().unwrap().clone();
+        for i in len()..MEMO_CAPACITY {
+            memo.record(foreign(i), filler.clone());
         }
-        assert_eq!(len(), SEED_STORE_CAPACITY);
-        let warm = run();
-        assert_eq!(len(), SEED_STORE_CAPACITY, "re-recorded keys do not clear");
-        // One more problem starts the store over.
-        seeds.record(foreign(SEED_STORE_CAPACITY), 1);
+        assert_eq!(len(), MEMO_CAPACITY);
+        let (warm, searched, _) = run();
+        assert_eq!(searched, 0, "every problem is remembered");
+        assert_eq!(len(), MEMO_CAPACITY, "hits do not clear");
+        // One more problem starts the memo over.
+        memo.record(foreign(MEMO_CAPACITY), filler);
         assert_eq!(len(), 1);
-        let cleared = run();
-        let reseeded = run();
+        let (cleared, searched, _) = run();
+        assert_eq!(searched, distinct, "a cleared memo searches again");
+        assert_eq!(len(), distinct + 1);
+        let (refilled, searched, _) = run();
+        assert_eq!(searched, 0);
+        for other in [&warm, &cleared, &refilled] {
+            assert_same_runs(other, &cold);
+        }
         for (i, c) in cold.kernels.iter().enumerate() {
-            for other in [&warm, &cleared, &reseeded] {
-                let k = &other.kernels[i];
-                assert_eq!(
-                    (k.ii, k.span, &k.stats),
-                    (c.ii, c.span, &c.stats),
-                    "{}",
-                    c.name
-                );
-                assert_eq!(k.static_comm_ops, c.static_comm_ops, "{}", c.name);
-            }
-            // With its seeds gone the search is the cold one, and the
-            // next run is seeded again.
+            // With its entries gone the search is the cold one, and the
+            // next run hits again.
             assert_eq!(cleared.kernels[i].sched, c.sched, "{}", c.name);
             assert_eq!(
-                reseeded.kernels[i].sched, warm.kernels[i].sched,
+                refilled.kernels[i].sched, warm.kernels[i].sched,
                 "{}",
                 c.name
             );
         }
-        assert_eq!(cleared.total, cold.total);
     }
 
     #[test]
-    fn seeds_shared_across_sim_only_machine_variants() {
-        // The seed key embeds the machine's *scheduler projection*
+    fn memo_shared_across_sim_only_machine_variants() {
+        // The memo key embeds the machine's *scheduler projection*
         // (`sched_canonical_bytes`), not the full canonical encoding, so
         // a machine differing only in a simulation field — memory-bus
-        // count here — resumes the II search from the other variant's
-        // seeds. epicenc/MDC schedules its chained kernel well above the
-        // MII, which makes the resumption observable as a nonzero
+        // count here — takes the other variant's schedules without a
+        // search. epicenc/MDC schedules its chained kernel well above
+        // the MII, so a hit reports a seeded search: a nonzero
         // `seeded_kernels`.
         let suite = distvliw_mediabench::suite("epicenc").unwrap();
-        let seeds = Arc::new(IiSeedStore::new());
+        let memo = Arc::new(ScheduleMemo::new());
         let cold = Pipeline::new(machine())
-            .with_seed_store(seeds.clone())
+            .with_memo(memo.clone())
             .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
             .unwrap();
         assert_eq!(cold.sched.seeded_kernels, 0, "cold run has no seeds");
@@ -971,26 +1041,23 @@ mod tests {
 
         let mut variant = machine();
         variant.mem_buses.count += 1;
-        let warm_pipeline = Pipeline::new(variant).with_seed_store(seeds);
-        let warm = warm_pipeline
-            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
-            .unwrap();
+        let warm_pipeline = Pipeline::new(variant).with_memo(memo);
+        let (warm, searched, hits) = traced(|| {
+            warm_pipeline
+                .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+                .unwrap()
+        });
+        assert_eq!((searched, hits), (0, suite.kernels.len()));
         assert!(
             warm.sched.seeded_kernels > 0,
-            "the bus variant must resume from the other variant's seeds"
+            "a hit reports the search seeded at the remembered II"
         );
-        // Seeding changes search effort only: the schedules themselves
-        // are identical (the simulation differs — more buses).
+        // The schedules are identical (the simulation differs — more
+        // buses).
         for (w, c) in warm.kernels.iter().zip(&cold.kernels) {
             assert_eq!(w.ii, c.ii, "{}", w.name);
             assert_eq!(w.span, c.span, "{}", w.name);
             assert_eq!(w.static_comm_ops, c.static_comm_ops, "{}", w.name);
-        }
-        let again = warm_pipeline
-            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
-            .unwrap();
-        for (a, w) in again.kernels.iter().zip(&warm.kernels) {
-            assert_eq!(a.sched, w.sched, "{}", w.name);
         }
     }
 

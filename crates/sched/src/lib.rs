@@ -45,4 +45,6 @@ mod scheduler;
 
 pub use mrt::Mrt;
 pub use schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp};
-pub use scheduler::{register_metrics, Heuristic, ModuloScheduler};
+pub use scheduler::{
+    count_schedule, register_metrics, Heuristic, ModuloScheduler, SearchRecord, SEED_II_SLACK,
+};

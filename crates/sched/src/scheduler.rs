@@ -49,11 +49,19 @@ use crate::mrt::Mrt;
 use crate::pressure::{range_cost, PressureCtx};
 use crate::schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp};
 
-/// Slack subtracted from a profile-provided II seed before the search
-/// opens: covers small graph drift between the run that recorded the
-/// seed and the current one, while still skipping the (deterministically
-/// re-failing) II range below it.
-const SEED_II_SLACK: u32 = 2;
+/// Slack subtracted from an II seed before the search opens: covers
+/// small graph drift between the run that recorded the seed and the
+/// current one, while still skipping the (deterministically re-failing)
+/// II range below it.
+pub const SEED_II_SLACK: u32 = 2;
+
+/// The II a search seeded with `seed` opens at, when the seed applies:
+/// `seed − SEED_II_SLACK`, and only when that is strictly above the MII
+/// (the bound stays sound).
+fn seed_opening(seed: Option<u32>, mii: u32) -> Option<u32> {
+    seed.map(|s| s.saturating_sub(SEED_II_SLACK))
+        .filter(|&start| start > mii)
+}
 
 /// The raised load-latency classes phase 2 tries, largest first.
 const RELAXED_CLASSES: [LatencyClass; 3] = [
@@ -115,6 +123,7 @@ struct Metrics {
     placement_attempts: Counter,
     ejections: Counter,
     seeded: Counter,
+    memo_hits: Counter,
     failures: Counter,
 }
 
@@ -145,6 +154,10 @@ fn metrics() -> &'static Metrics {
                 "sched_seeded_schedules_total",
                 "Schedules whose II search opened from a stored seed",
             ),
+            memo_hits: reg.counter(
+                "sched_memo_hits_total",
+                "Schedules served from the pipeline's schedule memo without a search",
+            ),
             failures: reg.counter(
                 "sched_schedule_failures_total",
                 "schedule() calls returning an error",
@@ -157,6 +170,80 @@ fn metrics() -> &'static Metrics {
 /// zero), so an exposition lists them before the first schedule.
 pub fn register_metrics() {
     metrics();
+}
+
+/// Counts one successful schedule into the `sched_*` effort families:
+/// a search that just ran (`memoized` false) and a schedule a memo
+/// returns in place of one (`memoized` true, also counted in
+/// `sched_memo_hits_total`) count the same way, at the effort their
+/// [`SchedStats`] report. Only a search that ran records
+/// `sched_schedule_duration_us`.
+pub fn count_schedule(stats: &SchedStats, memoized: bool) {
+    let metrics = metrics();
+    metrics.schedules.inc();
+    metrics.iis_tried.add(u64::from(stats.iis_tried));
+    metrics.placement_attempts.add(stats.placement_attempts);
+    metrics.ejections.add(stats.ejections);
+    metrics.seeded.add(u64::from(stats.seeded_at.is_some()));
+    metrics.memo_hits.add(u64::from(memoized));
+}
+
+/// What one search did, pass by pass: the effort of each phase-1
+/// placement pass, one per II from the II it opened at up to the one
+/// that placed, and the effort of the phase-2 latency assignment at that
+/// II. A pass at one II never depends on another II's pass, so the
+/// search a seed opens higher up does exactly this record's passes from
+/// its opening on: [`SearchRecord::stats`] reports any such search
+/// without running it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SearchRecord {
+    /// The achieved initiation interval.
+    pub ii: u32,
+    /// The lower bound of the search (see [`SchedStats::mii`]).
+    pub mii: u32,
+    /// The II the recorded search opened at.
+    opened_at: u32,
+    /// One entry per phase-1 pass, for IIs `opened_at..=ii`.
+    passes: Vec<SearchCounters>,
+    /// Every phase-2 trial at `ii`.
+    relax: SearchCounters,
+}
+
+impl SearchRecord {
+    /// The [`SchedStats`] a search of this problem opened from `seed`
+    /// reports — the one definition of a search's telemetry, for a
+    /// search that ran ([`ModuloScheduler::schedule_with_stats`]) and for
+    /// one a memo answers from this record. A seed whose opening lies
+    /// above the achieved II opens no search this record describes, and
+    /// is reported unseeded (so the empty graph's trivial schedule, which
+    /// searches nothing, ignores every seed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the seed opens below the II this record's own search
+    /// opened at: those passes were never run.
+    #[must_use]
+    pub fn stats(&self, seed: Option<u32>) -> SchedStats {
+        let seeded_at = seed_opening(seed, self.mii).filter(|&start| start <= self.ii);
+        let open = seeded_at.unwrap_or(self.mii);
+        let skipped = open
+            .checked_sub(self.opened_at)
+            .expect("a record reports only the passes its search ran");
+        let passes = &self.passes[skipped as usize..];
+        let mut stats = SchedStats {
+            ii: self.ii,
+            mii: self.mii,
+            iis_tried: u32::try_from(passes.len()).expect("one pass per II"),
+            seeded_at,
+            ..SchedStats::default()
+        };
+        for pass in passes.iter().chain([&self.relax]) {
+            stats.placement_attempts += pass.attempts;
+            stats.ejections += pass.ejections;
+            stats.max_reg_pressure = stats.max_reg_pressure.max(pass.max_pressure);
+        }
+        stats
+    }
 }
 
 /// Modulo scheduler for one machine configuration.
@@ -189,12 +276,12 @@ impl<'m> ModuloScheduler<'m> {
 
     /// Seeds the II search with a previously achieved II for this
     /// (graph, constraints, heuristic) configuration: the search opens
-    /// at `seed − 2` (clamped to the MII), skipping the II range a prior
-    /// deterministic run already proved unplaceable. An accurate seed
-    /// reproduces the unseeded result exactly (the skipped IIs would
-    /// fail again identically); callers must key seeds by the full
-    /// configuration, since a seed recorded for a *different* graph
-    /// could mask a lower feasible II.
+    /// at `seed −` [`SEED_II_SLACK`] (clamped to the MII), skipping
+    /// the II range a prior deterministic run already proved
+    /// unplaceable. An accurate seed reproduces the unseeded schedule
+    /// exactly (the skipped IIs would fail again identically); callers
+    /// must key seeds by the full configuration, since a seed recorded
+    /// for a *different* graph could mask a lower feasible II.
     #[must_use]
     pub fn with_ii_seed(mut self, seed: Option<u32>) -> Self {
         self.ii_seed = seed;
@@ -221,9 +308,8 @@ impl<'m> ModuloScheduler<'m> {
 
     /// Like [`ModuloScheduler::schedule`], additionally returning the
     /// search telemetry ([`SchedStats`]): attempts, ejections, the MII
-    /// and the seed that applied. The pipeline records the achieved II
-    /// per configuration and feeds it back via
-    /// [`ModuloScheduler::with_ii_seed`].
+    /// and the seed that applied — [`SearchRecord::stats`] of the search
+    /// at this scheduler's seed.
     ///
     /// # Errors
     ///
@@ -235,6 +321,28 @@ impl<'m> ModuloScheduler<'m> {
         prefs: &PrefMap,
         heuristic: Heuristic,
     ) -> Result<(Schedule, SchedStats), ScheduleError> {
+        self.schedule_with_record(ddg, constraints, prefs, heuristic)
+            .map(|(schedule, record)| (schedule, record.stats(self.ii_seed)))
+    }
+
+    /// Like [`ModuloScheduler::schedule`], additionally returning the
+    /// pass-by-pass [`SearchRecord`] of the search, from which
+    /// [`SearchRecord::stats`] derives the telemetry of this search and
+    /// of any search of the same problem a seed opens higher up. The
+    /// pipeline's schedule memo stores it next to the schedule. The
+    /// search is timed in `sched_schedule_duration_us` and counted into
+    /// the other `sched_*` families at this scheduler's seed.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`ModuloScheduler::schedule`].
+    pub fn schedule_with_record(
+        &self,
+        ddg: &Ddg,
+        constraints: &SchedConstraints,
+        prefs: &PrefMap,
+        heuristic: Heuristic,
+    ) -> Result<(Schedule, SearchRecord), ScheduleError> {
         let start = std::time::Instant::now();
         let mut span = distvliw_obs::Span::enter("sched.schedule");
         span.field_u64("nodes", ddg.node_count() as u64);
@@ -242,16 +350,13 @@ impl<'m> ModuloScheduler<'m> {
         let metrics = metrics();
         metrics.duration.record_micros(start.elapsed());
         match &result {
-            Ok((_, stats)) => {
+            Ok((_, record)) => {
+                let stats = record.stats(self.ii_seed);
                 span.field_u64("ii", u64::from(stats.ii));
                 span.field_u64("mii", u64::from(stats.mii));
                 span.field_u64("iis_tried", u64::from(stats.iis_tried));
                 span.field_u64("ejections", stats.ejections);
-                metrics.schedules.inc();
-                metrics.iis_tried.add(u64::from(stats.iis_tried));
-                metrics.placement_attempts.add(stats.placement_attempts);
-                metrics.ejections.add(stats.ejections);
-                metrics.seeded.add(u64::from(stats.seeded_at.is_some()));
+                count_schedule(&stats, false);
             }
             Err(_) => {
                 span.field_str("error", "unschedulable");
@@ -267,7 +372,7 @@ impl<'m> ModuloScheduler<'m> {
         constraints: &SchedConstraints,
         prefs: &PrefMap,
         heuristic: Heuristic,
-    ) -> Result<(Schedule, SchedStats), ScheduleError> {
+    ) -> Result<(Schedule, SearchRecord), ScheduleError> {
         let min_ii = constraints.min_ii.max(1);
         if ddg.has_zero_distance_cycle() {
             return Err(ScheduleError::InvalidGraph);
@@ -283,10 +388,12 @@ impl<'m> ModuloScheduler<'m> {
                     span: min_ii,
                     n_clusters: self.machine.n_clusters,
                 },
-                SchedStats {
+                SearchRecord {
                     ii: min_ii,
                     mii: min_ii,
-                    ..SchedStats::default()
+                    opened_at: min_ii,
+                    passes: Vec::new(),
+                    relax: SearchCounters::default(),
                 },
             ));
         }
@@ -320,14 +427,7 @@ impl<'m> ModuloScheduler<'m> {
         }
         // Seed from a prior run of this configuration, keeping the
         // bound sound (never below the MII).
-        let seeded_at = match self.ii_seed {
-            Some(seed) => {
-                let start = seed.saturating_sub(SEED_II_SLACK);
-                (start > mii0).then_some(start)
-            }
-            None => None,
-        };
-        let start_ii = seeded_at.unwrap_or(mii0);
+        let start_ii = seed_opening(self.ii_seed, mii0).unwrap_or(mii0);
         // MDC chains can serialize all memory ops of a chain in one
         // cluster, inflating the achievable II up to n_clusters × ResMII.
         let max_ii = mii0
@@ -336,18 +436,21 @@ impl<'m> ModuloScheduler<'m> {
             .saturating_add(32)
             .max(start_ii);
 
-        // One ejecting pass per II; `used_eject` records whether it had
-        // to force a node at the II it placed. The priority order depends
-        // only on the latency assignment, not the II: compute it once for
-        // the whole II search.
-        let mut counters = SearchCounters::default();
+        // One ejecting pass per II, each counted on its own;
+        // `used_eject` records whether it had to force a node at the II
+        // it placed. The priority order depends only on the latency
+        // assignment, not the II: compute it once for the whole II
+        // search.
+        let mut passes: Vec<SearchCounters> = Vec::new();
         let order = priority_order(ddg, &dense, &lat);
         let mut found: Option<(u32, Placement, bool)> = None;
         for ii in start_ii..=max_ii {
-            counters.iis_tried += 1;
             let mut trial_span = distvliw_obs::Span::enter("sched.ii_trial");
             trial_span.field_u64("ii", u64::from(ii));
-            if let Some((p, forced)) = self.try_place(ctx, &lat, &order, ii, true, &mut counters) {
+            let mut pass = SearchCounters::default();
+            let placed = self.try_place(ctx, &lat, &order, ii, true, &mut pass);
+            passes.push(pass);
+            if let Some((p, forced)) = placed {
                 trial_span.field_str("outcome", if forced { "ejected" } else { "placed" });
                 found = Some((ii, p, forced));
                 break;
@@ -358,8 +461,8 @@ impl<'m> ModuloScheduler<'m> {
             return Err(ScheduleError::NoFeasibleIi {
                 mii: mii0,
                 max_tried: max_ii,
-                attempts: counters.attempts,
-                first_blocked: counters.first_blocked,
+                attempts: passes.iter().map(|p| p.attempts).sum(),
+                first_blocked: passes.last().and_then(|p| p.first_blocked),
             });
         };
         let span_budget = best.span.saturating_add(4 * ii0);
@@ -367,6 +470,7 @@ impl<'m> ModuloScheduler<'m> {
         // Phase 2: cache-sensitive latency assignment — raise load
         // latencies as far as compute time (II and schedule length)
         // allows.
+        let mut relax = SearchCounters::default();
         if self.relax_latencies && !classes.is_empty() {
             // One trial moves `moved` to `class` and re-places at `ii0`,
             // keeping the placement if its span fits the budget — compute
@@ -385,7 +489,7 @@ impl<'m> ModuloScheduler<'m> {
                 let lat = self.cycles_of(classes);
                 if rec_solver.feasible_at(&lat, ii0) {
                     let order = priority_order(ddg, &dense, &lat);
-                    let placed = self.try_place(ctx, &lat, &order, ii0, eject, &mut counters);
+                    let placed = self.try_place(ctx, &lat, &order, ii0, eject, &mut relax);
                     if let Some((p, _)) = placed.filter(|(p, _)| p.span <= span_budget) {
                         best = p;
                         return true;
@@ -426,14 +530,12 @@ impl<'m> ModuloScheduler<'m> {
             }
         }
 
-        let stats = SchedStats {
+        let record = SearchRecord {
             ii: ii0,
             mii: mii0,
-            iis_tried: counters.iis_tried,
-            placement_attempts: counters.attempts,
-            ejections: counters.ejections,
-            seeded_at,
-            max_reg_pressure: counters.max_pressure,
+            opened_at: start_ii,
+            passes,
+            relax,
         };
         let mut schedule = Schedule {
             ii: ii0,
@@ -461,7 +563,7 @@ impl<'m> ModuloScheduler<'m> {
             let perm = best_physical_mapping(ddg, &schedule, prefs, self.machine.n_clusters);
             schedule.permute_clusters(&perm);
         }
-        Ok((schedule, stats))
+        Ok((schedule, record))
     }
 
     fn cycles_of(&self, classes: &NodeMap<LatencyClass>) -> NodeMap<u32> {
@@ -540,19 +642,17 @@ impl<'m> ModuloScheduler<'m> {
     }
 }
 
-/// Accumulated search telemetry, shared by every pass of one
-/// `schedule_with_stats` call.
-#[derive(Debug, Default, PartialEq)]
+/// The effort of one phase-1 placement pass, or of every phase-2 trial
+/// of one search: a [`SearchRecord`] entry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SearchCounters {
     /// Candidate `(cluster, cycle)` commit trials.
     attempts: u64,
     /// Ops evicted by the ejecting passes.
     ejections: u64,
-    /// IIs attempted.
-    iis_tried: u32,
     /// Peak accepted per-cluster register pressure.
     max_pressure: u32,
-    /// First unplaceable node of the most recent failed pass.
+    /// The node a failed pass could not place.
     first_blocked: Option<NodeId>,
 }
 

@@ -9,9 +9,9 @@
 //! cells under one cache lock, so hits resolve inline on the calling
 //! thread; only the misses fan out, over the resident pool of
 //! [`distvliw_core::par`] — the one fan-out a request makes. A miss runs
-//! as an owned pool job, so the state it touches (cache, flight, seed
-//! store, persistence, counters) lives behind one `Arc` inside the
-//! engine. Every figure endpoint runs the cell list its experiment
+//! as an owned pool job, so the state it touches (cache, flight,
+//! schedule memo, persistence, counters) lives behind one `Arc` inside
+//! the engine. Every figure endpoint runs the cell list its experiment
 //! defines in `distvliw_core::experiments`, so results are shared
 //! *between* endpoints too (Figure 6 and Figure 7 reuse each other's
 //! MDC/DDGT-PrefClus runs).
@@ -26,7 +26,7 @@ use distvliw_arch::MachineConfig;
 use distvliw_core::cachekey::{cell_key_from_encoded, digest_fingerprint, suite_digest, CacheKey};
 use distvliw_core::experiments::Cell;
 use distvliw_core::{
-    par, Heuristic, IiSeedStore, Pipeline, PipelineError, PipelineOptions, Solution,
+    par, Heuristic, Pipeline, PipelineError, PipelineOptions, ScheduleMemo, Solution,
 };
 use distvliw_ir::Suite;
 use distvliw_sim::ClusterUsage;
@@ -98,8 +98,9 @@ pub struct EngineStats {
     pub deduped_requests: u64,
     /// Per-cluster usage aggregated over every computed cell.
     pub cluster: ClusterUsage,
-    /// Kernels whose II search started from a profitable seed recorded
-    /// earlier in this process (summed over computed cells).
+    /// Kernels whose reported search opened at a profitable II seed:
+    /// a schedule memo hit reports the search seeded at the remembered
+    /// II (summed over computed cells).
     pub seeded_kernels: u64,
     /// Persistence counters, when the engine runs with a state dir.
     pub persist: Option<PersistStats>,
@@ -126,10 +127,11 @@ struct CellStore {
     options: PipelineOptions,
     cache: Mutex<ResultCache<CellResult>>,
     flight: SingleFlight<CellResult>,
-    /// One shared II-seed store for every pipeline this engine spawns,
-    /// so a cell computed on one machine variant seeds the II search of
-    /// scheduler-equivalent variants. It lives in memory only.
-    seeds: Arc<IiSeedStore>,
+    /// One shared schedule memo for every pipeline this engine spawns,
+    /// so each distinct scheduling problem is searched once per process,
+    /// whichever cell, endpoint or scheduler-equivalent machine variant
+    /// needs it. It lives in memory only.
+    memo: Arc<ScheduleMemo>,
     persist: Option<Mutex<PersistState>>,
     usage: Mutex<ClusterUsage>,
     computed: AtomicU64,
@@ -190,7 +192,7 @@ impl ServeEngine {
                 options: PipelineOptions::default(),
                 cache: Mutex::new(ResultCache::new(cache_capacity)),
                 flight: SingleFlight::new(),
-                seeds: Arc::new(IiSeedStore::new()),
+                memo: Arc::new(ScheduleMemo::new()),
                 persist: None,
                 usage: Mutex::new(ClusterUsage::default()),
                 computed: AtomicU64::new(0),
@@ -219,8 +221,8 @@ impl ServeEngine {
     /// Attaches durable state under `dir` (created if missing): the
     /// cell cache replays `cells.log` (a tombstone drops its key), and
     /// the log is kept current as the engine runs (see [`CellLog`] for
-    /// its appends and amortized compaction; fsync on flush). The II
-    /// seed store is not persisted: after a restart a cell miss
+    /// its appends and amortized compaction; fsync on flush). The
+    /// schedule memo is not persisted: after a restart a cell miss
     /// searches cold. A corrupt or stale log is recovered, never
     /// fatal — see [`PersistStats`] for what was kept.
     ///
@@ -457,7 +459,7 @@ impl CellStore {
             }
             let pipeline = Pipeline::new(miss.machine.clone())
                 .with_options(self.options)
-                .with_seed_store(self.seeds.clone());
+                .with_memo(self.memo.clone());
             let result: CellResult =
                 Arc::new(pipeline.run_suite(&miss.suite, miss.solution, miss.heuristic));
             if let Ok(stats) = result.as_ref() {

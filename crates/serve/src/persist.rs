@@ -5,8 +5,8 @@
 //! [`distvliw_core::cachekey::cell_key`] bytes). Schedules do not
 //! persist: a schedule is a pure compile-time function of the loop,
 //! the coherence solution and the machine, and a cell already holds
-//! every result its schedules produced, so the pipeline's II-seed store
-//! ([`distvliw_core::IiSeedStore`]) lives in memory for one process.
+//! every result its schedules produced, so the pipeline's schedule memo
+//! ([`distvliw_core::ScheduleMemo`]) lives in memory for one process.
 //! The cell log uses this log-structured format (see
 //! `docs/persistence.md` for the spec):
 //!

@@ -189,11 +189,11 @@ fn sigkilled_daemon_restarts_with_warm_cache() {
 
     // A fresh cell key (memory-bus count is a simulation-only override,
     // so the cache misses) with an unchanged scheduler projection. In
-    // the first life jpegenc/DDGT (part of the /fig7 grid) recorded II
-    // seeds that this cell would resume from, and it schedules above
-    // MII + slack, so a seed would show. The seed store does not
-    // survive the restart, and the warm figures scheduled nothing, so
-    // the search starts cold.
+    // the first life jpegenc/DDGT (part of the /fig7 grid) solved the
+    // scheduling problems this cell poses, and it schedules above
+    // MII + slack, so a schedule memo hit would show as a seeded
+    // kernel. The memo does not survive the restart, and the warm
+    // figures scheduled nothing, so the search starts cold.
     let resp = client::post(
         &daemon.base,
         "/matrix",

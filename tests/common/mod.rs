@@ -32,7 +32,8 @@ pub struct Config {
     pub relax: bool,
     /// The schedule the pipeline emitted.
     pub schedule: Schedule,
-    /// The scheduler's search effort for that schedule (cold seed store).
+    /// The scheduler's search effort for that schedule (empty schedule
+    /// memo).
     pub sched: SchedStats,
     /// The simulated statistics of the schedule.
     pub stats: SimStats,
@@ -58,7 +59,7 @@ pub fn compile_grid(machine: &MachineConfig, suite: &Suite, relaxes: &[bool]) ->
 /// with `check: true` — so the independent checker verifies every
 /// schedule and fails the compile on any violation, whatever the build
 /// profile — once per (solution, heuristic, relax) cell, each on a
-/// fresh pipeline (a cold II-seed store), and replays each compiled
+/// fresh pipeline (an empty schedule memo), and replays each compiled
 /// suite. The cells fan out over `core::par`. Returns one [`Config`]
 /// per (kernel, cell), kernel-major.
 pub fn compile_cells(

@@ -17,7 +17,7 @@ use distvliw::ir::{
     AddressStream, Ddg, DdgBuilder, DepKind, FuClass, LoopKernel, NodeId, OpKind, PrefMap, Width,
 };
 use distvliw::mediabench::eject_stress_kernel;
-use distvliw::sched::{Heuristic, ModuloScheduler, Mrt, Schedule};
+use distvliw::sched::{Heuristic, ModuloScheduler, Mrt, Schedule, SEED_II_SLACK};
 use distvliw::sim::{simulate_kernel, SimOptions};
 use proptest::prelude::*;
 
@@ -276,6 +276,46 @@ fn ejection_beats_restart_on_pinned_memory_chains() {
     }
 }
 
+/// Asserts the warm-seed property for one problem: for every seed from
+/// 0 to the cold II + [`SEED_II_SLACK`], the seeded search returns the
+/// cold schedule, and its stats are exactly what the cold search's
+/// `SearchRecord` derives for that seed — the stats a schedule memo
+/// hit reports.
+fn assert_record_predicts_seeded_searches(
+    machine: &MachineConfig,
+    ddg: &Ddg,
+    constraints: &SchedConstraints,
+    prefs: &PrefMap,
+    heuristic: Heuristic,
+) -> Result<(), TestCaseError> {
+    let (cold, record) = ModuloScheduler::new(machine)
+        .schedule_with_record(ddg, constraints, prefs, heuristic)
+        .expect("cold search schedules");
+    for seed in (0..=cold.ii + SEED_II_SLACK).map(Some).chain([None]) {
+        let (warm, stats) = ModuloScheduler::new(machine)
+            .with_ii_seed(seed)
+            .schedule_with_stats(ddg, constraints, prefs, heuristic)
+            .expect("seeded search schedules");
+        prop_assert_eq!(
+            &warm,
+            &cold,
+            "seed {:?}: a seed must not change the schedule",
+            seed
+        );
+        prop_assert_eq!(record.stats(seed), stats, "seed {:?}", seed);
+        prop_assert_eq!(
+            stats.seeded_at,
+            seed.map(|s| s.saturating_sub(SEED_II_SLACK))
+                .filter(|&s| s > stats.mii)
+        );
+        prop_assert_eq!(
+            stats.iis_tried,
+            cold.ii - stats.seeded_at.unwrap_or(stats.mii) + 1
+        );
+    }
+    Ok(())
+}
+
 #[test]
 fn ii_seed_reproduces_the_cold_search_with_less_work() {
     // Seeding with the achieved II must reproduce the exact same
@@ -291,6 +331,14 @@ fn ii_seed_reproduces_the_cold_search_with_less_work() {
         Some(cold.ii.saturating_sub(2)).filter(|&s| s > warm_stat.mii)
     );
     assert!(warm_stat.placement_attempts <= cold_stat.placement_attempts);
+    assert_record_predicts_seeded_searches(
+        &machine,
+        &kernel.ddg,
+        &constraints,
+        &prefs,
+        Heuristic::PrefClus,
+    )
+    .unwrap();
 }
 
 proptest! {
@@ -368,6 +416,33 @@ proptest! {
                     "{n_clusters}-cluster ejection MRT violation: {e}"
                 )));
             }
+        }
+    }
+
+    #[test]
+    fn search_record_predicts_every_seeded_search(case in arb_case()) {
+        // The schedule memo answers a repeat problem from the cold
+        // search's record: for every random kernel, under MDC
+        // colocation (which lifts IIs above the MII, so seeds apply) and
+        // DDGT, at every swept scale, each seeded search must be the
+        // record's suffix exactly.
+        let (kernel, n_clusters) = case;
+        let machine = sweep_machine(
+            &MachineConfig::paper_baseline(),
+            n_clusters,
+            MachineConfig::paper_baseline().mem_buses,
+        );
+        let chains = find_chains(&kernel.ddg);
+        let mdc = SchedConstraints::for_mdc(&chains, &kernel.ddg, None, n_clusters);
+        let mut ddgt = kernel.ddg.clone();
+        let ddgt_constraints = SchedConstraints::for_ddgt(&transform(&mut ddgt, n_clusters));
+        for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
+            assert_record_predicts_seeded_searches(
+                &machine, &kernel.ddg, &mdc, &PrefMap::new(), heuristic,
+            )?;
+            assert_record_predicts_seeded_searches(
+                &machine, &ddgt, &ddgt_constraints, &PrefMap::new(), heuristic,
+            )?;
         }
     }
 
