@@ -148,8 +148,7 @@ impl std::error::Error for PipelineError {
     }
 }
 
-/// Pipeline configuration. The pipeline always simulates with
-/// [`SimOptions::default`]; a caller that wants paper Section 6 code
+/// Pipeline configuration. A caller that wants paper Section 6 code
 /// specialization passes kernels through
 /// [`distvliw_coherence::specialize_kernel`] first.
 #[derive(Debug, Clone, Copy)]
@@ -488,37 +487,44 @@ impl Pipeline {
     }
 
     /// Compiles and simulates every kernel of `suite` under the given
-    /// solution and heuristic. The machine's interleaving factor is set
-    /// from the suite (paper Table 1).
+    /// solution and heuristic: [`Pipeline::compile_suite`], then
+    /// [`Pipeline::simulate_artifact`]. The machine's interleaving factor
+    /// is set from the suite (paper Table 1). [`Solution::Hybrid`] runs
+    /// MDC and DDGT and keeps the cheaper run of each loop
+    /// ([`derive_hybrid`]).
     ///
     /// One suite run is one cell of an experiment grid, so its kernels
     /// run in order on the calling thread; the two cell executors fan
     /// out over cells instead ([`crate::experiments::run_direct`], which
-    /// splits a cell into [`Pipeline::compile_suite`] and
-    /// [`Pipeline::simulate_artifact`] to compile each distinct schedule
-    /// once, and the serving layer's `run_cells`).
+    /// compiles each distinct schedule once and replays it per cell, and
+    /// the serving layer's `run_cells`).
     ///
     /// # Errors
     ///
-    /// Returns the first kernel (in suite order) that fails validation or
-    /// scheduling; later kernels are not run.
+    /// Returns the first kernel (in suite order, MDC before DDGT for the
+    /// hybrid) that fails validation or scheduling; nothing is
+    /// simulated then.
     pub fn run_suite(
         &self,
         suite: &Suite,
         solution: Solution,
         heuristic: Heuristic,
     ) -> Result<SuiteStats, PipelineError> {
-        let machine = self.machine.clone().with_interleave(suite.interleave_bytes);
-        let runs = suite
-            .kernels
-            .iter()
-            .map(|kernel| self.run_kernel_on(&machine, kernel, solution, heuristic))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(merge_runs(&suite.name, runs))
+        if solution == Solution::Hybrid {
+            let mdc = self.run_suite(suite, Solution::Mdc, heuristic)?;
+            let ddgt = self.run_suite(suite, Solution::Ddgt, heuristic)?;
+            return Ok(derive_hybrid(&mdc, &ddgt));
+        }
+        Ok(self.simulate_artifact(&self.compile_suite(suite, solution, heuristic)?))
     }
 
     /// Compiles and simulates a single kernel with the pipeline's machine
     /// (using its configured interleave).
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Solution::Hybrid`], as [`Pipeline::compile_suite`]
+    /// does: the hybrid is a selection over whole MDC and DDGT runs.
     ///
     /// # Errors
     ///
@@ -529,28 +535,12 @@ impl Pipeline {
         solution: Solution,
         heuristic: Heuristic,
     ) -> Result<KernelRun, PipelineError> {
-        self.run_kernel_on(&self.machine, kernel, solution, heuristic)
-    }
-
-    fn run_kernel_on(
-        &self,
-        machine: &MachineConfig,
-        kernel: &LoopKernel,
-        solution: Solution,
-        heuristic: Heuristic,
-    ) -> Result<KernelRun, PipelineError> {
-        // The hybrid works loop by loop: compile and estimate both
-        // solutions, keep the cheaper (paper Section 6; the estimate is
-        // our cycle-level model, standing in for the paper's compile-time
-        // cost model).
-        if solution == Solution::Hybrid {
-            let mdc = self.run_kernel_on(machine, kernel, Solution::Mdc, heuristic)?;
-            let ddgt = self.run_kernel_on(machine, kernel, Solution::Ddgt, heuristic)?;
-            return Ok(if mdc_wins(&mdc, &ddgt) { mdc } else { ddgt });
-        }
-
-        let artifact = self.compile_kernel_on(machine, kernel, solution, heuristic)?;
-        Ok(self.simulate_kernel_artifact(machine, &artifact))
+        assert!(
+            solution != Solution::Hybrid,
+            "hybrid is derived from MDC and DDGT runs, not compiled"
+        );
+        let artifact = self.compile_kernel_on(&self.machine, kernel, solution, heuristic)?;
+        Ok(self.simulate_kernel_artifact(&self.machine, &artifact))
     }
 
     /// The compile phase for one kernel: validation, the profile and
@@ -564,7 +554,6 @@ impl Pipeline {
         solution: Solution,
         heuristic: Heuristic,
     ) -> Result<KernelArtifact, PipelineError> {
-        debug_assert!(solution != Solution::Hybrid, "hybrid is not compiled");
         let mut span = distvliw_obs::Span::enter("compile");
         span.field_str("kernel", kernel.name.clone());
         kernel.validate().map_err(|e| PipelineError::Kernel {
@@ -671,12 +660,8 @@ impl Pipeline {
     ) -> KernelRun {
         let mut span = distvliw_obs::Span::enter("sim");
         span.field_str("kernel", artifact.kernel.name.clone());
-        let (stats, cluster) = simulate_kernel_detailed(
-            machine,
-            &artifact.kernel,
-            &artifact.schedule,
-            SimOptions::default(),
-        );
+        let (stats, cluster) =
+            simulate_kernel_detailed(machine, &artifact.kernel, &artifact.schedule, SimOptions);
         KernelRun {
             name: artifact.kernel.name.clone(),
             ii: artifact.schedule.ii,
@@ -773,10 +758,12 @@ fn merge_runs(name: &str, kernels: Vec<KernelRun>) -> SuiteStats {
 
 /// Derives the per-loop hybrid (paper Section 6) from the pure MDC and
 /// DDGT runs of the same suite: kernel by kernel, the cheaper run wins
-/// (ties go to MDC, matching `Pipeline::run_suite(Hybrid)`), and the
-/// winners fold into suite statistics exactly like a direct hybrid run.
-/// Shared by the factored sweep and the serving layer's `GET /sweep` so
-/// neither re-compiles or re-simulates anything for the hybrid rows.
+/// (ties go to MDC), and the winners fold into suite statistics. The
+/// estimate is the cycle-level model, standing in for the paper's
+/// compile-time cost model. This is the one definition of the hybrid:
+/// `Pipeline::run_suite(Hybrid)` calls it, and so do the factored sweep
+/// and the serving layer's `GET /sweep`, which re-compile and
+/// re-simulate nothing for the hybrid rows.
 ///
 /// # Panics
 ///
@@ -1059,6 +1046,26 @@ mod tests {
             assert_eq!(w.span, c.span, "{}", w.name);
             assert_eq!(w.static_comm_ops, c.static_comm_ops, "{}", w.name);
         }
+    }
+
+    #[test]
+    fn kernels_past_the_limits_fail_validation() {
+        let mut suite = distvliw_mediabench::suite("gsmdec").unwrap();
+        suite.kernels[1].invocations = 1 << 62;
+        let err = Pipeline::new(machine())
+            .run_suite(&suite, Solution::Hybrid, Heuristic::PrefClus)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PipelineError::Kernel {
+                kernel: suite.kernels[1].name.clone(),
+                error: format!(
+                    "kernel invocations {} exceeds the limit {}",
+                    1u64 << 62,
+                    distvliw_ir::MAX_INVOCATIONS
+                ),
+            }
+        );
     }
 
     #[test]

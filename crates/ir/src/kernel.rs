@@ -131,6 +131,39 @@ impl Extend<(MemId, AddressStream)> for MemImage {
     }
 }
 
+/// Largest trip count [`LoopKernel::validate`] accepts (every bundled
+/// kernel runs at most 256 iterations).
+///
+/// The three kernel limits keep every simulation counter of an accepted
+/// kernel below 2^63, so even compute + stall cycles fit a `u64`. The
+/// simulator walks one invocation and multiplies by `invocations`. With
+/// `C = distvliw_arch::MAX_CLUSTERS` (64) and `L =
+/// distvliw_arch::MAX_LATENCY` (1024 cycles):
+///
+/// * One iteration issues fewer than `2 · ops · C` events: the DDGT pass
+///   replicates each store once per cluster (at most `ops · C` nodes),
+///   and a schedule copies each produced value at most once to each
+///   other cluster (fewer than `ops · C` copies; stores produce none).
+/// * Compute cycles are `(trip − 1) · II + span < trip · 2^32`, since a
+///   schedule's II and span are `u32`.
+/// * One event moves the latest busy or ready time of the machine by at
+///   most `4 · L`: the longest chain, a remote load that misses at home,
+///   takes a request bus, the home module, a next-level port and a
+///   response bus. So stalls add at most `4 · L` per event, and one
+///   invocation takes at most `trip · (2^32 + 8 · ops · C · L)` cycles.
+///   Accesses, copies, violations (one per access at most), bus grants
+///   (three per access at most) and bus-busy cycles stay below that.
+///
+/// At the limits, `2^16 · 2^14 · (2^32 + 8 · 2^12 · 2^6 · 2^10) < 2^63`.
+/// The simulator asserts this at compile time.
+pub const MAX_TRIP_COUNT: u64 = 1 << 16;
+/// Largest invocation count [`LoopKernel::validate`] accepts (bundled
+/// kernels run at most 53); see [`MAX_TRIP_COUNT`] for the arithmetic.
+pub const MAX_INVOCATIONS: u64 = 1 << 14;
+/// Largest graph, in operations, [`LoopKernel::validate`] accepts, before
+/// any DDGT store replication; see [`MAX_TRIP_COUNT`] for the arithmetic.
+pub const MAX_KERNEL_OPS: u64 = 1 << 12;
+
 /// Errors reported by [`LoopKernel::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelError {
@@ -143,6 +176,17 @@ pub enum KernelError {
     },
     /// The kernel iterates zero times.
     ZeroTripCount,
+    /// The trip count, the invocation count or the op count exceeds its
+    /// limit ([`MAX_TRIP_COUNT`], [`MAX_INVOCATIONS`],
+    /// [`MAX_KERNEL_OPS`]).
+    TooLarge {
+        /// `"trip count"`, `"invocations"` or `"ops"`.
+        what: &'static str,
+        /// The kernel's value.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
     /// The underlying graph is invalid.
     Graph(crate::ddg::DdgError),
 }
@@ -154,6 +198,9 @@ impl fmt::Display for KernelError {
                 write!(f, "memory site {mem} has no {image} address stream")
             }
             KernelError::ZeroTripCount => write!(f, "kernel trip count is zero"),
+            KernelError::TooLarge { what, value, max } => {
+                write!(f, "kernel {what} {value} exceeds the limit {max}")
+            }
             KernelError::Graph(e) => write!(f, "invalid graph: {e}"),
         }
     }
@@ -224,15 +271,25 @@ impl LoopKernel {
         ops.saturating_mul(self.dyn_iterations())
     }
 
-    /// Checks that every memory operation has streams in both images and
-    /// that the graph itself is valid.
+    /// Checks that the trip count, invocation count and graph size are
+    /// within their limits, that every memory operation has streams in
+    /// both images and that the graph itself is valid.
     ///
     /// # Errors
     ///
-    /// Returns the first missing stream or graph defect found.
+    /// Returns the first limit exceeded, missing stream or graph defect
+    /// found.
     pub fn validate(&self) -> Result<(), KernelError> {
         if self.trip_count == 0 {
             return Err(KernelError::ZeroTripCount);
+        }
+        let limits = [
+            ("trip count", self.trip_count, MAX_TRIP_COUNT),
+            ("invocations", self.invocations, MAX_INVOCATIONS),
+            ("ops", self.ddg.node_count() as u64, MAX_KERNEL_OPS),
+        ];
+        if let Some(&(what, value, max)) = limits.iter().find(|(_, value, max)| value > max) {
+            return Err(KernelError::TooLarge { what, value, max });
         }
         self.ddg.validate().map_err(KernelError::Graph)?;
         for n in self.ddg.mem_nodes() {
@@ -380,6 +437,46 @@ mod tests {
         let mut k = tiny_kernel();
         k.trip_count = 0;
         assert_eq!(k.validate(), Err(KernelError::ZeroTripCount));
+    }
+
+    #[test]
+    fn kernel_validation_bounds_trip_invocations_and_ops() {
+        let mut k = tiny_kernel();
+        k.trip_count = MAX_TRIP_COUNT;
+        k.invocations = MAX_INVOCATIONS;
+        assert_eq!(k.validate(), Ok(()));
+        k.trip_count = MAX_TRIP_COUNT + 1;
+        assert_eq!(
+            k.validate(),
+            Err(KernelError::TooLarge {
+                what: "trip count",
+                value: MAX_TRIP_COUNT + 1,
+                max: MAX_TRIP_COUNT
+            })
+        );
+        k.trip_count = 1;
+        k.invocations = 1 << 62;
+        assert!(matches!(
+            k.validate(),
+            Err(KernelError::TooLarge {
+                what: "invocations",
+                ..
+            })
+        ));
+        k.invocations = 1;
+        let mut b = DdgBuilder::new();
+        for _ in 0..=MAX_KERNEL_OPS {
+            b.op(crate::op::OpKind::IntAlu, &[]);
+        }
+        k.ddg = b.finish();
+        let err = k.validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "kernel ops {} exceeds the limit {MAX_KERNEL_OPS}",
+                MAX_KERNEL_OPS + 1
+            )
+        );
     }
 
     #[test]

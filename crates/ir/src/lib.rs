@@ -55,7 +55,10 @@ pub mod profile;
 
 pub use ddg::{Ddg, DdgBuilder, DdgError, EdgeId, NodeId};
 pub use dep::{Dep, DepKind};
-pub use kernel::{AddressStream, LoopKernel, MemImage, Suite};
+pub use kernel::{
+    AddressStream, KernelError, LoopKernel, MemImage, Suite, MAX_INVOCATIONS, MAX_KERNEL_OPS,
+    MAX_TRIP_COUNT,
+};
 pub use node_map::NodeMap;
 pub use op::{FuClass, MemId, MemRef, OpKind, Operation, VReg, Width};
 pub use profile::{PrefInfo, PrefMap};

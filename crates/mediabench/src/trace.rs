@@ -23,6 +23,11 @@
 //! end
 //! ```
 //!
+//! `trip`, `invocations` and a kernel's op total (one per `mem` record
+//! plus every `arith` count) are bounded by the kernel limits of
+//! [`LoopKernel::validate`]; a larger value is a [`TraceError::TooLarge`]
+//! at its line.
+//!
 //! A `<stream>` is either `affine:<base>:<stride>` (stride must be
 //! non-negative: recorded streams walk forward) or `idx:<a>,<a>,...`
 //! (an explicit per-iteration address table, cycled). The optional
@@ -35,7 +40,10 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use distvliw_ir::{AddressStream, DdgBuilder, LoopKernel, MemId, NodeId, OpKind, Suite, Width};
+use distvliw_ir::{
+    AddressStream, DdgBuilder, LoopKernel, MemId, NodeId, OpKind, Suite, Width, MAX_INVOCATIONS,
+    MAX_KERNEL_OPS, MAX_TRIP_COUNT,
+};
 
 use crate::gen::add_true_mem_deps;
 
@@ -157,6 +165,20 @@ pub enum TraceError {
     BadNumber(usize, String),
     /// A field that must be positive is zero.
     ZeroField(usize, &'static str),
+    /// A kernel's trip count, invocation count or running op total (its
+    /// `mem` records plus its `arith` counts) exceeds the kernel limit
+    /// (`distvliw_ir::MAX_TRIP_COUNT`, `MAX_INVOCATIONS`,
+    /// `MAX_KERNEL_OPS`).
+    TooLarge {
+        /// Offending line.
+        line: usize,
+        /// `"trip"`, `"invocations"` or `"kernel ops"`.
+        what: &'static str,
+        /// The value read, or the op total it brings the kernel to.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
     /// A memory width other than 1, 2, 4 or 8 bytes.
     BadWidth(usize, String),
     /// An interleave other than 2 or 4 bytes.
@@ -200,6 +222,12 @@ impl fmt::Display for TraceError {
             }
             TraceError::BadNumber(l, t) => write!(f, "line {l}: `{t}` is not a number"),
             TraceError::ZeroField(l, what) => write!(f, "line {l}: {what} must be positive"),
+            TraceError::TooLarge {
+                line,
+                what,
+                value,
+                max,
+            } => write!(f, "line {line}: {what} {value} exceeds the limit {max}"),
             TraceError::BadWidth(l, w) => {
                 write!(f, "line {l}: bad width `{w}` (expected w1, w2, w4 or w8)")
             }
@@ -236,6 +264,19 @@ impl fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+/// `value`, or [`TraceError::TooLarge`] when it exceeds `max`.
+fn at_most(line: usize, what: &'static str, value: u64, max: u64) -> Result<u64, TraceError> {
+    if value > max {
+        return Err(TraceError::TooLarge {
+            line,
+            what,
+            value,
+            max,
+        });
+    }
+    Ok(value)
+}
 
 fn parse_u64(line: usize, tok: &str) -> Result<u64, TraceError> {
     let parsed = if let Some(hex) = tok.strip_prefix("0x") {
@@ -298,7 +339,8 @@ fn parse_stream(line: usize, tok: &str) -> Result<TraceStream, TraceError> {
 /// Returns the first [`TraceError`] found, with its line number.
 pub fn parse(text: &str) -> Result<Trace, TraceError> {
     let mut trace: Option<Trace> = None;
-    let mut kernel: Option<(usize, TraceKernel)> = None;
+    // The open kernel: its first line, its op total so far, its records.
+    let mut kernel: Option<(usize, u64, TraceKernel)> = None;
 
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
@@ -347,12 +389,15 @@ pub fn parse(text: &str) -> Result<Trace, TraceError> {
                 if trip == 0 {
                     return Err(TraceError::ZeroField(line, "trip"));
                 }
+                at_most(line, "trip", trip, MAX_TRIP_COUNT)?;
                 let invocations = parse_u64(line, keyed(line, toks.next(), "invocations")?)?;
                 if invocations == 0 {
                     return Err(TraceError::ZeroField(line, "invocations"));
                 }
+                at_most(line, "invocations", invocations, MAX_INVOCATIONS)?;
                 kernel = Some((
                     line,
+                    0,
                     TraceKernel {
                         name,
                         trip,
@@ -365,7 +410,8 @@ pub fn parse(text: &str) -> Result<Trace, TraceError> {
                 if trace.is_none() {
                     return Err(TraceError::MissingHeader);
                 }
-                let (_, k) = kernel.as_mut().ok_or(TraceError::OpOutsideKernel(line))?;
+                let (_, ops, k) = kernel.as_mut().ok_or(TraceError::OpOutsideKernel(line))?;
+                *ops = at_most(line, "kernel ops", *ops + 1, MAX_KERNEL_OPS)?;
                 let dir = toks
                     .next()
                     .ok_or(TraceError::Truncated(line, "load|store"))?;
@@ -415,23 +461,35 @@ pub fn parse(text: &str) -> Result<Trace, TraceError> {
                 if trace.is_none() {
                     return Err(TraceError::MissingHeader);
                 }
-                let (_, k) = kernel.as_mut().ok_or(TraceError::OpOutsideKernel(line))?;
+                let (_, ops, k) = kernel.as_mut().ok_or(TraceError::OpOutsideKernel(line))?;
                 let kind = toks.next().ok_or(TraceError::Truncated(line, "int|fp"))?;
                 let fp = match kind {
                     "int" => false,
                     "fp" => true,
                     other => return Err(TraceError::UnknownDirective(line, other.to_string())),
                 };
-                let count = parse_u64(line, keyed(line, toks.next(), "count")?)? as usize;
+                let count = parse_u64(line, keyed(line, toks.next(), "count")?)?;
                 if count == 0 {
                     return Err(TraceError::ZeroField(line, "count"));
                 }
+                // Checked before anything is built, so a hostile count
+                // is an error here rather than an allocation later.
+                *ops = at_most(
+                    line,
+                    "kernel ops",
+                    ops.saturating_add(count),
+                    MAX_KERNEL_OPS,
+                )?;
                 let depth = parse_u64(line, keyed(line, toks.next(), "depth")?)? as usize;
-                k.ops.push(TraceOp::Arith { fp, count, depth });
+                k.ops.push(TraceOp::Arith {
+                    fp,
+                    count: count as usize,
+                    depth,
+                });
             }
             "end" => {
                 let trace = trace.as_mut().ok_or(TraceError::MissingHeader)?;
-                let (start, k) = kernel.take().ok_or(TraceError::OpOutsideKernel(line))?;
+                let (start, _, k) = kernel.take().ok_or(TraceError::OpOutsideKernel(line))?;
                 if k.ops.is_empty() {
                     return Err(TraceError::EmptyKernel(start));
                 }
@@ -787,7 +845,13 @@ mod tests {
     fn malformed_lines_produce_typed_errors() {
         let hdr = "trace t interleave=4 clusters=4\n";
         let krn = "kernel k trip=8 invocations=1\n";
-        let cases: [(&str, TraceError); 11] = [
+        let over = |line, what, value, max| TraceError::TooLarge {
+            line,
+            what,
+            value,
+            max,
+        };
+        let cases: [(&str, TraceError); 16] = [
             (
                 "kernel k trip=8 invocations=1\nend\n",
                 TraceError::MissingHeader,
@@ -836,10 +900,49 @@ mod tests {
                 &format!("{hdr}{krn}mem load w4 profile=affine:0:4 exec=affine:0:4\n"),
                 TraceError::UnterminatedKernel,
             ),
+            // Inputs past the kernel limits fail at their line, before
+            // `to_suite` could build a graph or a simulation scale them.
+            (
+                &format!("{hdr}kernel k trip=8 invocations=4611686018427387904\nend\n"),
+                over(2, "invocations", 1 << 62, MAX_INVOCATIONS),
+            ),
+            (
+                &format!("{hdr}kernel k trip=65537 invocations=1\nend\n"),
+                over(2, "trip", MAX_TRIP_COUNT + 1, MAX_TRIP_COUNT),
+            ),
+            (
+                &format!("{hdr}{krn}arith int count=18446744073709551615 depth=0\nend\n"),
+                over(3, "kernel ops", u64::MAX, MAX_KERNEL_OPS),
+            ),
+            (
+                &format!(
+                    "{hdr}{krn}arith int count=4000 depth=0\narith fp count=97 depth=0\nend\n"
+                ),
+                over(4, "kernel ops", MAX_KERNEL_OPS + 1, MAX_KERNEL_OPS),
+            ),
+            (
+                &format!(
+                    "{hdr}{krn}arith int count=4096 depth=0\n\
+                     mem load w4 profile=affine:0:4 exec=affine:0:4\nend\n"
+                ),
+                over(4, "kernel ops", MAX_KERNEL_OPS + 1, MAX_KERNEL_OPS),
+            ),
         ];
         for (text, want) in cases {
             assert_eq!(parse(text).unwrap_err(), want, "input: {text}");
         }
+        // At the limits a kernel parses, and the op total starts over
+        // with each kernel.
+        let full = format!(
+            "{hdr}kernel k trip=65536 invocations=16384\narith int count=4096 depth=0\nend\n"
+        );
+        assert_eq!(
+            parse(&format!("{full}{}", &full[hdr.len()..]))
+                .unwrap()
+                .kernels
+                .len(),
+            2
+        );
         assert_eq!(parse(hdr).unwrap_err(), TraceError::EmptyTrace);
         assert_eq!(
             parse(&format!("{hdr}{krn}end\n")).unwrap_err(),

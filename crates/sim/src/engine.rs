@@ -25,9 +25,12 @@
 
 use std::sync::OnceLock;
 
-use distvliw_arch::MachineConfig;
+use distvliw_arch::{MachineConfig, MAX_CLUSTERS, MAX_LATENCY};
 use distvliw_ir::alias::{self, Access};
-use distvliw_ir::{AddressStream, DepKind, LoopKernel, NodeId, OpKind};
+use distvliw_ir::{
+    AddressStream, DepKind, LoopKernel, NodeId, OpKind, MAX_INVOCATIONS, MAX_KERNEL_OPS,
+    MAX_TRIP_COUNT,
+};
 use distvliw_obs::{Counter, Histogram};
 use distvliw_sched::Schedule;
 
@@ -35,21 +38,20 @@ use crate::memsys::{AccessResult, BatchAccess, MemorySystem};
 use crate::stats::{ClusterUsage, SimStats};
 use crate::violation::ViolationDetector;
 
-/// Simulation options.
-#[derive(Debug, Clone, Copy)]
-pub struct SimOptions {
-    /// Iteration cap per invocation; longer loops are simulated for this
-    /// many iterations and extrapolated linearly.
-    pub max_iterations: u64,
-}
+/// Simulation options: none, as every iteration is simulated. The type
+/// and the parameter remain only for the benchmark's replay, which still
+/// passes `SimOptions::default()`; both go with that replay.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SimOptions;
 
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            max_iterations: 1024,
-        }
-    }
-}
+// The kernel limits keep every scaled counter below 2^63: per iteration
+// fewer than `2 · ops · clusters` events, each delaying the machine by at
+// most four latencies, on top of a `u32` II (see `MAX_TRIP_COUNT`).
+const _: () = {
+    let events = 2 * MAX_KERNEL_OPS as u128 * MAX_CLUSTERS as u128;
+    let per_iteration = (1 << u32::BITS) + events * 4 * MAX_LATENCY as u128;
+    assert!(MAX_TRIP_COUNT as u128 * MAX_INVOCATIONS as u128 * per_iteration < 1 << 63);
+};
 
 /// One issue event: an operation or an inter-cluster copy.
 #[derive(Debug, Clone, Copy)]
@@ -183,14 +185,16 @@ struct RfInput {
 }
 
 /// Simulates `schedule` executing `kernel` on `machine` and returns the
-/// aggregate statistics for **all** invocations of the loop (one
-/// invocation is simulated against a cold memory system and scaled; the
-/// attraction buffers are flushed at the loop boundary by construction).
+/// aggregate statistics for **all** invocations of the loop (every
+/// iteration of one invocation is simulated against a cold memory system
+/// and scaled; the attraction buffers are flushed at the loop boundary by
+/// construction).
 ///
 /// # Panics
 ///
-/// Panics if the schedule does not cover the kernel's graph or if a
-/// memory operation misses its execution address stream.
+/// Panics if the schedule does not cover the kernel's graph, if a memory
+/// operation misses its execution address stream, or if scaling
+/// overflows, which [`LoopKernel::validate`]'s limits rule out.
 #[must_use]
 pub fn simulate_kernel(
     machine: &MachineConfig,
@@ -210,14 +214,13 @@ pub fn simulate_kernel(
 ///
 /// # Panics
 ///
-/// Panics if the schedule does not cover the kernel's graph or if a
-/// memory operation misses its execution address stream.
+/// As [`simulate_kernel`].
 #[must_use]
 pub fn simulate_kernel_detailed(
     machine: &MachineConfig,
     kernel: &LoopKernel,
     schedule: &Schedule,
-    options: SimOptions,
+    _options: SimOptions,
 ) -> (SimStats, ClusterUsage) {
     let sim_start = std::time::Instant::now();
     let mut sim_span = distvliw_obs::Span::enter("sim.kernel");
@@ -225,7 +228,6 @@ pub fn simulate_kernel_detailed(
     let ii = u64::from(schedule.ii.max(1));
     let span = u64::from(schedule.span);
     let trip = kernel.trip_count.max(1);
-    let iters = trip.min(options.max_iterations.max(1));
     let n_clusters = machine.n_clusters;
 
     // Rows: events indexed by absolute start cycle, then bucketed by
@@ -288,7 +290,7 @@ pub fn simulate_kernel_detailed(
             },
         };
     }
-    let detect = hazard_possible(&exec, &cluster, iters);
+    let detect = hazard_possible(&exec, &cluster, trip);
 
     // Register-flow inputs flattened to CSR, routing pre-resolved.
     let mut input_lists: Vec<Vec<RfInput>> = vec![Vec::new(); n_nodes];
@@ -323,7 +325,7 @@ pub fn simulate_kernel_detailed(
     let mut ms = MemorySystem::new(machine);
     let mut detector = ViolationDetector::new();
 
-    let total_rows = (iters - 1) * ii + span;
+    let total_rows = (trip - 1) * ii + span;
     let mut stall = 0u64;
     let mut comm_ops = 0u64;
     let mut batches = 0u64;
@@ -359,7 +361,7 @@ pub fn simulate_kernel_detailed(
                 break;
             }
             let i = (t - s) / ii;
-            if i >= iters {
+            if i >= trip {
                 continue;
             }
             for &ev in &rows[s as usize] {
@@ -466,43 +468,31 @@ pub fn simulate_kernel_detailed(
         }
     }
 
-    let raw_bus_busy = ms.bus_busy_cycles();
-    let mut stats = SimStats {
+    let stats = SimStats {
         compute_cycles: total_rows,
         stall_cycles: stall,
         accesses: ms.counts,
         coherence_violations: detector.violations(),
         comm_ops,
-        iterations: iters,
+        iterations: trip,
         bus_busy_cycles: ms.bus_busy_cycles(),
         // The drain window covers both the core and the bus tail, so
         // the capacity invariant (busy ≤ drain × bus count) is additive
         // across kernels.
         bus_drain_cycles: ms.bus_drain_cycles().max(total_rows + stall),
     };
-    let mut usage = ClusterUsage {
+    let usage = ClusterUsage {
         accesses: (0..n_clusters).map(|c| ms.counts_of_cluster(c)).collect(),
         violations: detector.violations_by_cluster().clone(),
         mem_bus_grants: ms.mem_bus_grants(),
         next_level_grants: ms.next_level_grants(),
     };
 
-    // Extrapolate truncated loops linearly, then scale by invocations.
-    if trip > iters {
-        let factor = trip / iters;
-        stats = stats.scaled(factor);
-        usage = usage.scaled(factor);
-        // Compute time is exact: the pipeline fills once per invocation.
-        stats.compute_cycles = (trip - 1) * ii + span;
-        stats.iterations = trip;
-    }
-    let invocations = kernel.invocations.max(1);
-
     // Observability: the simulated-work counters report what this call
-    // actually walked (pre-extrapolation), so they track simulator cost
-    // rather than modeled time.
+    // walked, one invocation before scaling by invocations, so they
+    // track simulator cost rather than modeled time.
     sim_span.field_u64("ii", ii);
-    sim_span.field_u64("iterations", iters);
+    sim_span.field_u64("iterations", trip);
     sim_span.field_u64("cycles", total_rows + stall);
     sim_span.field_u64("batches", batches);
     let granules = detector.tracked_granules();
@@ -512,10 +502,11 @@ pub fn simulate_kernel_detailed(
     metrics.cycles.add(total_rows + stall);
     metrics.stall_cycles.add(stall);
     metrics.batches.add(batches);
-    metrics.bus_busy_cycles.add(raw_bus_busy);
+    metrics.bus_busy_cycles.add(stats.bus_busy_cycles);
     metrics.detector_granules.add(granules);
     metrics.duration.record_micros(sim_start.elapsed());
 
+    let invocations = kernel.invocations.max(1);
     (stats.scaled(invocations), usage.scaled(invocations))
 }
 
@@ -539,11 +530,11 @@ fn metrics() -> &'static Metrics {
             kernels: reg.counter("sim_kernels_total", "Kernel simulations completed"),
             cycles: reg.counter(
                 "sim_cycles_total",
-                "Cycles walked by the event loop (compute + stall, pre-extrapolation)",
+                "Cycles walked by the event loop (compute + stall; one invocation, before scaling by invocations)",
             ),
             stall_cycles: reg.counter(
                 "sim_stall_cycles_total",
-                "Stall-on-use cycles observed (pre-extrapolation)",
+                "Stall-on-use cycles observed (one invocation, before scaling by invocations)",
             ),
             batches: reg.counter(
                 "sim_batches_total",
@@ -551,11 +542,11 @@ fn metrics() -> &'static Metrics {
             ),
             bus_busy_cycles: reg.counter(
                 "sim_bus_busy_cycles_total",
-                "Memory-bus busy cycles accumulated (pre-extrapolation)",
+                "Memory-bus busy cycles accumulated (one invocation, before scaling by invocations)",
             ),
             detector_granules: reg.counter(
                 "sim_detector_granules_total",
-                "Granules the violation detector tracked (pre-extrapolation; 0 when the precheck skips it)",
+                "Granules the violation detector tracked (one invocation, before scaling by invocations; 0 when the precheck skips it)",
             ),
             duration: reg.histogram(
                 "sim_kernel_duration_us",
@@ -620,7 +611,7 @@ mod tests {
         let k = streaming_kernel(100);
         let m = machine();
         let s = schedule_free(&k, &m);
-        let stats = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&m, &k, &s, SimOptions);
         assert_eq!(stats.compute_cycles, s.compute_cycles(100));
         assert_eq!(stats.iterations, 100);
         assert_eq!(stats.accesses.total(), 100);
@@ -631,7 +622,7 @@ mod tests {
         let k = streaming_kernel(64);
         let m = machine();
         let s = schedule_free(&k, &m);
-        let stats = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&m, &k, &s, SimOptions);
         use distvliw_arch::AccessClass;
         // Stride 16 within 32-byte blocks: one miss per block, one hit.
         // (All accesses are local if the op landed in cluster 0, remote
@@ -650,25 +641,54 @@ mod tests {
         let mut k = streaming_kernel(64);
         let m = machine();
         let s = schedule_free(&k, &m);
-        let once = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let once = simulate_kernel(&m, &k, &s, SimOptions);
         k.invocations = 3;
-        let thrice = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let thrice = simulate_kernel(&m, &k, &s, SimOptions);
         assert_eq!(thrice.total_cycles(), 3 * once.total_cycles());
         assert_eq!(thrice.accesses.total(), 3 * once.accesses.total());
     }
 
     #[test]
-    fn iteration_cap_extrapolates() {
-        let k = streaming_kernel(4096);
+    fn every_iteration_of_the_trip_is_simulated() {
+        // Two streaming loads, one missing on every iteration, on a
+        // schedule that assumes local hits, so the stall grows with every
+        // iteration the trip adds. Simulating part of the trip and
+        // scaling it up would read one stall at 1024, 1536 and 2047.
+        let mut b = DdgBuilder::new();
+        let (l0, l1) = (b.load(Width::W4), b.load(Width::W4));
+        let _sum = b.op(distvliw_ir::OpKind::IntAlu, &[l0, l1]);
+        let g = b.finish();
+        let sites = [(l0, 0x9000, 16), (l1, 0x4_0004, 32)];
         let m = machine();
-        let s = schedule_free(&k, &m);
-        let opts = SimOptions {
-            max_iterations: 256,
-        };
-        let stats = simulate_kernel(&m, &k, &s, opts);
-        assert_eq!(stats.iterations, 4096);
-        assert_eq!(stats.compute_cycles, s.compute_cycles(4096));
-        assert_eq!(stats.accesses.total(), 4096);
+        let mut last_stall = None;
+        for trip in [1024, 1536, 2047, 2048] {
+            let mut k = LoopKernel::new("whole", g.clone(), trip);
+            for (node, base, stride) in sites {
+                let mem = g.node(node).mem_id().unwrap();
+                for img in [&mut k.profile, &mut k.exec] {
+                    img.insert(mem, AddressStream::Affine { base, stride });
+                }
+            }
+            let s = ModuloScheduler::new(&m)
+                .with_latency_relaxation(false)
+                .schedule(
+                    &k.ddg,
+                    &SchedConstraints::none(),
+                    &PrefMap::new(),
+                    Heuristic::MinComs,
+                )
+                .unwrap();
+            let stats = simulate_kernel(&m, &k, &s, SimOptions);
+            assert_eq!(stats.iterations, trip);
+            assert_eq!(stats.compute_cycles, s.compute_cycles(trip));
+            assert_eq!(stats.accesses.total(), trip * sites.len() as u64);
+            assert!(
+                last_stall < Some(stats.stall_cycles),
+                "trip {trip}: stall {} after {last_stall:?}",
+                stats.stall_cycles
+            );
+            last_stall = Some(stats.stall_cycles);
+        }
     }
 
     /// The paper's Figure 2 scenario: a store whose home is cluster A is
@@ -722,7 +742,7 @@ mod tests {
             .with_latency_relaxation(false)
             .schedule(&k.ddg, &constraints, &PrefMap::new(), Heuristic::MinComs)
             .unwrap();
-        let stats = simulate_kernel(&m, &k, &free, SimOptions::default());
+        let stats = simulate_kernel(&m, &k, &free, SimOptions);
         assert!(
             stats.coherence_violations > 0,
             "remote store + tight local load must read stale data: {stats}"
@@ -735,7 +755,7 @@ mod tests {
             .schedule(&k.ddg, &mdc, &PrefMap::new(), Heuristic::MinComs)
             .unwrap();
         assert_eq!(s.op(st).cluster, s.op(ld).cluster);
-        let stats = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&m, &k, &s, SimOptions);
         assert_eq!(stats.coherence_violations, 0, "{stats}");
     }
 
@@ -749,7 +769,7 @@ mod tests {
         let s = ModuloScheduler::new(&m)
             .schedule(&k.ddg, &constraints, &PrefMap::new(), Heuristic::MinComs)
             .unwrap();
-        let stats = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&m, &k, &s, SimOptions);
         assert_eq!(stats.coherence_violations, 0, "{stats}");
         // Exactly one instance executes per iteration: the store count
         // equals load count.
@@ -772,23 +792,22 @@ mod tests {
             .unwrap();
         assert_eq!(s.comm_ops(), 1);
         k.invocations = 1;
-        let stats = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&m, &k, &s, SimOptions);
         assert_eq!(stats.comm_ops, 50);
         assert_eq!(stats.coherence_violations, 0);
     }
 
     #[test]
     fn detailed_usage_is_consistent_with_aggregate_stats() {
-        // Use a trip count beyond the iteration cap so the per-cluster
-        // counters go through the same extrapolation as the aggregate.
-        let k = streaming_kernel(4096);
+        // Several invocations, so the per-cluster counters go through the
+        // same scaling as the aggregate.
+        let mut k = streaming_kernel(2048);
+        k.invocations = 3;
         let m = machine();
         let s = schedule_free(&k, &m);
-        let opts = SimOptions {
-            max_iterations: 256,
-        };
-        let (stats, usage) = simulate_kernel_detailed(&m, &k, &s, opts);
-        assert_eq!(stats, simulate_kernel(&m, &k, &s, opts));
+        let (stats, usage) = simulate_kernel_detailed(&m, &k, &s, SimOptions);
+        assert_eq!(stats, simulate_kernel(&m, &k, &s, SimOptions));
+        assert_eq!(stats.accesses.total(), 3 * 2048);
         assert_eq!(usage.accesses.len(), m.n_clusters);
         let split: u64 = (0..m.n_clusters).map(|c| usage.accesses_of(c)).sum();
         assert_eq!(split, stats.accesses.total());
@@ -818,8 +837,8 @@ mod tests {
         let base = machine();
         let with_ab = machine().with_attraction_buffers(AttractionBufferConfig::paper());
         let s = schedule_free(&k, &base);
-        let no_ab = simulate_kernel(&base, &k, &s, SimOptions::default());
-        let ab = simulate_kernel(&with_ab, &k, &s, SimOptions::default());
+        let no_ab = simulate_kernel(&base, &k, &s, SimOptions);
+        let ab = simulate_kernel(&with_ab, &k, &s, SimOptions);
         assert!(
             ab.local_hit_ratio() > no_ab.local_hit_ratio(),
             "AB {} vs {}",
@@ -844,7 +863,7 @@ mod tests {
                 Heuristic::MinComs,
             )
             .unwrap();
-        let stats = simulate_kernel(&m, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&m, &k, &s, SimOptions);
         assert_eq!(stats.compute_cycles, s.compute_cycles(64));
         assert!(stats.stall_cycles > 0, "cold misses must stall: {stats}");
     }
@@ -870,8 +889,8 @@ mod tests {
                 Heuristic::MinComs,
             )
             .unwrap();
-        let st_tight = simulate_kernel(&m, &k, &tight, SimOptions::default());
-        let st_relaxed = simulate_kernel(&m, &k, &relaxed, SimOptions::default());
+        let st_tight = simulate_kernel(&m, &k, &tight, SimOptions);
+        let st_relaxed = simulate_kernel(&m, &k, &relaxed, SimOptions);
         assert!(
             st_relaxed.stall_cycles <= st_tight.stall_cycles,
             "relaxed {st_relaxed} vs tight {st_tight}"

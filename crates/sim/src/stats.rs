@@ -5,6 +5,14 @@ use std::ops::{Add, AddAssign};
 
 use distvliw_arch::AccessClass;
 
+/// `value × factor`; panics on overflow, which the kernel limits of
+/// `LoopKernel::validate` rule out (see `distvliw_ir::MAX_TRIP_COUNT`).
+fn scale(value: u64, factor: u64) -> u64 {
+    value
+        .checked_mul(factor)
+        .expect("scaled counter overflows u64")
+}
+
 /// Counters for the five access classes of the paper's Figure 6.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessCounts([u64; 5]);
@@ -64,12 +72,11 @@ impl AccessCounts {
         self.fraction(AccessClass::LocalHit)
     }
 
-    /// Scales every counter (used to extrapolate one simulated invocation
-    /// to the loop's full invocation count).
+    /// Scales every counter by `factor`, the invocation count (checked).
     #[must_use]
     pub fn scaled(mut self, factor: u64) -> Self {
         for c in &mut self.0 {
-            *c *= factor;
+            *c = scale(*c, factor);
         }
         self
     }
@@ -150,11 +157,11 @@ impl ClusterCounts {
         &self.0
     }
 
-    /// Scales every counter (invocation extrapolation).
+    /// Scales every counter by `factor`, the invocation count (checked).
     #[must_use]
     pub fn scaled(mut self, factor: u64) -> Self {
         for c in &mut self.0 {
-            *c *= factor;
+            *c = scale(*c, factor);
         }
         self
     }
@@ -211,15 +218,15 @@ impl ClusterUsage {
         max as f64 * totals.len() as f64 / sum as f64
     }
 
-    /// Scales every counter (invocation extrapolation).
+    /// Scales every counter by `factor`, the invocation count (checked).
     #[must_use]
     pub fn scaled(mut self, factor: u64) -> Self {
         for a in &mut self.accesses {
             *a = a.scaled(factor);
         }
         self.violations = self.violations.scaled(factor);
-        self.mem_bus_grants *= factor;
-        self.next_level_grants *= factor;
+        self.mem_bus_grants = scale(self.mem_bus_grants, factor);
+        self.next_level_grants = scale(self.next_level_grants, factor);
         self
     }
 }
@@ -253,7 +260,7 @@ pub struct SimStats {
     pub coherence_violations: u64,
     /// Dynamic inter-cluster register copies executed.
     pub comm_ops: u64,
-    /// Loop iterations simulated (after extrapolation).
+    /// Loop iterations executed: the trip count times the invocations.
     pub iterations: u64,
     /// Cycles the memory buses were granted (grants × per-grant
     /// occupancy), summed over all buses: the paper's bus-occupancy
@@ -283,17 +290,17 @@ impl SimStats {
         self.accesses.local_hit_ratio()
     }
 
-    /// Scales all counters by `factor` (invocation extrapolation).
+    /// Scales every counter by `factor`, the invocation count (checked).
     #[must_use]
     pub fn scaled(mut self, factor: u64) -> Self {
-        self.compute_cycles *= factor;
-        self.stall_cycles *= factor;
+        self.compute_cycles = scale(self.compute_cycles, factor);
+        self.stall_cycles = scale(self.stall_cycles, factor);
         self.accesses = self.accesses.scaled(factor);
-        self.coherence_violations *= factor;
-        self.comm_ops *= factor;
-        self.iterations *= factor;
-        self.bus_busy_cycles *= factor;
-        self.bus_drain_cycles *= factor;
+        self.coherence_violations = scale(self.coherence_violations, factor);
+        self.comm_ops = scale(self.comm_ops, factor);
+        self.iterations = scale(self.iterations, factor);
+        self.bus_busy_cycles = scale(self.bus_busy_cycles, factor);
+        self.bus_drain_cycles = scale(self.bus_drain_cycles, factor);
         self
     }
 }
@@ -448,6 +455,16 @@ mod tests {
         c.add(0, 4);
         c.add(1, 1);
         assert_eq!(c.scaled(3).as_slice(), &[12, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn scaling_past_u64_panics() {
+        let a = SimStats {
+            compute_cycles: 1 << 32,
+            ..SimStats::default()
+        };
+        let _ = a.scaled(1 << 32);
     }
 
     #[test]

@@ -373,8 +373,9 @@ mod tests {
     #[test]
     fn records_round_trip_the_widest_values() {
         // The engine numbers accesses `iteration × body span + seq`, with
-        // `seq` a u32: this is the largest order it can produce.
-        let max_po = crate::SimOptions::default().max_iterations * (1 << u32::BITS) - 1;
+        // `seq` a u32 and fewer iterations than the largest trip a kernel
+        // may have: this is the largest order it can produce.
+        let max_po = distvliw_ir::MAX_TRIP_COUNT * (1 << u32::BITS) - 1;
         let mut w = Window::default();
         w.push(max_po, u64::MAX, 63);
         w.push(u64::MAX, 7, 62);

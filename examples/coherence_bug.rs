@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &PrefMap::new(),
             Heuristic::MinComs,
         )?;
-    let stats = simulate_kernel(&machine, &kernel, &schedule, SimOptions::default());
+    let stats = simulate_kernel(&machine, &kernel, &schedule, SimOptions);
     println!("Free scheduling (store in cluster 4, load in cluster 1):");
     println!("  {stats}");
     println!(
@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &PrefMap::new(),
         Heuristic::MinComs,
     )?;
-    let stats = simulate_kernel(&machine, &kernel, &schedule, SimOptions::default());
+    let stats = simulate_kernel(&machine, &kernel, &schedule, SimOptions);
     println!("MDC (memory dependent chain colocated):");
     println!("  {stats}\n");
     assert_eq!(stats.coherence_violations, 0);
@@ -106,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &PrefMap::new(),
         Heuristic::MinComs,
     )?;
-    let stats = simulate_kernel(&machine, &ddgt_kernel, &schedule, SimOptions::default());
+    let stats = simulate_kernel(&machine, &ddgt_kernel, &schedule, SimOptions);
     println!(
         "DDGT (store replicated {} ways, {} SYNC edges, {} fake consumers):",
         machine.n_clusters,

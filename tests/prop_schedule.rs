@@ -192,7 +192,7 @@ fn check_solution(
             machine.n_clusters
         )));
     }
-    let stats = simulate_kernel(machine, kernel, &s, SimOptions::default());
+    let stats = simulate_kernel(machine, kernel, &s, SimOptions);
     prop_assert!(
         stats.coherence_violations <= stats.accesses.total(),
         "violations {} exceed accesses {}",
@@ -504,7 +504,7 @@ proptest! {
         let s = ModuloScheduler::new(&machine)
             .schedule(&kernel.ddg, &constraints, &PrefMap::new(), Heuristic::MinComs)
             .unwrap();
-        let stats = simulate_kernel(&machine, &kernel, &s, SimOptions::default());
+        let stats = simulate_kernel(&machine, &kernel, &s, SimOptions);
         prop_assert_eq!(stats.coherence_violations, 0);
 
         let mut k = kernel.clone();
@@ -513,7 +513,7 @@ proptest! {
         let s = ModuloScheduler::new(&machine)
             .schedule(&k.ddg, &constraints, &PrefMap::new(), Heuristic::PrefClus)
             .unwrap();
-        let stats = simulate_kernel(&machine, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&machine, &k, &s, SimOptions);
         prop_assert_eq!(stats.coherence_violations, 0);
         prop_assert_eq!(stats.accesses.total(), kernel.dyn_mem_accesses());
     }

@@ -6,9 +6,12 @@ use std::collections::BTreeSet;
 
 use distvliw::arch::MachineConfig;
 use distvliw::coherence::{find_chains, transform, SchedConstraints};
+use distvliw::core::{Pipeline, Solution};
 use distvliw::ir::{
     AddressStream, Ddg, DdgBuilder, DepKind, LoopKernel, NodeId, OpKind, PrefMap, Width,
+    MAX_INVOCATIONS, MAX_TRIP_COUNT,
 };
+use distvliw::mediabench::trace;
 use distvliw::sched::{Heuristic, ModuloScheduler};
 use distvliw::sim::{simulate_kernel, SimOptions};
 use proptest::prelude::*;
@@ -87,6 +90,31 @@ fn arb_kernel() -> impl Strategy<Value = LoopKernel> {
                 }
             }
             kernel
+        })
+}
+
+/// Strategy: the text of a one-kernel trace with one to three memory
+/// records (on nearby addresses, so sites alias across clusters) and a
+/// consumer block, whose trip count and invocations are drawn up to the
+/// kernel limits, each at its limit half the time.
+fn arb_limit_trace() -> impl Strategy<Value = String> {
+    (
+        proptest::collection::vec((any::<bool>(), 0u64..24, 0u64..5), 1..4),
+        (any::<bool>(), 1..=MAX_TRIP_COUNT),
+        (any::<bool>(), 1..=MAX_INVOCATIONS),
+    )
+        .prop_map(|(sites, (trip_at_limit, trip), (inv_at_limit, invocations))| {
+            let trip = if trip_at_limit { MAX_TRIP_COUNT } else { trip };
+            let invocations = if inv_at_limit { MAX_INVOCATIONS } else { invocations };
+            let mut text = format!(
+                "trace limits interleave=4 clusters=4\nkernel k trip={trip} invocations={invocations}\n"
+            );
+            for (i, (store, offset, stride)) in sites.into_iter().enumerate() {
+                let dir = if store && i > 0 { "store" } else { "load" };
+                let stream = format!("affine:{}:{}", 0x1000 + 2 * offset, 4 << stride);
+                text += &format!("mem {dir} w4 profile={stream} exec={stream}\n");
+            }
+            text + "arith int count=2 depth=0\nend\n"
         })
 }
 
@@ -182,7 +210,7 @@ proptest! {
         let s = ModuloScheduler::new(&machine)
             .schedule(&kernel.ddg, &constraints, &PrefMap::new(), Heuristic::MinComs)
             .unwrap();
-        let stats = simulate_kernel(&machine, &kernel, &s, SimOptions::default());
+        let stats = simulate_kernel(&machine, &kernel, &s, SimOptions);
         prop_assert_eq!(stats.accesses.total(), kernel.dyn_mem_accesses());
         prop_assert_eq!(stats.coherence_violations, 0);
         prop_assert_eq!(stats.total_cycles(), stats.compute_cycles + stats.stall_cycles);
@@ -198,9 +226,38 @@ proptest! {
         let s = ModuloScheduler::new(&machine)
             .schedule(&k.ddg, &constraints, &PrefMap::new(), Heuristic::PrefClus)
             .unwrap();
-        let stats = simulate_kernel(&machine, &k, &s, SimOptions::default());
+        let stats = simulate_kernel(&machine, &k, &s, SimOptions);
         prop_assert_eq!(stats.coherence_violations, 0);
         // Replication never changes the architectural access count.
         prop_assert_eq!(stats.accesses.total(), kernel.dyn_mem_accesses());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every kernel inside the limits simulates every iteration of
+    /// every invocation without overflowing a counter: a debug build
+    /// panics on overflow, and the scaling is checked in any build.
+    #[test]
+    fn kernels_at_the_limits_simulate_without_overflow(
+        text in arb_limit_trace(),
+        solution in 0usize..3,
+    ) {
+        let suite = trace::parse(&text).unwrap().to_suite();
+        let kernel = &suite.kernels[0];
+        prop_assert_eq!(kernel.validate(), Ok(()));
+        let solution = [Solution::Free, Solution::Mdc, Solution::Ddgt][solution];
+        let run = Pipeline::new(MachineConfig::paper_baseline())
+            .run_suite(&suite, solution, Heuristic::MinComs)
+            .unwrap();
+        let stats = run.total;
+        let (trip, invocations) = (kernel.trip_count, kernel.invocations);
+        prop_assert_eq!(stats.iterations, trip * invocations);
+        prop_assert_eq!(stats.accesses.total(), kernel.dyn_mem_accesses());
+        let k = &run.kernels[0];
+        let compute = (trip - 1) * u64::from(k.ii) + u64::from(k.span);
+        prop_assert_eq!(stats.compute_cycles, compute * invocations);
+        prop_assert!(stats.bus_drain_cycles >= stats.total_cycles());
     }
 }
