@@ -1,19 +1,21 @@
-//! The content-addressed result cache and the in-flight request
-//! deduplicator.
+//! The bounded result cache, the in-flight deduplicator, and the one
+//! miss path that joins them.
 //!
-//! [`ResultCache`] memoizes experiment-cell results under
-//! [`CacheKey`]s (full canonical encodings, so hash collisions can
-//! never alias entries) with least-recently-used eviction and
-//! hit/miss/eviction counters. [`SingleFlight`] collapses concurrent
-//! identical computations: the first caller computes, every concurrent
-//! duplicate blocks on a condition variable and receives the leader's
-//! result, so an identical request storm runs the pipeline exactly
-//! once.
+//! [`ResultCache`] memoizes values under [`CacheKey`]s (full canonical
+//! encodings, so hash collisions can never alias entries) with
+//! least-recently-used eviction and hit/miss/eviction counters.
+//! [`SingleFlight`] collapses concurrent identical computations: the
+//! first caller computes, every concurrent duplicate blocks on a
+//! condition variable and receives the leader's result.
+//! [`resolve_miss`] is the one double-checked miss path over the pair,
+//! shared by the serving layer's cell store and the pipeline's schedule
+//! memo: an identical request storm runs the pipeline once, and cells
+//! that pose one scheduling problem at the same time search it once.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
-use distvliw_core::cachekey::CacheKey;
+use crate::cachekey::CacheKey;
 
 /// Cache observability counters, as served by `/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,7 +36,7 @@ struct Entry<V> {
     lru: u64,
 }
 
-/// A bounded memo table keyed by canonical cell encodings, with LRU
+/// A bounded memo table keyed by canonical encodings, with LRU
 /// eviction. Both `get` (on hit) and `insert` refresh an entry's
 /// recency.
 pub struct ResultCache<V> {
@@ -64,18 +66,10 @@ impl<V: Clone> ResultCache<V> {
     /// Looks up `key`, counting a hit or miss and refreshing recency on
     /// hit.
     pub fn get(&mut self, key: &CacheKey) -> Option<V> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.lru = self.tick;
-                self.stats.hits += 1;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let found = self.get_uncounted(key);
+        self.stats.hits += u64::from(found.is_some());
+        self.stats.misses += u64::from(found.is_none());
+        found
     }
 
     /// Inserts (or refreshes) `key`, evicting the least recently used
@@ -83,34 +77,9 @@ impl<V: Clone> ResultCache<V> {
     /// the persistence layer appends a tombstone for it, so a replay of
     /// the log drops the victim too.
     pub fn insert(&mut self, key: CacheKey, value: V) -> Option<CacheKey> {
-        self.tick += 1;
-        if let Some(entry) = self.map.get_mut(&key) {
-            entry.value = value;
-            entry.lru = self.tick;
-            return None;
-        }
-        let mut evicted = None;
-        if self.map.len() >= self.capacity {
-            // O(n) victim scan: capacities are small (hundreds of
-            // cells), and this runs only on insert-past-capacity.
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.lru)
-                .map(|(k, _)| k.clone())
-                .expect("full cache is nonempty");
-            self.map.remove(&victim);
-            self.stats.evictions += 1;
-            evicted = Some(victim);
-        }
-        self.stats.insertions += 1;
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                lru: self.tick,
-            },
-        );
+        let (new, evicted) = self.put(key, value);
+        self.stats.insertions += u64::from(new);
+        self.stats.evictions += u64::from(evicted.is_some());
         evicted
     }
 
@@ -120,8 +89,22 @@ impl<V: Clone> ResultCache<V> {
     /// preloads evict silently, without counting) and assigns recency
     /// in call order: preload least-recently-used entries first.
     pub fn preload(&mut self, key: CacheKey, value: V) {
+        self.put(key, value);
+    }
+
+    /// Stores `key` as the most recent entry. A new key that finds the
+    /// cache full first evicts the least recently used entry. Returns
+    /// whether the key was new, and the evicted key.
+    fn put(&mut self, key: CacheKey, value: V) -> (bool, Option<CacheKey>) {
         self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+        if let Some(entry) = self.map.get_mut(&key) {
+            entry.value = value;
+            entry.lru = self.tick;
+            return (false, None);
+        }
+        let mut evicted = None;
+        if self.map.len() >= self.capacity {
+            // O(n) victim scan: it runs only on insert-past-capacity.
             let victim = self
                 .map
                 .iter()
@@ -129,6 +112,7 @@ impl<V: Clone> ResultCache<V> {
                 .map(|(k, _)| k.clone())
                 .expect("full cache is nonempty");
             self.map.remove(&victim);
+            evicted = Some(victim);
         }
         self.map.insert(
             key,
@@ -137,6 +121,7 @@ impl<V: Clone> ResultCache<V> {
                 lru: self.tick,
             },
         );
+        (true, evicted)
     }
 
     /// Drops `key` if resident, without touching the counters — for
@@ -158,10 +143,9 @@ impl<V: Clone> ResultCache<V> {
     }
 
     /// Looks up `key` refreshing recency but **without** counting a hit
-    /// or miss — for internal re-checks that already counted the
-    /// lookup (the single-flight double-check), so `/stats` reports one
-    /// outcome per request.
-    pub fn get_uncounted(&mut self, key: &CacheKey) -> Option<V> {
+    /// or miss — for re-checks of a lookup already counted (the one in
+    /// [`resolve_miss`]), so `/stats` reports one outcome per request.
+    fn get_uncounted(&mut self, key: &CacheKey) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|entry| {
@@ -216,9 +200,10 @@ struct Flight<V> {
     done: Condvar,
 }
 
-/// Deduplicates concurrent identical computations by key.
+/// Deduplicates concurrent identical computations by key, for
+/// [`resolve_miss`].
 pub struct SingleFlight<V> {
-    inflight: Mutex<HashMap<Vec<u8>, std::sync::Arc<Flight<V>>>>,
+    inflight: Mutex<HashMap<Vec<u8>, Arc<Flight<V>>>>,
 }
 
 /// Retires the leader's flight on every exit path: `complete` publishes
@@ -228,7 +213,7 @@ pub struct SingleFlight<V> {
 struct FlightGuard<'a, V: Clone> {
     owner: &'a SingleFlight<V>,
     key: &'a [u8],
-    flight: &'a std::sync::Arc<Flight<V>>,
+    flight: &'a Arc<Flight<V>>,
     completed: bool,
 }
 
@@ -285,7 +270,7 @@ impl<V: Clone> SingleFlight<V> {
     ///
     /// Panics if an internal lock is poisoned, or propagates `compute`'s
     /// own panic to the leader.
-    pub fn work<F: FnOnce() -> V>(&self, key: &[u8], compute: F) -> (V, bool) {
+    fn work<F: FnOnce() -> V>(&self, key: &[u8], compute: F) -> (V, bool) {
         let mut compute = Some(compute);
         loop {
             let flight = {
@@ -293,7 +278,7 @@ impl<V: Clone> SingleFlight<V> {
                 if let Some(existing) = inflight.get(key) {
                     existing.clone()
                 } else {
-                    let flight = std::sync::Arc::new(Flight {
+                    let flight = Arc::new(Flight {
                         state: Mutex::new(FlightState::Pending),
                         done: Condvar::new(),
                     });
@@ -334,10 +319,38 @@ impl<V: Clone> Default for SingleFlight<V> {
     }
 }
 
+/// Resolves a lookup of `key` that missed `cache` (the caller counted
+/// the miss): single flight on the key, an uncounted re-check under the
+/// flight, then `compute`. `publish` stores an `Ok` value under the
+/// cache lock before the flight retires, so a racer's re-check finds it.
+/// An `Err` is not published: the flight's followers receive it, and
+/// the next caller computes afresh. The boolean is `true` for the
+/// flight's leader.
+///
+/// # Panics
+///
+/// Panics if the cache lock is poisoned, or propagates `compute`'s
+/// panic to the leader; its followers retry, and one of them leads.
+pub fn resolve_miss<V: Clone, E: Clone>(
+    cache: &Mutex<ResultCache<V>>,
+    flight: &SingleFlight<Result<V, E>>,
+    key: &CacheKey,
+    compute: impl FnOnce() -> Result<V, E>,
+    publish: impl FnOnce(&mut ResultCache<V>, &V),
+) -> (Result<V, E>, bool) {
+    flight.work(key.bytes(), || {
+        if let Some(value) = cache.lock().expect("cache lock").get_uncounted(key) {
+            return Ok(value);
+        }
+        let value = compute()?;
+        publish(&mut cache.lock().expect("cache lock"), &value);
+        Ok(value)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distvliw_core::cachekey::CacheKey;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn key(n: u8) -> CacheKey {
@@ -478,5 +491,68 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1, "exactly one computation");
         assert_eq!(leaders.load(Ordering::SeqCst), 1, "exactly one leader");
+    }
+
+    #[test]
+    fn a_failed_flight_hands_its_error_to_followers_and_publishes_nothing() {
+        const FOLLOWERS: usize = 3;
+        let cache = Mutex::new(ResultCache::<u32>::new(4));
+        let flight: SingleFlight<Result<u32, String>> = SingleFlight::new();
+        let k = key(7);
+        let calls = AtomicUsize::new(0);
+        let published = AtomicUsize::new(0);
+        let resolve = || {
+            resolve_miss(
+                &cache,
+                &flight,
+                &k,
+                || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    // The gate: hold the flight until every follower
+                    // has joined it (each holds a clone of its `Arc`,
+                    // next to the map's and the leader's).
+                    while flight
+                        .inflight
+                        .lock()
+                        .unwrap()
+                        .get(k.bytes())
+                        .map_or(0, std::sync::Arc::strong_count)
+                        < 2 + FOLLOWERS
+                    {
+                        std::thread::yield_now();
+                    }
+                    Err("no schedule".to_string())
+                },
+                |cache, v| {
+                    published.fetch_add(1, Ordering::SeqCst);
+                    cache.insert(k.clone(), *v);
+                },
+            )
+        };
+        let outcomes: Vec<(Result<u32, String>, bool)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..=FOLLOWERS).map(|_| scope.spawn(resolve)).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one computation");
+        assert_eq!(outcomes.iter().filter(|(_, leader)| *leader).count(), 1);
+        for (outcome, _) in &outcomes {
+            assert_eq!(outcome, &Err("no schedule".to_string()));
+        }
+        assert_eq!(published.load(Ordering::SeqCst), 0);
+        assert!(cache.lock().unwrap().is_empty(), "an error is not cached");
+
+        // The key is free again: the next caller computes, and its
+        // success is published.
+        let (value, leader) = resolve_miss(
+            &cache,
+            &flight,
+            &k,
+            || Ok(5),
+            |cache, v| {
+                cache.insert(k.clone(), *v);
+            },
+        );
+        assert_eq!((value, leader), (Ok(5), true));
+        assert_eq!(cache.lock().unwrap().get(&k), Some(5));
     }
 }

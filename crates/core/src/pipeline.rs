@@ -1,7 +1,6 @@
 //! The end-to-end pipeline: coherence pass → cluster-aware modulo
 //! scheduling → cycle-level simulation.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -13,7 +12,8 @@ use distvliw_sched::{
 };
 use distvliw_sim::{simulate_kernel_detailed, ClusterUsage, SimOptions, SimStats};
 
-use crate::cachekey;
+use crate::cache::{resolve_miss, ResultCache, SingleFlight};
+use crate::cachekey::{self, push_u64, CacheKey};
 
 /// Which coherence solution the pipeline applies (paper Section 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -196,8 +196,8 @@ pub struct KernelRun {
 /// surfaces.
 ///
 /// These are *effort* numbers, not pure functions of the inputs: a
-/// pipeline whose schedule memo is warm (an earlier run of the same
-/// configuration on the same `Pipeline` instance) legitimately reports
+/// pipeline whose schedule memo is warm (an earlier or concurrent run of
+/// the same configuration sharing the memo) legitimately reports
 /// the effort of a search seeded at the remembered II — fewer attempts
 /// and a nonzero `seeded_kernels` — for the byte-identical schedule.
 /// Compare effort across runs only from a fresh `Pipeline` (as
@@ -210,7 +210,7 @@ pub struct SchedTotals {
     pub ejections: u64,
     /// Initiation intervals tried across all kernels.
     pub iis_tried: u64,
-    /// Kernels whose search opened at a profile seed.
+    /// Kernels reported as a search seeded above the MII (memo hits).
     pub seeded_kernels: u64,
     /// Peak stage-aware register pressure over all kernels.
     pub max_reg_pressure: u32,
@@ -319,52 +319,47 @@ type Solved = Arc<(Schedule, SearchRecord)>;
 
 /// The schedule memo: every successful search, stored under the full
 /// configuration of its scheduling problem (machine projection, graph,
-/// constraints, profile, heuristic — see `seed_key`), so a repeat of
-/// the problem skips the scheduler altogether. The scheduler is
-/// deterministic, so a stored schedule is byte for byte the one a
-/// repeat search would find. A hit reports the stats a search seeded
+/// constraints, profile, heuristic — see `seed_key`) in core's bounded
+/// single-flight cache ([`ResultCache`], LRU, `MEMO_CAPACITY` problems).
+/// A repeat of the problem skips the scheduler, and compiles that pose
+/// it at the same time wait for one search, so each problem is searched
+/// once whatever the fan-out width. The scheduler is deterministic, so
+/// a stored schedule is byte for byte the one a repeat search would
+/// find. A hit (a waiter included) reports the stats a search seeded
 /// with the stored II would ([`SearchRecord::stats`] at that II), so the
-/// effort a pipeline reports does not depend on whether a repeat ran or
-/// was remembered. Shared across the pipeline's clones and threads; it
-/// lives in memory and lasts one process, since a schedule is a pure
-/// function of its key. It holds at most `MEMO_CAPACITY` entries and
-/// starts over when a new one would exceed that, so a daemon fed
-/// endless distinct machines stays bounded; losing entries costs
-/// search time, never a schedule byte.
-#[derive(Debug, Default)]
+/// effort reported does not depend on which compile searched. A failed
+/// search is not stored; its waiters get its error. Shared across the
+/// pipeline's clones and threads; it lasts one process.
 pub struct ScheduleMemo {
-    map: Mutex<HashMap<[u8; 16], Solved>>,
+    cache: Mutex<ResultCache<Solved>>,
+    flight: SingleFlight<Result<Solved, ScheduleError>>,
 }
 
 impl ScheduleMemo {
     /// An empty memo.
     #[must_use]
     pub fn new() -> Self {
-        ScheduleMemo::default()
-    }
-
-    fn get(&self, key: [u8; 16]) -> Option<Solved> {
-        self.map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .cloned()
-    }
-
-    fn record(&self, key: [u8; 16], solved: Solved) {
-        let mut map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if map.len() >= MEMO_CAPACITY && !map.contains_key(&key) {
-            map.clear();
+        ScheduleMemo {
+            cache: Mutex::new(ResultCache::new(MEMO_CAPACITY)),
+            flight: SingleFlight::new(),
         }
-        map.insert(key, solved);
+    }
+}
+
+impl Default for ScheduleMemo {
+    fn default() -> Self {
+        ScheduleMemo::new()
+    }
+}
+
+impl fmt::Debug for ScheduleMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScheduleMemo").finish_non_exhaustive()
     }
 }
 
 /// The most entries a [`ScheduleMemo`] holds. An entry costs about
-/// 180 bytes of map slot, `Arc` and fixed fields, about 34 bytes per
+/// 240 bytes of map slot, key, `Arc` and fixed fields, about 34 bytes per
 /// scheduled op (its `BTreeMap` entry), 24 per copy and 32 per II the
 /// search tried. Over every problem the bundled suites pose on the
 /// figure, NOBAL and sweep machines (660 distinct) that averages about
@@ -378,13 +373,14 @@ const MEMO_CAPACITY: usize = 1 << 11;
 /// scheduler's output depends on is encoded — the machine's *scheduler
 /// projection* ([`MachineConfig::sched_canonical_bytes`], the same
 /// invariant the sweep's compile-once factoring relies on, so machines
-/// differing only in simulation fields share their seeds), graph
+/// differing only in simulation fields share their schedules), graph
 /// topology (the same `op_tag`/`dep_tag` encoding the result-cache
 /// digest uses), constraints, profile preferences, heuristic and
 /// options — then compressed to the cache layer's 128-bit two-FNV
 /// fingerprint, so a memo entry is never returned for a different
 /// problem (it would be a schedule of another graph, which is why a
-/// single 64-bit hash is not enough here either).
+/// single 64-bit hash is not enough here either). The 16 digest bytes
+/// are the memo's [`CacheKey`].
 fn seed_key(
     machine: &MachineConfig,
     ddg: &Ddg,
@@ -392,48 +388,47 @@ fn seed_key(
     prefs: &distvliw_ir::PrefMap,
     heuristic: Heuristic,
     relax_latencies: bool,
-) -> [u8; 16] {
+) -> CacheKey {
     let mut bytes = machine.sched_canonical_bytes();
-    let u64le = |bytes: &mut Vec<u8>, v: u64| bytes.extend_from_slice(&v.to_le_bytes());
-    u64le(&mut bytes, ddg.node_count() as u64);
+    push_u64(&mut bytes, ddg.node_count() as u64);
     for (_, op) in ddg.iter() {
         bytes.push(cachekey::op_tag(op.kind));
         match op.mem_id() {
             Some(m) => {
                 bytes.push(0);
-                u64le(&mut bytes, u64::from(m.0));
+                push_u64(&mut bytes, u64::from(m.0));
             }
             None => bytes.push(0xff),
         }
     }
     for (_, d) in ddg.deps() {
-        u64le(&mut bytes, u64::from(d.src.0));
-        u64le(&mut bytes, u64::from(d.dst.0));
+        push_u64(&mut bytes, u64::from(d.src.0));
+        push_u64(&mut bytes, u64::from(d.dst.0));
         bytes.push(cachekey::dep_tag(d.kind));
-        u64le(&mut bytes, u64::from(d.distance));
+        push_u64(&mut bytes, u64::from(d.distance));
     }
     for (n, g) in &constraints.colocate {
-        u64le(&mut bytes, u64::from(n.0));
-        u64le(&mut bytes, u64::from(*g));
+        push_u64(&mut bytes, u64::from(n.0));
+        push_u64(&mut bytes, u64::from(*g));
     }
     for (g, c) in &constraints.group_target {
-        u64le(&mut bytes, u64::from(*g));
-        u64le(&mut bytes, *c as u64);
+        push_u64(&mut bytes, u64::from(*g));
+        push_u64(&mut bytes, *c as u64);
     }
     for (n, c) in &constraints.pinned {
-        u64le(&mut bytes, u64::from(n.0));
-        u64le(&mut bytes, *c as u64);
+        push_u64(&mut bytes, u64::from(n.0));
+        push_u64(&mut bytes, *c as u64);
     }
-    u64le(&mut bytes, u64::from(constraints.min_ii));
+    push_u64(&mut bytes, u64::from(constraints.min_ii));
     for (m, info) in prefs {
-        u64le(&mut bytes, u64::from(m.0));
+        push_u64(&mut bytes, u64::from(m.0));
         for &c in info.counts() {
-            u64le(&mut bytes, c);
+            push_u64(&mut bytes, c);
         }
     }
     bytes.push(heuristic as u8);
     bytes.push(u8::from(relax_latencies));
-    cachekey::digest_fingerprint(&bytes)
+    CacheKey::from_bytes(cachekey::digest_fingerprint(&bytes).to_vec())
 }
 
 /// The end-to-end compile-and-simulate pipeline for one machine.
@@ -584,9 +579,10 @@ impl Pipeline {
         };
 
         // Cluster-aware modulo scheduling, or the schedule a prior run
-        // of this exact configuration found. A hit reports the stats of
-        // a search seeded at the remembered II, as a repeat search
-        // would, and counts them the same way.
+        // of this exact configuration found, or the one a concurrent
+        // compile of it is finding. A hit reports the stats of a search
+        // seeded at the remembered II, as a repeat search would, and
+        // counts them the same way.
         let key = seed_key(
             machine,
             &kernel.ddg,
@@ -595,28 +591,37 @@ impl Pipeline {
             heuristic,
             self.options.relax_latencies,
         );
-        let memoized = self.memo.get(key);
-        span.field_str("memo", if memoized.is_some() { "hit" } else { "miss" });
-        let (schedule, sched) = match memoized {
-            Some(solved) => {
-                let (schedule, record) = &*solved;
-                let stats = record.stats(Some(record.ii));
-                distvliw_sched::count_schedule(&stats, true);
-                (schedule.clone(), stats)
-            }
-            None => {
-                let (schedule, record) = ModuloScheduler::new(machine)
-                    .with_latency_relaxation(self.options.relax_latencies)
-                    .schedule_with_record(&kernel.ddg, &constraints, &prefs, heuristic)
-                    .map_err(|error| PipelineError::Schedule {
-                        kernel: kernel.name.clone(),
-                        error,
-                    })?;
-                let stats = record.stats(None);
-                self.memo.record(key, Arc::new((schedule.clone(), record)));
-                (schedule, stats)
-            }
+        let memo = &self.memo;
+        let mut searched = false;
+        let cached = memo.cache.lock().expect("cache lock").get(&key);
+        let search = || {
+            searched = true;
+            ModuloScheduler::new(machine)
+                .with_latency_relaxation(self.options.relax_latencies)
+                .schedule_with_record(&kernel.ddg, &constraints, &prefs, heuristic)
+                .map(Arc::new)
         };
+        let publish = |cache: &mut ResultCache<Solved>, solved: &Solved| {
+            cache.insert(key.clone(), solved.clone());
+        };
+        let solved = cached.map_or_else(
+            || resolve_miss(&memo.cache, &memo.flight, &key, search, publish).0,
+            Ok,
+        );
+        span.field_str("memo", if searched { "miss" } else { "hit" });
+        let solved = solved.map_err(|error| PipelineError::Schedule {
+            kernel: kernel.name.clone(),
+            error,
+        })?;
+        let (schedule, record) = &*solved;
+        let sched = if searched {
+            record.stats(None)
+        } else {
+            let stats = record.stats(Some(record.ii));
+            distvliw_sched::count_schedule(&stats, true);
+            stats
+        };
+        let schedule = schedule.clone();
         span.field_u64("ii", u64::from(schedule.ii));
 
         // Translation validation: re-verify the schedule from first
@@ -872,28 +877,38 @@ mod tests {
         assert!(ii_spec <= ii_plain, "II {ii_spec} vs {ii_plain}");
     }
 
-    /// Runs `f` under a fresh trace sink and counts the searches that
-    /// ran (`sched.schedule` spans) and the compiles the memo answered
-    /// (`compile` spans with `memo=hit`).
-    fn traced<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    /// Runs `f` under a fresh trace sink and reports the kernels whose
+    /// compile searched (`compile` spans with `memo=miss`, in completion
+    /// order; each ran one `sched.schedule` search) and how many
+    /// compiles the memo answered (`memo=hit`).
+    fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<String>, usize) {
         use distvliw_obs::trace::{self, FieldValue, TraceCtx};
         let sink = trace::TraceSink::new();
         let out = trace::with_ctx(TraceCtx::for_sink(&sink), f);
         let (records, dropped) = sink.take();
         assert_eq!(dropped, 0);
+        let field = |r: &distvliw_obs::trace::SpanRecord, name: &str| {
+            r.fields
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| match v {
+                    FieldValue::Str(s) => s.clone(),
+                    other => panic!("{name} is not a string: {other:?}"),
+                })
+        };
+        let compiles: Vec<_> = records.iter().filter(|r| r.name == "compile").collect();
+        let searched: Vec<String> = compiles
+            .iter()
+            .filter(|r| field(r, "memo").as_deref() == Some("miss"))
+            .map(|r| field(r, "kernel").expect("compile spans name their kernel"))
+            .collect();
         let searches = records
             .iter()
             .filter(|r| r.name == "sched.schedule")
             .count();
-        let hits = records
-            .iter()
-            .filter(|r| r.name == "compile")
-            .filter(|r| {
-                r.fields
-                    .contains(&("memo", FieldValue::Str("hit".to_string())))
-            })
-            .count();
-        (out, searches, hits)
+        assert_eq!(searches, searched.len(), "one search per memo miss");
+        let hits = compiles.len() - searched.len();
+        (out, searched, hits)
     }
 
     /// Asserts that two runs of one suite produced the same schedules
@@ -926,7 +941,7 @@ mod tests {
                 .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
                 .unwrap()
         });
-        assert_eq!(searched, memo.map.lock().unwrap().len());
+        assert_eq!(searched.len(), memo.cache.lock().unwrap().len());
 
         let warm_pipeline = Pipeline::new(machine()).with_memo(memo);
         let (warm, searched, hits) = traced(|| {
@@ -934,7 +949,7 @@ mod tests {
                 .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
                 .unwrap()
         });
-        assert_eq!((searched, hits), (0, suite.kernels.len()));
+        assert_eq!((searched.len(), hits), (0, suite.kernels.len()));
         assert_same_runs(&warm, &cold);
         for (w, c) in warm.kernels.iter().zip(&cold.kernels) {
             assert!(
@@ -954,55 +969,119 @@ mod tests {
     }
 
     #[test]
-    fn a_full_memo_clears_and_refills() {
+    fn a_full_memo_evicts_its_least_recently_used_problem() {
         let suite = distvliw_mediabench::suite("gsmdec").unwrap();
+        // The same suite without its first kernel poses the same
+        // problems but that kernel's (the key holds no kernel name).
+        let mut tail = suite.clone();
+        tail.kernels.remove(0);
         let memo = Arc::new(ScheduleMemo::new());
-        let run = || {
+        let compile = |suite: &Suite| {
             traced(|| {
                 Pipeline::new(machine())
                     .with_memo(memo.clone())
-                    .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+                    .compile_suite(suite, Solution::Mdc, Heuristic::PrefClus)
                     .unwrap()
             })
         };
-        let len = || memo.map.lock().unwrap().len();
-        let foreign = |i: usize| {
-            let mut key = [0xa5; 16];
-            key[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            key
-        };
-        let (cold, distinct, _) = run();
-        assert_eq!(distinct, len());
-        // Fill the memo with other problems: its own entries survive.
-        let filler = memo.map.lock().unwrap().values().next().unwrap().clone();
+        let len = || memo.cache.lock().unwrap().len();
+        let names: Vec<String> = suite.kernels.iter().map(|k| k.name.clone()).collect();
+        let (cold, searched, _) = compile(&suite);
+        assert_eq!(searched, names, "every kernel poses its own problem");
+        // Fill the memo with other problems, then touch the tail's, so
+        // the first kernel's problem is the least recently used.
+        let filler = memo.cache.lock().unwrap().entries_by_recency()[0].1.clone();
+        let foreign = |i: usize| CacheKey::from_bytes(format!("foreign {i}").into_bytes());
         for i in len()..MEMO_CAPACITY {
-            memo.record(foreign(i), filler.clone());
+            memo.cache
+                .lock()
+                .unwrap()
+                .insert(foreign(i), filler.clone());
         }
+        let (warm, searched, _) = compile(&tail);
+        assert!(searched.is_empty(), "a full memo still answers");
+        memo.cache
+            .lock()
+            .unwrap()
+            .insert(foreign(MEMO_CAPACITY), filler);
         assert_eq!(len(), MEMO_CAPACITY);
-        let (warm, searched, _) = run();
-        assert_eq!(searched, 0, "every problem is remembered");
-        assert_eq!(len(), MEMO_CAPACITY, "hits do not clear");
-        // One more problem starts the memo over.
-        memo.record(foreign(MEMO_CAPACITY), filler);
-        assert_eq!(len(), 1);
-        let (cleared, searched, _) = run();
-        assert_eq!(searched, distinct, "a cleared memo searches again");
-        assert_eq!(len(), distinct + 1);
-        let (refilled, searched, _) = run();
-        assert_eq!(searched, 0);
-        for other in [&warm, &cleared, &refilled] {
-            assert_same_runs(other, &cold);
-        }
+
+        let (again, searched, hits) = compile(&suite);
+        assert_eq!(searched, names[..1], "only the evicted problem is searched");
+        assert_eq!(hits, names.len() - 1);
         for (i, c) in cold.kernels.iter().enumerate() {
-            // With its entries gone the search is the cold one, and the
-            // next run hits again.
-            assert_eq!(cleared.kernels[i].sched, c.sched, "{}", c.name);
-            assert_eq!(
-                refilled.kernels[i].sched, warm.kernels[i].sched,
-                "{}",
-                c.name
-            );
+            assert_eq!(again.kernels[i].schedule, c.schedule, "{}", names[i]);
+            // The search that ran again is the cold one; the rest hit.
+            let expected = if i == 0 { c } else { &warm.kernels[i - 1] };
+            assert_eq!(again.kernels[i].sched, expected.sched, "{}", names[i]);
         }
+    }
+
+    #[test]
+    fn concurrent_compiles_search_each_problem_once() {
+        // Four threads released at once compile one suite on machines
+        // that differ only in a simulation field, so all four pose the
+        // same problems at the same time. The memo's single flight lets
+        // one thread search each problem and the others wait for it.
+        let suite = distvliw_mediabench::suite("epicenc").unwrap();
+        let machines: Vec<MachineConfig> = (0..4)
+            .map(|extra| {
+                let mut m = machine();
+                m.mem_buses.count += extra;
+                m
+            })
+            .collect();
+        let run = |memo: &Arc<ScheduleMemo>, m: &MachineConfig| {
+            Pipeline::new(m.clone())
+                .with_memo(memo.clone())
+                .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+                .unwrap()
+                .sched
+        };
+        let sum = |runs: &[SchedTotals]| {
+            let mut total = SchedTotals::default();
+            for r in runs {
+                total += r;
+            }
+            total
+        };
+
+        let serial_memo = Arc::new(ScheduleMemo::new());
+        let (serial, serial_searched, _) = traced(|| {
+            machines
+                .iter()
+                .map(|m| run(&serial_memo, m))
+                .collect::<Vec<_>>()
+        });
+
+        let memo = Arc::new(ScheduleMemo::new());
+        let barrier = std::sync::Barrier::new(machines.len());
+        let (parallel, searched, hits) = traced(|| {
+            let ctx = distvliw_obs::trace::current_ctx();
+            std::thread::scope(|scope| {
+                let threads: Vec<_> = machines
+                    .iter()
+                    .map(|m| {
+                        let (ctx, memo, barrier) = (ctx.clone(), &memo, &barrier);
+                        scope.spawn(move || {
+                            distvliw_obs::trace::with_ctx(ctx, || {
+                                barrier.wait();
+                                run(memo, m)
+                            })
+                        })
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .map(|t| t.join().unwrap())
+                    .collect::<Vec<_>>()
+            })
+        });
+        let distinct = memo.cache.lock().unwrap().len();
+        assert_eq!(searched.len(), distinct, "one search per distinct problem");
+        assert_eq!(serial_searched.len(), distinct);
+        assert_eq!(hits, 4 * suite.kernels.len() - distinct);
+        assert_eq!(sum(&parallel), sum(&serial));
     }
 
     #[test]
@@ -1034,7 +1113,7 @@ mod tests {
                 .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
                 .unwrap()
         });
-        assert_eq!((searched, hits), (0, suite.kernels.len()));
+        assert_eq!((searched.len(), hits), (0, suite.kernels.len()));
         assert!(
             warm.sched.seeded_kernels > 0,
             "a hit reports the search seeded at the remembered II"

@@ -474,7 +474,7 @@ fn metrics_text(engine: &ServeEngine) -> String {
     c(
         &mut out,
         "serve_seeded_kernels_total",
-        "Kernels whose II search opened from a profitable seed",
+        "Kernels of computed cells reported as a search seeded above the MII (schedule memo hits)",
         s.seeded_kernels,
     );
     if let Some(p) = s.persist {

@@ -16,6 +16,7 @@
 //! *between* endpoints too (Figure 6 and Figure 7 reuse each other's
 //! MDC/DDGT-PrefClus runs).
 
+use std::convert::Infallible;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,6 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use distvliw_arch::MachineConfig;
+use distvliw_core::cache::{resolve_miss, CacheStats, ResultCache, SingleFlight};
 use distvliw_core::cachekey::{cell_key_from_encoded, digest_fingerprint, suite_digest, CacheKey};
 use distvliw_core::experiments::Cell;
 use distvliw_core::{
@@ -31,7 +33,6 @@ use distvliw_core::{
 use distvliw_ir::Suite;
 use distvliw_sim::ClusterUsage;
 
-use crate::cache::{CacheStats, ResultCache, SingleFlight};
 use crate::persist::{self, CellLog, CellWrite};
 
 /// A computed cell, shared between the cache and concurrent requesters.
@@ -98,9 +99,9 @@ pub struct EngineStats {
     pub deduped_requests: u64,
     /// Per-cluster usage aggregated over every computed cell.
     pub cluster: ClusterUsage,
-    /// Kernels whose reported search opened at a profitable II seed:
-    /// a schedule memo hit reports the search seeded at the remembered
-    /// II (summed over computed cells).
+    /// Kernels of computed cells reported as a search seeded above the
+    /// MII: schedule memo hits whose stored II is more than the seed
+    /// slack above it.
     pub seeded_kernels: u64,
     /// Persistence counters, when the engine runs with a state dir.
     pub persist: Option<PersistStats>,
@@ -126,7 +127,7 @@ pub struct ServeEngine {
 struct CellStore {
     options: PipelineOptions,
     cache: Mutex<ResultCache<CellResult>>,
-    flight: SingleFlight<CellResult>,
+    flight: SingleFlight<Result<CellResult, Infallible>>,
     /// One shared schedule memo for every pipeline this engine spawns,
     /// so each distinct scheduling problem is searched once per process,
     /// whichever cell, endpoint or scheduler-equivalent machine variant
@@ -444,19 +445,7 @@ impl CellStore {
     /// cache lookup that missed was already counted.
     fn compute(&self, miss: &Miss) -> CellResult {
         let flight_start = Instant::now();
-        let (value, leader) = self.flight.work(miss.key.bytes(), || {
-            // Double-check under the flight: a requester that missed the
-            // cache but reached here after the previous leader retired
-            // its flight must find the published entry, not recompute
-            // it. Uncounted — the lookup was already tallied as a miss.
-            if let Some(value) = self
-                .cache
-                .lock()
-                .expect("cache lock")
-                .get_uncounted(&miss.key)
-            {
-                return value;
-            }
+        let run = || {
             let pipeline = Pipeline::new(miss.machine.clone())
                 .with_options(self.options)
                 .with_memo(self.memo.clone());
@@ -468,19 +457,30 @@ impl CellStore {
                     .fetch_add(stats.sched.seeded_kernels, Ordering::Relaxed);
             }
             self.computed.fetch_add(1, Ordering::Relaxed);
-            // Publish to the cache *before* the flight slot is retired,
-            // so a racer arriving between retirement and publication
-            // cannot start a duplicate computation.
-            let persist_span = distvliw_obs::Span::enter("persist");
-            let mut cache = self.cache.lock().expect("cache lock");
+            Ok(result)
+        };
+        // Insert, then mirror the insertion into the cell log under the
+        // cache lock (cache → persist ordering), so the log follows
+        // insertion order exactly: a tombstone for the evicted victim and
+        // the cell's record, or an atomic rewrite to the LRU-ordered live
+        // set once the appends since the last one would exceed the cache
+        // capacity ([`CellLog::record_insert`]). Only `Ok` cells persist;
+        // write failures are counted, not fatal.
+        let publish = |cache: &mut ResultCache<CellResult>, result: &CellResult| {
+            let _span = distvliw_obs::Span::enter("persist");
             let evicted = cache.insert(miss.key.clone(), result.clone());
-            // Persist under the cache lock (cache → persist ordering),
-            // so the log mirrors insertion order exactly.
-            self.persist_insert(&cache, &miss.key, &result, evicted.as_ref());
-            drop(cache);
-            drop(persist_span);
-            result
-        });
+            let Some(persist) = &self.persist else { return };
+            let mut p = persist.lock().expect("persist lock");
+            match p
+                .cells
+                .record_insert(cache, &miss.key, result, evicted.as_ref())
+            {
+                Ok(CellWrite::Appended(n)) => p.stats.appended_records += n,
+                Ok(CellWrite::Rewrote) => p.stats.compactions += 1,
+                Err(_) => p.stats.write_errors += 1,
+            }
+        };
+        let (Ok(value), leader) = resolve_miss(&self.cache, &self.flight, &miss.key, run, publish);
         if !leader {
             self.deduped.fetch_add(1, Ordering::Relaxed);
             // The wait is only known retroactively: the span covers the
@@ -493,29 +493,6 @@ impl CellStore {
             );
         }
         value
-    }
-
-    /// Mirrors one cache insertion into the cell log: a tombstone for
-    /// the evicted victim and the cell's record — or, once the appends
-    /// since the last rewrite would exceed the cache capacity, an atomic
-    /// rewrite to the LRU-ordered live set ([`CellLog::record_insert`]).
-    /// Only `Ok` cells persist; a failed cell is recomputed (and may
-    /// succeed) after a restart. Callers hold the cache lock (cache →
-    /// persist ordering). Write failures are counted, not fatal.
-    fn persist_insert(
-        &self,
-        cache: &ResultCache<CellResult>,
-        key: &CacheKey,
-        value: &CellResult,
-        evicted: Option<&CacheKey>,
-    ) {
-        let Some(persist) = &self.persist else { return };
-        let mut p = persist.lock().expect("persist lock");
-        match p.cells.record_insert(cache, key, value, evicted) {
-            Ok(CellWrite::Appended(n)) => p.stats.appended_records += n,
-            Ok(CellWrite::Rewrote) => p.stats.compactions += 1,
-            Err(_) => p.stats.write_errors += 1,
-        }
     }
 }
 

@@ -2,11 +2,10 @@
 //! per-connection state machines, and a bounded admission count for the
 //! request jobs it submits to the process-wide compute pool.
 //!
-//! The previous connection layer spawned one thread per accepted socket
-//! and kept an unbounded handler vector, so a connection flood grew the
-//! process until it died. Here the thread budget is fixed up front —
-//! **one** loop thread owning every socket, and the `distvliw_core::par`
-//! pool computing requests and their cells — and admission is explicit:
+//! The thread budget is fixed up front — **one** loop thread owning
+//! every socket, and the `distvliw_core::par` pool computing requests
+//! and their cells — so a connection flood cannot grow the process, and
+//! admission is explicit:
 //!
 //! * connections beyond `max_conns` are answered `503` with
 //!   `retry-after` at accept time and closed;
@@ -30,15 +29,13 @@
 //! pipelined bytes wait in the kernel buffer — so one slow request
 //! cannot make the loop busy-spin. Request jobs hand finished responses
 //! back through a completion list and wake the loop via a loopback
-//! socketpair (std has no pipes). Responses are rendered with the same
-//! [`render_response`] bytes the threaded layer wrote, so warm
-//! responses stay byte-identical across the migration.
+//! socketpair (std has no pipes). Responses are rendered by
+//! [`render_response`].
 //!
-//! Timeout semantics are preserved from the threaded layer: idle
-//! keep-alive connections are reaped after 60 s, a connection stalling
-//! mid-request (or mid-response) is closed after 30 s, and shutdown
-//! drains — in-flight computations finish and their responses are
-//! written before the loop exits. However the loop exits, `run`
+//! Timeouts: idle keep-alive connections are reaped after 60 s, a
+//! connection stalling mid-request (or mid-response) is closed after
+//! 30 s, and shutdown drains — in-flight computations finish and their
+//! responses are written before the loop exits. However the loop exits, `run`
 //! returns only once every request job it submitted has finished.
 
 use std::io::{self, Read, Write};
@@ -61,13 +58,12 @@ const IDLE_LIMIT: Duration = Duration::from_secs(60);
 /// this long.
 const REQUEST_WINDOW: Duration = Duration::from_secs(30);
 /// Upper bound on one poll(2) sleep, so an externally-set shutdown
-/// flag is noticed within one tick (the threaded layer's read-timeout
-/// tick gave the same guarantee).
+/// flag is noticed within one tick.
 const MAX_TICK: Duration = Duration::from_millis(500);
 /// Consecutive hard accept failures before the loop gives up instead
 /// of retrying every `ACCEPT_BACKOFF` forever (a permanently broken
-/// listener — e.g. closed out from under us — used to spin the accept
-/// loop for the life of the process).
+/// listener — e.g. closed out from under us — would otherwise spin the
+/// accept loop for the life of the process).
 const ACCEPT_FAILURE_LIMIT: u32 = 25;
 /// Backoff after one transient accept failure (EMFILE under fd
 /// exhaustion recovers; the backoff keeps the loop off 100% CPU).
@@ -465,8 +461,8 @@ impl Loop<'_> {
     /// request, submits it to the pool (`None`, as for an incomplete
     /// one) or returns the 503/4xx/501 that [`Loop::pump`] answers
     /// inline, with its close-after-write flag. `/shutdown` is handled
-    /// here at the connection layer, exactly like the threaded layer
-    /// did — the engine stays a pure request → response function.
+    /// here at the connection layer, so the engine stays a pure
+    /// request → response function.
     fn dispatch_step(&mut self, token: usize) -> Option<(Response, bool)> {
         let generation = self.slots.get(token)?.generation;
         let conn = self.conn_mut(token)?;
@@ -524,9 +520,8 @@ impl Loop<'_> {
 
         let close = request.wants_close();
         if !self.shared.admit(self.queue_limit) {
-            // Backpressure: the admission count is the bound. The
-            // threaded layer would have spawned another thread here;
-            // instead the front door says "later".
+            // Backpressure: the admission count is the bound, and the
+            // front door says "later".
             self.rejected_queue_full.inc();
             distvliw_obs::logger::event(
                 "warn",

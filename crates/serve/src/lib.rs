@@ -4,9 +4,9 @@
 //! `std::net` only (the build container has no crates.io access, so the
 //! HTTP framing and JSON are hand-rolled, mirroring the `third_party/`
 //! dependency stand-ins). The engine memoizes experiment cells in a
-//! content-addressed [`cache::ResultCache`] keyed by
+//! content-addressed [`distvliw_core::cache::ResultCache`] keyed by
 //! [`distvliw_core::cachekey::cell_key`], collapses concurrent identical
-//! requests with [`cache::SingleFlight`], and shards each request's
+//! requests with [`distvliw_core::cache::SingleFlight`], and shards each request's
 //! cell misses across the resident pool of `distvliw_core::par` — so
 //! repeated figure regenerations are incremental instead of recomputing
 //! the whole grid.
@@ -40,7 +40,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+/// Re-exported for the benchmark harness, which imports it from here.
+pub use distvliw_core::cache;
 pub mod client;
 pub mod endpoints;
 pub mod engine;

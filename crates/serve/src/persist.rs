@@ -1,7 +1,7 @@
 //! Crash-safe on-disk persistence for the serving layer's warm state.
 //!
 //! One store survives restarts: the content-addressed cell cache
-//! ([`crate::cache::ResultCache`], keyed by
+//! ([`distvliw_core::cache::ResultCache`], keyed by
 //! [`distvliw_core::cachekey::cell_key`] bytes). Schedules do not
 //! persist: a schedule is a pure compile-time function of the loop,
 //! the coherence solution and the machine, and a cell already holds
@@ -48,7 +48,7 @@ use distvliw_core::cachekey::{fnv1a64, CacheKey, CELL_KEY_VERSION};
 use distvliw_core::{KernelRun, SchedStats, SchedTotals, SuiteStats};
 use distvliw_sim::{ClusterUsage, SimStats};
 
-use crate::cache::ResultCache;
+use distvliw_core::cache::ResultCache;
 
 /// Magic prefix of every store file ("DistVliw Log Store").
 pub const MAGIC: [u8; 4] = *b"DVLS";

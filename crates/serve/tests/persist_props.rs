@@ -26,8 +26,8 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use distvliw_core::cache::ResultCache;
 use distvliw_core::cachekey::CacheKey;
-use distvliw_serve::cache::ResultCache;
 use distvliw_serve::persist::{
     decode_store, encode_header, encode_record, era_bytes, replay_cells, CellLog, Record,
     KIND_CELLS,

@@ -10,8 +10,8 @@
 //!   **byte-identical** to the pre-kill responses;
 //! - nothing is discarded at recovery (every append is crash-safe);
 //! - a post-restart cell that *does* schedule (a fresh cell key via a
-//!   simulation-only machine override) searches cold: schedules do not
-//!   persist, so no II seed survives the restart;
+//!   simulation-only machine override) searches cold: the schedule memo
+//!   is not persisted, so no schedule survives the restart;
 //! - a stale-era state dir is discarded wholesale, not trusted, and the
 //!   recomputed cell renders the same bytes;
 //! - after a warm-up that evicts, the replayed log (tombstones and all)

@@ -14,9 +14,9 @@ use proptest::prelude::*;
 /// The naive reference sweep, the semantic definition the factored
 /// `sweep` must reproduce: every `(cluster count, bus point, solution,
 /// suite)` cell runs the full compile+simulate `Pipeline::run_suite`
-/// path — no artifact reuse, no derived hybrid. A cold pipeline per cell
-/// keeps the search-effort counters reproducible: no cell's II seeds
-/// warm another's.
+/// path — no artifact reuse, no derived hybrid. A fresh pipeline per
+/// cell, each with its own empty schedule memo, keeps the search-effort
+/// counters reproducible: no cell is answered from another's schedules.
 fn sweep_naive(base: &MachineConfig, suites: &[Suite], spec: &SweepSpec) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for machine in &sweep_points(base, spec) {
