@@ -111,7 +111,7 @@ pub(crate) fn dep_tag(kind: DepKind) -> u8 {
     }
 }
 
-fn push_stream(out: &mut Vec<u8>, stream: &AddressStream) {
+pub(crate) fn push_stream(out: &mut Vec<u8>, stream: &AddressStream) {
     match stream {
         AddressStream::Affine { base, stride } => {
             out.push(0);

@@ -33,8 +33,8 @@ pub mod report;
 pub use distvliw_sched::{Heuristic, SchedStats};
 pub use distvliw_sim::ClusterUsage;
 pub use pipeline::{
-    derive_hybrid, KernelArtifact, KernelRun, Pipeline, PipelineError, PipelineOptions,
-    SchedTotals, ScheduleMemo, Solution, SuiteArtifact, SuiteStats,
+    derive_hybrid, KernelArtifact, KernelRun, Pipeline, PipelineError, PipelineMemo,
+    PipelineOptions, SchedTotals, Solution, SuiteArtifact, SuiteStats,
 };
 
 /// Registers every metric family of the pipeline's layers — scheduler,

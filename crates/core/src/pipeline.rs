@@ -1,6 +1,7 @@
 //! The end-to-end pipeline: coherence pass → cluster-aware modulo
 //! scheduling → cycle-level simulation.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -10,7 +11,7 @@ use distvliw_ir::{profile::preferred_clusters, Ddg, LoopKernel, Suite};
 use distvliw_sched::{
     Heuristic, ModuloScheduler, SchedStats, Schedule, ScheduleError, SearchRecord,
 };
-use distvliw_sim::{simulate_kernel_detailed, ClusterUsage, SimOptions, SimStats};
+use distvliw_sim::{count_simulation, simulate_kernel_run, ClusterUsage, SimRun, SimStats};
 
 use crate::cache::{resolve_miss, ResultCache, SingleFlight};
 use crate::cachekey::{self, push_u64, CacheKey};
@@ -317,48 +318,95 @@ pub struct SuiteArtifact {
 /// record of the search that found it.
 type Solved = Arc<(Schedule, SearchRecord)>;
 
-/// The schedule memo: every successful search, stored under the full
-/// configuration of its scheduling problem (machine projection, graph,
-/// constraints, profile, heuristic — see `seed_key`) in core's bounded
-/// single-flight cache ([`ResultCache`], LRU, `MEMO_CAPACITY` problems).
-/// A repeat of the problem skips the scheduler, and compiles that pose
-/// it at the same time wait for one search, so each problem is searched
-/// once whatever the fan-out width. The scheduler is deterministic, so
-/// a stored schedule is byte for byte the one a repeat search would
-/// find. A hit (a waiter included) reports the stats a search seeded
-/// with the stored II would ([`SearchRecord::stats`] at that II), so the
-/// effort reported does not depend on which compile searched. A failed
-/// search is not stored; its waiters get its error. Shared across the
-/// pipeline's clones and threads; it lasts one process.
-pub struct ScheduleMemo {
-    cache: Mutex<ResultCache<Solved>>,
-    flight: SingleFlight<Result<Solved, ScheduleError>>,
+/// One bounded single-flight table of the [`PipelineMemo`]: core's LRU
+/// [`ResultCache`] behind a [`SingleFlight`], misses through
+/// [`resolve_miss`]. A value is computed once per key whatever the
+/// fan-out width: callers that miss one key at the same time wait for
+/// the first. An `Err` is not stored; its waiters get it.
+struct MemoTable<V, E> {
+    cache: Mutex<ResultCache<V>>,
+    flight: SingleFlight<Result<V, E>>,
 }
 
-impl ScheduleMemo {
+impl<V: Clone, E: Clone> MemoTable<V, E> {
+    fn new(capacity: usize) -> Self {
+        MemoTable {
+            cache: Mutex::new(ResultCache::new(capacity)),
+            flight: SingleFlight::new(),
+        }
+    }
+
+    /// The value under `key`, computed by `compute` on a miss. The
+    /// boolean is `true` when this call ran `compute`, `false` for a hit
+    /// (a caller that waited on a concurrent computation included).
+    fn resolve(
+        &self,
+        key: &CacheKey,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> (Result<V, E>, bool) {
+        if let Some(value) = self.cache.lock().expect("cache lock").get(key) {
+            return (Ok(value), false);
+        }
+        let mut ran = false;
+        let compute = || {
+            ran = true;
+            compute()
+        };
+        let publish = |cache: &mut ResultCache<V>, value: &V| {
+            cache.insert(key.clone(), value.clone());
+        };
+        let (value, _) = resolve_miss(&self.cache, &self.flight, key, compute, publish);
+        (value, ran)
+    }
+}
+
+/// The pipeline's memo: every successful schedule search and every
+/// kernel simulation, each in a bounded single-flight table, shared
+/// across the pipeline's clones and threads. It lives in memory only.
+///
+/// The schedule table keys each problem by its full configuration
+/// (machine projection, graph, constraints, profile, heuristic — see
+/// `seed_key`; `MEMO_CAPACITY` problems). The scheduler is
+/// deterministic, so a stored schedule is byte for byte the one a repeat
+/// search would find. A hit (a waiter included) reports the stats a
+/// search seeded with the stored II would ([`SearchRecord::stats`] at
+/// that II), so the effort reported does not depend on which compile
+/// searched.
+///
+/// The simulation table keys each run by its content (full machine,
+/// post-pass kernel, schedule — see `sim_key`; `SIM_MEMO_CAPACITY`
+/// runs). The simulator is deterministic too, so a hit returns exactly
+/// the statistics a fresh run would, and counts the run's work into the
+/// `sim_*` families again ([`count_simulation`]).
+pub struct PipelineMemo {
+    schedules: MemoTable<Solved, ScheduleError>,
+    sims: MemoTable<Arc<SimRun>, Infallible>,
+}
+
+impl PipelineMemo {
     /// An empty memo.
     #[must_use]
     pub fn new() -> Self {
-        ScheduleMemo {
-            cache: Mutex::new(ResultCache::new(MEMO_CAPACITY)),
-            flight: SingleFlight::new(),
+        PipelineMemo {
+            schedules: MemoTable::new(MEMO_CAPACITY),
+            sims: MemoTable::new(SIM_MEMO_CAPACITY),
         }
     }
 }
 
-impl Default for ScheduleMemo {
+impl Default for PipelineMemo {
     fn default() -> Self {
-        ScheduleMemo::new()
+        PipelineMemo::new()
     }
 }
 
-impl fmt::Debug for ScheduleMemo {
+impl fmt::Debug for PipelineMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScheduleMemo").finish_non_exhaustive()
+        f.debug_struct("PipelineMemo").finish_non_exhaustive()
     }
 }
 
-/// The most entries a [`ScheduleMemo`] holds. An entry costs about
+/// The most schedules a [`PipelineMemo`] holds. An entry costs about
 /// 240 bytes of map slot, key, `Arc` and fixed fields, about 34 bytes per
 /// scheduled op (its `BTreeMap` entry), 24 per copy and 32 per II the
 /// search tried. Over every problem the bundled suites pose on the
@@ -368,6 +416,19 @@ impl fmt::Debug for ScheduleMemo {
 /// 75 MB even if every entry were the largest. 2048 is still about three
 /// times the problems the whole catalog poses.
 const MEMO_CAPACITY: usize = 1 << 11;
+
+/// The most simulations a [`PipelineMemo`] holds. An entry is the
+/// 16-byte key, its map slot and an `Arc` of the run: fixed statistics
+/// and work counters plus a per-cluster access and violation table, so
+/// it grows with the cluster count. Measured with a counting allocator
+/// over the 196 distinct runs the bundled suites pose under Free, MDC and
+/// DDGT on one to four memory buses, an entry costs about 460 bytes at 4
+/// clusters, 620 at 8 and 950 at 16, map table included. A full memo
+/// therefore holds about 2 MB (4 MB at 16 clusters). A cold pass of the
+/// figure routes poses 362 distinct simulations and `matrix_churn`'s
+/// cell pool 156, so 4096 is about ten times the catalog. The table
+/// grows as it fills; nothing is allocated up front.
+const SIM_MEMO_CAPACITY: usize = 1 << 12;
 
 /// The full-configuration key of one scheduling problem. Everything the
 /// scheduler's output depends on is encoded — the machine's *scheduler
@@ -431,14 +492,81 @@ fn seed_key(
     CacheKey::from_bytes(cachekey::digest_fingerprint(&bytes).to_vec())
 }
 
+/// The content key of one kernel simulation: everything the simulator's
+/// output depends on — the simulation machine's full
+/// [`MachineConfig::canonical_bytes`] (interleave applied), the
+/// post-pass graph (each node's kind, sequence number, memory site and
+/// width and replica root, every dependence edge), the execution
+/// streams, the trip count and invocations, and the schedule (II, span,
+/// each op's cluster and start, each copy's producer, clusters and
+/// start) — compressed to the same 128-bit fingerprint as `seed_key`.
+/// The kernel's name and profile image are left out: the simulator reads
+/// neither, so kernels differing only there share one run.
+fn sim_key(machine: &MachineConfig, kernel: &LoopKernel, schedule: &Schedule) -> CacheKey {
+    let mut bytes = machine.canonical_bytes();
+    let ddg = &kernel.ddg;
+    push_u64(&mut bytes, ddg.node_count() as u64);
+    for n in ddg.node_ids() {
+        let node = ddg.node(n);
+        push_u64(&mut bytes, u64::from(n.0));
+        bytes.push(cachekey::op_tag(node.kind));
+        push_u64(&mut bytes, u64::from(ddg.seq(n)));
+        match node.mem {
+            Some(mem) => {
+                bytes.push(0);
+                push_u64(&mut bytes, u64::from(mem.mem.0));
+                push_u64(&mut bytes, mem.width.bytes());
+            }
+            None => bytes.push(0xff),
+        }
+        match ddg.replica_of(n) {
+            Some(root) => {
+                bytes.push(0);
+                push_u64(&mut bytes, u64::from(root.0));
+            }
+            None => bytes.push(0xff),
+        }
+    }
+    push_u64(&mut bytes, ddg.deps().count() as u64);
+    for (_, d) in ddg.deps() {
+        push_u64(&mut bytes, u64::from(d.src.0));
+        push_u64(&mut bytes, u64::from(d.dst.0));
+        bytes.push(cachekey::dep_tag(d.kind));
+        push_u64(&mut bytes, u64::from(d.distance));
+    }
+    push_u64(&mut bytes, kernel.exec.len() as u64);
+    for (mem, stream) in kernel.exec.iter() {
+        push_u64(&mut bytes, u64::from(mem.0));
+        cachekey::push_stream(&mut bytes, stream);
+    }
+    push_u64(&mut bytes, kernel.trip_count);
+    push_u64(&mut bytes, kernel.invocations);
+    push_u64(&mut bytes, u64::from(schedule.ii));
+    push_u64(&mut bytes, u64::from(schedule.span));
+    push_u64(&mut bytes, schedule.ops.len() as u64);
+    for (n, op) in &schedule.ops {
+        push_u64(&mut bytes, u64::from(n.0));
+        push_u64(&mut bytes, op.cluster as u64);
+        push_u64(&mut bytes, u64::from(op.start));
+    }
+    push_u64(&mut bytes, schedule.copies.len() as u64);
+    for c in &schedule.copies {
+        push_u64(&mut bytes, u64::from(c.producer.0));
+        push_u64(&mut bytes, c.from_cluster as u64);
+        push_u64(&mut bytes, c.to_cluster as u64);
+        push_u64(&mut bytes, u64::from(c.start));
+    }
+    CacheKey::from_bytes(cachekey::digest_fingerprint(&bytes).to_vec())
+}
+
 /// The end-to-end compile-and-simulate pipeline for one machine.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     machine: MachineConfig,
     options: PipelineOptions,
-    /// Solved scheduling problems, shared by all clones of this
-    /// pipeline.
-    memo: Arc<ScheduleMemo>,
+    /// Solved scheduling problems and run simulations, shared by all
+    /// clones of this pipeline.
+    memo: Arc<PipelineMemo>,
 }
 
 impl Pipeline {
@@ -453,7 +581,7 @@ impl Pipeline {
         Pipeline {
             machine,
             options: PipelineOptions::default(),
-            memo: Arc::new(ScheduleMemo::new()),
+            memo: Arc::new(PipelineMemo::new()),
         }
     }
 
@@ -464,13 +592,13 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the schedule memo with a shared one. The scheduler is
-    /// deterministic, so a warm memo changes only the search *effort*
-    /// reported (that of a seeded search: fewer `iis_tried`, a nonzero
-    /// `seeded_at`), never a schedule byte — pinned by
-    /// `warm_memo_reproduces_cold_run`.
+    /// Replaces the memo with a shared one. The scheduler and the
+    /// simulator are deterministic, so a warm memo changes only the
+    /// search *effort* reported (that of a seeded search: fewer
+    /// `iis_tried`, a nonzero `seeded_at`), never a schedule or
+    /// simulation byte — pinned by `warm_memo_reproduces_cold_run`.
     #[must_use]
-    pub fn with_memo(mut self, memo: Arc<ScheduleMemo>) -> Self {
+    pub fn with_memo(mut self, memo: Arc<PipelineMemo>) -> Self {
         self.memo = memo;
         self
     }
@@ -591,23 +719,12 @@ impl Pipeline {
             heuristic,
             self.options.relax_latencies,
         );
-        let memo = &self.memo;
-        let mut searched = false;
-        let cached = memo.cache.lock().expect("cache lock").get(&key);
-        let search = || {
-            searched = true;
+        let (solved, searched) = self.memo.schedules.resolve(&key, || {
             ModuloScheduler::new(machine)
                 .with_latency_relaxation(self.options.relax_latencies)
                 .schedule_with_record(&kernel.ddg, &constraints, &prefs, heuristic)
                 .map(Arc::new)
-        };
-        let publish = |cache: &mut ResultCache<Solved>, solved: &Solved| {
-            cache.insert(key.clone(), solved.clone());
-        };
-        let solved = cached.map_or_else(
-            || resolve_miss(&memo.cache, &memo.flight, &key, search, publish).0,
-            Ok,
-        );
+        });
         span.field_str("memo", if searched { "miss" } else { "hit" });
         let solved = solved.map_err(|error| PipelineError::Schedule {
             kernel: kernel.name.clone(),
@@ -657,7 +774,9 @@ impl Pipeline {
     /// the artifact's schedule on `machine`, which may differ from the
     /// compile machine in simulation-only fields (memory-bus count,
     /// cache geometry, Attraction Buffers — anything outside
-    /// [`MachineConfig::sched_canonical_bytes`]).
+    /// [`MachineConfig::sched_canonical_bytes`]), or the run a prior or
+    /// concurrent simulation of the same content made. A hit counts the
+    /// stored run's work as the run did.
     fn simulate_kernel_artifact(
         &self,
         machine: &MachineConfig,
@@ -665,16 +784,27 @@ impl Pipeline {
     ) -> KernelRun {
         let mut span = distvliw_obs::Span::enter("sim");
         span.field_str("kernel", artifact.kernel.name.clone());
-        let (stats, cluster) =
-            simulate_kernel_detailed(machine, &artifact.kernel, &artifact.schedule, SimOptions);
+        let key = sim_key(machine, &artifact.kernel, &artifact.schedule);
+        let (run, ran) = self.memo.sims.resolve(&key, || {
+            Ok(Arc::new(simulate_kernel_run(
+                machine,
+                &artifact.kernel,
+                &artifact.schedule,
+            )))
+        });
+        span.field_str("memo", if ran { "miss" } else { "hit" });
+        let Ok(run) = run;
+        if !ran {
+            count_simulation(&run.work, true);
+        }
         KernelRun {
             name: artifact.kernel.name.clone(),
             ii: artifact.schedule.ii,
             span: artifact.schedule.span,
             static_comm_ops: artifact.schedule.comm_ops(),
             sched: artifact.sched,
-            stats,
-            cluster,
+            stats: run.stats,
+            cluster: run.cluster.clone(),
         }
     }
 
@@ -934,14 +1064,14 @@ mod tests {
         // reported search *effort* differs: that of a search seeded at
         // the remembered II.
         let suite = distvliw_mediabench::suite("gsmdec").unwrap();
-        let memo = Arc::new(ScheduleMemo::new());
+        let memo = Arc::new(PipelineMemo::new());
         let (cold, searched, _) = traced(|| {
             Pipeline::new(machine())
                 .with_memo(memo.clone())
                 .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
                 .unwrap()
         });
-        assert_eq!(searched.len(), memo.cache.lock().unwrap().len());
+        assert_eq!(searched.len(), memo.schedules.cache.lock().unwrap().len());
 
         let warm_pipeline = Pipeline::new(machine()).with_memo(memo);
         let (warm, searched, hits) = traced(|| {
@@ -975,7 +1105,7 @@ mod tests {
         // problems but that kernel's (the key holds no kernel name).
         let mut tail = suite.clone();
         tail.kernels.remove(0);
-        let memo = Arc::new(ScheduleMemo::new());
+        let memo = Arc::new(PipelineMemo::new());
         let compile = |suite: &Suite| {
             traced(|| {
                 Pipeline::new(machine())
@@ -984,23 +1114,27 @@ mod tests {
                     .unwrap()
             })
         };
-        let len = || memo.cache.lock().unwrap().len();
+        let len = || memo.schedules.cache.lock().unwrap().len();
         let names: Vec<String> = suite.kernels.iter().map(|k| k.name.clone()).collect();
         let (cold, searched, _) = compile(&suite);
         assert_eq!(searched, names, "every kernel poses its own problem");
         // Fill the memo with other problems, then touch the tail's, so
         // the first kernel's problem is the least recently used.
-        let filler = memo.cache.lock().unwrap().entries_by_recency()[0].1.clone();
+        let filler = memo.schedules.cache.lock().unwrap().entries_by_recency()[0]
+            .1
+            .clone();
         let foreign = |i: usize| CacheKey::from_bytes(format!("foreign {i}").into_bytes());
         for i in len()..MEMO_CAPACITY {
-            memo.cache
+            memo.schedules
+                .cache
                 .lock()
                 .unwrap()
                 .insert(foreign(i), filler.clone());
         }
         let (warm, searched, _) = compile(&tail);
         assert!(searched.is_empty(), "a full memo still answers");
-        memo.cache
+        memo.schedules
+            .cache
             .lock()
             .unwrap()
             .insert(foreign(MEMO_CAPACITY), filler);
@@ -1031,7 +1165,7 @@ mod tests {
                 m
             })
             .collect();
-        let run = |memo: &Arc<ScheduleMemo>, m: &MachineConfig| {
+        let run = |memo: &Arc<PipelineMemo>, m: &MachineConfig| {
             Pipeline::new(m.clone())
                 .with_memo(memo.clone())
                 .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
@@ -1046,7 +1180,7 @@ mod tests {
             total
         };
 
-        let serial_memo = Arc::new(ScheduleMemo::new());
+        let serial_memo = Arc::new(PipelineMemo::new());
         let (serial, serial_searched, _) = traced(|| {
             machines
                 .iter()
@@ -1054,7 +1188,7 @@ mod tests {
                 .collect::<Vec<_>>()
         });
 
-        let memo = Arc::new(ScheduleMemo::new());
+        let memo = Arc::new(PipelineMemo::new());
         let barrier = std::sync::Barrier::new(machines.len());
         let (parallel, searched, hits) = traced(|| {
             let ctx = distvliw_obs::trace::current_ctx();
@@ -1077,7 +1211,7 @@ mod tests {
                     .collect::<Vec<_>>()
             })
         });
-        let distinct = memo.cache.lock().unwrap().len();
+        let distinct = memo.schedules.cache.lock().unwrap().len();
         assert_eq!(searched.len(), distinct, "one search per distinct problem");
         assert_eq!(serial_searched.len(), distinct);
         assert_eq!(hits, 4 * suite.kernels.len() - distinct);
@@ -1094,7 +1228,7 @@ mod tests {
         // the MII, so a hit reports a seeded search: a nonzero
         // `seeded_kernels`.
         let suite = distvliw_mediabench::suite("epicenc").unwrap();
-        let memo = Arc::new(ScheduleMemo::new());
+        let memo = Arc::new(PipelineMemo::new());
         let cold = Pipeline::new(machine())
             .with_memo(memo.clone())
             .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
@@ -1125,6 +1259,116 @@ mod tests {
             assert_eq!(w.span, c.span, "{}", w.name);
             assert_eq!(w.static_comm_ops, c.static_comm_ops, "{}", w.name);
         }
+    }
+
+    #[test]
+    fn sim_key_covers_every_simulation_input() {
+        // A DDGT kernel with cross-cluster copies, on the machine its
+        // suite simulates on.
+        let suite = distvliw_mediabench::suite("gsmdec").unwrap();
+        let artifact = Pipeline::new(machine())
+            .compile_suite(&suite, Solution::Ddgt, Heuristic::PrefClus)
+            .unwrap();
+        let compiled = artifact
+            .kernels
+            .iter()
+            .find(|k| !k.schedule.copies.is_empty())
+            .expect("a gsmdec DDGT schedule has copies");
+        let sim_machine = machine().with_interleave(suite.interleave_bytes);
+        let base = sim_key(&sim_machine, &compiled.kernel, &compiled.schedule);
+        let kernel = || compiled.kernel.clone();
+        let schedule = || compiled.schedule.clone();
+        let (site, stream) = compiled.kernel.exec.iter().next().expect("a memory site");
+        let moved = match stream {
+            distvliw_ir::AddressStream::Affine { base, stride } => {
+                distvliw_ir::AddressStream::Affine {
+                    base: base + 4,
+                    stride: *stride,
+                }
+            }
+            distvliw_ir::AddressStream::Indexed(addrs) => {
+                distvliw_ir::AddressStream::Indexed(addrs.iter().map(|a| a + 4).collect())
+            }
+        };
+
+        let mut misses = Vec::new();
+        let mut m = sim_machine.clone();
+        m.mem_buses.count += 1;
+        misses.push(("memory buses", sim_key(&m, &kernel(), &schedule())));
+        let m = sim_machine
+            .clone()
+            .with_attraction_buffers(distvliw_arch::AttractionBufferConfig::paper());
+        misses.push(("attraction buffers", sim_key(&m, &kernel(), &schedule())));
+        let m = sim_machine
+            .clone()
+            .with_interleave(2 * suite.interleave_bytes);
+        misses.push(("interleave", sim_key(&m, &kernel(), &schedule())));
+        let mut k = kernel();
+        k.exec.insert(site, moved.clone());
+        misses.push(("exec stream base", sim_key(&sim_machine, &k, &schedule())));
+        let mut k = kernel();
+        k.trip_count += 1;
+        misses.push(("trip", sim_key(&sim_machine, &k, &schedule())));
+        let mut k = kernel();
+        k.invocations += 1;
+        misses.push(("invocations", sim_key(&sim_machine, &k, &schedule())));
+        let mut s = schedule();
+        s.ops.values_mut().next().unwrap().start += 1;
+        misses.push(("op start", sim_key(&sim_machine, &kernel(), &s)));
+        let mut s = schedule();
+        let op = s.ops.values_mut().next().unwrap();
+        op.cluster = (op.cluster + 1) % sim_machine.n_clusters;
+        misses.push(("op cluster", sim_key(&sim_machine, &kernel(), &s)));
+        let mut s = schedule();
+        s.copies[0].start += 1;
+        misses.push(("copy start", sim_key(&sim_machine, &kernel(), &s)));
+        for (what, key) in &misses {
+            assert_ne!(*key, base, "changing the {what} must miss");
+        }
+
+        // The simulator reads neither the name nor the profile image, so
+        // a kernel differing only there hits the stored run.
+        let mut k = kernel();
+        k.name.push_str(" (renamed)");
+        k.profile.insert(site, moved);
+        assert_eq!(sim_key(&sim_machine, &k, &schedule()), base);
+        let renamed = SuiteArtifact {
+            kernels: vec![KernelArtifact {
+                kernel: k,
+                ..compiled.clone()
+            }],
+            ..artifact.clone()
+        };
+        let original = SuiteArtifact {
+            kernels: vec![compiled.clone()],
+            ..artifact.clone()
+        };
+        let pipeline = Pipeline::new(machine());
+        let simulate = |artifact: &SuiteArtifact| {
+            use distvliw_obs::trace::{self, FieldValue, TraceCtx};
+            let sink = trace::TraceSink::new();
+            let run = trace::with_ctx(TraceCtx::for_sink(&sink), || {
+                pipeline.simulate_artifact(artifact)
+            });
+            let memo: Vec<String> = sink
+                .take()
+                .0
+                .into_iter()
+                .filter(|r| r.name == "sim")
+                .flat_map(|r| r.fields)
+                .filter_map(|(k, v)| match v {
+                    FieldValue::Str(s) if k == "memo" => Some(s),
+                    _ => None,
+                })
+                .collect();
+            (run, memo)
+        };
+        let (first, memo) = simulate(&renamed);
+        assert_eq!(memo, ["miss"]);
+        let (second, memo) = simulate(&original);
+        assert_eq!(memo, ["hit"]);
+        assert_eq!(first.total, second.total);
+        assert_eq!(first.cluster, second.cluster);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! thread; only the misses fan out, over the resident pool of
 //! [`distvliw_core::par`] — the one fan-out a request makes. A miss runs
 //! as an owned pool job, so the state it touches (cache, flight,
-//! schedule memo, persistence, counters) lives behind one `Arc` inside
+//! pipeline memo, persistence, counters) lives behind one `Arc` inside
 //! the engine. Every figure endpoint runs the cell list its experiment
 //! defines in `distvliw_core::experiments`, so results are shared
 //! *between* endpoints too (Figure 6 and Figure 7 reuse each other's
@@ -28,7 +28,7 @@ use distvliw_core::cache::{resolve_miss, CacheStats, ResultCache, SingleFlight};
 use distvliw_core::cachekey::{cell_key_from_encoded, digest_fingerprint, suite_digest, CacheKey};
 use distvliw_core::experiments::Cell;
 use distvliw_core::{
-    par, Heuristic, Pipeline, PipelineError, PipelineOptions, ScheduleMemo, Solution,
+    par, Heuristic, Pipeline, PipelineError, PipelineMemo, PipelineOptions, Solution,
 };
 use distvliw_ir::Suite;
 use distvliw_sim::ClusterUsage;
@@ -128,11 +128,11 @@ struct CellStore {
     options: PipelineOptions,
     cache: Mutex<ResultCache<CellResult>>,
     flight: SingleFlight<Result<CellResult, Infallible>>,
-    /// One shared schedule memo for every pipeline this engine spawns,
-    /// so each distinct scheduling problem is searched once per process,
-    /// whichever cell, endpoint or scheduler-equivalent machine variant
-    /// needs it. It lives in memory only.
-    memo: Arc<ScheduleMemo>,
+    /// One shared memo for every pipeline this engine spawns, so each
+    /// distinct scheduling problem is searched once and each distinct
+    /// simulation runs once per engine, whichever cell, endpoint or
+    /// machine variant needs it. It lives in memory only.
+    memo: Arc<PipelineMemo>,
     persist: Option<Mutex<PersistState>>,
     usage: Mutex<ClusterUsage>,
     computed: AtomicU64,
@@ -193,7 +193,7 @@ impl ServeEngine {
                 options: PipelineOptions::default(),
                 cache: Mutex::new(ResultCache::new(cache_capacity)),
                 flight: SingleFlight::new(),
-                memo: Arc::new(ScheduleMemo::new()),
+                memo: Arc::new(PipelineMemo::new()),
                 persist: None,
                 usage: Mutex::new(ClusterUsage::default()),
                 computed: AtomicU64::new(0),
@@ -223,8 +223,8 @@ impl ServeEngine {
     /// cell cache replays `cells.log` (a tombstone drops its key), and
     /// the log is kept current as the engine runs (see [`CellLog`] for
     /// its appends and amortized compaction; fsync on flush). The
-    /// schedule memo is not persisted: after a restart a cell miss
-    /// searches cold. A corrupt or stale log is recovered, never
+    /// pipeline memo of schedules and simulations lives in memory only:
+    /// after a restart a cell miss searches and simulates cold. A corrupt or stale log is recovered, never
     /// fatal — see [`PersistStats`] for what was kept.
     ///
     /// # Errors

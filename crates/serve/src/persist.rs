@@ -5,8 +5,9 @@
 //! [`distvliw_core::cachekey::cell_key`] bytes). Schedules do not
 //! persist: a schedule is a pure compile-time function of the loop,
 //! the coherence solution and the machine, and a cell already holds
-//! every result its schedules produced, so the pipeline's schedule memo
-//! ([`distvliw_core::ScheduleMemo`]) lives in memory for one process.
+//! every result its schedules and simulations produced, so the
+//! pipeline's memo of both ([`distvliw_core::PipelineMemo`]) lives in
+//! memory for one engine.
 //! The cell log uses this log-structured format (see
 //! `docs/persistence.md` for the spec):
 //!

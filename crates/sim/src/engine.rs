@@ -222,6 +222,69 @@ pub fn simulate_kernel_detailed(
     schedule: &Schedule,
     _options: SimOptions,
 ) -> (SimStats, ClusterUsage) {
+    let run = simulate_kernel_run(machine, kernel, schedule);
+    (run.stats, run.cluster)
+}
+
+/// The simulator's own work in one run, before scaling by invocations:
+/// what the `sim_*` work counters count, so a memoized run can count
+/// again exactly what the simulation that produced it counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimWork {
+    /// Cycles the event loop walked (compute + stall).
+    pub cycles: u64,
+    /// Stall-on-use cycles.
+    pub stall_cycles: u64,
+    /// Memory-system batch windows.
+    pub batches: u64,
+    /// Memory-bus busy cycles.
+    pub bus_busy_cycles: u64,
+    /// Granules the violation detector tracked (0 when the hazard
+    /// precheck skipped it).
+    pub detector_granules: u64,
+}
+
+/// One kernel simulation: what [`simulate_kernel_detailed`] returns,
+/// plus the work it took.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SimRun {
+    /// Simulation statistics (all invocations).
+    pub stats: SimStats,
+    /// Per-cluster resource usage (all invocations).
+    pub cluster: ClusterUsage,
+    /// The simulator's work, one invocation.
+    pub work: SimWork,
+}
+
+/// Counts one kernel simulation into the `sim_*` work families: one
+/// that just ran (`memoized` false) and one a memo returns in place of
+/// running it (`memoized` true, also counted in `sim_memo_hits_total`)
+/// count the same way, at the work their [`SimWork`] reports. Only a
+/// simulation that ran records `sim_kernel_duration_us`.
+pub fn count_simulation(work: &SimWork, memoized: bool) {
+    let metrics = metrics();
+    metrics.kernels.inc();
+    metrics.cycles.add(work.cycles);
+    metrics.stall_cycles.add(work.stall_cycles);
+    metrics.batches.add(work.batches);
+    metrics.bus_busy_cycles.add(work.bus_busy_cycles);
+    metrics.detector_granules.add(work.detector_granules);
+    metrics.memo_hits.add(u64::from(memoized));
+}
+
+/// Simulates `schedule` executing `kernel` on `machine`, as
+/// [`simulate_kernel_detailed`] does, and also returns the work the run
+/// counted ([`count_simulation`]).
+///
+/// # Panics
+///
+/// As [`simulate_kernel`].
+#[must_use]
+pub fn simulate_kernel_run(
+    machine: &MachineConfig,
+    kernel: &LoopKernel,
+    schedule: &Schedule,
+) -> SimRun {
     let sim_start = std::time::Instant::now();
     let mut sim_span = distvliw_obs::Span::enter("sim.kernel");
     let ddg = &kernel.ddg;
@@ -491,23 +554,27 @@ pub fn simulate_kernel_detailed(
     // Observability: the simulated-work counters report what this call
     // walked, one invocation before scaling by invocations, so they
     // track simulator cost rather than modeled time.
+    let work = SimWork {
+        cycles: total_rows + stall,
+        stall_cycles: stall,
+        batches,
+        bus_busy_cycles: stats.bus_busy_cycles,
+        detector_granules: detector.tracked_granules(),
+    };
     sim_span.field_u64("ii", ii);
     sim_span.field_u64("iterations", trip);
-    sim_span.field_u64("cycles", total_rows + stall);
+    sim_span.field_u64("cycles", work.cycles);
     sim_span.field_u64("batches", batches);
-    let granules = detector.tracked_granules();
-    sim_span.field_u64("granules", granules);
-    let metrics = metrics();
-    metrics.kernels.inc();
-    metrics.cycles.add(total_rows + stall);
-    metrics.stall_cycles.add(stall);
-    metrics.batches.add(batches);
-    metrics.bus_busy_cycles.add(stats.bus_busy_cycles);
-    metrics.detector_granules.add(granules);
-    metrics.duration.record_micros(sim_start.elapsed());
+    sim_span.field_u64("granules", work.detector_granules);
+    count_simulation(&work, false);
+    metrics().duration.record_micros(sim_start.elapsed());
 
     let invocations = kernel.invocations.max(1);
-    (stats.scaled(invocations), usage.scaled(invocations))
+    SimRun {
+        stats: stats.scaled(invocations),
+        cluster: usage.scaled(invocations),
+        work,
+    }
 }
 
 /// The simulator's metric families in the global registry.
@@ -518,6 +585,7 @@ struct Metrics {
     batches: Counter,
     bus_busy_cycles: Counter,
     detector_granules: Counter,
+    memo_hits: Counter,
     duration: Histogram,
 }
 
@@ -527,7 +595,10 @@ fn metrics() -> &'static Metrics {
     METRICS.get_or_init(|| {
         let reg = distvliw_obs::global();
         Metrics {
-            kernels: reg.counter("sim_kernels_total", "Kernel simulations completed"),
+            kernels: reg.counter(
+                "sim_kernels_total",
+                "Kernel simulations served, memo hits included",
+            ),
             cycles: reg.counter(
                 "sim_cycles_total",
                 "Cycles walked by the event loop (compute + stall; one invocation, before scaling by invocations)",
@@ -548,9 +619,13 @@ fn metrics() -> &'static Metrics {
                 "sim_detector_granules_total",
                 "Granules the violation detector tracked (one invocation, before scaling by invocations; 0 when the precheck skips it)",
             ),
+            memo_hits: reg.counter(
+                "sim_memo_hits_total",
+                "Kernel simulations served from the pipeline's simulation memo without running",
+            ),
             duration: reg.histogram(
                 "sim_kernel_duration_us",
-                "Wall time of one kernel simulation in microseconds",
+                "Wall time of one kernel simulation that ran (memo hits excluded) in microseconds",
             ),
         }
     })

@@ -29,7 +29,10 @@ mod memsys;
 mod stats;
 mod violation;
 
-pub use engine::{register_metrics, simulate_kernel, simulate_kernel_detailed, SimOptions};
+pub use engine::{
+    count_simulation, register_metrics, simulate_kernel, simulate_kernel_detailed,
+    simulate_kernel_run, SimOptions, SimRun, SimWork,
+};
 pub use memsys::{AccessResult, BatchAccess, MemorySystem, ResourcePool, SubblockCache};
 pub use stats::{AccessCounts, ClusterCounts, ClusterUsage, SimStats};
 pub use violation::ViolationDetector;

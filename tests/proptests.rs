@@ -1,20 +1,54 @@
 //! Property-based tests over randomly generated kernels, exercising the
-//! whole stack: graph invariants under transformation, schedule legality
-//! and simulator conservation laws.
+//! whole stack: graph invariants under transformation, schedule legality,
+//! simulator conservation laws and the pipeline's simulation memo.
+//!
+//! The `sim_*` counters are process-wide, so every test here that
+//! simulates holds [`exclusive_counters`]: the memo test compares their
+//! deltas.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-use distvliw::arch::MachineConfig;
+use distvliw::arch::{AttractionBufferConfig, BusConfig, MachineConfig};
 use distvliw::coherence::{find_chains, transform, SchedConstraints};
-use distvliw::core::{Pipeline, Solution};
+use distvliw::core::{Pipeline, PipelineMemo, Solution, SuiteStats};
 use distvliw::ir::{
-    AddressStream, Ddg, DdgBuilder, DepKind, LoopKernel, NodeId, OpKind, PrefMap, Width,
+    AddressStream, Ddg, DdgBuilder, DepKind, LoopKernel, NodeId, OpKind, PrefMap, Suite, Width,
     MAX_INVOCATIONS, MAX_TRIP_COUNT,
 };
 use distvliw::mediabench::trace;
 use distvliw::sched::{Heuristic, ModuloScheduler};
-use distvliw::sim::{simulate_kernel, SimOptions};
+use distvliw::sim::{simulate_kernel, simulate_kernel_detailed, SimOptions};
 use proptest::prelude::*;
+
+/// Serializes the tests that simulate, so one test's `sim_*` counter
+/// deltas are its own.
+fn exclusive_counters() -> MutexGuard<'static, ()> {
+    static COUNTERS: Mutex<()> = Mutex::new(());
+    COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` and returns its output with how far it moved each `sim_*`
+/// series of the global registry (histograms by their `_count`).
+fn sim_deltas<R>(f: impl FnOnce() -> R) -> (R, BTreeMap<String, u64>) {
+    let snapshot = || -> BTreeMap<String, u64> {
+        distvliw_obs::global()
+            .counter_snapshot()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("sim_"))
+            .collect()
+    };
+    let before = snapshot();
+    let out = f();
+    let deltas = snapshot()
+        .into_iter()
+        .map(|(name, after)| {
+            let delta = after - before.get(&name).copied().unwrap_or(0);
+            (name, delta)
+        })
+        .collect();
+    (out, deltas)
+}
 
 /// Strategy: a random well-formed loop kernel with `n_mem` memory ops on
 /// a handful of arrays (shared arrays produce real aliasing), plus
@@ -204,6 +238,7 @@ proptest! {
 
     #[test]
     fn simulation_conserves_accesses_and_never_violates_under_mdc(kernel in arb_kernel()) {
+        let _counters = exclusive_counters();
         let machine = MachineConfig::paper_baseline();
         let chains = find_chains(&kernel.ddg);
         let constraints = SchedConstraints::for_mdc(&chains, &kernel.ddg, None, 4);
@@ -219,6 +254,7 @@ proptest! {
 
     #[test]
     fn ddgt_simulation_is_coherent_too(kernel in arb_kernel()) {
+        let _counters = exclusive_counters();
         let machine = MachineConfig::paper_baseline();
         let mut k = kernel.clone();
         let report = transform(&mut k.ddg, 4);
@@ -244,6 +280,7 @@ proptest! {
         text in arb_limit_trace(),
         solution in 0usize..3,
     ) {
+        let _counters = exclusive_counters();
         let suite = trace::parse(&text).unwrap().to_suite();
         let kernel = &suite.kernels[0];
         prop_assert_eq!(kernel.validate(), Ok(()));
@@ -259,5 +296,112 @@ proptest! {
         let compute = (trip - 1) * u64::from(k.ii) + u64::from(k.span);
         prop_assert_eq!(stats.compute_cycles, compute * invocations);
         prop_assert!(stats.bus_drain_cycles >= stats.total_cycles());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A simulation memo hit returns exactly the statistics a fresh
+    /// simulation of the same compiled kernel returns, and moves every
+    /// `sim_*` work counter by the same amount; it adds one memo hit and
+    /// records no duration.
+    #[test]
+    fn a_simulation_memo_hit_replays_a_fresh_run(
+        kernel in arb_kernel(),
+        solution in 0usize..3,
+        heuristic in any::<bool>(),
+        buses in 1usize..5,
+        interleave in 0u32..3,
+        attraction in any::<bool>(),
+    ) {
+        let _counters = exclusive_counters();
+        let solution = [Solution::Free, Solution::Mdc, Solution::Ddgt][solution];
+        let heuristic = if heuristic { Heuristic::PrefClus } else { Heuristic::MinComs };
+        let mut machine = MachineConfig::paper_baseline()
+            .with_mem_buses(BusConfig { count: buses, latency: 2 });
+        if attraction {
+            machine = machine.with_attraction_buffers(AttractionBufferConfig::paper());
+        }
+        let mut suite = Suite::new("prop", 2 << interleave);
+        suite.kernels.push(kernel);
+        let pipeline = Pipeline::new(machine.clone());
+        let artifact = pipeline.compile_suite(&suite, solution, heuristic).unwrap();
+        let (miss, miss_deltas) = sim_deltas(|| pipeline.simulate_artifact(&artifact));
+        let compiled = &artifact.kernels[0];
+        let sim_machine = machine.with_interleave(suite.interleave_bytes);
+        let (fresh, fresh_deltas) = sim_deltas(|| {
+            simulate_kernel_detailed(&sim_machine, &compiled.kernel, &compiled.schedule, SimOptions)
+        });
+        let (hit, hit_deltas) = sim_deltas(|| pipeline.simulate_artifact(&artifact));
+
+        prop_assert_eq!(&miss.kernels[0].stats, &fresh.0);
+        prop_assert_eq!(&hit.kernels[0].stats, &fresh.0);
+        prop_assert_eq!(&hit.kernels[0].cluster, &fresh.1);
+        prop_assert_eq!(&miss_deltas, &fresh_deltas);
+        prop_assert_eq!(fresh_deltas["sim_kernel_duration_us_count"], 1);
+        prop_assert_eq!(fresh_deltas["sim_memo_hits_total"], 0);
+        let mut expected = fresh_deltas;
+        expected.insert("sim_kernel_duration_us_count".into(), 0);
+        expected.insert("sim_memo_hits_total".into(), 1);
+        prop_assert_eq!(hit_deltas, expected);
+    }
+}
+
+/// N threads released at once by a barrier run one cell on a shared
+/// memo, at fixed widths whatever the host's CPU count: each distinct
+/// kernel simulation runs once, every other one counts as a hit, and
+/// every run counts as served.
+#[test]
+fn concurrent_runs_simulate_each_kernel_once() {
+    let _counters = exclusive_counters();
+    let suite = distvliw::mediabench::suite("epicenc").unwrap();
+    let kernels = suite.kernels.len() as u64;
+    let run = |memo: &Arc<PipelineMemo>| {
+        Pipeline::new(MachineConfig::paper_baseline())
+            .with_memo(memo.clone())
+            .run_suite(&suite, Solution::Mdc, Heuristic::PrefClus)
+            .unwrap()
+    };
+
+    // One serial run on a fresh memo simulates each distinct kernel.
+    let (serial, deltas) = sim_deltas(|| run(&Arc::new(PipelineMemo::new())));
+    let distinct = deltas["sim_kernel_duration_us_count"];
+    assert!(distinct > 0 && distinct <= kernels);
+    assert_eq!(deltas["sim_memo_hits_total"], kernels - distinct);
+
+    for threads in [2u64, 4] {
+        let memo = Arc::new(PipelineMemo::new());
+        let barrier = Barrier::new(threads as usize);
+        let (runs, deltas) = sim_deltas(|| {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            run(&memo)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .collect::<Vec<SuiteStats>>()
+            })
+        });
+        assert_eq!(
+            deltas["sim_kernel_duration_us_count"], distinct,
+            "{threads} threads: one simulation per distinct kernel"
+        );
+        assert_eq!(
+            deltas["sim_memo_hits_total"],
+            threads * kernels - distinct,
+            "{threads} threads: every other simulation is a hit"
+        );
+        assert_eq!(deltas["sim_kernels_total"], threads * kernels);
+        for r in &runs {
+            assert_eq!(r.total, serial.total);
+            assert_eq!(r.cluster, serial.cluster);
+        }
     }
 }
