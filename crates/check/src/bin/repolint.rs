@@ -96,18 +96,57 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Strips line comments and truncates at the first `#[cfg(test)]`, so
-/// the scans see only non-test code lines.
+/// The non-test code lines of `content`, numbered from 1: comment and
+/// blank lines are dropped, so is every `#[cfg(test)]` item (through the
+/// line its braces close on, or its `;`), and the scan stops at the
+/// inline test module (`#[cfg(test)]` on a `mod … {`), which ends a file
+/// by convention. A test-only helper elsewhere hides nothing after it.
 fn code_lines(content: &str) -> impl Iterator<Item = (usize, &str)> {
-    content
-        .lines()
-        .enumerate()
-        .take_while(|(_, line)| !line.trim_start().starts_with("#[cfg(test)]"))
-        .filter(|(_, line)| {
-            let t = line.trim_start();
-            !(t.starts_with("//") || t.is_empty())
-        })
-        .map(|(i, line)| (i + 1, line))
+    let mut out = Vec::new();
+    let mut lines = content.lines().enumerate();
+    while let Some((i, line)) = lines.next() {
+        let t = line.trim_start();
+        if let Some(rest) = t.strip_prefix("#[cfg(test)]") {
+            if skip_test_item(rest, &mut lines) {
+                break;
+            }
+            continue;
+        }
+        if !(t.starts_with("//") || t.is_empty()) {
+            out.push((i + 1, line));
+        }
+    }
+    out.into_iter()
+}
+
+/// Consumes the item a `#[cfg(test)]` attribute applies to: `rest` (the
+/// attribute line after the attribute), then as many `lines` as the item
+/// spans. Returns true when the item is an inline module — the test
+/// module, where the scan stops.
+fn skip_test_item<'a>(rest: &'a str, lines: &mut impl Iterator<Item = (usize, &'a str)>) -> bool {
+    let mut depth = 0i64;
+    let mut opened = false;
+    let mut started = false;
+    let mut next = Some(rest);
+    while let Some(text) = next.take().or_else(|| lines.next().map(|(_, l)| l)) {
+        let code = text.trim();
+        if code.is_empty() || code.starts_with("//") || code.starts_with("#[") {
+            continue;
+        }
+        let is_mod = ["mod ", "pub mod ", "pub(crate) mod "]
+            .iter()
+            .any(|p| code.starts_with(p));
+        if !started && is_mod && code.contains('{') {
+            return true;
+        }
+        started = true;
+        depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+        opened |= code.contains('{');
+        if (opened && depth <= 0) || (!opened && code.ends_with(';')) {
+            break;
+        }
+    }
+    false
 }
 
 /// Scan 1: `unsafe` appears only in the allowed file.
@@ -182,29 +221,7 @@ fn check_metric_catalog(root: &Path, sources: &[PathBuf], findings: &mut Vec<Str
         let Ok(content) = fs::read_to_string(path) else {
             continue;
         };
-        let stripped: String = code_lines(&content)
-            .map(|(_, l)| l)
-            .collect::<Vec<_>>()
-            .join("\n");
-        for call in [
-            ".counter(",
-            ".gauge(",
-            ".histogram(",
-            ".counter_with(",
-            ".gauge_with(",
-            ".histogram_with(",
-        ] {
-            let mut from = 0;
-            while let Some(pos) = stripped[from..].find(call) {
-                let after = from + pos + call.len();
-                if let Some(name) = leading_string_literal(&stripped[after..]) {
-                    if name.contains('_') {
-                        in_code.insert(name);
-                    }
-                }
-                from = after;
-            }
-        }
+        in_code.extend(registered_families(&content));
     }
 
     let catalog_path = root.join(CATALOG);
@@ -287,6 +304,36 @@ fn fan_outs(content: &str) -> Vec<(usize, Option<&str>)> {
     out
 }
 
+/// The metric families the non-test code of `content` registers
+/// through the registry (`.counter("…")` and the other calls above).
+fn registered_families(content: &str) -> Vec<String> {
+    let stripped: String = code_lines(content)
+        .map(|(_, l)| l)
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut names = Vec::new();
+    for call in [
+        ".counter(",
+        ".gauge(",
+        ".histogram(",
+        ".counter_with(",
+        ".gauge_with(",
+        ".histogram_with(",
+    ] {
+        let mut from = 0;
+        while let Some(pos) = stripped[from..].find(call) {
+            let after = from + pos + call.len();
+            if let Some(name) = leading_string_literal(&stripped[after..]) {
+                if name.contains('_') {
+                    names.push(name);
+                }
+            }
+            from = after;
+        }
+    }
+    names
+}
+
 /// The string literal at the start of `s` (after optional whitespace,
 /// including the newline of a wrapped call), if any.
 fn leading_string_literal(s: &str) -> Option<String> {
@@ -316,5 +363,36 @@ mod tests {
             fan_outs(src),
             vec![(4, Some("run_direct")), (8, Some("sneaky"))]
         );
+    }
+
+    #[test]
+    fn a_test_only_item_hides_only_itself() {
+        // A `#[cfg(test)]` helper ahead of a registration, then the test
+        // module: only the shipped registrations count.
+        let src = "impl Memo {\n\
+                   \x20   #[cfg(test)]\n\
+                   \x20   fn len(&self) -> usize {\n\
+                   \x20       reg.counter(\"test_only_total\", \"h\");\n\
+                   \x20       self.map.len()\n\
+                   \x20   }\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   use std::fmt::Write;\n\
+                   fn metrics() {\n\
+                   \x20   reg.counter(\"check_violations_total\", \"h\");\n\
+                   }\n\
+                   #[cfg(test)] fn t() { reg.gauge(\"inline_test_gauge\", \"h\"); }\n\
+                   fn more() { reg.histogram(\"after_inline_us\", \"h\"); }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   fn f() { reg.counter(\"in_tests_total\", \"h\"); }\n\
+                   }\n\
+                   fn after_the_module() { reg.counter(\"past_tests_total\", \"h\"); }\n";
+        assert_eq!(
+            registered_families(src),
+            ["check_violations_total", "after_inline_us"]
+        );
+        let lines: Vec<usize> = code_lines(src).map(|(n, _)| n).collect();
+        assert_eq!(lines, [1, 7, 10, 11, 12, 14]);
     }
 }

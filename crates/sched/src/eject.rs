@@ -45,6 +45,14 @@ impl EvictionRecord {
     pub fn evicted(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.iter().map(|&(n, _, _)| n)
     }
+
+    /// Empties the record, keeping its buffers for the next chain.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.copies.clear();
+        self.groups.clear();
+        self.ranges.clear();
+    }
 }
 
 /// Total ejections allowed at one II before the search bumps to the

@@ -39,11 +39,13 @@ mod dense;
 mod eject;
 pub mod mii;
 mod mrt;
+mod order;
 mod pressure;
 mod schedule;
 mod scheduler;
 
 pub use mrt::Mrt;
+pub use order::PriorityOrder;
 pub use schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp};
 pub use scheduler::{
     count_schedule, register_metrics, Heuristic, ModuloScheduler, SearchRecord, SEED_II_SLACK,

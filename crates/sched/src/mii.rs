@@ -5,7 +5,9 @@
 //! The hot path runs that search once per latency-assignment trial, so
 //! [`RecMiiSolver`] extracts the edge list once per graph and reuses one
 //! scratch distance buffer across every probe of every search instead of
-//! reallocating per probe.
+//! reallocating per probe. It also knows which nodes lie on a dependence
+//! cycle: only those nodes' latencies can change whether an II is
+//! feasible.
 
 use std::collections::BTreeMap;
 
@@ -136,10 +138,15 @@ pub fn constrained_res_mii(
 /// [`RecMiiSolver::rec_mii`] refreshes per-edge latencies from the
 /// current latency assignment and binary-searches feasibility, reusing
 /// one scratch distance buffer for every probe.
+/// [`RecMiiSolver::on_recurrence`] answers from one strongly connected
+/// component pass made at construction.
 #[derive(Debug, Clone)]
 pub struct RecMiiSolver {
     n: usize,
     edges: Vec<DepRec>,
+    /// Whether each node lies on a dependence cycle (self edges and
+    /// loop-carried edges included).
+    on_cycle: Vec<bool>,
     /// Latency of `edges[i]` under the latency assignment of the most
     /// recent `rec_mii` call.
     latencies: Vec<u32>,
@@ -165,10 +172,22 @@ impl RecMiiSolver {
         let latencies = vec![0; edges.len()];
         RecMiiSolver {
             n,
+            on_cycle: cycle_members(dense),
             edges,
             latencies,
             dist: vec![0; n],
         }
+    }
+
+    /// Whether `node` lies on a dependence cycle of the graph: a self
+    /// edge, or a strongly connected component of two or more nodes
+    /// over every edge, loop-carried ones included. Every cycle's weight
+    /// under a latency assignment depends only on the latencies of such
+    /// nodes, so raising a load that lies on no cycle never changes
+    /// [`RecMiiSolver::feasible_at`].
+    #[must_use]
+    pub fn on_recurrence(&self, node: NodeId) -> bool {
+        self.on_cycle[node.index()]
     }
 
     fn refresh_latencies(&mut self, load_lat: &NodeMap<u32>) {
@@ -250,6 +269,69 @@ impl RecMiiSolver {
         }
         lo
     }
+}
+
+/// Which nodes lie on a dependence cycle: Tarjan's strongly connected
+/// components over every edge of `dense`, iteratively (a recursion per
+/// node could overflow the stack on a 4096-op kernel).
+fn cycle_members(dense: &DenseDeps) -> Vec<bool> {
+    const UNSEEN: u32 = u32::MAX;
+    let n = dense.node_count();
+    let mut on_cycle = vec![false; n];
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    // DFS frames: a node and the position of its next out-edge.
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut next = 0u32;
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        let mut open = Some(root);
+        loop {
+            if let Some(v) = open.take() {
+                index[v] = next;
+                low[v] = next;
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+                frames.push((v, 0));
+            }
+            let Some(&mut (v, ref mut pos)) = frames.last_mut() else {
+                break;
+            };
+            if let Some(d) = dense.out_deps(NodeId(v as u32)).get(*pos) {
+                *pos += 1;
+                let w = d.dst.index();
+                if w == v {
+                    on_cycle[v] = true;
+                } else if index[w] == UNSEEN {
+                    open = Some(w);
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(u, _)) = frames.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let root_at = stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("a component root is on the stack");
+                let multi = stack.len() - root_at > 1;
+                for w in stack.drain(root_at..) {
+                    on_stack[w] = false;
+                    on_cycle[w] |= multi;
+                }
+            }
+        }
+    }
+    on_cycle
 }
 
 /// Recurrence-constrained MII (one-shot convenience over

@@ -68,12 +68,10 @@ impl Mrt {
     /// Panics if `ii` is zero.
     #[must_use]
     pub fn new(machine: &MachineConfig, ii: u32) -> Self {
-        assert!(ii > 0, "II must be positive");
-        let slots = ii as usize;
         let mut mrt = Mrt {
             ii,
             fu: (0..machine.n_clusters)
-                .map(|_| [vec![0; slots], vec![0; slots], vec![0; slots]])
+                .map(|_| [Vec::new(), Vec::new(), Vec::new()])
                 .collect(),
             fu_cap: [
                 machine.fu.integer as u32,
@@ -81,16 +79,40 @@ impl Mrt {
                 machine.fu.memory as u32,
             ],
             cluster_ops: vec![0; machine.n_clusters],
-            bus: vec![0; slots],
-            bus_open: vec![0; 3 * slots / 64 + 2],
+            bus: Vec::new(),
+            bus_open: Vec::new(),
             bus_cap: machine.reg_buses.count as u32,
             bus_latency: machine.reg_buses.latency,
             journal: Vec::new(),
         };
-        for slot in 0..slots {
-            mrt.sync_open(slot);
-        }
+        mrt.reset(ii);
         mrt
+    }
+
+    /// Empties the table and rebuilds it for initiation interval `ii`,
+    /// keeping its buffers: the scheduler reuses one table for every
+    /// placement pass of a search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ii` is zero.
+    pub(crate) fn reset(&mut self, ii: u32) {
+        assert!(ii > 0, "II must be positive");
+        let slots = ii as usize;
+        self.ii = ii;
+        for class in self.fu.iter_mut().flatten() {
+            class.clear();
+            class.resize(slots, 0);
+        }
+        self.cluster_ops.fill(0);
+        self.bus.clear();
+        self.bus.resize(slots, 0);
+        self.bus_open.clear();
+        self.bus_open.resize(3 * slots / 64 + 2, 0);
+        self.journal.clear();
+        for slot in 0..slots {
+            self.sync_open(slot);
+        }
     }
 
     /// The initiation interval this table was built for.
@@ -471,6 +493,31 @@ mod tests {
     #[should_panic(expected = "II must be positive")]
     fn zero_ii_rejected() {
         let _ = Mrt::new(&machine(), 0);
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_table() {
+        // A used table reset to another II behaves as a new one: same
+        // cells, same open bus slots, nothing left to roll back.
+        let m = machine();
+        let mut mrt = Mrt::new(&m, 7);
+        mrt.reserve_fu(1, FuClass::Memory, 3);
+        mrt.reserve_bus(5);
+        mrt.reserve_bus(5);
+        for ii in [3, 7, 70, 1] {
+            mrt.reset(ii);
+            let fresh = Mrt::new(&m, ii);
+            assert_eq!(mrt.ii(), ii);
+            assert_eq!(mrt.cells(), fresh.cells(), "II {ii}");
+            for from in 0..2 * ii {
+                assert_eq!(
+                    mrt.find_bus_slot(from, from + ii),
+                    fresh.find_bus_slot(from, from + ii)
+                );
+            }
+            assert_eq!(mrt.checkpoint(), fresh.checkpoint());
+            mrt.reserve_bus(0);
+        }
     }
 
     #[test]

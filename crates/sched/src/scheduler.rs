@@ -29,15 +29,22 @@
 //! * a candidate placement reserves resources directly in the [`Mrt`] and
 //!   *rolls back* through its reservation journal on failure instead of
 //!   cloning the table per trial;
+//! * one `Placer` per search owns the latency assignment and every
+//!   buffer of a placement pass (reservation table, placement, copy
+//!   table, live ranges and their journal, worklist, eviction record),
+//!   reset rather than reallocated per pass; candidate clusters come
+//!   back inline;
 //! * the priority order is computed once per latency assignment (it does
-//!   not depend on the II) and shared by the whole II search;
+//!   not depend on the II) by a [`PriorityOrder`] whose topology is
+//!   built once per search;
 //! * one [`RecMiiSolver`] instance carries its scratch buffers across
-//!   every latency-assignment trial.
+//!   every latency-assignment trial, and a trial that moves only loads
+//!   on no dependence cycle skips its feasibility probe.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
 
-use distvliw_arch::{LatencyClass, MachineConfig};
+use distvliw_arch::{LatencyClass, MachineConfig, MAX_CLUSTERS};
 use distvliw_coherence::SchedConstraints;
 use distvliw_ir::{Ddg, DepKind, NodeId, NodeMap, PrefMap};
 use distvliw_obs::{Counter, Histogram};
@@ -46,6 +53,7 @@ use crate::dense::{DenseDeps, DepRec};
 use crate::eject::{eject_budget, EvictionRecord};
 use crate::mii::{constrained_res_mii, res_mii, RecMiiSolver};
 use crate::mrt::Mrt;
+use crate::order::PriorityOrder;
 use crate::pressure::{range_cost, PressureCtx};
 use crate::schedule::{CopyOp, SchedStats, Schedule, ScheduleError, ScheduledOp};
 
@@ -440,19 +448,21 @@ impl<'m> ModuloScheduler<'m> {
         // `used_eject` records whether it had to force a node at the II
         // it placed. The priority order depends only on the latency
         // assignment, not the II: compute it once for the whole II
-        // search.
+        // search. The order topology and the placer's buffers serve
+        // every pass of both phases.
         let mut passes: Vec<SearchCounters> = Vec::new();
-        let order = priority_order(ddg, &dense, &lat);
+        let mut priority = PriorityOrder::from_dense(&dense);
+        let mut placer = Placer::new(self.machine, ctx, lat);
+        let order = priority.order(&placer.load_lat);
         let mut found: Option<(u32, Placement, bool)> = None;
         for ii in start_ii..=max_ii {
             let mut trial_span = distvliw_obs::Span::enter("sched.ii_trial");
             trial_span.field_u64("ii", u64::from(ii));
-            let mut pass = SearchCounters::default();
-            let placed = self.try_place(ctx, &lat, &order, ii, true, &mut pass);
-            passes.push(pass);
-            if let Some((p, forced)) = placed {
+            let placed = placer.try_place(order, ii, true);
+            passes.push(std::mem::take(&mut placer.counters));
+            if let Some(forced) = placed {
                 trial_span.field_str("outcome", if forced { "ejected" } else { "placed" });
-                found = Some((ii, p, forced));
+                found = Some((ii, placer.take_placement(), forced));
                 break;
             }
             trial_span.field_str("outcome", "infeasible");
@@ -470,33 +480,48 @@ impl<'m> ModuloScheduler<'m> {
         // Phase 2: cache-sensitive latency assignment — raise load
         // latencies as far as compute time (II and schedule length)
         // allows.
-        let mut relax = SearchCounters::default();
         if self.relax_latencies && !classes.is_empty() {
+            let mut relax_span = distvliw_obs::Span::enter("sched.relax");
+            let mut tally = RelaxTally::default();
+            let mut saved: Vec<(NodeId, LatencyClass)> = Vec::new();
             // One trial moves `moved` to `class` and re-places at `ii0`,
             // keeping the placement if its span fits the budget — compute
             // time is dominated by the II, so the pipeline fill may grow
             // by a bounded number of stages, as the paper's latency
             // assignment does — and restoring the old classes otherwise.
+            // The current classes are feasible at `ii0` (phase 1 placed
+            // there, and every accepted trial was feasible), so a trial
+            // that moves only loads on no dependence cycle changes no
+            // cycle's weight and needs no feasibility probe.
             let mut trial = |classes: &mut NodeMap<LatencyClass>,
                              moved: &[NodeId],
                              class: LatencyClass,
                              eject: bool| {
-                let saved: Vec<(NodeId, LatencyClass)> =
-                    moved.iter().map(|&l| (l, classes[l])).collect();
+                tally.trials += 1;
+                saved.clear();
                 for &l in moved {
+                    saved.push((l, classes[l]));
                     classes.insert(l, class);
+                    placer.load_lat.insert(l, self.machine.latency_of(class));
                 }
-                let lat = self.cycles_of(classes);
-                if rec_solver.feasible_at(&lat, ii0) {
-                    let order = priority_order(ddg, &dense, &lat);
-                    let placed = self.try_place(ctx, &lat, &order, ii0, eject, &mut relax);
-                    if let Some((p, _)) = placed.filter(|(p, _)| p.span <= span_budget) {
-                        best = p;
-                        return true;
+                let acyclic = moved.iter().all(|&l| !rec_solver.on_recurrence(l));
+                tally.feasibility_skipped += u64::from(acyclic);
+                if acyclic || rec_solver.feasible_at(&placer.load_lat, ii0) {
+                    tally.placements += 1;
+                    let order = priority.order(&placer.load_lat);
+                    if placer.try_place(order, ii0, eject).is_some() {
+                        let placed = placer.take_placement();
+                        if placed.span <= span_budget {
+                            placer.recycle(std::mem::replace(&mut best, placed));
+                            tally.accepted += 1;
+                            return true;
+                        }
+                        placer.recycle(placed);
                     }
                 }
-                for (l, old) in saved {
+                for &(l, old) in &saved {
                     classes.insert(l, old);
+                    placer.load_lat.insert(l, self.machine.latency_of(old));
                 }
                 false
             };
@@ -528,7 +553,12 @@ impl<'m> ModuloScheduler<'m> {
                     }
                 }
             }
+            relax_span.field_u64("trials", tally.trials);
+            relax_span.field_u64("placements", tally.placements);
+            relax_span.field_u64("accepted", tally.accepted);
+            relax_span.field_u64("feasibility_skipped", tally.feasibility_skipped);
         }
+        let relax = placer.counters;
 
         let record = SearchRecord {
             ii: ii0,
@@ -572,74 +602,6 @@ impl<'m> ModuloScheduler<'m> {
             .map(|(n, &c)| (n, self.machine.latency_of(c)))
             .collect()
     }
-
-    fn placer<'a>(
-        &'a self,
-        ctx: SchedCtx<'a>,
-        load_lat: &'a NodeMap<u32>,
-        ii: u32,
-        counters: &'a mut SearchCounters,
-    ) -> Placer<'a> {
-        Placer {
-            machine: self.machine,
-            ctx,
-            load_lat,
-            ii,
-            bus_lat: self.machine.reg_buses.latency,
-            mrt: Mrt::new(self.machine, ii),
-            placed: NodeMap::with_capacity(ctx.ddg.node_count()),
-            copies: Vec::new(),
-            copy_map: CopyTable::new(ctx.ddg.node_count(), self.machine.n_clusters),
-            group_cluster: ctx.constraints.group_target.clone(),
-            planned: Vec::new(),
-            ranges: vec![NO_RANGE; ctx.ddg.node_count() * self.machine.n_clusters],
-            stage_regs: vec![0; self.machine.n_clusters],
-            counters,
-        }
-    }
-
-    /// One from-scratch worklist placement pass at a fixed II. A node
-    /// that cannot be placed fails the pass when `eject` is false;
-    /// otherwise it is forced in, evicting the ops blocking it (see
-    /// `crate::eject`), which re-enter the worklist at the back, and the
-    /// pass fails once the ejection budget is spent or a node cannot be
-    /// forced into any cluster. Up to its first forced node, the
-    /// ejecting pass is exactly the plain one. Returns the placement and
-    /// whether any node was forced.
-    fn try_place(
-        &self,
-        ctx: SchedCtx<'_>,
-        load_lat: &NodeMap<u32>,
-        order: &[NodeId],
-        ii: u32,
-        eject: bool,
-        counters: &mut SearchCounters,
-    ) -> Option<(Placement, bool)> {
-        let mut budget = eject_budget(ctx.ddg.node_count());
-        let mut placer = self.placer(ctx, load_lat, ii, counters);
-        let mut queue: VecDeque<NodeId> = order.iter().copied().collect();
-        let mut floor: NodeMap<u32> = NodeMap::new();
-        let mut forced = false;
-        while let Some(n) = queue.pop_front() {
-            if placer.place(n) {
-                continue;
-            }
-            let Some(evicted) = eject.then(|| placer.force_place(n, &mut floor)).flatten() else {
-                placer.counters.first_blocked = Some(n);
-                return None;
-            };
-            let cost = evicted.len() as u64;
-            placer.counters.ejections += cost;
-            if cost > budget {
-                placer.counters.first_blocked = Some(n);
-                return None;
-            }
-            budget -= cost;
-            forced = true;
-            queue.extend(evicted);
-        }
-        Some((placer.into_placement(), forced))
-    }
 }
 
 /// The effort of one phase-1 placement pass, or of every phase-2 trial
@@ -654,6 +616,20 @@ struct SearchCounters {
     max_pressure: u32,
     /// The node a failed pass could not place.
     first_blocked: Option<NodeId>,
+}
+
+/// What phase 2 of one search did, for its `sched.relax` span.
+#[derive(Debug, Default)]
+struct RelaxTally {
+    /// Latency-assignment trials.
+    trials: u64,
+    /// Trials that ran a placement pass.
+    placements: u64,
+    /// Trials whose placement was kept.
+    accepted: u64,
+    /// Trials that moved only loads on no dependence cycle, so skipped
+    /// the feasibility probe.
+    feasibility_skipped: u64,
 }
 
 /// Dense `(node, cluster) → copy start cycle` table: which clusters
@@ -683,6 +659,42 @@ impl CopyTable {
     fn remove(&mut self, producer: NodeId, cluster: usize) {
         self.slots[producer.index() * self.n_clusters + cluster] = None;
     }
+
+    fn clear(&mut self) {
+        self.slots.fill(None);
+    }
+}
+
+/// A node's candidate clusters, best first, held inline (a machine has
+/// at most [`MAX_CLUSTERS`] clusters).
+#[derive(Clone, Copy)]
+struct Candidates {
+    len: usize,
+    clusters: [u8; MAX_CLUSTERS],
+}
+
+impl Candidates {
+    /// Just `cluster`.
+    fn one(cluster: usize) -> Self {
+        let mut clusters = [0; MAX_CLUSTERS];
+        clusters[0] = u8::try_from(cluster).expect("a cluster index is below MAX_CLUSTERS");
+        Candidates { len: 1, clusters }
+    }
+
+    /// Every cluster of an `n`-cluster machine, in `key` order (the keys
+    /// are unique, so no tie is left to the sort).
+    fn sorted<K: Ord>(n: usize, mut key: impl FnMut(usize) -> K) -> Self {
+        let mut clusters = [0; MAX_CLUSTERS];
+        for (c, slot) in clusters[..n].iter_mut().enumerate() {
+            *slot = c as u8;
+        }
+        clusters[..n].sort_unstable_by_key(|&c| key(usize::from(c)));
+        Candidates { len: n, clusters }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.clusters[..self.len].iter().map(|&c| usize::from(c))
+    }
 }
 
 /// A planned (not yet accepted) inter-cluster copy of one commit attempt.
@@ -697,11 +709,15 @@ struct PlannedCopy {
 /// `(node × cluster)` range table (costs zero registers).
 const NO_RANGE: (i64, i64) = (i64::MAX, i64::MIN);
 
-/// The mutable state of one placement attempt at a fixed II.
+/// The placement state of one search: the current latency assignment
+/// and every buffer a placement pass needs, reset (not reallocated) for
+/// each pass.
 struct Placer<'a> {
     machine: &'a MachineConfig,
     ctx: SchedCtx<'a>,
-    load_lat: &'a NodeMap<u32>,
+    /// The search's current load-latency assignment.
+    load_lat: NodeMap<u32>,
+    /// The II of the current pass.
     ii: u32,
     bus_lat: u32,
     mrt: Mrt,
@@ -718,15 +734,102 @@ struct Placer<'a> {
     /// Per-cluster stage-crossing register demand
     /// (`Σ range_cost(ranges)` — see `crate::pressure`).
     stage_regs: Vec<u64>,
-    /// Search telemetry, shared with the surrounding II search.
-    counters: &'a mut SearchCounters,
+    /// Live-range journal of the in-flight commit.
+    range_log: Vec<(usize, (i64, i64))>,
+    /// The pass's worklist.
+    queue: VecDeque<NodeId>,
+    /// Per node, the earliest start its next forced placement may take.
+    floor: NodeMap<u32>,
+    /// What the in-flight ejection chain evicted.
+    evictions: EvictionRecord,
+    /// Search telemetry: the current phase-1 pass, or every phase-2
+    /// trial so far.
+    counters: SearchCounters,
 }
 
-impl Placer<'_> {
+impl<'a> Placer<'a> {
+    fn new(machine: &'a MachineConfig, ctx: SchedCtx<'a>, load_lat: NodeMap<u32>) -> Self {
+        let n_clusters = machine.n_clusters;
+        assert!(
+            n_clusters <= MAX_CLUSTERS,
+            "a machine has at most {MAX_CLUSTERS} clusters"
+        );
+        let n_nodes = ctx.ddg.node_count();
+        Placer {
+            machine,
+            ctx,
+            load_lat,
+            ii: 1,
+            bus_lat: machine.reg_buses.latency,
+            mrt: Mrt::new(machine, 1),
+            placed: NodeMap::with_capacity(n_nodes),
+            copies: Vec::new(),
+            copy_map: CopyTable::new(n_nodes, n_clusters),
+            group_cluster: BTreeMap::new(),
+            planned: Vec::new(),
+            ranges: vec![NO_RANGE; n_nodes * n_clusters],
+            stage_regs: vec![0; n_clusters],
+            range_log: Vec::new(),
+            queue: VecDeque::with_capacity(n_nodes),
+            floor: NodeMap::with_capacity(n_nodes),
+            evictions: EvictionRecord::default(),
+            counters: SearchCounters::default(),
+        }
+    }
+
+    /// Empties the placement for a fresh pass at `ii`.
+    fn reset(&mut self, ii: u32) {
+        self.ii = ii;
+        self.mrt.reset(ii);
+        self.placed.clear();
+        self.copies.clear();
+        self.copy_map.clear();
+        self.group_cluster
+            .clone_from(&self.ctx.constraints.group_target);
+        self.ranges.fill(NO_RANGE);
+        self.stage_regs.fill(0);
+        self.floor.clear();
+    }
+
+    /// One from-scratch worklist placement pass at a fixed II under the
+    /// current latency assignment, placing nodes in `order`. A node
+    /// that cannot be placed fails the pass when `eject` is false;
+    /// otherwise it is forced in, evicting the ops blocking it (see
+    /// `crate::eject`), which re-enter the worklist at the back, and the
+    /// pass fails once the ejection budget is spent or a node cannot be
+    /// forced into any cluster. Up to its first forced node, the
+    /// ejecting pass is exactly the plain one. Returns whether any node
+    /// was forced, or `None` when the pass failed; a placed pass leaves
+    /// its placement for [`Placer::take_placement`].
+    fn try_place(&mut self, order: &[NodeId], ii: u32, eject: bool) -> Option<bool> {
+        self.reset(ii);
+        let mut budget = eject_budget(self.ctx.ddg.node_count());
+        self.queue.clear();
+        self.queue.extend(order);
+        let mut forced = false;
+        while let Some(n) = self.queue.pop_front() {
+            if self.place(n) {
+                continue;
+            }
+            let Some(cost) = eject.then(|| self.force_place(n)).flatten() else {
+                self.counters.first_blocked = Some(n);
+                return None;
+            };
+            self.counters.ejections += cost;
+            if cost > budget {
+                self.counters.first_blocked = Some(n);
+                return None;
+            }
+            budget -= cost;
+            forced = true;
+        }
+        Some(forced)
+    }
+
     /// Places `n` in the best feasible cluster/cycle, or reports failure.
     fn place(&mut self, n: NodeId) -> bool {
         let candidates = self.candidate_clusters(n);
-        for c in candidates {
+        for c in candidates.iter() {
             let Some((est, lst)) = self.start_bounds(n, c) else {
                 continue;
             };
@@ -744,47 +847,48 @@ impl Placer<'_> {
     }
 
     /// Candidate clusters for `n`, best first.
-    fn candidate_clusters(&self, n: NodeId) -> Vec<usize> {
+    fn candidate_clusters(&self, n: NodeId) -> Candidates {
         let constraints = self.ctx.constraints;
         if let Some(&pin) = constraints.pinned.get(&n) {
-            return vec![pin];
+            return Candidates::one(pin);
         }
         if let Some(g) = constraints.colocate.get(&n) {
             if let Some(&c) = self.group_cluster.get(g) {
-                return vec![c];
+                return Candidates::one(c);
             }
         }
+        let n_clusters = self.machine.n_clusters;
         let op = self.ctx.ddg.node(n);
         if self.ctx.heuristic == Heuristic::PrefClus && op.is_memory() {
             if let Some(info) = op.mem_id().and_then(|m| self.ctx.prefs.get(&m)) {
                 // Preferred cluster first, then the rest by profile count.
-                let mut order: Vec<usize> = (0..self.machine.n_clusters).collect();
-                order.sort_by_key(|&c| (std::cmp::Reverse(info.counts()[c]), c));
-                return order;
+                let counts = info.counts();
+                return Candidates::sorted(n_clusters, |c| (std::cmp::Reverse(counts[c]), c));
             }
         }
-        // MinComs cost: copies needed if placed in c, then current load.
-        let mut rf_neighbors: Vec<usize> = Vec::new();
+        // MinComs cost: copies needed if placed in c — placed
+        // register-flow neighbours in other clusters — then current load.
+        let mut neighbors = 0;
+        let mut local = [0u32; MAX_CLUSTERS];
         for d in self.ctx.dense.in_deps(n) {
             if d.kind == DepKind::RegFlow {
                 if let Some(&(pc, _)) = self.placed.get(d.src) {
-                    rf_neighbors.push(pc);
+                    local[pc] += 1;
+                    neighbors += 1;
                 }
             }
         }
         for d in self.ctx.dense.out_deps(n) {
             if d.kind == DepKind::RegFlow {
                 if let Some(&(sc, _)) = self.placed.get(d.dst) {
-                    rf_neighbors.push(sc);
+                    local[sc] += 1;
+                    neighbors += 1;
                 }
             }
         }
-        let mut order: Vec<usize> = (0..self.machine.n_clusters).collect();
-        order.sort_by_key(|&c| {
-            let comms = rf_neighbors.iter().filter(|&&x| x != c).count();
-            (comms, self.mrt.cluster_load(c), c)
-        });
-        order
+        Candidates::sorted(n_clusters, |c| {
+            (neighbors - local[c], self.mrt.cluster_load(c), c)
+        })
     }
 
     /// Earliest start in cluster `c` that the placed producer of `d`
@@ -797,7 +901,7 @@ impl Placer<'_> {
             return None;
         }
         let &(pc, ps) = self.placed.get(d.src)?;
-        let value = i64::from(ps) + i64::from(d.latency(self.load_lat));
+        let value = i64::from(ps) + i64::from(d.latency(&self.load_lat));
         let arrival = if d.kind == DepKind::RegFlow && pc != c {
             let sent = self.copy_map.get(d.src, c).map_or(value, i64::from);
             sent + i64::from(self.bus_lat)
@@ -821,7 +925,7 @@ impl Placer<'_> {
             0
         };
         let carried = i64::from(self.ii) * i64::from(d.distance);
-        Some(i64::from(ss) + carried - i64::from(d.latency(self.load_lat)) - transfer)
+        Some(i64::from(ss) + carried - i64::from(d.latency(&self.load_lat)) - transfer)
     }
 
     /// Earliest start for `n` in cluster `c` from placed predecessors
@@ -861,7 +965,6 @@ impl Placer<'_> {
         // side tables stay freely mutable inside the loops.
         let ddg = self.ctx.ddg;
         let dense = self.ctx.dense;
-        let load_lat = self.load_lat;
         self.counters.attempts += 1;
         let class = ddg.node(n).kind.fu_class();
         if let Some(class) = class {
@@ -884,7 +987,7 @@ impl Placer<'_> {
             let Some(&(pc, ps)) = self.placed.get(d.src) else {
                 continue;
             };
-            let ready = i64::from(ps) + i64::from(d.latency(load_lat));
+            let ready = i64::from(ps) + i64::from(d.latency(&self.load_lat));
             let deadline = i64::from(start) - bus_lat + ii * i64::from(d.distance);
             if !self.plan_copy(d.src, pc, c, ready, deadline) {
                 self.mrt.rollback(mark);
@@ -917,16 +1020,19 @@ impl Placer<'_> {
         // the one that persists on acceptance — only the pressure-reject
         // path removes it.
         self.placed.insert(n, (c, start));
-        let mut rlog: Vec<(usize, (i64, i64))> = Vec::new();
-        self.apply_pressure(n, c, start, &mut rlog);
+        let mut log = std::mem::take(&mut self.range_log);
+        log.clear();
+        self.apply_pressure(n, c, start, &mut log);
         let cap = u64::from(self.machine.regs_per_cluster as u32);
         let peak = self.stage_regs.iter().copied().max().unwrap_or(0);
         if peak > cap {
-            self.undo_ranges(&mut rlog);
+            self.undo_ranges(&mut log);
+            self.range_log = log;
             self.placed.remove(n);
             self.mrt.rollback(mark);
             return false;
         }
+        self.range_log = log;
         self.counters.max_pressure = self
             .counters
             .max_pressure
@@ -991,7 +1097,7 @@ impl Placer<'_> {
         PressureCtx {
             ddg: self.ctx.ddg,
             dense: self.ctx.dense,
-            load_lat: self.load_lat,
+            load_lat: &self.load_lat,
             bus_lat: self.bus_lat,
             ii: self.ii,
             n_clusters: self.machine.n_clusters,
@@ -1135,12 +1241,14 @@ impl Placer<'_> {
     /// Forced placement of `n` (the ejection path): pick a start bounded
     /// by placed predecessors only, evict whatever blocks it — the
     /// same-slot functional-unit occupant and every placed successor
-    /// whose bound the start exceeds — and commit. Returns the evicted
-    /// nodes for re-enqueueing, or `None` when no cluster admits `n`
-    /// even with evictions (e.g. the register buses or the pressure
-    /// budget stay exhausted).
-    fn force_place(&mut self, n: NodeId, floor: &mut NodeMap<u32>) -> Option<Vec<NodeId>> {
-        for c in self.candidate_clusters(n) {
+    /// whose bound the start exceeds — and commit. Appends the evicted
+    /// nodes to the worklist and returns how many there were, or `None`
+    /// when no cluster admits `n` even with evictions (e.g. the register
+    /// buses or the pressure budget stay exhausted).
+    fn force_place(&mut self, n: NodeId) -> Option<u64> {
+        let mut rec = std::mem::take(&mut self.evictions);
+        let mut evicted = None;
+        for c in self.candidate_clusters(n).iter() {
             // One forced shot per cluster, at the earliest
             // predecessor-legal slot (Rau's rule): the monotone floor —
             // "previous start + 1" whenever `n` is forced again at this
@@ -1149,27 +1257,30 @@ impl Placer<'_> {
             // multiplies into every failed II of every latency trial.
             let base = self
                 .pred_est(n, c)
-                .max(i64::from(floor.get(n).copied().unwrap_or(0)));
+                .max(i64::from(self.floor.get(n).copied().unwrap_or(0)));
             let Ok(start) = u32::try_from(base) else {
                 continue;
             };
             let mark = self.mrt.checkpoint();
-            let mut rec = EvictionRecord::default();
+            rec.clear();
             self.evict_conflicts(n, c, start, &mut rec);
             if self.commit(n, c, start) {
-                floor.insert(n, start + 1);
-                return Some(rec.evicted().collect());
+                self.floor.insert(n, start + 1);
+                self.queue.extend(rec.evicted());
+                evicted = Some(rec.nodes.len() as u64);
+                break;
             }
-            self.unevict(rec, mark);
+            self.unevict(&mut rec, mark);
         }
-        None
+        self.evictions = rec;
+        evicted
     }
 
     /// Evicts everything that blocks placing `n` at `(c, start)`: enough
     /// same-class ops in the target modulo slot to free a unit, and
-    /// every placed successor whose `succ_bound` the start exceeds.
-    /// Predecessor bounds never need evictions — the forced start is at
-    /// or after `pred_est`.
+    /// every placed successor whose `succ_bound` the start exceeds, in
+    /// edge order. Predecessor bounds never need evictions — the forced
+    /// start is at or after `pred_est`.
     fn evict_conflicts(&mut self, n: NodeId, c: usize, start: u32, rec: &mut EvictionRecord) {
         if let Some(class) = self.ctx.ddg.node(n).kind.fu_class() {
             while !self.mrt.fu_free(c, class, start) {
@@ -1191,17 +1302,17 @@ impl Placer<'_> {
                 }
             }
         }
-        let mut victims: Vec<NodeId> = Vec::new();
-        for d in self.ctx.dense.out_deps(n) {
-            let late = self
+        // A successor's bound depends only on its own placement, so
+        // evicting one never changes whether another is late; an evicted
+        // successor reached again by a parallel edge is no longer placed.
+        let dense = self.ctx.dense;
+        for d in dense.out_deps(n) {
+            if self
                 .succ_bound(d, c)
-                .is_some_and(|lst| i64::from(start) > lst);
-            if late && !victims.contains(&d.dst) {
-                victims.push(d.dst);
+                .is_some_and(|lst| i64::from(start) > lst)
+            {
+                self.evict(d.dst, rec);
             }
-        }
-        for m in victims {
-            self.evict(m, rec);
         }
     }
 
@@ -1218,10 +1329,10 @@ impl Placer<'_> {
             self.mrt.release_fu(mc, class, ms);
         }
         // Copies of m's value (m is the producer).
-        let mut removed: Vec<CopyOp> = Vec::new();
+        let first_removed = rec.copies.len();
         self.copies.retain(|cp| {
             if cp.producer == m {
-                removed.push(*cp);
+                rec.copies.push(*cp);
                 false
             } else {
                 true
@@ -1250,11 +1361,11 @@ impl Placer<'_> {
                     .iter()
                     .position(|cp| cp.producer == p && cp.to_cluster == mc)
                 {
-                    removed.push(self.copies.remove(pos));
+                    rec.copies.push(self.copies.remove(pos));
                 }
             }
         }
-        for cp in &removed {
+        for cp in &rec.copies[first_removed..] {
             self.mrt.release_bus(cp.start);
             self.copy_map.remove(cp.producer, cp.to_cluster);
         }
@@ -1273,7 +1384,8 @@ impl Placer<'_> {
                 self.recompute_value_range(d.src, mc, &mut rec.ranges);
             }
         }
-        for cp in &removed {
+        for i in first_removed..rec.copies.len() {
+            let cp = rec.copies[i];
             if cp.producer != m && self.placed.contains_key(cp.producer) {
                 self.recompute_value_range(cp.producer, cp.from_cluster, &mut rec.ranges);
             }
@@ -1293,30 +1405,29 @@ impl Placer<'_> {
                 }
             }
         }
-        rec.copies.append(&mut removed);
         rec.nodes.push((m, mc, ms));
     }
 
-    /// Restores everything a rejected ejection chain evicted: the
-    /// reservation table rolls back through its journal (releases
-    /// included), the side tables restore from the record.
-    fn unevict(&mut self, mut rec: EvictionRecord, mark: crate::mrt::Checkpoint) {
+    /// Restores everything a rejected ejection chain evicted, emptying
+    /// the record: the reservation table rolls back through its journal
+    /// (releases included), the side tables restore from the record.
+    fn unevict(&mut self, rec: &mut EvictionRecord, mark: crate::mrt::Checkpoint) {
         self.mrt.rollback(mark);
         self.undo_ranges(&mut rec.ranges);
-        for cp in rec.copies {
+        for cp in rec.copies.drain(..) {
             self.copy_map.insert(cp.producer, cp.to_cluster, cp.start);
             self.copies.push(cp);
         }
-        for (g, cl) in rec.groups {
+        for (g, cl) in rec.groups.drain(..) {
             self.group_cluster.insert(g, cl);
         }
-        for (m, mc, ms) in rec.nodes {
+        for (m, mc, ms) in rec.nodes.drain(..) {
             self.placed.insert(m, (mc, ms));
         }
     }
 
-    /// Finalizes a fully placed attempt.
-    fn into_placement(self) -> Placement {
+    /// Moves the placement of a completed pass out of the placer.
+    fn take_placement(&mut self) -> Placement {
         #[cfg(debug_assertions)]
         {
             // The incremental pressure accounting must agree with the
@@ -1340,10 +1451,17 @@ impl Placer<'_> {
             .unwrap_or(1)
             .max(self.ii);
         Placement {
-            placed: self.placed,
-            copies: self.copies,
+            placed: std::mem::take(&mut self.placed),
+            copies: std::mem::take(&mut self.copies),
             span,
         }
+    }
+
+    /// Hands the buffers of a placement no longer needed back for the
+    /// next pass (right after [`Placer::take_placement`] emptied them).
+    fn recycle(&mut self, placement: Placement) {
+        self.placed = placement.placed;
+        self.copies = placement.copies;
     }
 }
 
@@ -1353,70 +1471,6 @@ struct Placement {
     placed: NodeMap<(usize, u32)>,
     copies: Vec<CopyOp>,
     span: u32,
-}
-
-/// Topological order over zero-distance edges, prioritizing nodes with the
-/// longest latency path to a sink (critical path first).
-///
-/// The ready set is a max-heap keyed by `(height, Reverse(node))`: the
-/// highest ready node first, the lowest id on ties, at O(log n) per step.
-fn priority_order(ddg: &Ddg, dense: &DenseDeps, load_lat: &NodeMap<u32>) -> Vec<NodeId> {
-    let n = ddg.node_count();
-    // Heights by reverse topological DP over zero-distance edges.
-    let mut indeg = vec![0u32; n];
-    let mut outdeg = vec![0u32; n];
-    for i in 0..n {
-        for d in dense.out_deps(NodeId(i as u32)) {
-            if d.distance == 0 && d.src != d.dst {
-                indeg[d.dst.index()] += 1;
-                outdeg[d.src.index()] += 1;
-            }
-        }
-    }
-    // Reverse topo: heights.
-    let mut height = vec![0i64; n];
-    let mut stack: Vec<usize> = (0..n).filter(|&i| outdeg[i] == 0).collect();
-    let mut rem_out = outdeg.clone();
-    while let Some(i) = stack.pop() {
-        for d in dense.in_deps(NodeId(i as u32)) {
-            if d.distance != 0 || d.src == d.dst {
-                continue;
-            }
-            let j = d.src.index();
-            let h = height[i] + i64::from(d.latency(load_lat));
-            height[j] = height[j].max(h);
-            rem_out[j] -= 1;
-            if rem_out[j] == 0 {
-                stack.push(j);
-            }
-        }
-    }
-    // Forward topo with max-height priority.
-    let mut ready: std::collections::BinaryHeap<(i64, std::cmp::Reverse<usize>)> = (0..n)
-        .filter(|&i| indeg[i] == 0)
-        .map(|i| (height[i], std::cmp::Reverse(i)))
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    let mut rem_in = indeg;
-    while let Some((_, std::cmp::Reverse(i))) = ready.pop() {
-        order.push(NodeId(i as u32));
-        for d in dense.out_deps(NodeId(i as u32)) {
-            if d.distance != 0 || d.src == d.dst {
-                continue;
-            }
-            let j = d.dst.index();
-            rem_in[j] -= 1;
-            if rem_in[j] == 0 {
-                ready.push((height[j], std::cmp::Reverse(j)));
-            }
-        }
-    }
-    debug_assert_eq!(
-        order.len(),
-        n,
-        "graph must be acyclic over zero-distance edges"
-    );
-    order
 }
 
 /// The MinComs post-pass: choose the virtual→physical cluster permutation
@@ -1946,11 +2000,13 @@ mod tests {
             .loads()
             .map(|l| (l, m.latency_of(LatencyClass::LocalHit)))
             .collect();
-        let order = priority_order(g, &dense, &lat);
-        let mut counters = SearchCounters::default();
-        let placed =
-            ModuloScheduler::new(&m).try_place(ctx, &lat, &order, ii, eject, &mut counters);
-        (placed, counters)
+        let mut priority = PriorityOrder::from_dense(&dense);
+        let mut placer = Placer::new(&m, ctx, lat);
+        let order = priority.order(&placer.load_lat);
+        let placed = placer
+            .try_place(order, ii, eject)
+            .map(|forced| (placer.take_placement(), forced));
+        (placed, placer.counters)
     }
 
     #[test]
@@ -2020,10 +2076,8 @@ mod tests {
             prefs: &prefs,
             heuristic: Heuristic::MinComs,
         };
-        let lat = NodeMap::new();
-        let mut counters = SearchCounters::default();
-        let scheduler = ModuloScheduler::new(&m);
-        let mut placer = scheduler.placer(ctx, &lat, 4, &mut counters);
+        let mut placer = Placer::new(&m, ctx, NodeMap::new());
+        placer.reset(4);
         assert!(placer.commit(near, 0, 6) && placer.commit(far, 1, 12));
         let far_bound = 12 - 4 - i64::from(m.reg_buses.latency);
         assert_eq!(placer.start_bounds(p, 0), Some((0, 2)));
@@ -2033,7 +2087,7 @@ mod tests {
             let mut rec = EvictionRecord::default();
             placer.evict_conflicts(p, 0, u32::try_from(start).unwrap(), &mut rec);
             let evicted: Vec<NodeId> = rec.evicted().collect();
-            placer.unevict(rec, mark);
+            placer.unevict(&mut rec, mark);
             evicted
         };
         for start in 0..=2 {

@@ -8,16 +8,18 @@
 //! sensitivity sweep opened — the seed suite only ever exercised the
 //! paper's 4-cluster machine.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 
-use distvliw::arch::MachineConfig;
+use distvliw::arch::{LatencyClass, MachineConfig};
 use distvliw::coherence::{find_chains, transform, SchedConstraints};
 use distvliw::core::experiments::sweep_machine;
 use distvliw::ir::{
-    AddressStream, Ddg, DdgBuilder, DepKind, FuClass, LoopKernel, NodeId, OpKind, PrefMap, Width,
+    AddressStream, Ddg, DdgBuilder, DepKind, FuClass, LoopKernel, NodeId, NodeMap, OpKind, PrefMap,
+    Width,
 };
 use distvliw::mediabench::eject_stress_kernel;
-use distvliw::sched::{Heuristic, ModuloScheduler, Mrt, Schedule, SEED_II_SLACK};
+use distvliw::sched::mii::{dep_latency, RecMiiSolver};
+use distvliw::sched::{Heuristic, ModuloScheduler, Mrt, PriorityOrder, Schedule, SEED_II_SLACK};
 use distvliw::sim::{simulate_kernel, SimOptions};
 use proptest::prelude::*;
 
@@ -516,5 +518,199 @@ proptest! {
         let stats = simulate_kernel(&machine, &k, &s, SimOptions);
         prop_assert_eq!(stats.coherence_violations, 0);
         prop_assert_eq!(stats.accesses.total(), kernel.dyn_mem_accesses());
+    }
+}
+
+/// The load-latency classes a search assigns.
+const CLASSES: [LatencyClass; 4] = [
+    LatencyClass::LocalHit,
+    LatencyClass::RemoteHit,
+    LatencyClass::LocalMiss,
+    LatencyClass::RemoteMiss,
+];
+
+/// SplitMix64 over `state`: the draws of one generated graph.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Strategy: a random graph with recurrences — loads, stores, integer
+/// and FP ops with register flow from earlier values, forward memory
+/// edges at distance 0 or 1, loop-carried back edges (self edges
+/// included) of register flow and memory kinds — with a seed for the
+/// latency assignments a test draws. Every zero-distance edge points
+/// forward, so no zero-distance cycle forms.
+fn arb_recurrent_graph() -> impl Strategy<Value = (Ddg, u64)> {
+    (2usize..28, 0usize..12, any::<u64>()).prop_map(|(n, extra, seed)| {
+        let mut state = seed;
+        let mut draw = |bound: usize| (splitmix(&mut state) % bound as u64) as usize;
+        let mut b = DdgBuilder::new();
+        let mut nodes: Vec<NodeId> = Vec::new();
+        let mut values: Vec<NodeId> = Vec::new();
+        for _ in 0..n {
+            let src = (!values.is_empty()).then(|| values[draw(values.len())]);
+            let node = match (draw(4), src) {
+                (1, Some(v)) => b.store(Width::W4, &[v]),
+                (2, _) => {
+                    let srcs: Vec<NodeId> = src.into_iter().collect();
+                    b.op(OpKind::IntAlu, &srcs)
+                }
+                (3, Some(v)) => b.op(OpKind::FpMul, &[v]),
+                _ => b.load(Width::W4),
+            };
+            if !b.graph().node(node).is_store() {
+                values.push(node);
+            }
+            nodes.push(node);
+        }
+        for _ in 0..extra {
+            let (i, j) = (draw(n), draw(n));
+            let (lo, hi) = (nodes[i.min(j)], nodes[i.max(j)]);
+            let kind = [
+                DepKind::MemFlow,
+                DepKind::MemAnti,
+                DepKind::MemOut,
+                DepKind::Sync,
+            ][draw(4)];
+            if lo != hi {
+                b.dep(lo, hi, kind, draw(2) as u32);
+            }
+            // A loop-carried edge back (or onto itself).
+            let distance = 1 + draw(3) as u32;
+            if draw(2) == 0 && !b.graph().node(hi).is_store() {
+                b.recurrence(hi, lo, distance);
+            } else {
+                b.dep(hi, lo, kind, distance);
+            }
+        }
+        (b.finish(), splitmix(&mut state))
+    })
+}
+
+/// A random latency assignment over the loads of `ddg`: each load gets
+/// a class drawn from `state`, or (one draw in five) no entry, which
+/// falls back to its base latency.
+fn random_latencies(machine: &MachineConfig, ddg: &Ddg, state: &mut u64) -> NodeMap<u32> {
+    let mut lat = NodeMap::new();
+    for l in ddg.loads() {
+        let pick = (splitmix(state) % 5) as usize;
+        if let Some(&class) = CLASSES.get(pick) {
+            lat.insert(l, machine.latency_of(class));
+        }
+    }
+    lat
+}
+
+/// The scheduler's priority order, computed from scratch on the graph:
+/// heights by a reverse topological walk over zero-distance non-self
+/// edges, then a topological walk whose ready set is a max-heap on
+/// `(height, Reverse(node))`.
+fn reference_priority_order(ddg: &Ddg, load_lat: &NodeMap<u32>) -> Vec<NodeId> {
+    let n = ddg.node_count();
+    let orders = |d: &distvliw::ir::Dep| d.distance == 0 && d.src != d.dst;
+    let mut indeg = vec![0u32; n];
+    let mut outdeg = vec![0u32; n];
+    for (_, d) in ddg.deps().filter(|(_, d)| orders(d)) {
+        indeg[d.dst.index()] += 1;
+        outdeg[d.src.index()] += 1;
+    }
+    let mut height = vec![0i64; n];
+    let mut stack: Vec<usize> = (0..n).filter(|&i| outdeg[i] == 0).collect();
+    while let Some(i) = stack.pop() {
+        for (_, d) in ddg.in_deps(NodeId(i as u32)).filter(|(_, d)| orders(d)) {
+            let j = d.src.index();
+            height[j] = height[j].max(height[i] + i64::from(dep_latency(ddg, &d, load_lat)));
+            outdeg[j] -= 1;
+            if outdeg[j] == 0 {
+                stack.push(j);
+            }
+        }
+    }
+    let mut ready: BinaryHeap<(i64, std::cmp::Reverse<usize>)> = (0..n)
+        .filter(|&i| indeg[i] == 0)
+        .map(|i| (height[i], std::cmp::Reverse(i)))
+        .collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some((_, std::cmp::Reverse(i))) = ready.pop() {
+        order.push(NodeId(i as u32));
+        for (_, d) in ddg.out_deps(NodeId(i as u32)).filter(|(_, d)| orders(d)) {
+            let j = d.dst.index();
+            indeg[j] -= 1;
+            if indeg[j] == 0 {
+                ready.push((height[j], std::cmp::Reverse(j)));
+            }
+        }
+    }
+    order
+}
+
+/// Whether `v` reaches itself over one or more edges of `ddg`.
+fn on_cycle_by_search(ddg: &Ddg, v: NodeId) -> bool {
+    let mut seen = vec![false; ddg.node_count()];
+    let mut stack: Vec<NodeId> = ddg.out_deps(v).map(|(_, d)| d.dst).collect();
+    while let Some(w) = stack.pop() {
+        if w == v {
+            return true;
+        }
+        if !std::mem::replace(&mut seen[w.index()], true) {
+            stack.extend(ddg.out_deps(w).map(|(_, d)| d.dst));
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn precomputed_priority_order_matches_the_reference(case in arb_recurrent_graph()) {
+        // One engine answers a run of latency assignments, as a search's
+        // trials ask it: every answer equals the from-scratch order.
+        let (ddg, mut state) = case;
+        let machine = MachineConfig::paper_baseline();
+        let mut priority = PriorityOrder::new(&ddg);
+        for _ in 0..6 {
+            let lat = random_latencies(&machine, &ddg, &mut state);
+            let want = reference_priority_order(&ddg, &lat);
+            prop_assert_eq!(priority.order(&lat), want.as_slice());
+        }
+    }
+
+    #[test]
+    fn recurrence_membership_matches_reachability(case in arb_recurrent_graph()) {
+        let (ddg, _) = case;
+        let solver = RecMiiSolver::new(&ddg);
+        for v in ddg.node_ids() {
+            prop_assert_eq!(solver.on_recurrence(v), on_cycle_by_search(&ddg, v), "{}", v);
+        }
+    }
+
+    #[test]
+    fn raising_loads_on_no_cycle_keeps_the_ii_feasible(case in arb_recurrent_graph()) {
+        // At the RecMII of a random assignment, moving any load on no
+        // dependence cycle to the slowest class — one at a time and all
+        // together — must leave that II feasible.
+        let (ddg, mut state) = case;
+        let machine = MachineConfig::paper_baseline();
+        let slowest = machine.latency_of(LatencyClass::RemoteMiss);
+        let mut solver = RecMiiSolver::new(&ddg);
+        for _ in 0..3 {
+            let lat = random_latencies(&machine, &ddg, &mut state);
+            let ii0 = solver.rec_mii(&lat);
+            prop_assert!(solver.feasible_at(&lat, ii0));
+            let free: Vec<NodeId> = ddg.loads().filter(|&l| !solver.on_recurrence(l)).collect();
+            let mut all = lat.clone();
+            for &l in &free {
+                let mut one = lat.clone();
+                one.insert(l, slowest);
+                all.insert(l, slowest);
+                prop_assert!(solver.feasible_at(&one, ii0), "raising {} alone", l);
+            }
+            prop_assert!(solver.feasible_at(&all, ii0), "raising {:?} together", free);
+        }
     }
 }
