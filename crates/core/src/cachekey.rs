@@ -11,7 +11,7 @@
 //! require two independent 64-bit FNV halves to collide at once.
 
 use distvliw_arch::MachineConfig;
-use distvliw_ir::{AddressStream, DepKind, OpKind, Suite};
+use distvliw_ir::{AddressStream, DepKind, LoopKernel, OpKind, Suite};
 use distvliw_sched::Heuristic;
 
 use crate::pipeline::{PipelineOptions, Solution};
@@ -141,11 +141,17 @@ pub(crate) fn push_stream(out: &mut Vec<u8>, stream: &AddressStream) {
 /// [`cell_key_from_fingerprint`].
 #[must_use]
 pub fn suite_digest(suite: &Suite) -> Vec<u8> {
+    kernels_digest(&suite.name, suite.interleave_bytes, &suite.kernels)
+}
+
+/// The [`suite_digest`] of a suite named `name` holding `kernels` under
+/// an interleave of `interleave_bytes`, without building the suite.
+pub(crate) fn kernels_digest(name: &str, interleave_bytes: u64, kernels: &[LoopKernel]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
-    push_str(&mut out, &suite.name);
-    push_u64(&mut out, suite.interleave_bytes);
-    push_u64(&mut out, suite.kernels.len() as u64);
-    for kernel in &suite.kernels {
+    push_str(&mut out, name);
+    push_u64(&mut out, interleave_bytes);
+    push_u64(&mut out, kernels.len() as u64);
+    for kernel in kernels {
         push_str(&mut out, &kernel.name);
         push_u64(&mut out, kernel.trip_count);
         push_u64(&mut out, kernel.invocations);

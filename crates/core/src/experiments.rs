@@ -21,6 +21,7 @@ use distvliw_mediabench::{figure_suites, suite, trace_suites};
 use distvliw_sched::Heuristic;
 use distvliw_sim::ClusterUsage;
 
+use crate::cachekey::{digest_fingerprint, suite_digest};
 use crate::par;
 use crate::pipeline::{Pipeline, PipelineError, Solution, SuiteStats};
 
@@ -83,7 +84,8 @@ pub fn per_suite_rows<R>(
 /// Cells sharing a suite, solution, heuristic and scheduler projection
 /// ([`MachineConfig::sched_canonical_bytes`] at the suite's interleave)
 /// form one compile unit. A unit is compiled once
-/// ([`Pipeline::compile_suite`]) on a fresh pipeline, so no unit's
+/// ([`Pipeline::compile_fingerprinted_suite`], each suite fingerprinted
+/// once) on a fresh pipeline, so no unit's
 /// schedule memo warms another's, and each of its cells replays the
 /// artifact on its own machine ([`Pipeline::simulate_artifact`]). Units
 /// fan out over [`par::par_map`], largest cluster count (costliest
@@ -101,8 +103,8 @@ pub fn per_suite_rows<R>(
 pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), PipelineError> {
     // A suite is identified by its address in the caller's suite list;
     // the units share one owned copy of each, so they can run on the
-    // resident pool.
-    let mut owned: HashMap<*const Suite, Arc<Suite>> = HashMap::new();
+    // resident pool, and its content fingerprint.
+    let mut owned: HashMap<*const Suite, (Arc<Suite>, [u8; 16])> = HashMap::new();
     let mut units: Vec<Unit> = Vec::new();
     let mut unit_index = HashMap::new();
     for (i, c) in cells.iter().enumerate() {
@@ -111,11 +113,13 @@ pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), Pipeli
         let suite: *const Suite = c.suite;
         let key = (projection, suite, c.solution, c.heuristic);
         let unit = *unit_index.entry(key).or_insert_with(|| {
+            let (suite, fingerprint) = owned.entry(suite).or_insert_with(|| {
+                let fingerprint = digest_fingerprint(&suite_digest(c.suite));
+                (Arc::new(c.suite.clone()), fingerprint)
+            });
             units.push(Unit {
-                suite: owned
-                    .entry(suite)
-                    .or_insert_with(|| Arc::new(c.suite.clone()))
-                    .clone(),
+                suite: suite.clone(),
+                fingerprint: *fingerprint,
                 solution: c.solution,
                 heuristic: c.heuristic,
                 cells: Vec::new(),
@@ -138,7 +142,12 @@ pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), Pipeli
         span.field_str("suite", unit.suite.name.clone());
         span.field_u64("n_clusters", lead.n_clusters as u64);
         Pipeline::new(lead.clone())
-            .compile_suite(&unit.suite, unit.solution, unit.heuristic)
+            .compile_fingerprinted_suite(
+                &unit.suite,
+                &unit.fingerprint,
+                unit.solution,
+                unit.heuristic,
+            )
             .map(|artifact| {
                 unit.machines
                     .iter()
@@ -166,6 +175,8 @@ pub fn run_direct(cells: &[Cell<'_>]) -> Result<(Vec<SuiteStats>, usize), Pipeli
 #[derive(Clone)]
 struct Unit {
     suite: Arc<Suite>,
+    /// The suite's content fingerprint.
+    fingerprint: [u8; 16],
     solution: Solution,
     heuristic: Heuristic,
     /// The unit's cells, in cell order.

@@ -38,12 +38,13 @@ pub use pipeline::{
 };
 
 /// Registers every metric family of the pipeline's layers — scheduler,
-/// checker hook, simulator and compute pool — in the global registry
-/// (at zero), so a long-running server's exposition lists the same
-/// families from its first scrape on.
+/// checker hook, compile memo, simulator and compute pool — in the
+/// global registry (at zero), so a long-running server's exposition
+/// lists the same families from its first scrape on.
 pub fn register_metrics() {
     distvliw_sched::register_metrics();
     distvliw_sim::register_metrics();
     pipeline::check_violations();
+    pipeline::compile_memo_hits();
     par::jobs_counter();
 }

@@ -3,18 +3,18 @@
 
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use distvliw_arch::MachineConfig;
 use distvliw_coherence::{find_chains, transform, SchedConstraints};
-use distvliw_ir::{profile::preferred_clusters, Ddg, LoopKernel, Suite};
+use distvliw_ir::{profile::preferred_clusters, Ddg, LoopKernel, PrefMap, Suite};
 use distvliw_sched::{
     Heuristic, ModuloScheduler, SchedStats, Schedule, ScheduleError, SearchRecord,
 };
 use distvliw_sim::{count_simulation, simulate_kernel_run, ClusterUsage, SimRun, SimStats};
 
 use crate::cache::{resolve_miss, ResultCache, SingleFlight};
-use crate::cachekey::{self, push_u64, CacheKey};
+use crate::cachekey::{self, digest_fingerprint, push_u64, CacheKey};
 
 /// Which coherence solution the pipeline applies (paper Section 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -291,12 +291,47 @@ impl std::ops::Deref for SuiteStats {
 pub struct KernelArtifact {
     /// The kernel as scheduled: the DDGT graph transformation applied for
     /// [`Solution::Ddgt`] (store replicas and synchronization edges are
-    /// part of the graph the schedule refers to).
-    pub kernel: LoopKernel,
-    /// The modulo schedule.
-    pub schedule: Schedule,
+    /// part of the graph the schedule refers to). Shared with the
+    /// pipeline's compile memo; read-only, so `kernel_digest` stays its
+    /// digest.
+    kernel: Arc<LoopKernel>,
+    /// The modulo schedule, shared with the pipeline's schedule memo;
+    /// read-only like `kernel`.
+    schedule: Arc<Schedule>,
     /// Scheduler search telemetry of the (cold) compile.
     pub sched: SchedStats,
+    /// [`kernel_digest`] of `kernel`, stored with its front end.
+    kernel_digest: [u8; 16],
+    /// [`schedule_digest`] of `schedule`, stored with its search.
+    schedule_digest: [u8; 16],
+}
+
+impl KernelArtifact {
+    /// An artifact of `kernel` and `schedule`, both digests recomputed.
+    #[cfg(test)]
+    fn new(kernel: LoopKernel, schedule: Schedule, sched: SchedStats) -> Self {
+        KernelArtifact {
+            kernel_digest: kernel_digest(&kernel),
+            schedule_digest: schedule_digest(&schedule),
+            kernel: Arc::new(kernel),
+            schedule: Arc::new(schedule),
+            sched,
+        }
+    }
+
+    /// The kernel as scheduled: the DDGT graph transformation applied
+    /// for [`Solution::Ddgt`] (store replicas and synchronization edges
+    /// are part of the graph the schedule refers to).
+    #[must_use]
+    pub fn kernel(&self) -> &LoopKernel {
+        &self.kernel
+    }
+
+    /// The modulo schedule.
+    #[must_use]
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
 }
 
 /// The compile phase of a whole suite: one [`KernelArtifact`] per kernel,
@@ -314,9 +349,28 @@ pub struct SuiteArtifact {
     pub kernels: Vec<KernelArtifact>,
 }
 
-/// One solved scheduling problem: the schedule and the pass-by-pass
-/// record of the search that found it.
-type Solved = Arc<(Schedule, SearchRecord)>;
+/// One kernel's front end: what the compile phase derives before the
+/// schedule search (validation, the profile pass, the coherence pass) and
+/// the content digests the two memos downstream are keyed by.
+struct FrontEnd {
+    /// The post-pass kernel, shared with every [`KernelArtifact`] built
+    /// from this entry.
+    kernel: Arc<LoopKernel>,
+    constraints: SchedConstraints,
+    prefs: PrefMap,
+    /// The scheduling problem's key in the schedule table.
+    seed_key: CacheKey,
+    /// [`kernel_digest`] of `kernel`.
+    kernel_digest: [u8; 16],
+}
+
+/// One solved scheduling problem: the schedule, the pass-by-pass record
+/// of the search that found it and the schedule's [`schedule_digest`].
+struct Solved {
+    schedule: Arc<Schedule>,
+    record: SearchRecord,
+    digest: [u8; 16],
+}
 
 /// One bounded single-flight table of the [`PipelineMemo`]: core's LRU
 /// [`ResultCache`] behind a [`SingleFlight`], misses through
@@ -360,9 +414,20 @@ impl<V: Clone, E: Clone> MemoTable<V, E> {
     }
 }
 
-/// The pipeline's memo: every successful schedule search and every
-/// kernel simulation, each in a bounded single-flight table, shared
-/// across the pipeline's clones and threads. It lives in memory only.
+/// The pipeline's memo: every kernel front end compiled under a known
+/// suite fingerprint, every successful schedule search and every kernel
+/// simulation, each in a bounded single-flight table, shared across the
+/// pipeline's clones and threads. It lives in memory only.
+///
+/// The compile table keys each front end by the suite fingerprint, the
+/// kernel's index, the compile machine's scheduler projection, the
+/// solution, the heuristic and the relaxation flag (see `compile_key`;
+/// `COMPILE_MEMO_CAPACITY` front ends), which fix everything the
+/// validation, profile and coherence passes read. Every compile goes
+/// through it. A hit skips those passes and the key derivation behind
+/// them and goes straight to the schedule table with the stored problem
+/// key, so it reports exactly the schedule, effort and counts a
+/// recomputed front end would.
 ///
 /// The schedule table keys each problem by its full configuration
 /// (machine projection, graph, constraints, profile, heuristic — see
@@ -379,7 +444,8 @@ impl<V: Clone, E: Clone> MemoTable<V, E> {
 /// the statistics a fresh run would, and counts the run's work into the
 /// `sim_*` families again ([`count_simulation`]).
 pub struct PipelineMemo {
-    schedules: MemoTable<Solved, ScheduleError>,
+    fronts: MemoTable<Arc<FrontEnd>, PipelineError>,
+    schedules: MemoTable<Arc<Solved>, ScheduleError>,
     sims: MemoTable<Arc<SimRun>, Infallible>,
 }
 
@@ -388,6 +454,7 @@ impl PipelineMemo {
     #[must_use]
     pub fn new() -> Self {
         PipelineMemo {
+            fronts: MemoTable::new(COMPILE_MEMO_CAPACITY),
             schedules: MemoTable::new(MEMO_CAPACITY),
             sims: MemoTable::new(SIM_MEMO_CAPACITY),
         }
@@ -430,6 +497,21 @@ const MEMO_CAPACITY: usize = 1 << 11;
 /// grows as it fills; nothing is allocated up front.
 const SIM_MEMO_CAPACITY: usize = 1 << 12;
 
+/// The most front ends a [`PipelineMemo`] holds. An entry is its key
+/// (about 120 bytes: fingerprint, projection, tags, index), its map slot
+/// and an `Arc` of the front end, which owns the post-pass kernel's graph
+/// (the address streams are shared `Arc`s), the constraints, the profile
+/// preferences and the 16-byte problem key and kernel digest. Measured
+/// with a counting allocator over the 174 front ends the bundled suites
+/// pose under Free, MDC and DDGT with both heuristics, an entry costs
+/// about 12 KB at 4 clusters and 19 KB at 16; the largest (a DDGT graph
+/// replicated for 16 clusters) is about 360 KB, 160 KB at 4 clusters.
+/// A full memo therefore holds about 6 MB of typical entries and stays
+/// under about 80 MB even if every entry were the largest at 4 clusters.
+/// A cold pass of the figure routes poses 398 distinct front ends and
+/// `matrix_churn`'s cell pool 176, so 512 holds either whole.
+const COMPILE_MEMO_CAPACITY: usize = 1 << 9;
+
 /// The full-configuration key of one scheduling problem. Everything the
 /// scheduler's output depends on is encoded — the machine's *scheduler
 /// projection* ([`MachineConfig::sched_canonical_bytes`], the same
@@ -446,7 +528,7 @@ fn seed_key(
     machine: &MachineConfig,
     ddg: &Ddg,
     constraints: &SchedConstraints,
-    prefs: &distvliw_ir::PrefMap,
+    prefs: &PrefMap,
     heuristic: Heuristic,
     relax_latencies: bool,
 ) -> CacheKey {
@@ -489,22 +571,47 @@ fn seed_key(
     }
     bytes.push(heuristic as u8);
     bytes.push(u8::from(relax_latencies));
-    CacheKey::from_bytes(cachekey::digest_fingerprint(&bytes).to_vec())
+    CacheKey::from_bytes(digest_fingerprint(&bytes).to_vec())
 }
 
-/// The content key of one kernel simulation: everything the simulator's
-/// output depends on — the simulation machine's full
-/// [`MachineConfig::canonical_bytes`] (interleave applied), the
-/// post-pass graph (each node's kind, sequence number, memory site and
-/// width and replica root, every dependence edge), the execution
-/// streams, the trip count and invocations, and the schedule (II, span,
-/// each op's cluster and start, each copy's producer, clusters and
-/// start) — compressed to the same 128-bit fingerprint as `seed_key`.
-/// The kernel's name and profile image are left out: the simulator reads
-/// neither, so kernels differing only there share one run.
-fn sim_key(machine: &MachineConfig, kernel: &LoopKernel, schedule: &Schedule) -> CacheKey {
-    let mut bytes = machine.canonical_bytes();
+/// The compile table's key of kernel `index` of a suite: the suite's
+/// content fingerprint ([`cachekey::digest_fingerprint`] of its
+/// [`cachekey::suite_digest`]; for [`Pipeline::run_kernel`], that of a
+/// one-kernel suite), the compile machine's scheduler
+/// projection ([`MachineConfig::sched_canonical_bytes`], interleave
+/// applied: it fixes the cluster count and every home cluster the
+/// profile and coherence passes read), the solution, the heuristic, the
+/// relaxation flag and the index. The projection is the one
+/// `experiments::run_direct` groups its compile units by, so machines
+/// differing only in simulation fields share their front ends. Like a
+/// cell key it carries the full encoding, so only the suite fingerprint
+/// is compared by digest.
+fn compile_key(
+    fingerprint: &[u8; 16],
+    machine: &MachineConfig,
+    solution: Solution,
+    heuristic: Heuristic,
+    relax_latencies: bool,
+    index: usize,
+) -> CacheKey {
+    let mut bytes = fingerprint.to_vec();
+    bytes.extend_from_slice(&machine.sched_canonical_bytes());
+    bytes.push(solution as u8);
+    bytes.push(heuristic as u8);
+    bytes.push(u8::from(relax_latencies));
+    push_u64(&mut bytes, index as u64);
+    CacheKey::from_bytes(bytes)
+}
+
+/// A 128-bit digest of everything the simulator reads of a post-pass
+/// kernel: the graph (each node's kind, sequence number, memory site
+/// and width and replica root, every dependence edge), the execution
+/// streams, the trip count and invocations. The kernel's name and
+/// profile image are left out: the simulator reads neither, so kernels
+/// differing only there share one run.
+fn kernel_digest(kernel: &LoopKernel) -> [u8; 16] {
     let ddg = &kernel.ddg;
+    let mut bytes = Vec::new();
     push_u64(&mut bytes, ddg.node_count() as u64);
     for n in ddg.node_ids() {
         let node = ddg.node(n);
@@ -541,6 +648,13 @@ fn sim_key(machine: &MachineConfig, kernel: &LoopKernel, schedule: &Schedule) ->
     }
     push_u64(&mut bytes, kernel.trip_count);
     push_u64(&mut bytes, kernel.invocations);
+    digest_fingerprint(&bytes)
+}
+
+/// A 128-bit digest of a schedule: II, span, each op's cluster and
+/// start, each copy's producer, clusters and start.
+fn schedule_digest(schedule: &Schedule) -> [u8; 16] {
+    let mut bytes = Vec::new();
     push_u64(&mut bytes, u64::from(schedule.ii));
     push_u64(&mut bytes, u64::from(schedule.span));
     push_u64(&mut bytes, schedule.ops.len() as u64);
@@ -556,7 +670,26 @@ fn sim_key(machine: &MachineConfig, kernel: &LoopKernel, schedule: &Schedule) ->
         push_u64(&mut bytes, c.to_cluster as u64);
         push_u64(&mut bytes, u64::from(c.start));
     }
-    CacheKey::from_bytes(cachekey::digest_fingerprint(&bytes).to_vec())
+    digest_fingerprint(&bytes)
+}
+
+/// The content key of one kernel simulation: the simulation machine's
+/// full [`MachineConfig::canonical_bytes`] (interleave applied), the
+/// post-pass kernel's [`kernel_digest`] and
+/// the schedule's [`schedule_digest`] — everything the simulator's
+/// output depends on — compressed to the same 128-bit fingerprint as
+/// `seed_key`. Both digests are stored with the entries that produced
+/// them (the front end and the solved problem), so a lookup hashes
+/// about 170 bytes whatever the kernel's size.
+fn sim_key(
+    machine: &MachineConfig,
+    kernel_digest: &[u8; 16],
+    schedule_digest: &[u8; 16],
+) -> CacheKey {
+    let mut bytes = machine.canonical_bytes();
+    bytes.extend_from_slice(kernel_digest);
+    bytes.extend_from_slice(schedule_digest);
+    CacheKey::from_bytes(digest_fingerprint(&bytes).to_vec())
 }
 
 /// The end-to-end compile-and-simulate pipeline for one machine.
@@ -564,8 +697,8 @@ fn sim_key(machine: &MachineConfig, kernel: &LoopKernel, schedule: &Schedule) ->
 pub struct Pipeline {
     machine: MachineConfig,
     options: PipelineOptions,
-    /// Solved scheduling problems and run simulations, shared by all
-    /// clones of this pipeline.
+    /// Compiled front ends, solved scheduling problems and run
+    /// simulations, shared by all clones of this pipeline.
     memo: Arc<PipelineMemo>,
 }
 
@@ -620,7 +753,10 @@ impl Pipeline {
     /// run in order on the calling thread; the two cell executors fan
     /// out over cells instead ([`crate::experiments::run_direct`], which
     /// compiles each distinct schedule once and replays it per cell, and
-    /// the serving layer's `run_cells`).
+    /// the serving layer's `run_cells`, which calls
+    /// [`Pipeline::run_fingerprinted_suite`] with the fingerprint its
+    /// cell key already carries). This call fingerprints the suite
+    /// itself, once.
     ///
     /// # Errors
     ///
@@ -633,12 +769,33 @@ impl Pipeline {
         solution: Solution,
         heuristic: Heuristic,
     ) -> Result<SuiteStats, PipelineError> {
+        let fingerprint = digest_fingerprint(&cachekey::suite_digest(suite));
+        self.run_fingerprinted_suite(suite, &fingerprint, solution, heuristic)
+    }
+
+    /// [`Pipeline::run_suite`] for a suite whose content fingerprint
+    /// (`digest_fingerprint(&suite_digest(suite))`, as a cell key
+    /// carries it) the caller already holds, so the suite is not hashed
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::run_suite`].
+    pub fn run_fingerprinted_suite(
+        &self,
+        suite: &Suite,
+        fingerprint: &[u8; 16],
+        solution: Solution,
+        heuristic: Heuristic,
+    ) -> Result<SuiteStats, PipelineError> {
         if solution == Solution::Hybrid {
-            let mdc = self.run_suite(suite, Solution::Mdc, heuristic)?;
-            let ddgt = self.run_suite(suite, Solution::Ddgt, heuristic)?;
+            let mdc = self.run_fingerprinted_suite(suite, fingerprint, Solution::Mdc, heuristic)?;
+            let ddgt =
+                self.run_fingerprinted_suite(suite, fingerprint, Solution::Ddgt, heuristic)?;
             return Ok(derive_hybrid(&mdc, &ddgt));
         }
-        Ok(self.simulate_artifact(&self.compile_suite(suite, solution, heuristic)?))
+        let artifact = self.compile_fingerprinted_suite(suite, fingerprint, solution, heuristic)?;
+        Ok(self.simulate_artifact(&artifact))
     }
 
     /// Compiles and simulates a single kernel with the pipeline's machine
@@ -662,75 +819,84 @@ impl Pipeline {
             solution != Solution::Hybrid,
             "hybrid is derived from MDC and DDGT runs, not compiled"
         );
-        let artifact = self.compile_kernel_on(&self.machine, kernel, solution, heuristic)?;
+        // Its front end is keyed like kernel 0 of a one-kernel suite.
+        let fingerprint = digest_fingerprint(&cachekey::kernels_digest(
+            "",
+            self.machine.interleave_bytes,
+            std::slice::from_ref(kernel),
+        ));
+        let relax = self.options.relax_latencies;
+        let key = compile_key(&fingerprint, &self.machine, solution, heuristic, relax, 0);
+        let artifact = self.compile_kernel_on(&self.machine, kernel, &key, solution, heuristic)?;
         Ok(self.simulate_kernel_artifact(&self.machine, &artifact))
     }
 
-    /// The compile phase for one kernel: validation, the profile and
-    /// coherence passes, and the modulo schedule. `solution` must be
-    /// concrete ([`Solution::Hybrid`] is a selection over MDC and DDGT
-    /// runs, not a compilation).
+    /// The compile phase for one kernel: its front end (validation, the
+    /// profile and coherence passes) from the compile table under
+    /// `front_key` ([`compile_key`]), then the modulo schedule and the
+    /// checker.
+    /// `solution` must be concrete ([`Solution::Hybrid`] is a selection
+    /// over MDC and DDGT runs, not a compilation).
     fn compile_kernel_on(
         &self,
         machine: &MachineConfig,
         kernel: &LoopKernel,
+        front_key: &CacheKey,
         solution: Solution,
         heuristic: Heuristic,
     ) -> Result<KernelArtifact, PipelineError> {
         let mut span = distvliw_obs::Span::enter("compile");
         span.field_str("kernel", kernel.name.clone());
-        kernel.validate().map_err(|e| PipelineError::Kernel {
-            kernel: kernel.name.clone(),
-            error: e.to_string(),
-        })?;
-
-        let mut kernel = kernel.clone();
-
-        // Profile pass: preferred clusters under the profile input.
-        let prefs = preferred_clusters(&kernel, machine.n_clusters, |addr| {
-            machine.home_cluster(addr)
-        });
-
-        // Coherence pass.
-        let constraints = match solution {
-            Solution::Free => SchedConstraints::none(),
-            Solution::Mdc => {
-                let chains = find_chains(&kernel.ddg);
-                let pref_arg = (heuristic == Heuristic::PrefClus).then_some(&prefs);
-                SchedConstraints::for_mdc(&chains, &kernel.ddg, pref_arg, machine.n_clusters)
-            }
-            Solution::Ddgt => {
-                let report = transform(&mut kernel.ddg, machine.n_clusters);
-                SchedConstraints::for_ddgt(&report)
-            }
-            Solution::Hybrid => unreachable!("hybrid is not compiled"),
-        };
+        let relax = self.options.relax_latencies;
+        // The front end: validation, the profile and coherence passes and
+        // the keys below, or the one a prior or concurrent compile of
+        // this kernel under this projection, solution and heuristic made.
+        let front_end = || front_end(machine, kernel, solution, heuristic, relax);
+        let (front, ran) = self
+            .memo
+            .fronts
+            .resolve(front_key, || front_end().map(Arc::new));
+        span.field_str("front", if ran { "miss" } else { "hit" });
+        let front = front?;
+        if !ran {
+            compile_memo_hits().inc();
+            // The key must fix the front end: recompute it.
+            debug_assert!(
+                front_end().is_ok_and(|fresh| fresh.seed_key == front.seed_key
+                    && fresh.kernel_digest == front.kernel_digest),
+                "compile memo hit for `{}` differs from its front end",
+                kernel.name
+            );
+        }
 
         // Cluster-aware modulo scheduling, or the schedule a prior run
         // of this exact configuration found, or the one a concurrent
         // compile of it is finding. A hit reports the stats of a search
         // seeded at the remembered II, as a repeat search would, and
         // counts them the same way.
-        let key = seed_key(
-            machine,
-            &kernel.ddg,
-            &constraints,
-            &prefs,
-            heuristic,
-            self.options.relax_latencies,
-        );
-        let (solved, searched) = self.memo.schedules.resolve(&key, || {
+        let (solved, searched) = self.memo.schedules.resolve(&front.seed_key, || {
             ModuloScheduler::new(machine)
-                .with_latency_relaxation(self.options.relax_latencies)
-                .schedule_with_record(&kernel.ddg, &constraints, &prefs, heuristic)
-                .map(Arc::new)
+                .with_latency_relaxation(relax)
+                .schedule_with_record(
+                    &front.kernel.ddg,
+                    &front.constraints,
+                    &front.prefs,
+                    heuristic,
+                )
+                .map(|(schedule, record)| {
+                    Arc::new(Solved {
+                        digest: schedule_digest(&schedule),
+                        schedule: Arc::new(schedule),
+                        record,
+                    })
+                })
         });
         span.field_str("memo", if searched { "miss" } else { "hit" });
         let solved = solved.map_err(|error| PipelineError::Schedule {
             kernel: kernel.name.clone(),
             error,
         })?;
-        let (schedule, record) = &*solved;
+        let record = &solved.record;
         let sched = if searched {
             record.stats(None)
         } else {
@@ -738,7 +904,7 @@ impl Pipeline {
             distvliw_sched::count_schedule(&stats, true);
             stats
         };
-        let schedule = schedule.clone();
+        let schedule = Arc::clone(&solved.schedule);
         span.field_u64("ii", u64::from(schedule.ii));
 
         // Translation validation: re-verify the schedule from first
@@ -747,9 +913,9 @@ impl Pipeline {
         // builds check when `options.check` is set.
         if self.options.check || cfg!(debug_assertions) {
             let report = distvliw_check::check_schedule(
-                &kernel.ddg,
+                &front.kernel.ddg,
                 machine,
-                &constraints,
+                &front.constraints,
                 heuristic,
                 &schedule,
             );
@@ -764,9 +930,11 @@ impl Pipeline {
         }
 
         Ok(KernelArtifact {
-            kernel,
+            kernel: front.kernel.clone(),
             schedule,
             sched,
+            kernel_digest: front.kernel_digest,
+            schedule_digest: solved.digest,
         })
     }
 
@@ -784,7 +952,7 @@ impl Pipeline {
     ) -> KernelRun {
         let mut span = distvliw_obs::Span::enter("sim");
         span.field_str("kernel", artifact.kernel.name.clone());
-        let key = sim_key(machine, &artifact.kernel, &artifact.schedule);
+        let key = sim_key(machine, &artifact.kernel_digest, &artifact.schedule_digest);
         let (run, ran) = self.memo.sims.resolve(&key, || {
             Ok(Arc::new(simulate_kernel_run(
                 machine,
@@ -833,15 +1001,48 @@ impl Pipeline {
         solution: Solution,
         heuristic: Heuristic,
     ) -> Result<SuiteArtifact, PipelineError> {
+        let fingerprint = digest_fingerprint(&cachekey::suite_digest(suite));
+        self.compile_fingerprinted_suite(suite, &fingerprint, solution, heuristic)
+    }
+
+    /// [`Pipeline::compile_suite`] for a suite whose content fingerprint
+    /// (`digest_fingerprint(&suite_digest(suite))`) the caller already
+    /// holds, so the suite is not hashed again.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pipeline::compile_suite`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::compile_suite`].
+    pub fn compile_fingerprinted_suite(
+        &self,
+        suite: &Suite,
+        fingerprint: &[u8; 16],
+        solution: Solution,
+        heuristic: Heuristic,
+    ) -> Result<SuiteArtifact, PipelineError> {
         assert!(
             solution != Solution::Hybrid,
             "hybrid is derived from MDC and DDGT runs, not compiled"
         );
+        debug_assert_eq!(
+            *fingerprint,
+            digest_fingerprint(&cachekey::suite_digest(suite)),
+            "the fingerprint of suite `{}`",
+            suite.name
+        );
         let machine = self.machine.clone().with_interleave(suite.interleave_bytes);
+        let relax = self.options.relax_latencies;
         let kernels = suite
             .kernels
             .iter()
-            .map(|kernel| self.compile_kernel_on(&machine, kernel, solution, heuristic))
+            .enumerate()
+            .map(|(i, kernel)| {
+                let key = compile_key(fingerprint, &machine, solution, heuristic, relax, i);
+                self.compile_kernel_on(&machine, kernel, &key, solution, heuristic)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(SuiteArtifact {
             name: suite.name.clone(),
@@ -868,6 +1069,59 @@ impl Pipeline {
             .collect();
         merge_runs(&artifact.name, runs)
     }
+}
+
+/// One kernel's front end on the compile machine `machine`: validation,
+/// the profile pass (preferred clusters under the profile input), the
+/// coherence pass, and the problem key and kernel digest the schedule
+/// and simulation tables are looked up by.
+fn front_end(
+    machine: &MachineConfig,
+    kernel: &LoopKernel,
+    solution: Solution,
+    heuristic: Heuristic,
+    relax_latencies: bool,
+) -> Result<FrontEnd, PipelineError> {
+    kernel.validate().map_err(|e| PipelineError::Kernel {
+        kernel: kernel.name.clone(),
+        error: e.to_string(),
+    })?;
+    let mut kernel = kernel.clone();
+
+    // Profile pass: preferred clusters under the profile input.
+    let prefs = preferred_clusters(&kernel, machine.n_clusters, |addr| {
+        machine.home_cluster(addr)
+    });
+
+    // Coherence pass.
+    let constraints = match solution {
+        Solution::Free => SchedConstraints::none(),
+        Solution::Mdc => {
+            let chains = find_chains(&kernel.ddg);
+            let pref_arg = (heuristic == Heuristic::PrefClus).then_some(&prefs);
+            SchedConstraints::for_mdc(&chains, &kernel.ddg, pref_arg, machine.n_clusters)
+        }
+        Solution::Ddgt => {
+            let report = transform(&mut kernel.ddg, machine.n_clusters);
+            SchedConstraints::for_ddgt(&report)
+        }
+        Solution::Hybrid => unreachable!("hybrid is not compiled"),
+    };
+    let seed_key = seed_key(
+        machine,
+        &kernel.ddg,
+        &constraints,
+        &prefs,
+        heuristic,
+        relax_latencies,
+    );
+    Ok(FrontEnd {
+        kernel_digest: kernel_digest(&kernel),
+        kernel: Arc::new(kernel),
+        constraints,
+        prefs,
+        seed_key,
+    })
 }
 
 /// Folds per-kernel runs (in kernel order) into suite statistics —
@@ -926,6 +1180,18 @@ fn mdc_wins(mdc: &KernelRun, ddgt: &KernelRun) -> bool {
     mdc.stats.total_cycles() <= ddgt.stats.total_cycles()
 }
 
+/// Compiles whose front end the pipeline's compile memo returned, in
+/// the global registry (looked up once: a hit is on the warm path).
+pub(crate) fn compile_memo_hits() -> &'static distvliw_obs::Counter {
+    static HITS: OnceLock<distvliw_obs::Counter> = OnceLock::new();
+    HITS.get_or_init(|| {
+        distvliw_obs::global().counter(
+            "compile_memo_hits_total",
+            "Kernel front ends the pipeline's compile memo returned without recomputing",
+        )
+    })
+}
+
 /// The pipeline's checker-hook counter in the global registry.
 pub(crate) fn check_violations() -> distvliw_obs::Counter {
     distvliw_obs::global().counter(
@@ -937,6 +1203,7 @@ pub(crate) fn check_violations() -> distvliw_obs::Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distvliw_ir::{DepKind, OpKind, Width};
 
     fn machine() -> MachineConfig {
         MachineConfig::paper_baseline()
@@ -1007,25 +1274,34 @@ mod tests {
         assert!(ii_spec <= ii_plain, "II {ii_spec} vs {ii_plain}");
     }
 
+    /// Runs `f` under a fresh trace sink and returns its spans.
+    fn spans<R>(f: impl FnOnce() -> R) -> (R, Vec<distvliw_obs::trace::SpanRecord>) {
+        use distvliw_obs::trace::{self, TraceCtx};
+        let sink = trace::TraceSink::new();
+        let out = trace::with_ctx(TraceCtx::for_sink(&sink), f);
+        let (records, dropped) = sink.take();
+        assert_eq!(dropped, 0);
+        (out, records)
+    }
+
+    /// The string field `name` of a span.
+    fn field(record: &distvliw_obs::trace::SpanRecord, name: &str) -> Option<String> {
+        record
+            .fields
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| match v {
+                distvliw_obs::trace::FieldValue::Str(s) => s.clone(),
+                other => panic!("{name} is not a string: {other:?}"),
+            })
+    }
+
     /// Runs `f` under a fresh trace sink and reports the kernels whose
     /// compile searched (`compile` spans with `memo=miss`, in completion
     /// order; each ran one `sched.schedule` search) and how many
     /// compiles the memo answered (`memo=hit`).
     fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<String>, usize) {
-        use distvliw_obs::trace::{self, FieldValue, TraceCtx};
-        let sink = trace::TraceSink::new();
-        let out = trace::with_ctx(TraceCtx::for_sink(&sink), f);
-        let (records, dropped) = sink.take();
-        assert_eq!(dropped, 0);
-        let field = |r: &distvliw_obs::trace::SpanRecord, name: &str| {
-            r.fields
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| match v {
-                    FieldValue::Str(s) => s.clone(),
-                    other => panic!("{name} is not a string: {other:?}"),
-                })
-        };
+        let (out, records) = spans(f);
         let compiles: Vec<_> = records.iter().filter(|r| r.name == "compile").collect();
         let searched: Vec<String> = compiles
             .iter()
@@ -1275,9 +1551,23 @@ mod tests {
             .find(|k| !k.schedule.copies.is_empty())
             .expect("a gsmdec DDGT schedule has copies");
         let sim_machine = machine().with_interleave(suite.interleave_bytes);
-        let base = sim_key(&sim_machine, &compiled.kernel, &compiled.schedule);
-        let kernel = || compiled.kernel.clone();
-        let schedule = || compiled.schedule.clone();
+        // The key of a simulation, its kernel and schedule entering
+        // through the two digests the memo entries store.
+        let key = |m: &MachineConfig, k: &LoopKernel, s: &Schedule| {
+            sim_key(m, &kernel_digest(k), &schedule_digest(s))
+        };
+        let base = key(&sim_machine, &compiled.kernel, &compiled.schedule);
+        assert_eq!(
+            base,
+            sim_key(
+                &sim_machine,
+                &compiled.kernel_digest,
+                &compiled.schedule_digest
+            ),
+            "an artifact carries the digests of its own kernel and schedule"
+        );
+        let kernel = || (*compiled.kernel).clone();
+        let schedule = || (*compiled.schedule).clone();
         let (site, stream) = compiled.kernel.exec.iter().next().expect("a memory site");
         let moved = match stream {
             distvliw_ir::AddressStream::Affine { base, stride } => {
@@ -1290,38 +1580,72 @@ mod tests {
                 distvliw_ir::AddressStream::Indexed(addrs.iter().map(|a| a + 4).collect())
             }
         };
+        let ddg = &compiled.kernel.ddg;
+        let load = ddg.loads().next().expect("a load");
+        let alu = ddg
+            .node_ids()
+            .find(|&n| ddg.node(n).kind == OpKind::IntAlu)
+            .expect("an integer op");
+        let (edge, dep) = ddg.deps().next().expect("an edge");
 
         let mut misses = Vec::new();
         let mut m = sim_machine.clone();
         m.mem_buses.count += 1;
-        misses.push(("memory buses", sim_key(&m, &kernel(), &schedule())));
+        misses.push(("memory buses", key(&m, &kernel(), &schedule())));
         let m = sim_machine
             .clone()
             .with_attraction_buffers(distvliw_arch::AttractionBufferConfig::paper());
-        misses.push(("attraction buffers", sim_key(&m, &kernel(), &schedule())));
+        misses.push(("attraction buffers", key(&m, &kernel(), &schedule())));
         let m = sim_machine
             .clone()
             .with_interleave(2 * suite.interleave_bytes);
-        misses.push(("interleave", sim_key(&m, &kernel(), &schedule())));
+        misses.push(("interleave", key(&m, &kernel(), &schedule())));
+        let mut m = sim_machine.clone();
+        m.cache.assoc *= 2;
+        misses.push(("cache geometry", key(&m, &kernel(), &schedule())));
+        let mut k = kernel();
+        k.ddg.node_mut(alu).kind = OpKind::IntMul;
+        misses.push(("op kind", key(&sim_machine, &k, &schedule())));
+        let mut k = kernel();
+        let mem = k.ddg.node_mut(load).mem.as_mut().unwrap();
+        mem.width = if mem.width == Width::W8 {
+            Width::W4
+        } else {
+            Width::W8
+        };
+        misses.push(("access width", key(&sim_machine, &k, &schedule())));
+        let mut k = kernel();
+        k.ddg.remove_dep(edge);
+        k.ddg.add_dep(dep.src, dep.dst, dep.kind, dep.distance + 1);
+        misses.push(("edge distance", key(&sim_machine, &k, &schedule())));
+        let mut k = kernel();
+        k.ddg.add_dep(load, alu, DepKind::MemFlow, 1);
+        misses.push(("extra edge", key(&sim_machine, &k, &schedule())));
         let mut k = kernel();
         k.exec.insert(site, moved.clone());
-        misses.push(("exec stream base", sim_key(&sim_machine, &k, &schedule())));
+        misses.push(("exec stream base", key(&sim_machine, &k, &schedule())));
         let mut k = kernel();
         k.trip_count += 1;
-        misses.push(("trip", sim_key(&sim_machine, &k, &schedule())));
+        misses.push(("trip", key(&sim_machine, &k, &schedule())));
         let mut k = kernel();
         k.invocations += 1;
-        misses.push(("invocations", sim_key(&sim_machine, &k, &schedule())));
+        misses.push(("invocations", key(&sim_machine, &k, &schedule())));
+        let mut s = schedule();
+        s.ii += 1;
+        misses.push(("II", key(&sim_machine, &kernel(), &s)));
         let mut s = schedule();
         s.ops.values_mut().next().unwrap().start += 1;
-        misses.push(("op start", sim_key(&sim_machine, &kernel(), &s)));
+        misses.push(("op start", key(&sim_machine, &kernel(), &s)));
         let mut s = schedule();
         let op = s.ops.values_mut().next().unwrap();
         op.cluster = (op.cluster + 1) % sim_machine.n_clusters;
-        misses.push(("op cluster", sim_key(&sim_machine, &kernel(), &s)));
+        misses.push(("op cluster", key(&sim_machine, &kernel(), &s)));
         let mut s = schedule();
         s.copies[0].start += 1;
-        misses.push(("copy start", sim_key(&sim_machine, &kernel(), &s)));
+        misses.push(("copy start", key(&sim_machine, &kernel(), &s)));
+        let mut s = schedule();
+        s.copies[0].to_cluster = (s.copies[0].to_cluster + 1) % sim_machine.n_clusters;
+        misses.push(("copy target", key(&sim_machine, &kernel(), &s)));
         for (what, key) in &misses {
             assert_ne!(*key, base, "changing the {what} must miss");
         }
@@ -1331,12 +1655,11 @@ mod tests {
         let mut k = kernel();
         k.name.push_str(" (renamed)");
         k.profile.insert(site, moved);
-        assert_eq!(sim_key(&sim_machine, &k, &schedule()), base);
+        assert_eq!(key(&sim_machine, &k, &schedule()), base);
+        // Built through the constructor, which recomputes both digests,
+        // so the hit below comes from the renamed kernel's own content.
         let renamed = SuiteArtifact {
-            kernels: vec![KernelArtifact {
-                kernel: k,
-                ..compiled.clone()
-            }],
+            kernels: vec![KernelArtifact::new(k, schedule(), compiled.sched)],
             ..artifact.clone()
         };
         let original = SuiteArtifact {
@@ -1345,21 +1668,11 @@ mod tests {
         };
         let pipeline = Pipeline::new(machine());
         let simulate = |artifact: &SuiteArtifact| {
-            use distvliw_obs::trace::{self, FieldValue, TraceCtx};
-            let sink = trace::TraceSink::new();
-            let run = trace::with_ctx(TraceCtx::for_sink(&sink), || {
-                pipeline.simulate_artifact(artifact)
-            });
-            let memo: Vec<String> = sink
-                .take()
-                .0
-                .into_iter()
+            let (run, records) = spans(|| pipeline.simulate_artifact(artifact));
+            let memo: Vec<String> = records
+                .iter()
                 .filter(|r| r.name == "sim")
-                .flat_map(|r| r.fields)
-                .filter_map(|(k, v)| match v {
-                    FieldValue::Str(s) if k == "memo" => Some(s),
-                    _ => None,
-                })
+                .filter_map(|r| field(r, "memo"))
                 .collect();
             (run, memo)
         };
@@ -1369,6 +1682,271 @@ mod tests {
         assert_eq!(memo, ["hit"]);
         assert_eq!(first.total, second.total);
         assert_eq!(first.cluster, second.cluster);
+        // A kernel the simulator reads differently misses end to end.
+        let mut k = kernel();
+        k.trip_count += 1;
+        let longer = SuiteArtifact {
+            kernels: vec![KernelArtifact::new(k, schedule(), compiled.sched)],
+            ..artifact.clone()
+        };
+        assert_eq!(simulate(&longer).1, ["miss"]);
+    }
+
+    /// A named change to one machine field.
+    type Perturbation = (&'static str, fn(&mut MachineConfig));
+
+    #[test]
+    fn compile_key_covers_every_front_end_input() {
+        let base_machine = machine().with_interleave(2);
+        let fingerprint = [7u8; 16];
+        let key = |fingerprint: &[u8; 16],
+                   index: usize,
+                   m: &MachineConfig,
+                   solution: Solution,
+                   heuristic: Heuristic,
+                   relax: bool| {
+            compile_key(fingerprint, m, solution, heuristic, relax, index)
+        };
+        let (mdc, pref) = (Solution::Mdc, Heuristic::PrefClus);
+        let base = key(&fingerprint, 1, &base_machine, mdc, pref, true);
+
+        // Every field of the scheduler projection, one at a time.
+        let sched_fields: [Perturbation; 10] = [
+            ("cluster count", |m| m.n_clusters *= 2),
+            ("integer units", |m| m.fu.integer += 1),
+            ("fp units", |m| m.fu.fp += 1),
+            ("memory units", |m| m.fu.memory += 1),
+            ("register buses", |m| m.reg_buses.count += 1),
+            ("register-bus latency", |m| m.reg_buses.latency += 1),
+            ("registers per cluster", |m| m.regs_per_cluster += 1),
+            ("interleave", |m| m.interleave_bytes *= 2),
+            ("cache latency", |m| m.cache.latency += 1),
+            ("memory-bus latency", |m| m.mem_buses.latency += 1),
+        ];
+        let mut misses = vec![
+            (
+                "fingerprint",
+                key(&[8; 16], 1, &base_machine, mdc, pref, true),
+            ),
+            (
+                "kernel index",
+                key(&fingerprint, 2, &base_machine, mdc, pref, true),
+            ),
+            (
+                "solution",
+                key(&fingerprint, 1, &base_machine, Solution::Ddgt, pref, true),
+            ),
+            (
+                "heuristic",
+                key(
+                    &fingerprint,
+                    1,
+                    &base_machine,
+                    mdc,
+                    Heuristic::MinComs,
+                    true,
+                ),
+            ),
+            (
+                "relax flag",
+                key(&fingerprint, 1, &base_machine, mdc, pref, false),
+            ),
+        ];
+        let mut next_level = base_machine.clone();
+        next_level.next_level.latency += 1;
+        misses.push((
+            "next-level latency",
+            key(&fingerprint, 1, &next_level, mdc, pref, true),
+        ));
+        for (what, perturb) in sched_fields {
+            let mut m = base_machine.clone();
+            perturb(&mut m);
+            misses.push((what, key(&fingerprint, 1, &m, mdc, pref, true)));
+        }
+        for (what, k) in &misses {
+            assert_ne!(*k, base, "changing the {what} must miss");
+        }
+
+        // Simulation-only fields leave the front end alone.
+        let sim_fields: [Perturbation; 6] = [
+            ("memory buses", |m| m.mem_buses.count += 1),
+            ("attraction buffers", |m| {
+                m.attraction_buffers = Some(distvliw_arch::AttractionBufferConfig::paper());
+            }),
+            ("cache size", |m| m.cache.total_bytes *= 2),
+            ("cache block", |m| m.cache.block_bytes *= 2),
+            ("cache associativity", |m| m.cache.assoc *= 2),
+            ("next-level ports", |m| m.next_level.ports += 1),
+        ];
+        for (what, perturb) in sim_fields {
+            let mut m = base_machine.clone();
+            perturb(&mut m);
+            assert_eq!(
+                key(&fingerprint, 1, &m, mdc, pref, true),
+                base,
+                "the {what} is simulation-only"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_compile_memo_reproduces_a_cold_run_suite() {
+        // A compile memo hit must give byte for byte what a recomputed
+        // front end gives, search effort included. Both memos see the
+        // same run sequence, so their schedule tables stay in step; the
+        // cold one loses its compile table before every run.
+        let suite = distvliw_mediabench::suite("epicenc").unwrap();
+        let fingerprint = digest_fingerprint(&cachekey::suite_digest(&suite));
+        let mut variant = machine();
+        variant.mem_buses.count += 1;
+        let cold_memo = Arc::new(PipelineMemo::new());
+        let warm_memo = Arc::new(PipelineMemo::new());
+        let fronts = |records: &[distvliw_obs::trace::SpanRecord]| -> Vec<String> {
+            records
+                .iter()
+                .filter(|r| r.name == "compile")
+                .map(|r| field(r, "front").expect("a compile reports its front end"))
+                .collect()
+        };
+        let mut hits = 0;
+        for m in [machine(), variant, machine()] {
+            for solution in [Solution::Mdc, Solution::Ddgt, Solution::Hybrid] {
+                let pipeline =
+                    |memo: &Arc<PipelineMemo>| Pipeline::new(m.clone()).with_memo(memo.clone());
+                *cold_memo.fronts.cache.lock().unwrap() = ResultCache::new(COMPILE_MEMO_CAPACITY);
+                let (cold, cold_records) = spans(|| {
+                    pipeline(&cold_memo)
+                        .run_suite(&suite, solution, Heuristic::PrefClus)
+                        .unwrap()
+                });
+                let (warm, warm_records) = spans(|| {
+                    pipeline(&warm_memo)
+                        .run_fingerprinted_suite(
+                            &suite,
+                            &fingerprint,
+                            solution,
+                            Heuristic::PrefClus,
+                        )
+                        .unwrap()
+                });
+                assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+                assert_eq!(warm.sched, cold.sched);
+                let compiles =
+                    suite.kernels.len() * (1 + usize::from(solution == Solution::Hybrid));
+                assert_eq!(fronts(&cold_records), vec!["miss"; compiles]);
+                let warm_fronts = fronts(&warm_records);
+                assert_eq!(warm_fronts.len(), compiles);
+                hits += warm_fronts.iter().filter(|f| *f == "hit").count();
+            }
+        }
+        // MDC and DDGT each compiled every kernel once, on the first
+        // machine: the variant shares its scheduler projection, so every
+        // later compile was a hit.
+        let n = suite.kernels.len();
+        assert_eq!(warm_memo.fronts.cache.lock().unwrap().len(), 2 * n);
+        assert_eq!(hits, 3 * 4 * n - 2 * n);
+    }
+
+    #[test]
+    fn concurrent_cells_compile_each_front_end_once() {
+        // Four threads released at once run the served entry point on
+        // machines that differ only in a simulation field, so every
+        // kernel poses one compile key to all four at the same time.
+        let suite = distvliw_mediabench::suite("epicenc").unwrap();
+        let fingerprint = digest_fingerprint(&cachekey::suite_digest(&suite));
+        let memo = Arc::new(PipelineMemo::new());
+        let barrier = std::sync::Barrier::new(4);
+        let hits = compile_memo_hits().get();
+        let ((), records) = spans(|| {
+            let ctx = distvliw_obs::trace::current_ctx();
+            std::thread::scope(|scope| {
+                for extra in 0..4 {
+                    let (ctx, memo, barrier, suite) = (ctx.clone(), &memo, &barrier, &suite);
+                    scope.spawn(move || {
+                        distvliw_obs::trace::with_ctx(ctx, || {
+                            let mut m = machine();
+                            m.mem_buses.count += extra;
+                            barrier.wait();
+                            Pipeline::new(m)
+                                .with_memo(memo.clone())
+                                .run_fingerprinted_suite(
+                                    suite,
+                                    &fingerprint,
+                                    Solution::Ddgt,
+                                    Heuristic::MinComs,
+                                )
+                                .unwrap();
+                        });
+                    });
+                }
+            });
+        });
+        let fronts: Vec<String> = records
+            .iter()
+            .filter(|r| r.name == "compile")
+            .map(|r| field(r, "front").unwrap())
+            .collect();
+        let n = suite.kernels.len();
+        assert_eq!(fronts.len(), 4 * n);
+        assert_eq!(fronts.iter().filter(|f| *f == "miss").count(), n);
+        assert_eq!(memo.fronts.cache.lock().unwrap().len(), n);
+        // Other tests share the global registry, so the counter moved by
+        // at least this test's hits.
+        assert!(compile_memo_hits().get() - hits >= 3 * n as u64);
+    }
+
+    #[test]
+    fn the_checker_verifies_compile_memo_hits() {
+        // A served compile whose front end is a memo hit still runs the
+        // checker: plant a broken schedule under the stored problem key,
+        // and the hit that reaches it is rejected.
+        let suite = distvliw_mediabench::suite("gsmdec").unwrap();
+        let fingerprint = digest_fingerprint(&cachekey::suite_digest(&suite));
+        let memo = Arc::new(PipelineMemo::new());
+        let pipeline = Pipeline::new(machine())
+            .with_options(PipelineOptions {
+                check: true,
+                ..PipelineOptions::default()
+            })
+            .with_memo(memo.clone());
+        let run = || {
+            pipeline.run_fingerprinted_suite(
+                &suite,
+                &fingerprint,
+                Solution::Mdc,
+                Heuristic::MinComs,
+            )
+        };
+        run().unwrap();
+        let fronts = memo.fronts.cache.lock().unwrap().entries_by_recency();
+        let seed_key = fronts[0].1.seed_key.clone();
+        let mut schedules = memo.schedules.cache.lock().unwrap();
+        let solved = schedules.get(&seed_key).unwrap();
+        let mut broken = (*solved.schedule).clone();
+        for op in broken.ops.values_mut() {
+            op.start = 0;
+        }
+        schedules.insert(
+            seed_key,
+            Arc::new(Solved {
+                digest: schedule_digest(&broken),
+                schedule: Arc::new(broken),
+                record: solved.record.clone(),
+            }),
+        );
+        drop(schedules);
+        // Debug builds assert on a rejected schedule; release builds
+        // fail the compile.
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Ok(Err(PipelineError::Check { .. })) => {}
+            Err(panic) => {
+                let message = panic
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic message");
+                assert!(message.contains("checker rejected"), "{message}");
+            }
+            Ok(other) => panic!("the broken schedule was served: {other:?}"),
+        }
     }
 
     #[test]

@@ -405,6 +405,10 @@ impl<'m> ModuloScheduler<'m> {
                 },
             ));
         }
+        // Search set-up: the dense graph, the recurrence solver, the MII
+        // bounds, the order topology and the placer, built once per
+        // search.
+        let setup_span = distvliw_obs::Span::enter("sched.setup");
         let dense = DenseDeps::new(ddg);
         let ctx = SchedCtx {
             ddg,
@@ -453,6 +457,7 @@ impl<'m> ModuloScheduler<'m> {
         let mut passes: Vec<SearchCounters> = Vec::new();
         let mut priority = PriorityOrder::from_dense(&dense);
         let mut placer = Placer::new(self.machine, ctx, lat);
+        drop(setup_span);
         let order = priority.order(&placer.load_lat);
         let mut found: Option<(u32, Placement, bool)> = None;
         for ii in start_ii..=max_ii {

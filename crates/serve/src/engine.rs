@@ -2,9 +2,12 @@
 //! execution.
 //!
 //! One *cell* is a [`Cell`]: a `(suite, machine, solution, heuristic)`
-//! combination, computed by one `Pipeline::run_suite` call that runs the
-//! suite's kernels serially. The engine memoizes cells in a
-//! content-addressed [`ResultCache`] and collapses concurrent identical
+//! combination, computed by one `Pipeline::run_fingerprinted_suite` call
+//! that runs the suite's kernels serially, handing the pipeline the
+//! suite fingerprint the cell's key carries so that its shared memo
+//! compiles each kernel's front end, searches each scheduling problem
+//! and runs each simulation once per engine. The engine memoizes cells
+//! in a content-addressed [`ResultCache`] and collapses concurrent identical
 //! requests through [`SingleFlight`]. A request looks up all of its
 //! cells under one cache lock, so hits resolve inline on the calling
 //! thread; only the misses fan out, over the resident pool of
@@ -129,9 +132,10 @@ struct CellStore {
     cache: Mutex<ResultCache<CellResult>>,
     flight: SingleFlight<Result<CellResult, Infallible>>,
     /// One shared memo for every pipeline this engine spawns, so each
-    /// distinct scheduling problem is searched once and each distinct
-    /// simulation runs once per engine, whichever cell, endpoint or
-    /// machine variant needs it. It lives in memory only.
+    /// kernel's front end is compiled once, each distinct scheduling
+    /// problem is searched once and each distinct simulation runs once
+    /// per engine, whichever cell, endpoint or machine variant needs it.
+    /// It lives in memory only.
     memo: Arc<PipelineMemo>,
     persist: Option<Mutex<PersistState>>,
     usage: Mutex<ClusterUsage>,
@@ -154,6 +158,8 @@ struct BatchSuite<'a> {
 struct Miss {
     key: CacheKey,
     suite: Arc<Suite>,
+    /// The suite's content fingerprint, as `key` carries it.
+    fingerprint: [u8; 16],
     machine: MachineConfig,
     solution: Solution,
     heuristic: Heuristic,
@@ -223,8 +229,9 @@ impl ServeEngine {
     /// cell cache replays `cells.log` (a tombstone drops its key), and
     /// the log is kept current as the engine runs (see [`CellLog`] for
     /// its appends and amortized compaction; fsync on flush). The
-    /// pipeline memo of schedules and simulations lives in memory only:
-    /// after a restart a cell miss searches and simulates cold. A corrupt or stale log is recovered, never
+    /// pipeline memo of front ends, schedules and simulations lives in
+    /// memory only: after a restart a cell miss compiles, searches and
+    /// simulates cold. A corrupt or stale log is recovered, never
     /// fatal — see [`PersistStats`] for what was kept.
     ///
     /// # Errors
@@ -371,12 +378,14 @@ impl ServeEngine {
                 .iter()
                 .map(|&i| {
                     let cell = &cells[i];
-                    let suite = distinct[suite_of[i]]
+                    let batch = &mut distinct[suite_of[i]];
+                    let suite = batch
                         .owned
                         .get_or_insert_with(|| Arc::new(cell.suite.clone()));
                     Miss {
                         key: keys[i].clone(),
                         suite: suite.clone(),
+                        fingerprint: batch.fingerprint,
                         machine: cell.machine.clone(),
                         solution: cell.solution,
                         heuristic: cell.heuristic,
@@ -449,8 +458,12 @@ impl CellStore {
             let pipeline = Pipeline::new(miss.machine.clone())
                 .with_options(self.options)
                 .with_memo(self.memo.clone());
-            let result: CellResult =
-                Arc::new(pipeline.run_suite(&miss.suite, miss.solution, miss.heuristic));
+            let result: CellResult = Arc::new(pipeline.run_fingerprinted_suite(
+                &miss.suite,
+                &miss.fingerprint,
+                miss.solution,
+                miss.heuristic,
+            ));
             if let Ok(stats) = result.as_ref() {
                 *self.usage.lock().expect("usage lock") += &stats.cluster;
                 self.seeded

@@ -87,11 +87,11 @@ pub fn compile_cells(
         for (&(solution, heuristic, relax), (artifact, stats)) in cells.iter().zip(&compiled) {
             let kernel = &artifact.kernels[i];
             grid.push(Config {
-                kernel: kernel.kernel.name.clone(),
+                kernel: kernel.kernel().name.clone(),
                 solution: solution.to_string().to_lowercase(),
                 heuristic,
                 relax,
-                schedule: kernel.schedule.clone(),
+                schedule: kernel.schedule().clone(),
                 sched: kernel.sched,
                 stats: stats.kernels[i].stats,
             });

@@ -35,7 +35,7 @@ fn a_late_alias_gets_its_edge_and_mdc_colocates_the_pair() {
             let artifact = pipeline
                 .compile_suite(&suite, solution, heuristic)
                 .unwrap_or_else(|e| panic!("{solution}/{heuristic:?}: {e}"));
-            let schedule = &artifact.kernels[0].schedule;
+            let schedule = artifact.kernels[0].schedule();
             if solution == Solution::Mdc {
                 assert_eq!(
                     schedule.op(store).cluster,

@@ -331,7 +331,7 @@ proptest! {
         let compiled = &artifact.kernels[0];
         let sim_machine = machine.with_interleave(suite.interleave_bytes);
         let (fresh, fresh_deltas) = sim_deltas(|| {
-            simulate_kernel_detailed(&sim_machine, &compiled.kernel, &compiled.schedule, SimOptions)
+            simulate_kernel_detailed(&sim_machine, compiled.kernel(), compiled.schedule(), SimOptions)
         });
         let (hit, hit_deltas) = sim_deltas(|| pipeline.simulate_artifact(&artifact));
 
